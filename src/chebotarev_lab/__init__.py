@@ -46,9 +46,11 @@ from .fields import (
     BUILTIN_CATALOG,
     FieldDescriptor,
     FrobeniusData,
+    FrobeniusTable,
     builtin_field,
     factor_poly_mod_p,
     frobenius_data,
+    frobenius_table,
     load_catalog,
     parse_catalog,
     quadratic_field,

@@ -1,10 +1,11 @@
 """Exact Chebotarev prime counting, weighted prime sums, admissibility
 certificates, base change, and error reports.
 
-Counting is exact: every unramified prime up to x is classified through its
-Frobenius conjugacy class, and the class counts partition pi(x) minus the
-ramified primes.  Sums run over fixed-size prime blocks with a deterministic
-reduction order, so results are bit-stable regardless of worker count.
+Counting is exact: every prime up to x is classified once, through the
+field's Frobenius table (``fields.frobenius_table``), and counts are integer
+reductions over that table, so the class counts partition pi(x) minus the
+ramified primes.  Weighted sums add their terms in ascending order of p and
+then k, so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AmbiguousClass, DomainTooSmall, ParameterOutOfRange, UnsupportedSubgroupAction
-from .fields import FieldDescriptor, frobenius_data
+from .fields import RAMIFIED, UNRESOLVED, FieldDescriptor, frobenius_table
 from .groups import ConjugacyClass, FiniteGroup
 from .sieve import PrimeSieve
 from .weights import WeightParams, f_eval
 from .zfr import EtaProfile
-
-PRIME_BLOCK = 4096
 
 
 def pi_count(x: float, sieve: PrimeSieve) -> int:
@@ -51,45 +52,23 @@ class SplittingTally:
         return sum(self.by_class.values()) + self.ramified + self.unresolved
 
 
-def _tally_block(fd: FieldDescriptor, block: list[int]) -> tuple[dict[str, int], int, int]:
-    counts = {c.label: 0 for c in fd.group.classes}
-    ramified = 0
-    unresolved = 0
-    for p in block:
-        data = frobenius_data(fd, p)
-        if data.ramified:
-            ramified += 1
-        elif data.conjugacy_class is not None:
-            counts[data.conjugacy_class.label] += 1
-        else:
-            unresolved += 1
-    return counts, ramified, unresolved
+def splitting_tally(fd: FieldDescriptor, x: float, sieve: PrimeSieve) -> SplittingTally:
+    """Classify every prime p <= x and count each class."""
+    table = frobenius_table(fd, sieve.upto(x))
+    classes = fd.group.classes
+    counts = np.bincount(table.cls[table.cls >= 0], minlength=len(classes))
+    return SplittingTally(
+        x=x,
+        by_class={c.label: int(counts[c.index]) for c in classes},
+        ramified=int(np.count_nonzero(table.cls == RAMIFIED)),
+        unresolved=int(np.count_nonzero(table.cls == UNRESOLVED)),
+    )
 
 
-def splitting_tally(fd: FieldDescriptor, x: float, sieve: PrimeSieve, workers: int = 1) -> SplittingTally:
-    """Classify every prime p <= x, in fixed blocks reduced in block order.
-
-    The block partition is independent of ``workers``, so the tally is
-    bit-identical for any worker count.
-    """
-    primes = sieve.upto(x).tolist()
-    blocks = [primes[i : i + PRIME_BLOCK] for i in range(0, len(primes), PRIME_BLOCK)]
-    if workers > 1 and len(blocks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_tally_block, [fd] * len(blocks), blocks))
-    else:
-        results = [_tally_block(fd, block) for block in blocks]
-    counts = {c.label: 0 for c in fd.group.classes}
-    ramified = 0
-    unresolved = 0
-    for block_counts, block_ram, block_unres in results:
-        for label, value in block_counts.items():
-            counts[label] += value
-        ramified += block_ram
-        unresolved += block_unres
-    return SplittingTally(x=x, by_class=counts, ramified=ramified, unresolved=unresolved)
+def _first_unresolved(primes: np.ndarray, unresolved: np.ndarray) -> int | None:
+    """The smallest prime flagged in ``unresolved``, or None."""
+    hits = np.flatnonzero(unresolved)
+    return int(primes[hits[0]]) if hits.size else None
 
 
 def pi_C_count(
@@ -105,33 +84,24 @@ def pi_C_count(
     factorization data cannot separate it.
     """
     group = fd.group
-    count = 0
-    primes = sieve.upto(x).tolist()
+    primes = sieve.upto(x)
+    table = frobenius_table(fd, primes)
     if isinstance(selector, ConjugacyClass):
         size = selector.size
-        for p in primes:
-            data = frobenius_data(fd, p)
-            if data.ramified:
-                continue
-            if data.conjugacy_class is None:
-                if data.frobenius_order == selector.order:
-                    raise AmbiguousClass(
-                        f"{fd.name}: order-{selector.order} classes are not separated at p={p};"
-                        " request the class union instead"
-                    )
-                continue
-            if data.conjugacy_class.index == selector.index:
-                count += 1
+        p = _first_unresolved(primes, (table.cls == UNRESOLVED) & (table.order == selector.order))
+        if p is not None:
+            raise AmbiguousClass(
+                f"{fd.name}: order-{selector.order} classes are not separated at p={p};"
+                " request the class union instead"
+            )
+        count = int(np.count_nonzero(table.cls == selector.index))
         label = selector.label
     else:
         d = int(selector)
         size = sum(c.size for c in group.classes_of_order(d))
         if size == 0:
             raise ParameterOutOfRange(f"{group.name} has no elements of order {d}")
-        for p in primes:
-            data = frobenius_data(fd, p)
-            if not data.ramified and data.frobenius_order == d:
-                count += 1
+        count = int(np.count_nonzero(table.order == d))  # ramified primes have order 0
         label = f"order={d}"
     expected = size / group.order * pi_count(x, sieve)
     return ChebotarevCount(x=x, class_label=label, count=count, expected=expected, error=count - expected)
@@ -219,19 +189,28 @@ def psi_weighted_items(
 
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
     group = fd.group
+    primes = sieve.upto(n_hi)
+    table = frobenius_table(fd, primes)
+    p = _first_unresolved(primes, table.cls == UNRESOLVED)
+    if p is not None:
+        raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
+    # hits[c][k % |G|]: the k-th power of class c lies in cls
+    hits = [
+        [group.class_of(group.power(c.representative, k)).index == cls.index for k in range(group.order)]
+        for c in group.classes
+    ]
+    # a prime enters the sum through k = 1 or, when p^2 <= n_hi, through some k >= 2
+    unramified = table.cls >= 0
+    first_hit = np.array([h[1 % group.order] for h in hits])[np.where(unramified, table.cls, 0)]
+    keep = unramified & (first_hit | (primes <= math.isqrt(int(2 * n_hi))))
     out: list[tuple[int, float]] = []
-    for p in sieve.upto(n_hi).tolist():
-        data = frobenius_data(fd, p)
-        if data.ramified:
-            continue
-        if data.conjugacy_class is None:
-            raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
-        rep = data.conjugacy_class.representative
+    for p, c in zip(primes[keep].tolist(), table.cls[keep].tolist()):
+        hit = hits[c]
         logp = math.log(p)
         k = 1
         n = p
         while k * logp <= lx + params.eps:
-            if group.class_of(group.power(rep, k)).index == cls.index:
+            if hit[k % group.order]:
                 weight = f_eval(params, k * logp / lx)
                 if weight > 0.0:
                     out.append((n, logp * weight))
@@ -327,6 +306,16 @@ def _coset_orbit_table(
     return table
 
 
+def _iroot(n: int, k: int) -> int:
+    """The largest r >= 0 with r^k <= n, for n >= 0."""
+    r = int(round(n ** (1.0 / k))) if n > 0 else 0
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
 def base_change_compare(
     fd: FieldDescriptor,
     cls: ConjugacyClass,
@@ -349,23 +338,21 @@ def base_change_compare(
         raise ParameterOutOfRange("H does not meet the conjugacy class")
     g0 = meet[0]
     c_h = frozenset(group.conj(g0, hh) for hh in h)
-    try:
-        table = _coset_orbit_table(group, h, c_h)
-        pi_c = 0
-        pi_ch = 0
-        for p in sieve.upto(x).tolist():
-            data = frobenius_data(fd, p)
-            if data.ramified:
-                continue
-            if data.conjugacy_class is None:
-                raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
-            if data.conjugacy_class.index == cls.index:
-                pi_c += 1
-            for length, in_ch in table[data.conjugacy_class.index]:
-                if in_ch and p**length <= x:
-                    pi_ch += 1
-    except AmbiguousClass as exc:
-        raise UnsupportedSubgroupAction(str(exc)) from None
+    orbits = _coset_orbit_table(group, h, c_h)
+    primes = sieve.upto(x)
+    table = frobenius_table(fd, primes)
+    p = _first_unresolved(primes, table.cls == UNRESOLVED)
+    if p is not None:
+        raise UnsupportedSubgroupAction(f"{fd.name}: class not resolvable at p={p}")
+    pi_c = int(np.count_nonzero(table.cls == cls.index))
+    # a prime of class c gives one K^H prime of norm p^f per orbit of length f
+    # meeting C_H; it counts when p^f <= x, that is when p <= floor(x)^(1/f)
+    pi_ch = 0
+    for index, class_orbits in orbits.items():
+        for length, in_ch in class_orbits:
+            if in_ch:
+                end = int(np.searchsorted(primes, _iroot(max(int(x), 0), length), side="right"))
+                pi_ch += int(np.count_nonzero(table.cls[:end] == index))
     scale = cls.size / group.order * len(h) / len(c_h)
     lhs = abs(pi_c - scale * pi_ch)
     rhs = cls.size / group.order * (

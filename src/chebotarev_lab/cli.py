@@ -26,13 +26,15 @@ from .chebotarev import (
     psi_weighted_class,
     splitting_tally,
 )
-from .errors import ChebotarevLabError, ComputationError, ValidationError
+from .errors import ChebotarevLabError, ValidationError
 from .families import Family, avg_cheb_error, compositum_disc_check, intersection_multiplicity
 from .fields import (
     BUILTIN_CATALOG,
+    RAMIFIED,
     FieldDescriptor,
     builtin_field,
     frobenius_data,
+    frobenius_table,
     load_catalog,
     quadratic_field,
 )
@@ -146,19 +148,16 @@ def cmd_splitting(cfg: RunConfig) -> int:
         return _selftest_splitting(cfg)
     fd = cfg.resolve_field(args.field)
     sieve = sieve_primes(max(args.limit, 2))
+    primes = sieve.upto(args.limit)
+    table = frobenius_table(fd, primes)
+    labels = [c.label for c in fd.group.classes]
+    types = ["+".join(str(d) for d in ftype) for ftype in table.types]
     rows = []
-    for p in sieve.upto(args.limit).tolist():
-        data = frobenius_data(fd, p)
-        if data.ramified:
+    for p, cls, order, ftype in zip(primes.tolist(), table.cls.tolist(), table.order.tolist(), table.ftype.tolist()):
+        if cls == RAMIFIED:
             rows.append([p, 1, "", "", ""])
         else:
-            rows.append([
-                p,
-                0,
-                "+".join(str(d) for d in data.factorization_type),
-                data.frobenius_order,
-                data.conjugacy_class.label if data.conjugacy_class else "?",
-            ])
+            rows.append([p, 0, types[ftype], order, labels[cls] if cls >= 0 else "?"])
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -494,7 +493,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
         p.add_argument("--seed", type=int, default=0, help="rng seed for selftests")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (results are thread-count independent)")
         p.add_argument("--catalog", default=None, help=f"extra catalog file (or ${CATALOG_ENV})")
         p.add_argument("--selftest", action="store_true", help="run this module's oracle comparisons")
 
@@ -568,15 +566,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise ValidationError("--threads must be >= 1")
         return args.func(RunConfig(args=args))
     except ValidationError as exc:
         sys.stderr.write(_json({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
         return 1
-    except ComputationError as exc:
-        sys.stderr.write(_json({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
-        return 2
     except ChebotarevLabError as exc:
         sys.stderr.write(_json({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
         return 2

@@ -5,7 +5,11 @@ the Galois group G of the closure K, and the (user-supplied) field
 discriminant D_K.  Frobenius conjugacy classes at unramified primes come from
 the factorization type of the polynomial mod p; for the abelian built-ins the
 class is resolved exactly through the residue of p modulo the conductor
-(Frobenius acts on roots of unity by zeta -> zeta^p).
+(Frobenius acts on roots of unity by zeta -> zeta^p, and on a quadratic field
+through the Kronecker character chi_D, a character mod |D|).
+
+``frobenius_data`` classifies one prime; ``frobenius_table`` classifies an
+ascending prime array at once and agrees with it prime by prime.
 """
 
 from __future__ import annotations
@@ -15,15 +19,22 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 from .arith import kronecker_symbol, poly_discriminant
-from .errors import AmbiguousClass, CatalogError, ValidationError
+from .errors import CatalogError, LimitTooLarge, ValidationError
 from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group
+
+RAMIFIED = -1  # class index of a ramified prime in a FrobeniusTable
+UNRESOLVED = -2  # class index of an unramified prime whose class the data cannot separate
+MAX_KRONECKER_CONDUCTOR = 10**6  # |D| bound for the residue table of a quadratic field
+_CHUNK_ENTRIES = 1 << 20  # int64 entries per block of Frobenius matrices
 
 
 @dataclass(frozen=True)
 class CyclotomicAction:
-    """Exact Frobenius for subfields of Q(zeta_q): class determined by p mod q.
+    """Exact Frobenius for abelian fields: class determined by p mod q.
 
     ``residue_class`` maps each residue coprime to q to a group element id.
     """
@@ -37,17 +48,16 @@ class CyclotomicAction:
         return None if e < 0 else e
 
 
-@dataclass(frozen=True)
-class KroneckerAction:
-    """Quadratic fields: Frobenius is the Kronecker character chi_D(p)."""
-
-    discriminant: int
-
-    def element_of(self, p: int) -> int | None:
-        chi = kronecker_symbol(self.discriminant, p)
-        if chi == 0:
-            return None
-        return 0 if chi == 1 else 1
+def kronecker_action(discriminant: int) -> CyclotomicAction:
+    """Quadratic field of fundamental discriminant D: Frobenius at p is chi_D(p),
+    a character mod |D|, so the class of p depends on p mod |D| alone."""
+    q = abs(discriminant)
+    if q > MAX_KRONECKER_CONDUCTOR:
+        raise LimitTooLarge(f"|D| = {q} exceeds the residue table bound {MAX_KRONECKER_CONDUCTOR}")
+    table = tuple(
+        -1 if math.gcd(r, q) != 1 else (0 if kronecker_symbol(discriminant, r) == 1 else 1) for r in range(q)
+    )
+    return CyclotomicAction(conductor=q, residue_class=table)
 
 
 @dataclass(frozen=True)
@@ -58,9 +68,10 @@ class FieldDescriptor:
     defining_poly: tuple[int, ...]  # constant term first, monic
     group: FiniteGroup
     disc_field: int
-    residue_action: CyclotomicAction | KroneckerAction | None = None
+    residue_action: CyclotomicAction | None = None
     strong_artin: bool = False
     poly_disc: int = field(init=False, compare=False)
+    _table_memo: _TableMemo | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = self.defining_poly
@@ -128,26 +139,29 @@ def frobenius_data(fd: FieldDescriptor, p: int) -> FrobeniusData:
         elem = fd.residue_action.element_of(p)
         if elem is None:
             return FrobeniusData(p=p, ramified=True)
-        cls = fd.group.class_of(elem)
-        d = fd.group.element_orders[elem]
-        n = fd.degree
-        # the factorization type of a degree-n abelian subfield polynomial:
-        # all factors share the residue degree of p in k
-        dk = _orbit_degree_in_subfield(fd, d)
-        return FrobeniusData(
-            p=p,
-            ramified=False,
-            factorization_type=tuple([dk] * (n // dk)),
-            frobenius_order=d,
-            conjugacy_class=cls,
-        )
+        cls, d, ftype = _element_frobenius(fd, elem)
+        return FrobeniusData(p=p, ramified=False, factorization_type=ftype, frobenius_order=d, conjugacy_class=cls)
     pairs = _factor_type(fd.defining_poly, p)
     if any(mult > 1 for _, mult in pairs):
         return FrobeniusData(p=p, ramified=True)
     ftype = tuple(sorted(d for d, _ in pairs))
-    d = math.lcm(*ftype)
-    cls = _class_from_type(fd, ftype, d)
+    cls, d = _type_frobenius(fd, ftype)
     return FrobeniusData(p=p, ramified=False, factorization_type=ftype, frobenius_order=d, conjugacy_class=cls)
+
+
+def _element_frobenius(fd: FieldDescriptor, elem: int) -> tuple[ConjugacyClass, int, tuple[int, ...]]:
+    """Class, order and factorization type of a Frobenius element given by the residue route."""
+    d = fd.group.element_orders[elem]
+    # the factorization type of a degree-n abelian subfield polynomial:
+    # all factors share the residue degree of p in k
+    dk = _orbit_degree_in_subfield(fd, d)
+    return fd.group.class_of(elem), d, tuple([dk] * (fd.degree // dk))
+
+
+def _type_frobenius(fd: FieldDescriptor, ftype: tuple[int, ...]) -> tuple[ConjugacyClass | None, int]:
+    """Class (None when ambiguous) and order of Frobenius with factorization type ftype."""
+    d = math.lcm(*ftype)
+    return _class_from_type(fd, ftype, d), d
 
 
 def _orbit_degree_in_subfield(fd: FieldDescriptor, d: int) -> int:
@@ -170,13 +184,198 @@ def _class_from_type(fd: FieldDescriptor, ftype: tuple[int, ...], d: int) -> Con
     return None
 
 
-def require_class(fd: FieldDescriptor, p: int) -> ConjugacyClass:
-    data = frobenius_data(fd, p)
-    if data.ramified:
-        raise AmbiguousClass(f"{fd.name}: p={p} is ramified")
-    if data.conjugacy_class is None:
-        raise AmbiguousClass(f"{fd.name}: factorization type at p={p} does not resolve a class")
-    return data.conjugacy_class
+# -- Frobenius tables ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FrobeniusTable:
+    """Frobenius data of an ascending prime array, one entry per prime.
+
+    ``cls`` is the int8 class index, or RAMIFIED / UNRESOLVED; ``order`` the
+    Frobenius order (0 when ramified); ``ftype`` an index into ``types``, the
+    factorization types met so far (-1 when ramified).  ``order`` and
+    ``ftype`` are int16: a catalog polynomial of degree 16 or more can have
+    factor degrees whose lcm exceeds 127.  The arrays are read-only.
+    """
+
+    cls: np.ndarray
+    order: np.ndarray
+    ftype: np.ndarray
+    types: tuple[tuple[int, ...], ...]
+
+
+def frobenius_table(fd: FieldDescriptor, primes: np.ndarray) -> FrobeniusTable:
+    """Frobenius data of every prime of an ascending int64 array, at once.
+
+    Residue fields read the class off ``p mod conductor``.  Otherwise, for
+    p > deg f with p not dividing disc(f), the factorization type comes from
+    the traces of the Frobenius matrix (``_cycle_counts``); the few other
+    primes go through ``frobenius_data``, and both routes share the
+    type-to-class helpers, so the table agrees with ``frobenius_data``.
+
+    Each field keeps the table of the longest prime array it has been given
+    and classifies only the primes beyond it.
+    """
+    memo = fd._table_memo
+    if memo is None:
+        memo = _TableMemo(fd)
+        object.__setattr__(fd, "_table_memo", memo)
+    return memo.lookup(fd, np.asarray(primes, dtype=np.int64))
+
+
+class _TableMemo:
+    """One field's table over the longest prime array classified so far.
+
+    Type indices are assigned in the order types are first met and never
+    change, so a table extended later keeps the indices it had.
+    """
+
+    def __init__(self, fd: FieldDescriptor):
+        self.primes = np.zeros(0, dtype=np.int64)
+        self.arrays = _compact(np.zeros((0, 3), dtype=np.int64))
+        self.types: list[tuple[int, ...]] = []
+        self.type_index: dict[tuple[int, ...], int] = {}
+        self.element_rows: np.ndarray | None = None
+        if fd.residue_action is not None:
+            # one row per group element, then the ramified row read by residue -1
+            entries = [self._entry(cls.index, d, ftype) for cls, d, ftype in
+                       (_element_frobenius(fd, e) for e in fd.group.elements())]
+            self.element_rows = np.array(entries + [(RAMIFIED, 0, -1)], dtype=np.int64)
+            self.residue = np.asarray(fd.residue_action.residue_class, dtype=np.int64)
+
+    def lookup(self, fd: FieldDescriptor, primes: np.ndarray) -> FrobeniusTable:
+        n, k = primes.size, self.primes.size
+        if n <= k and np.array_equal(primes, self.primes[:n]):
+            return FrobeniusTable(*(a[:n] for a in self.arrays), types=tuple(self.types))
+        if n > k and np.array_equal(primes[:k], self.primes):
+            tail = _compact(self._classify(fd, primes[k:]))
+            arrays = tuple(np.concatenate(pair) for pair in zip(self.arrays, tail))
+        else:
+            arrays = _compact(self._classify(fd, primes))
+        for a in arrays:
+            a.flags.writeable = False
+        if n >= k:
+            self.primes, self.arrays = primes.copy(), arrays
+        return FrobeniusTable(*arrays, types=tuple(self.types))
+
+    def _entry(self, cls_index: int, order: int, ftype: tuple[int, ...]) -> tuple[int, int, int]:
+        if ftype not in self.type_index:
+            self.type_index[ftype] = len(self.types)
+            self.types.append(ftype)
+        return cls_index, order, self.type_index[ftype]
+
+    def _entry_of(self, data: FrobeniusData) -> tuple[int, int, int]:
+        if data.ramified:
+            return RAMIFIED, 0, -1
+        cls = UNRESOLVED if data.conjugacy_class is None else data.conjugacy_class.index
+        return self._entry(cls, data.frobenius_order, data.factorization_type)
+
+    def _classify(self, fd: FieldDescriptor, primes: np.ndarray) -> np.ndarray:
+        """One (class, order, type index) row per prime."""
+        ramified = _mod_primes(fd.disc_field, primes) == 0
+        if self.element_rows is not None:
+            elem = np.where(ramified, -1, self.residue[primes % fd.residue_action.conductor])
+            return self.element_rows[elem]
+        out = np.empty((primes.size, 3), dtype=np.int64)
+        out[ramified] = (RAMIFIED, 0, -1)
+        n = fd.degree
+        # the trace route needs p > n, p not dividing disc(f), and n (p-1)^2 < 2^63
+        scalar = ~ramified & ((primes <= n) | (_mod_primes(fd.poly_disc, primes) == 0)
+                              | (primes > math.isqrt((2**63 - 1) // n)))
+        for i in np.flatnonzero(scalar).tolist():
+            out[i] = self._entry_of(frobenius_data(fd, int(primes[i])))
+        fast = ~(ramified | scalar)
+        if fast.any():
+            counts = _cycle_counts(fd.defining_poly, primes[fast])
+            distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
+            entries = []
+            for row in distinct.tolist():
+                ftype = tuple(d for d, c in enumerate(row, start=1) for _ in range(c))
+                cls, order = _type_frobenius(fd, ftype)
+                entries.append(self._entry(UNRESOLVED if cls is None else cls.index, order, ftype))
+            out[fast] = np.array(entries, dtype=np.int64)[inverse.reshape(-1)]
+        return out
+
+
+def _compact(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return rows[:, 0].astype(np.int8), rows[:, 1].astype(np.int16), rows[:, 2].astype(np.int16)
+
+
+def _mod_primes(value: int, primes: np.ndarray) -> np.ndarray:
+    """value mod p for each prime p < 2^47, exact for an integer of any size."""
+    mag = abs(value)
+    r = np.zeros_like(primes)
+    for shift in range(mag.bit_length() // 16 * 16, -1, -16):
+        r = (r * (1 << 16) + ((mag >> shift) & 0xFFFF)) % primes
+    return r if value >= 0 else (-r) % primes
+
+
+def _cycle_counts(poly: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
+    """c[:, d-1] = number of degree-d irreducible factors of poly mod p.
+
+    Needs p > n = deg(poly), p not dividing disc(poly), and n (p-1)^2 < 2^63.
+    Then F_p[x]/(f) is a product of fields F_{p^d}, one per factor, and the
+    Frobenius a -> a^p permutes a normal basis of each in one d-cycle.  So the
+    trace of its k-th power is sum over d | k of d c_d, an integer at most
+    n < p, which its value mod p gives exactly; Moebius-style inversion over
+    the divisors of k recovers c_k.  The Frobenius matrix has the columns
+    x^(ip) mod f, from one x^p mod f per prime by square-and-multiply.
+    """
+    n = len(poly) - 1
+    out = np.empty((primes.size, n), dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    for lo in range(0, primes.size, step):
+        out[lo : lo + step] = _cycle_counts_block(poly, primes[lo : lo + step])
+    return out
+
+
+def _cycle_counts_block(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray:
+    n = len(poly) - 1
+    m = p.size
+    col = p[:, None]
+    low = np.stack([_mod_primes(c, p) for c in poly[:-1]], axis=1)  # f = x^n + sum low_j x^j
+
+    def reduce(prod: np.ndarray) -> np.ndarray:
+        # fold x^i (i >= n) back with x^n = -sum low_j x^j; entries stay below n p^2
+        for i in range(prod.shape[1] - 1, n - 1, -1):
+            prod[:, i - n : i] -= (prod[:, i] % p)[:, None] * low
+        return prod[:, :n] % col
+
+    def mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        prod = np.zeros((m, 2 * n - 1), dtype=np.int64)
+        for i in range(n):
+            prod[:, i : i + n] += a[:, i : i + 1] * b
+        return reduce(prod % col)
+
+    def times_x(a: np.ndarray) -> np.ndarray:
+        prod = np.zeros((m, n + 1), dtype=np.int64)
+        prod[:, 1:] = a
+        return reduce(prod)
+
+    one = np.zeros((m, n), dtype=np.int64)
+    one[:, 0] = 1
+    xp = one
+    for bit in range(int(p.max()).bit_length() - 1, -1, -1):
+        xp = mulmod(xp, xp)
+        odd = ((p >> bit) & 1).astype(bool)
+        if odd.any():
+            xp = np.where(odd[:, None], times_x(xp), xp)
+    frob = np.empty((m, n, n), dtype=np.int64)  # column i holds x^(ip) mod f
+    frob[:, :, 0] = one
+    for i in range(1, n):
+        frob[:, :, i] = xp if i == 1 else mulmod(frob[:, :, i - 1], xp)
+    col3 = p[:, None, None]
+    power = frob
+    counts = np.zeros((m, n), dtype=np.int64)
+    for k in range(1, n + 1):
+        if k > 1:
+            power = np.matmul(power, frob) % col3
+        rest = np.trace(power, axis1=1, axis2=2) % p
+        for d in range(1, k):
+            if k % d == 0:
+                rest = rest - d * counts[:, d - 1]
+        counts[:, k - 1] = rest // k
+    return counts
 
 
 # -- built-in catalog ---------------------------------------------------------
@@ -208,12 +407,6 @@ def _cyclotomic_action(q: int, group: FiniteGroup, subgroup_residues: tuple[int,
     if quotient_order != group.order:
         raise ValidationError("cyclotomic action does not match group order")
     table = [-1] * q
-    for k in range(len(units)):
-        r = pow(gen, k, q)
-        if table[r] < 0:
-            # element of the quotient generated by gen: index k mod quotient order,
-            # folded through H-cosets
-            pass
     # assign: coset of gen^k maps to group element (k mod quotient_order)
     coset_elem: dict[frozenset[int], int] = {}
     for k in range(len(units)):
@@ -251,14 +444,14 @@ def _builtin_fields() -> dict[str, FieldDescriptor]:
         defining_poly=(1, 0, 1),  # x^2 + 1
         group=c2,
         disc_field=-4,
-        residue_action=KroneckerAction(-4),
+        residue_action=kronecker_action(-4),
     )
     out["sqrt5"] = FieldDescriptor(
         name="sqrt5",
         defining_poly=(-1, -1, 1),  # x^2 - x - 1
         group=c2,
         disc_field=5,
-        residue_action=KroneckerAction(5),
+        residue_action=kronecker_action(5),
     )
     c4 = build_group("C4")
     out["zeta5"] = FieldDescriptor(
@@ -325,7 +518,7 @@ def quadratic_field(d: int) -> FieldDescriptor:
         defining_poly=poly,
         group=build_group("C2"),
         disc_field=disc,
-        residue_action=KroneckerAction(disc),
+        residue_action=kronecker_action(disc),
     )
 
 

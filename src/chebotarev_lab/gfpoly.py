@@ -1,18 +1,12 @@
-"""Dense univariate polynomial arithmetic over F_p and factorization.
+"""Dense univariate polynomial arithmetic over F_p and factor degrees.
 
-Coefficient lists store the constant term first.  Factorization runs
-squarefree decomposition, then distinct-degree splitting, then
-Cantor-Zassenhaus equal-degree splitting.  The equal-degree stage draws its
-random elements from a generator seeded by (p, f, CZ_SEED), so repeated runs
-factor identically.
+Coefficient lists store the constant term first.  Factor degrees come from
+squarefree decomposition followed by distinct-degree splitting: a block of
+degree-d factors of total degree m holds m/d irreducibles, so no
+equal-degree splitting is needed.  Everything is deterministic.
 """
 
 from __future__ import annotations
-
-import random
-
-# Fixed configuration seed for the equal-degree splitting stage.
-CZ_SEED = 0x5EEDED
 
 Poly = list
 
@@ -187,65 +181,17 @@ def distinct_degree_factorization(f: Poly, p: int) -> list[tuple[Poly, int]]:
     return out
 
 
-def _edf_rng(f: Poly, p: int) -> random.Random:
-    state = CZ_SEED
-    for c in f + [p]:
-        state = (state * 1000003 + c) % (1 << 61)
-    return random.Random(state)
-
-
-def equal_degree_factorization(f: Poly, d: int, p: int) -> list[Poly]:
-    """Cantor-Zassenhaus split of squarefree f into irreducibles of degree d."""
-    n = gf_degree(f)
-    if n == d:
-        return [gf_monic(f, p)]
-    rng = _edf_rng(f, p)
-    while True:
-        r = [rng.randrange(p) for _ in range(n)]
-        r.append(1)
-        r = gf_trim(r, p)
-        if gf_degree(r) < 1:
-            continue
-        g = gf_gcd(r, f, p)
-        if 0 < gf_degree(g) < n:
-            break
-        if p == 2:
-            # trace map sum_{i<d} r^(2^i)
-            t = [0]
-            cur = gf_mod(r, f, p)
-            for _ in range(d):
-                t = gf_add(t, cur, p)
-                cur = gf_mod(gf_mul(cur, cur, p), f, p)
-            g = gf_gcd(t, f, p)
-        else:
-            e = (p**d - 1) // 2
-            t = gf_pow_mod(r, e, f, p)
-            g = gf_gcd(gf_sub(t, [1], p), f, p)
-        if 0 < gf_degree(g) < n:
-            break
-    left = equal_degree_factorization(g, d, p)
-    right = equal_degree_factorization(gf_divmod(f, g, p)[0], d, p)
-    return left + right
-
-
-def gf_factor(f: Poly, p: int) -> list[tuple[Poly, int]]:
-    """Full factorization of f over F_p as [(irreducible, multiplicity), ...]."""
-    f = gf_trim(f, p)
-    if gf_degree(f) == 0:
-        return []
-    out: list[tuple[Poly, int]] = []
-    for sqf, mult in squarefree_decomposition(f, p):
-        for block, d in distinct_degree_factorization(sqf, p):
-            for irr in equal_degree_factorization(block, d, p):
-                out.append((irr, mult))
-    out.sort(key=lambda t: (gf_degree(t[0]), t[0], t[1]))
-    return out
-
-
 def factor_degrees(f: Poly, p: int) -> list[tuple[int, int]]:
     """Degrees of the irreducible factors of f mod p, with multiplicities.
 
     Sorted ascending by degree; the degree sum with multiplicity equals
     deg(f mod p).
     """
-    return sorted((gf_degree(g), e) for g, e in gf_factor(f, p))
+    f = gf_trim(f, p)
+    out: list[tuple[int, int]] = []
+    if gf_degree(f) == 0:
+        return out
+    for sqf, mult in squarefree_decomposition(f, p):
+        for block, d in distinct_degree_factorization(sqf, p):
+            out.extend([(d, mult)] * (gf_degree(block) // d))
+    return sorted(out)

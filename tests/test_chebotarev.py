@@ -75,13 +75,6 @@ def test_partition_identity(catalog, sieve_medium, nontrivial_fields):
             assert tally.total() == pi_count(x, sieve_medium), (fd.name, x)
 
 
-def test_tally_worker_independence(catalog, sieve_medium):
-    fd = catalog["s3cubic"]
-    seq = splitting_tally(fd, 10**4, sieve_medium, workers=1)
-    par = splitting_tally(fd, 10**4, sieve_medium, workers=2)
-    assert seq == par
-
-
 def test_equidistribution_trend_gaussian_and_zeta5(catalog, sieve_large):
     # |pi_C(x) - (|C|/|G|) pi(x)| / (sqrt(x) log x) stays below the (non-normative)
     # GRH-scale harness threshold 2 up to x = 1e6

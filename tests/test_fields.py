@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from chebotarev_lab.errors import CatalogError, ValidationError
+from chebotarev_lab.chebotarev import pi_C_count
+from chebotarev_lab.errors import AmbiguousClass, CatalogError, LimitTooLarge, ValidationError
 from chebotarev_lab.fields import (
+    BUILTIN_CATALOG,
+    RAMIFIED,
+    UNRESOLVED,
     FieldDescriptor,
     _factor_type,
     builtin_field,
     factor_poly_mod_p,
     frobenius_data,
+    frobenius_table,
     parse_catalog,
     quadratic_field,
 )
 from chebotarev_lab.groups import build_group
+from chebotarev_lab.sieve import SIEVE_CAP, sieve_primes
 
 
 def test_factor_poly_examples():
@@ -54,8 +60,8 @@ def test_cyclotomic_order_oracle(catalog, sieve_small):
 
 def test_residue_action_matches_factorization(catalog, sieve_small):
     # dual route: residue shortcut vs generic mod-p factorization
-    for name in ("gaussian", "sqrt5", "zeta5", "cyclo7plus", "zeta7"):
-        fd = catalog[name]
+    names = ("gaussian", "sqrt5", "zeta5", "cyclo7plus", "zeta7")
+    for fd in [catalog[name] for name in names] + [quadratic_field(d) for d in (-5, 13, -23, 10)]:
         for p in sieve_small.upto(2000).tolist():
             fast = frobenius_data(fd, p)
             pairs = _factor_type(fd.defining_poly, p)
@@ -121,6 +127,8 @@ def test_quadratic_field_generator():
     assert fd5.disc_field == 5 and fd5.poly_disc == 5
     with pytest.raises(ValidationError):
         quadratic_field(12)
+    with pytest.raises(LimitTooLarge):  # residue table of 4 * 1000003 entries
+        quadratic_field(1000003)
 
 
 def test_catalog_parsing():
@@ -163,3 +171,84 @@ def test_builtin_lookup():
     assert builtin_field("gaussian").disc_field == -4
     with pytest.raises(CatalogError):
         builtin_field("missing")
+
+
+# -- Frobenius tables against the single-prime route --------------------------
+
+# x^3 + a x^2 + 1 has discriminant -4 a^3 - 27, divisible by 5, 11 and 109
+# for this a; the field discriminant 2^65 + 1 is divisible by 3, 11, 131, 2731
+BIG_COEFF = 2**64 + 12
+TABLE_ROWS = f"""
+s3row | -1 -1 0 1 | S3 | -12167
+bad5  | -5 0 1 | C2 | 5
+s4quartic | -1 -1 0 0 1 | S4 | -283
+big   | 1 0 {BIG_COEFF} 1 | S3 | {2**65 + 1}
+"""
+
+
+def _zeta5blind():
+    # zeta5's polynomial without its residue action: order-4 classes are inseparable
+    z5 = BUILTIN_CATALOG["zeta5"]
+    return FieldDescriptor(name="zeta5blind", defining_poly=z5.defining_poly, group=z5.group, disc_field=z5.disc_field)
+
+
+def _table_fields():
+    return list(BUILTIN_CATALOG.values()) + [_zeta5blind()] + parse_catalog(TABLE_ROWS, source="inline")
+
+
+def _assert_table_matches(fd, primes):
+    table = frobenius_table(fd, primes)
+    for i, p in enumerate(primes.tolist()):
+        data = frobenius_data(fd, p)
+        got = (int(table.cls[i]), int(table.order[i]))
+        if data.ramified:
+            assert got == (RAMIFIED, 0) and table.ftype[i] == -1, (fd.name, p)
+            continue
+        want_cls = UNRESOLVED if data.conjugacy_class is None else data.conjugacy_class.index
+        assert got == (want_cls, data.frobenius_order), (fd.name, p, got)
+        assert table.types[table.ftype[i]] == data.factorization_type, (fd.name, p)
+
+
+@pytest.mark.parametrize("fd", _table_fields(), ids=lambda fd: fd.name)
+def test_frobenius_table_matches_frobenius_data(fd):
+    primes = sieve_primes(2 * 10**4).primes
+    # a prefix first, then the whole array: the second call classifies the tail
+    _assert_table_matches(fd, primes[:500])
+    _assert_table_matches(fd, primes)
+    _assert_table_matches(fd, primes[:100])
+
+
+def _primes_below(n, count):
+    small = sieve_primes(math.isqrt(n) + 1).primes.tolist()
+    out = []
+    m = n
+    while len(out) < count:
+        m -= 1
+        if all(m % q for q in small if q * q <= m):
+            out.append(m)
+    return np.array(out[::-1], dtype=np.int64)
+
+
+def test_frobenius_table_near_sieve_cap():
+    # p^2 near 10^16: the int64 products of the trace route must not wrap
+    primes = _primes_below(SIEVE_CAP, 20)
+    for fd in _table_fields():
+        _assert_table_matches(fd, primes)
+
+
+def test_frobenius_table_huge_coefficients():
+    # coefficient and discriminants above 2^63 reduce exactly mod each prime
+    fd = parse_catalog(TABLE_ROWS, source="inline")[-1]
+    assert BIG_COEFF > 2**63 and abs(fd.disc_field) > 2**63 and abs(fd.poly_disc) > 2**63
+    small = sieve_primes(2 * 10**4).primes
+    assert [p for p in small.tolist() if fd.poly_disc % p == 0 and fd.disc_field % p] == [5, 109]
+    table = frobenius_table(fd, small)
+    ramified = {p for p, c in zip(small.tolist(), table.cls.tolist()) if c == RAMIFIED}
+    assert {3, 11, 131, 2731} <= ramified
+    _assert_table_matches(fd, small)
+
+
+def test_blind_class_count_names_first_ambiguous_prime(sieve_small):
+    blind = _zeta5blind()
+    with pytest.raises(AmbiguousClass, match=r"at p=2;"):
+        pi_C_count(blind, blind.group.class_by_label("4a"), 10**3, sieve_small)

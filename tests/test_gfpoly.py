@@ -1,10 +1,12 @@
 import random
 
 from chebotarev_lab.gfpoly import (
+    distinct_degree_factorization,
     factor_degrees,
-    gf_factor,
+    gf_degree,
     gf_mul,
     gf_trim,
+    squarefree_decomposition,
 )
 
 
@@ -15,7 +17,7 @@ def test_small_quadratic_examples():
     assert factor_degrees([1, 0, 1], 3) == [(2, 1)]
     # x^2 + 1 mod 2: (x + 1)^2
     assert factor_degrees([1, 0, 1], 2) == [(1, 2)]
-    assert gf_factor([1, 0, 1], 2) == [([1, 1], 2)]
+    assert squarefree_decomposition([1, 0, 1], 2) == [([1, 1], 2)]
 
 
 def test_exhaustive_roots_oracle():
@@ -29,6 +31,8 @@ def test_exhaustive_roots_oracle():
 
 
 def test_factors_multiply_back():
+    # squarefree parts to their multiplicities, and the distinct-degree blocks
+    # of each part, multiply back to f; a degree-d block has degree d * count
     rng = random.Random(11)
     for _ in range(60):
         p = rng.choice([2, 3, 5, 7, 11, 101])
@@ -38,9 +42,14 @@ def test_factors_multiply_back():
         if len(f) == 1:
             continue
         product = [1]
-        for factor, mult in gf_factor(f, p):
+        for sqf, mult in squarefree_decomposition(f, p):
+            blocks = [1]
+            for block, d in distinct_degree_factorization(sqf, p):
+                assert gf_degree(block) % d == 0
+                blocks = gf_mul(blocks, block, p)
+            assert blocks == sqf, (f, p)
             for _ in range(mult):
-                product = gf_mul(product, factor, p)
+                product = gf_mul(product, sqf, p)
         assert product == f, (f, p)
 
 
@@ -56,5 +65,5 @@ def test_degree_sum_invariant():
 
 def test_deterministic_output():
     f = [3, 1, 4, 1, 5, 9, 1]
-    assert gf_factor(f, 101) == gf_factor(f, 101)
+    assert factor_degrees(f, 101) == factor_degrees(f, 101)
     assert factor_degrees(f, 2) == factor_degrees(f, 2)
