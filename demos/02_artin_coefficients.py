@@ -1,5 +1,6 @@
 """Dirichlet coefficients of zeta_K/zeta: local roots, Schur values, and the
-Cauchy identity, all in exact integer arithmetic.
+Rankin-Selberg coefficients by Newton's identity checked against the Cauchy
+identity, all in exact integer arithmetic.
 """
 
 from chebotarev_lab import (
@@ -13,7 +14,7 @@ from chebotarev_lab import (
     schur,
 )
 from chebotarev_lab.arith import kronecker_symbol
-from chebotarev_lab.oracles import rs_product_coefficients
+from chebotarev_lab.oracles import rs_cauchy_coefficient, rs_product_coefficients
 
 gaussian = builtin_field("gaussian")
 zeta5 = builtin_field("zeta5")
@@ -36,15 +37,16 @@ for parts in ((), (1,), (2,), (2, 1), (2, 2)):
     print(f"  s_{parts or '()'} = {schur(lam, roots)}")
 print()
 
-print("Cauchy identity: sum over partitions of Schur products equals the")
-print("coefficient of the Rankin-Selberg Euler product (complex-root oracle).")
+print("Rankin-Selberg a(p^j) by Newton's identity on power sums equals the sum")
+print("over partitions of Schur products (Cauchy identity) and the coefficient")
+print("of the Euler product (complex-root oracle).")
 p, jmax = 7, 5
 oracle = rs_product_coefficients(gaussian, zeta5, p, jmax)
 for j in range(jmax + 1):
-    schur_side = coeff_a_KxK_prime(gaussian, zeta5, p, j)
+    newton = coeff_a_KxK_prime(gaussian, zeta5, p, j)
     print(
-        f"  j={j}: schur sum = {schur_side:4d},  product oracle = "
-        f"{oracle[j].real:12.8f}  (|diff| = {abs(schur_side - oracle[j]):.2e})"
+        f"  j={j}: newton = {newton:4d},  schur sum = {rs_cauchy_coefficient(gaussian, zeta5, p, j):4d},  "
+        f"product oracle = {oracle[j].real:12.8f}  (|diff| = {abs(newton - oracle[j]):.2e})"
     )
 print()
 print("Partitions of 5 with at most 3 parts:",

@@ -6,6 +6,12 @@ copy of 1.  The generating function of the complete homogeneous values h_k at
 such a multiset is (1 - T) / (1 - T^d)^{|G|/d}, which has integer
 coefficients, so every h_k, every Jacobi-Trudi Schur value, and every
 coefficient a_K(n), a_{KxK'}(n) computed here is an exact integer.
+
+The Rankin-Selberg values a_{KxK'}(p^j) are the h_j of the product multiset
+{alpha beta}, whose power sums p_k(alpha) p_k(beta) are integers; Newton's
+identity j h_j = sum_k p_k h_{j-k} gives them exactly.  The Cauchy sum of
+paired Schur values (``schur``, ``partitions_of``) is the same number by
+another route and is kept to check it.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import factorize, int_det
 from .errors import (
     NotCoprimeToDiscriminant,
@@ -23,11 +31,10 @@ from .errors import (
     RamifiedPrime,
     TruncationInsufficient,
 )
-from .fields import FieldDescriptor, frobenius_data
+from .fields import RAMIFIED, FieldDescriptor, frobenius_data, frobenius_table
 from .sieve import PrimeSieve, sieve_primes
 
 MAX_PRIME_POWER_TRUNCATION = 24
-MAX_RANKIN_SELBERG_J = 8
 TAIL_CERTIFICATE_BOUND = 1e-8
 
 
@@ -73,7 +80,12 @@ class LocalRootMultiset:
         """p_k at the multiset: |G| when d | k, minus the removed root's 1^k."""
         if k == 0:
             return self.size
-        return (self.group_order if k % self.frobenius_order == 0 else 0) - 1
+        return _power_sum(self.frobenius_order, self.group_order, k)
+
+
+def _power_sum(d: int, group_order: int, k: int) -> int:
+    # p_k (k >= 1) of the d-th roots of unity with multiplicity |G|/d, one 1 removed
+    return (group_order if k % d == 0 else 0) - 1
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +99,17 @@ def _homogeneous(d: int, group_order: int, k: int) -> int:
         return math.comb(g - 1 + j // d, j // d) if j % d == 0 and j >= 0 else 0
 
     return full(k) - full(k - 1)
+
+
+@lru_cache(maxsize=None)
+def _rs_homogeneous(d1: int, g1: int, d2: int, g2: int, j: int) -> int:
+    # h_j of {alpha beta} by Newton's identity; p_k of the product multiset is
+    # p_k(alpha) p_k(beta), and every division below is exact
+    power = [_power_sum(d1, g1, k) * _power_sum(d2, g2, k) for k in range(j + 1)]
+    h = [1]
+    for i in range(1, j + 1):
+        h.append(sum(power[k] * h[i - k] for k in range(1, i + 1)) // i)
+    return h[j]
 
 
 def local_roots(fd: FieldDescriptor, p: int) -> LocalRootMultiset:
@@ -105,7 +128,7 @@ def euler_factor_series(fd: FieldDescriptor, p: int, n_terms: int) -> list[int]:
     return [roots.h(k) for k in range(n_terms + 1)]
 
 
-def coeff_a_K(fd: FieldDescriptor, n: int, sieve: PrimeSieve | None = None) -> int:
+def coeff_a_K(fd: FieldDescriptor, n: int) -> int:
     """a_K(n) for n coprime to D_K (exact integer)."""
     if n < 1:
         raise ParameterOutOfRange("n must be >= 1")
@@ -180,25 +203,19 @@ def schur(partition: Partition, roots: LocalRootMultiset) -> int:
 
 
 def coeff_a_KxK_prime(fd1: FieldDescriptor, fd2: FieldDescriptor, p: int, j: int) -> int:
-    """a_{K x K'}(p^j): Cauchy sum of paired Schur values over partitions of j."""
-    if j < 0 or j > MAX_RANKIN_SELBERG_J:
-        raise ParameterOutOfRange(f"Rankin-Selberg exponent capped at {MAX_RANKIN_SELBERG_J}")
+    """a_{K x K'}(p^j): h_j of the product multiset, by Newton's identity (exact)."""
+    if j < 0:
+        raise ParameterOutOfRange("Rankin-Selberg exponent must be >= 0")
     if fd1.is_ramified(p) or fd2.is_ramified(p):
         raise RamifiedPrime(f"p={p} ramifies in {fd1.name} or {fd2.name}")
     if j == 0:
         return 1
     a1 = local_roots(fd1, p)
     a2 = local_roots(fd2, p)
-    ell_cap = min(a1.size, a2.size)
-    total = 0
-    for lam in partitions_of(j, max_length=ell_cap):
-        total += schur(lam, a1) * schur(lam, a2)
-    return total
+    return _rs_homogeneous(a1.frobenius_order, a1.group_order, a2.frobenius_order, a2.group_order, j)
 
 
-def coeff_a_KxK(
-    fd1: FieldDescriptor, fd2: FieldDescriptor, n: int, sieve: PrimeSieve | None = None
-) -> int:
+def coeff_a_KxK(fd1: FieldDescriptor, fd2: FieldDescriptor, n: int) -> int:
     """Multiplicative extension of the Rankin-Selberg prime-power coefficients."""
     if n < 1:
         raise ParameterOutOfRange("n must be >= 1")
@@ -357,18 +374,63 @@ class CoefficientSeries:
 
 def series_a_K(fd: FieldDescriptor, n_max: int) -> CoefficientSeries:
     """a_K(n) for every n <= n_max coprime to D_K."""
-    coeffs: dict[int, int] = {}
-    for n in range(1, n_max + 1):
-        if math.gcd(n, fd.abs_disc) == 1:
-            coeffs[n] = coeff_a_K(fd, n)
-    return CoefficientSeries(coeffs=coeffs, truncation=n_max)
+    g = fd.group.order
+    return _multiplicative_series((fd,), n_max, lambda d, e: _homogeneous(d[0], g, e))
 
 
 def series_a_KxK(fd1: FieldDescriptor, fd2: FieldDescriptor, n_max: int) -> CoefficientSeries:
     """a_{K x K'}(n) for every n <= n_max coprime to D_K D_K'."""
-    coeffs: dict[int, int] = {}
-    modulus = fd1.abs_disc * fd2.abs_disc
-    for n in range(1, n_max + 1):
-        if math.gcd(n, modulus) == 1:
-            coeffs[n] = coeff_a_KxK(fd1, fd2, n)
+    g1, g2 = fd1.group.order, fd2.group.order
+    return _multiplicative_series((fd1, fd2), n_max, lambda d, e: _rs_homogeneous(d[0], g1, d[1], g2, e))
+
+
+def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_power) -> CoefficientSeries:
+    """A multiplicative a(n) for every n <= n_max coprime to each D_K.
+
+    The primes up to n_max are classified once by ``frobenius_table``, and
+    a(p^e) = prime_power(d, e), with d the tuple of Frobenius orders of p in
+    ``fds``.  Then a(n) = a(n / p^e) a(p^e) for p the smallest prime factor of
+    n, read off a sieve.  A prime that the table marks ramified although it
+    divides no D_K (an index divisor) raises RamifiedPrime, as the per-n route
+    does at its smallest such prime.
+    """
+    if n_max < 1:
+        return CoefficientSeries(coeffs={}, truncation=n_max)
+    primes = sieve_primes(max(n_max, 2)).upto(n_max)
+    modulus = math.prod(fd.abs_disc for fd in fds)
+    orders = []
+    index_divisors = []
+    for i, fd in enumerate(fds):
+        table = frobenius_table(fd, primes)
+        index_divisors += [(p, i) for p in primes[table.cls == RAMIFIED].tolist() if modulus % p]
+        orders.append(table.order.tolist())
+    if index_divisors:
+        p, i = min(index_divisors)
+        raise RamifiedPrime(f"{fds[i].name}: p={p} is ramified")
+    key = [None] * (n_max + 1)  # the orders at each prime coprime to every D_K
+    for p, d in zip(primes.tolist(), zip(*orders)):
+        if modulus % p:
+            key[p] = d
+    spf = _smallest_prime_factors(n_max, primes)
+    rest = [1] * (n_max + 1)  # n with its smallest prime's power removed
+    expo = [0] * (n_max + 1)  # exponent of the smallest prime of n
+    coeffs = {1: 1}
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        m = n // p
+        if spf[m] == p:
+            rest[n], expo[n] = rest[m], expo[m] + 1
+        else:
+            rest[n], expo[n] = m, 1
+        if key[p] is not None and rest[n] in coeffs:
+            coeffs[n] = coeffs[rest[n]] * prime_power(key[p], expo[n])
     return CoefficientSeries(coeffs=coeffs, truncation=n_max)
+
+
+def _smallest_prime_factors(n_max: int, primes: np.ndarray) -> list[int]:
+    """spf[n] for 0 <= n <= n_max, with spf[0] = spf[1] = 0, from the primes <= n_max."""
+    spf = np.zeros(n_max + 1, dtype=np.int64)
+    for p in primes[primes * primes <= n_max][::-1].tolist():  # smaller primes overwrite larger
+        spf[p * p :: p] = p
+    spf[primes] = primes
+    return spf.tolist()

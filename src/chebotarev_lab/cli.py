@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .artin import coeff_a_K, coeff_a_KxK, coeff_a_KxK_prime, mertens_partial_sum
+from .artin import coeff_a_K, coeff_a_KxK_prime, mertens_partial_sum, series_a_K, series_a_KxK
 from .chebotarev import (
     pi_C_count,
     pi_count,
@@ -121,19 +121,13 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     if args.selftest:
         return _selftest_coeffs(cfg)
     fd = cfg.resolve_field(args.field)
-    rows = []
     if args.other_field:
-        fd2 = cfg.resolve_field(args.other_field)
-        modulus = fd.abs_disc * fd2.abs_disc
-        for n in range(1, args.n + 1):
-            if math.gcd(n, modulus) == 1:
-                rows.append([n, coeff_a_KxK(fd, fd2, n)])
+        series = series_a_KxK(fd, cfg.resolve_field(args.other_field), args.n)
         header = ["n", "a_KxK"]
     else:
-        for n in range(1, args.n + 1):
-            if math.gcd(n, fd.abs_disc) == 1:
-                rows.append([n, coeff_a_K(fd, n)])
+        series = series_a_K(fd, args.n)
         header = ["n", "a_K"]
+    rows = [[n, a] for n, a in series.coeffs.items()]
     if args.format == "json":
         _emit(args, _json({"schema": SCHEMA, "field": args.field, "other_field": args.other_field,
                            "coefficients": {str(r[0]): r[1] for r in rows}}))

@@ -82,6 +82,12 @@ class FieldDescriptor:
             raise ValidationError(f"{self.name}: defining polynomial is not squarefree over Q")
         if self.disc_field == 0:
             raise ValidationError(f"{self.name}: field discriminant must be nonzero")
+        if self.residue_action is not None and self.degree != self.group.order:
+            # the residue route reads the factorization type off the Frobenius
+            # order, which needs k = K
+            raise ValidationError(
+                f"{self.name}: a residue action needs deg k = |G|, got {self.degree} and {self.group.order}"
+            )
         object.__setattr__(self, "poly_disc", disc)
 
     @property
@@ -152,24 +158,14 @@ def frobenius_data(fd: FieldDescriptor, p: int) -> FrobeniusData:
 def _element_frobenius(fd: FieldDescriptor, elem: int) -> tuple[ConjugacyClass, int, tuple[int, ...]]:
     """Class, order and factorization type of a Frobenius element given by the residue route."""
     d = fd.group.element_orders[elem]
-    # the factorization type of a degree-n abelian subfield polynomial:
-    # all factors share the residue degree of p in k
-    dk = _orbit_degree_in_subfield(fd, d)
-    return fd.group.class_of(elem), d, tuple([dk] * (fd.degree // dk))
+    # k = K is Galois, so every prime above p has residue degree d
+    return fd.group.class_of(elem), d, tuple([d] * (fd.degree // d))
 
 
 def _type_frobenius(fd: FieldDescriptor, ftype: tuple[int, ...]) -> tuple[ConjugacyClass | None, int]:
     """Class (None when ambiguous) and order of Frobenius with factorization type ftype."""
     d = math.lcm(*ftype)
     return _class_from_type(fd, ftype, d), d
-
-
-def _orbit_degree_in_subfield(fd: FieldDescriptor, d: int) -> int:
-    # residue degree of p in k = orbit size of the Frobenius on the roots;
-    # for the built-in abelian fields k = K, so this is just d
-    if fd.degree == fd.group.order:
-        return d
-    return d if fd.degree % d == 0 else 1
 
 
 def _class_from_type(fd: FieldDescriptor, ftype: tuple[int, ...], d: int) -> ConjugacyClass | None:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .artin import local_roots
+from .artin import local_roots, partitions_of, schur
 from .fields import FieldDescriptor
 from .large_sieve import DirichletPolynomial
 from .weights import WeightParams
@@ -58,6 +58,23 @@ def msq_integral_quadrature(poly: DirichletPolynomial, t_height: float, tol: flo
     return adaptive_simpson(integrand, -t_height, t_height, tol=tol)
 
 
+def msq_integral_pairwise(poly: DirichletPolynomial, t_height: float) -> float:
+    """The mean-value integral in closed form, pair by pair.
+
+    Diagonal terms give 2T |c(n)|^2; off-diagonal pairs give
+    2 Re[c(n) conj(c(q))] sin(T log(q/n)) / log(q/n).  Builds N x N arrays.
+    """
+    ns = poly.support
+    if not ns:
+        return 0.0
+    c = np.array([poly.terms[n] for n in ns], dtype=complex)
+    logn = np.log(np.array(ns, dtype=float))
+    diff = logn[None, :] - logn[:, None]  # log(q/n) at [n, q]
+    kernel = np.where(diff == 0.0, 2.0 * t_height, 2.0 * np.sin(t_height * diff) / np.where(diff == 0.0, 1.0, diff))
+    gram = np.outer(c, np.conjugate(c))
+    return float(np.real(np.sum(gram * kernel)))
+
+
 # -- Rankin-Selberg Euler product ------------------------------------------------
 
 
@@ -77,6 +94,14 @@ def rs_product_coefficients(
             for k in range(1, j_max + 1):
                 series[k] = series[k] + beta * series[k - 1]
     return series
+
+
+def rs_cauchy_coefficient(fd1: FieldDescriptor, fd2: FieldDescriptor, p: int, j: int) -> int:
+    """a_{K x K'}(p^j) by the Cauchy identity: the sum over partitions of j of
+    paired Schur values, each a Jacobi-Trudi determinant in the h_k (exact)."""
+    a1 = local_roots(fd1, p)
+    a2 = local_roots(fd2, p)
+    return sum(schur(lam, a1) * schur(lam, a2) for lam in partitions_of(j, max_length=min(a1.size, a2.size)))
 
 
 # -- Gallagher window integral -----------------------------------------------------

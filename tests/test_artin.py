@@ -19,6 +19,7 @@ from chebotarev_lab.artin import (
     partitions_of,
     schur,
     series_a_K,
+    series_a_KxK,
 )
 from chebotarev_lab.errors import (
     NotCoprimeToDiscriminant,
@@ -27,7 +28,8 @@ from chebotarev_lab.errors import (
     RamifiedPrime,
     TruncationInsufficient,
 )
-from chebotarev_lab.oracles import gaussian_ideal_count
+from chebotarev_lab.fields import parse_catalog
+from chebotarev_lab.oracles import gaussian_ideal_count, rs_cauchy_coefficient, rs_product_coefficients
 
 
 def test_local_roots_examples(catalog):
@@ -139,6 +141,52 @@ def test_cauchy_prime_power_values(catalog):
     assert coeff_a_KxK_prime(g, g, 3, 2) == 1
     with pytest.raises(RamifiedPrime):
         coeff_a_KxK_prime(g, g, 2, 1)
+
+
+def test_rankin_selberg_beyond_exponent_8(catalog):
+    # Newton's identity against the Cauchy sum and the Euler product, past the
+    # exponents the Cauchy sum alone was once limited to
+    pairs = [("s3cubic", "zeta7"), ("sqrt5", "zeta7"), ("zeta5", "zeta5"), ("gaussian", "rational")]
+    for a, b in pairs:
+        f1, f2 = catalog[a], catalog[b]
+        for p in (2, 3, 11, 13, 29, 43):
+            if f1.is_ramified(p) or f2.is_ramified(p):
+                continue
+            oracle = rs_product_coefficients(f1, f2, p, 12)
+            for j in range(13):
+                got = coeff_a_KxK_prime(f1, f2, p, j)
+                assert abs(got - oracle[j]) < 1e-6, (a, b, p, j)
+                if j <= 9:
+                    assert got == rs_cauchy_coefficient(f1, f2, p, j), (a, b, p, j)
+    with pytest.raises(ParameterOutOfRange):
+        coeff_a_KxK_prime(catalog["gaussian"], catalog["sqrt5"], 3, -1)
+
+
+def test_series_match_per_n_coefficients(catalog):
+    # the sieve-built series against n-by-n factorization and frobenius_data
+    for name, fd in catalog.items():
+        n_max = 3000
+        want = {n: coeff_a_K(fd, n) for n in range(1, n_max + 1) if math.gcd(n, fd.abs_disc) == 1}
+        assert series_a_K(fd, n_max).coeffs == want, name
+    for a, b in (("s3cubic", "zeta7"), ("sqrt5", "zeta7"), ("gaussian", "zeta5"), ("cyclo7plus", "cyclo7plus")):
+        f1, f2 = catalog[a], catalog[b]
+        want = {n: coeff_a_KxK(f1, f2, n) for n in range(1, 701) if math.gcd(n, f1.abs_disc * f2.abs_disc) == 1}
+        assert series_a_KxK(f1, f2, 700).coeffs == want, (a, b)
+    assert series_a_K(catalog["gaussian"], 0).coeffs == {}
+    assert series_a_K(catalog["gaussian"], 1).coeffs == {1: 1}
+
+
+def test_series_index_divisor_is_ramified(catalog):
+    # 2 and 3 divide disc(x^2 - 45) = 180 but not D_K = 5: the table marks them
+    # ramified, and the series fails at the smallest prime coprime to every D_K
+    bad5 = parse_catalog("bad5 | -45 0 1 | C2 | 5\n")[0]
+    with pytest.raises(RamifiedPrime, match="bad5: p=2 "):
+        series_a_K(bad5, 10)
+    with pytest.raises(RamifiedPrime, match="bad5: p=3 "):
+        coeff_a_K(bad5, 3)
+    with pytest.raises(RamifiedPrime, match="bad5: p=3 "):
+        series_a_KxK(catalog["gaussian"], bad5, 10)
+    assert series_a_K(bad5, 1).coeffs == {1: 1}
 
 
 def test_a_KxK_multiplicative_and_bounded(catalog):

@@ -1,10 +1,14 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from chebotarev_lab.arith import factorize
 from chebotarev_lab.cli import main
+from chebotarev_lab.fields import builtin_field
+from chebotarev_lab.oracles import rs_product_coefficients
 
 SUBCOMMANDS = ["coeffs", "splitting", "large-sieve", "weights", "eta", "chebotarev", "family"]
 
@@ -32,6 +36,21 @@ def test_coeffs_pair(capsys):
     assert main(["coeffs", "--field", "gaussian", "--other-field", "sqrt5", "--n", "10"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "n,a_KxK"
+
+
+def test_coeffs_pair_past_exponent_8(capsys):
+    # n = 600 reaches 2^9: every printed value against the Euler-product oracle
+    assert main(["coeffs", "--field", "sqrt5", "--other-field", "zeta7", "--n", "600"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,a_KxK"
+    sqrt5, zeta7 = builtin_field("sqrt5"), builtin_field("zeta7")
+    printed = dict(tuple(int(tok) for tok in line.split(",")) for line in lines[1:])
+    assert sorted(printed) == [n for n in range(1, 601) if math.gcd(n, 5 * 7) == 1]
+    for n, value in printed.items():
+        want = 1
+        for p, e in factorize(n).items():
+            want *= rs_product_coefficients(sqrt5, zeta7, p, e)[e]
+        assert abs(value - want) < 1e-6, (n, value, want)
 
 
 def test_chebotarev_json(capsys):

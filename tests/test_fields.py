@@ -120,6 +120,17 @@ def test_field_descriptor_validation():
         FieldDescriptor(name="bad", defining_poly=(0, 0, 1), group=build_group("C2"), disc_field=5)
 
 
+def test_residue_action_needs_degree_equal_to_group_order():
+    # Q(sqrt5) with zeta5's C4 and residue action: the residue route would read
+    # type (1, 1) at p = 2, where x^2 - x - 1 is irreducible
+    z5 = BUILTIN_CATALOG["zeta5"]
+    with pytest.raises(ValidationError, match="residue action needs"):
+        FieldDescriptor(name="mixed", defining_poly=(-1, -1, 1), group=z5.group, disc_field=5,
+                        residue_action=z5.residue_action)
+    for fd in list(BUILTIN_CATALOG.values()) + [quadratic_field(d) for d in (-1, 2, 5, -7, 13)]:
+        assert fd.residue_action is None or fd.degree == fd.group.order, fd.name
+
+
 def test_quadratic_field_generator():
     fd = quadratic_field(-1)
     assert fd.disc_field == -4 and fd.defining_poly == (1, 0, 1)

@@ -1,11 +1,13 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from chebotarev_lab.artin import coeff_a_K
-from chebotarev_lab.errors import ParameterOutOfRange, ValidationError
-from chebotarev_lab.fields import quadratic_field
+from chebotarev_lab.errors import LimitTooLarge, ParameterOutOfRange, RamifiedPrime, ValidationError
+from chebotarev_lab.fields import parse_catalog, quadratic_field
 from chebotarev_lab.large_sieve import (
     DirichletPolynomial,
     FamilyWindow,
@@ -16,7 +18,8 @@ from chebotarev_lab.large_sieve import (
     prime_polynomial,
     zero_density_report,
 )
-from chebotarev_lab.oracles import gallagher_window_integral, msq_integral_quadrature
+from chebotarev_lab.oracles import gallagher_window_integral, msq_integral_pairwise, msq_integral_quadrature
+from chebotarev_lab.sieve import sieve_primes
 
 QUADS = [quadratic_field(d) for d in (-1, 2, 3, 5, -2, -3, 7, -7, 11, 13)]
 
@@ -30,8 +33,11 @@ def test_msq_examples():
     small = msq_integral(pair, 1e-6)
     tiny = msq_integral(pair, 1e-7)
     assert small == pytest.approx(10 * tiny, rel=1e-4)
-    with pytest.raises(ParameterOutOfRange):
-        msq_integral(single, 0.0)
+    for t_height, value in ((1e-6, small), (1e-7, tiny)):
+        assert value == pytest.approx(msq_integral_pairwise(pair, t_height), rel=1e-12)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterOutOfRange):
+            msq_integral(single, bad)
 
 
 def test_msq_against_quadrature_random():
@@ -40,10 +46,53 @@ def test_msq_against_quadrature_random():
         ns = rng.choice(np.arange(2, 500), size=15, replace=False)
         poly = DirichletPolynomial({int(n): complex(rng.normal(), rng.normal()) for n in ns})
         for t_height in (0.5, 1.0, 10.0):
-            closed = msq_integral(poly, t_height)
+            value = msq_integral(poly, t_height)
             quad = msq_integral_quadrature(poly, t_height)
-            assert closed == pytest.approx(quad, abs=1e-8)
-            assert closed >= -1e-12
+            assert value == pytest.approx(quad, abs=1e-8)
+            assert value == pytest.approx(msq_integral_pairwise(poly, t_height), rel=1e-12)
+            assert value >= -1e-12
+
+
+def test_msq_prime_polynomial_against_pairwise(catalog):
+    # the benchmark's window: N = 2761 terms, 32 nodes against N^2 pairs
+    poly = prime_polynomial(catalog["gaussian"], 2.0, 25_000.0, sieve_primes(25_000))
+    assert len(poly.support) == 2761
+    for t_height in (1.0, 10.0):
+        assert msq_integral(poly, t_height) == pytest.approx(msq_integral_pairwise(poly, t_height), rel=1e-12)
+
+
+def test_msq_size_guard():
+    poly = DirichletPolynomial({2: 1.0, 3: 1.0, 10**6: 1.0})
+    with pytest.raises(LimitTooLarge):
+        msq_integral(poly, 1e12)
+
+
+def test_prime_polynomial_index_divisor(sieve_small):
+    bad5 = parse_catalog("bad5 | -45 0 1 | C2 | 5\n")[0]
+    with pytest.raises(RamifiedPrime, match="bad5: p=3 "):
+        prime_polynomial(bad5, 2.0, 100.0, sieve_small)
+    assert prime_polynomial(bad5, 3.0, 6.0, sieve_small).terms == {}  # only 5, which ramifies
+
+
+# Starts its argv and prints the exit code and peak RSS (ru_maxrss) of that
+# child alone.  A child started straight from the test process can report the
+# test process's own peak RSS, which exec carries over on Linux.
+_MEASURE = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def test_large_sieve_memory_at_u_1e5():
+    # N = 9591 terms: the pairwise N x N arrays would need several GB
+    cli = [sys.executable, "-m", "chebotarev_lab.cli", "large-sieve", "--fields", "gaussian,sqrt5",
+           "--Q", "10", "--y", "2", "--u", "100000"]
+    proc = subprocess.run([sys.executable, "-c", _MEASURE, *cli], capture_output=True, text=True, check=True)
+    code, maxrss_kb = (int(tok) for tok in proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert maxrss_kb / 1024 < 200, maxrss_kb
 
 
 def test_msq_monotone_in_T():
