@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -188,35 +189,43 @@ def psi_weighted_items(
         from .errors import SieveRangeExceeded
 
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
-    group = fd.group
     primes = sieve.upto(n_hi)
     table = frobenius_table(fd, primes)
     p = _first_unresolved(primes, table.cls == UNRESOLVED)
     if p is not None:
         raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
-    # hits[c][k % |G|]: the k-th power of class c lies in cls
-    hits = [
-        [group.class_of(group.power(c.representative, k)).index == cls.index for k in range(group.order)]
-        for c in group.classes
-    ]
+    order = fd.group.order
+    hits = _power_hits(fd.group, cls.index)
     # a prime enters the sum through k = 1 or, when p^2 <= n_hi, through some k >= 2
     unramified = table.cls >= 0
-    first_hit = np.array([h[1 % group.order] for h in hits])[np.where(unramified, table.cls, 0)]
+    first_hit = np.array([h[1 % order] for h in hits])[np.where(unramified, table.cls, 0)]
     keep = unramified & (first_hit | (primes <= math.isqrt(int(2 * n_hi))))
+    top = lx + params.eps
+    log = math.log
     out: list[tuple[int, float]] = []
+    append = out.append
     for p, c in zip(primes[keep].tolist(), table.cls[keep].tolist()):
         hit = hits[c]
-        logp = math.log(p)
+        logp = log(p)
         k = 1
         n = p
-        while k * logp <= lx + params.eps:
-            if hit[k % group.order]:
+        while k * logp <= top:
+            if hit[k % order]:
                 weight = f_eval(params, k * logp / lx)
                 if weight > 0.0:
-                    out.append((n, logp * weight))
+                    append((n, logp * weight))
             k += 1
             n *= p
     return out
+
+
+@lru_cache(maxsize=256)
+def _power_hits(group: FiniteGroup, cls_index: int) -> tuple[tuple[bool, ...], ...]:
+    """hits[c][k % |G|]: the k-th power of class c lies in class cls_index."""
+    return tuple(
+        tuple(group.class_of(group.power(c.representative, k)).index == cls_index for k in range(group.order))
+        for c in group.classes
+    )
 
 
 def psi_weighted_class(

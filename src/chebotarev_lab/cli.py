@@ -76,6 +76,34 @@ class RunConfig:
         return fields
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float option: a finite float.  Anything else
+    is a usage error, which the parser raises as a ValidationError."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    """Comma-separated finite floats."""
+    return [_finite_float(tok) for tok in text.split(",")]
+
+
+def _grid(text: str) -> tuple[float, float, float]:
+    """lo:hi:step with finite ends and a positive step."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"grid must be lo:hi:step, got {text!r}")
+    lo, hi, step = (_finite_float(tok) for tok in parts)
+    if step <= 0:
+        raise argparse.ArgumentTypeError(f"grid step must be positive, got {step!r}")
+    return lo, hi, step
+
+
 def _emit(args, text: str) -> None:
     out = getattr(args, "output", "-") or "-"
     if not text.endswith("\n"):
@@ -203,7 +231,7 @@ def cmd_weights(cfg: RunConfig) -> int:
     if args.selftest:
         return _selftest_weights(cfg)
     params = WeightParams(x=args.x, eps=args.eps)
-    lo, hi, step = (float(tok) for tok in args.grid.split(":"))
+    lo, hi, step = args.grid
     rows = []
     t = lo
     while t <= hi + 1e-12:
@@ -218,7 +246,7 @@ def cmd_eta(cfg: RunConfig) -> int:
     args = cfg.args
     if args.selftest:
         return _selftest_eta(cfg)
-    xs = [float(tok) for tok in args.x_values.split(",")]
+    xs = args.x_values
     c1 = args.c1
     if args.Q is not None:
         rows = []
@@ -508,31 +536,31 @@ def build_parser() -> _Parser:
     p = sub.add_parser("large-sieve", help="mean-value integrals and bound-shape reports")
     common(p)
     p.add_argument("--fields", default="gaussian,sqrt5")
-    p.add_argument("--Q", type=float, default=200.0)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--y", type=float, default=2.0)
-    p.add_argument("--u", type=float, default=1000.0)
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--Q", type=_finite_float, default=200.0)
+    p.add_argument("--T", type=_finite_float, default=1.0)
+    p.add_argument("--y", type=_finite_float, default=2.0)
+    p.add_argument("--u", type=_finite_float, default=1000.0)
+    p.add_argument("--sigma", type=_finite_float, default=None)
     p.add_argument("--rule", default=None, help="intersection rule override")
     p.set_defaults(func=cmd_large_sieve)
 
     p = sub.add_parser("weights", help="evaluate the smooth cutoff f and its transform F")
     common(p)
-    p.add_argument("--x", type=float, default=1000.0)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--grid", default="0:1.2:0.05", help="t grid lo:hi:step")
+    p.add_argument("--x", type=_finite_float, default=1000.0)
+    p.add_argument("--eps", type=_finite_float, default=0.1)
+    p.add_argument("--grid", type=_grid, default="0:1.2:0.05", help="t grid lo:hi:step")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("eta", help="error-term data eta(x) tables")
     common(p)
     p.add_argument("--disc", type=int, default=229)
     p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--Q", type=float, default=None, help="family mode: discriminant bound")
-    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--Q", type=_finite_float, default=None, help="family mode: discriminant bound")
+    p.add_argument("--eps", type=_finite_float, default=0.5)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--c1", type=float, default=DEFAULT_C1)
-    p.add_argument("--c-eps", type=float, default=DEFAULT_C_EPS)
-    p.add_argument("--x-values", default="1000,1000000,1000000000")
+    p.add_argument("--c1", type=_finite_float, default=DEFAULT_C1)
+    p.add_argument("--c-eps", type=_finite_float, default=DEFAULT_C_EPS)
+    p.add_argument("--x-values", type=_float_list, default="1000,1000000,1000000000")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_eta)
 
@@ -540,16 +568,16 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--field", default="gaussian")
     p.add_argument("--class", dest="cls", default="1")
-    p.add_argument("--x", type=float, default=100.0)
-    p.add_argument("--weights-eps", type=float, default=None)
+    p.add_argument("--x", type=_finite_float, default=100.0)
+    p.add_argument("--weights-eps", type=_finite_float, default=None)
     p.add_argument("--report", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_chebotarev)
 
     p = sub.add_parser("family", help="family reports: m_F(Q) and averaged errors")
     common(p)
-    p.add_argument("--Q", type=float, default=200.0)
-    p.add_argument("--x", type=float, default=10**4)
-    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--Q", type=_finite_float, default=200.0)
+    p.add_argument("--x", type=_finite_float, default=10**4)
+    p.add_argument("--eps", type=_finite_float, default=0.5)
     p.add_argument("--rule", default=None)
     p.set_defaults(func=cmd_family)
 

@@ -203,7 +203,9 @@ class FrobeniusTable:
 def frobenius_table(fd: FieldDescriptor, primes: np.ndarray) -> FrobeniusTable:
     """Frobenius data of every prime of an ascending int64 array, at once.
 
-    Residue fields read the class off ``p mod conductor``.  Otherwise, for
+    Residue fields read the class off ``p mod conductor``; so does a
+    quadratic without a declared action, by the Kronecker character of
+    disc(f), once a request holds at least |disc(f)| primes.  Otherwise, for
     p > deg f with p not dividing disc(f), the factorization type comes from
     the traces of the Frobenius matrix (``_cycle_counts``); the few other
     primes go through ``frobenius_data``, and both routes share the
@@ -231,18 +233,33 @@ class _TableMemo:
         self.arrays = _compact(np.zeros((0, 3), dtype=np.int64))
         self.types: list[tuple[int, ...]] = []
         self.type_index: dict[tuple[int, ...], int] = {}
-        self.element_rows: np.ndarray | None = None
+        self.conductor: int | None = None  # set on the residue route
+        self.kronecker_from: int | None = None  # request size that moves a quadratic to it
         if fd.residue_action is not None:
-            # one row per group element, then the ramified row read by residue -1
-            entries = [self._entry(cls.index, d, ftype) for cls, d, ftype in
-                       (_element_frobenius(fd, e) for e in fd.group.elements())]
-            self.element_rows = np.array(entries + [(RAMIFIED, 0, -1)], dtype=np.int64)
-            self.residue = np.asarray(fd.residue_action.residue_class, dtype=np.int64)
+            self._use_action(fd, fd.residue_action)
+        elif fd.degree == fd.group.order == 2 and abs(fd.poly_disc) <= MAX_KRONECKER_CONDUCTOR:
+            # disc f = 0, 1 mod 4, so chi(p) = (disc f / p) is a character mod
+            # |disc f|, and p | disc f exactly when f has a repeated factor mod
+            # p, which the trace route reports as ramified: both routes give
+            # every prime the same entry.  The residue table is built in
+            # O(|disc f|), so only once a request holds that many primes.
+            self.kronecker_from = abs(fd.poly_disc)
+
+    def _use_action(self, fd: FieldDescriptor, action: CyclotomicAction) -> None:
+        # one row per group element, then the ramified row read by residue -1
+        entries = [self._entry(cls.index, d, ftype) for cls, d, ftype in
+                   (_element_frobenius(fd, e) for e in fd.group.elements())]
+        self.element_rows = np.array(entries + [(RAMIFIED, 0, -1)], dtype=np.int64)
+        self.residue = np.asarray(action.residue_class, dtype=np.int64)
+        self.conductor = action.conductor
 
     def lookup(self, fd: FieldDescriptor, primes: np.ndarray) -> FrobeniusTable:
         n, k = primes.size, self.primes.size
         if n <= k and np.array_equal(primes, self.primes[:n]):
             return FrobeniusTable(*(a[:n] for a in self.arrays), types=tuple(self.types))
+        if self.kronecker_from is not None and n >= self.kronecker_from:
+            self._use_action(fd, kronecker_action(fd.poly_disc))
+            self.kronecker_from = None
         if n > k and np.array_equal(primes[:k], self.primes):
             tail = _compact(self._classify(fd, primes[k:]))
             arrays = tuple(np.concatenate(pair) for pair in zip(self.arrays, tail))
@@ -269,8 +286,8 @@ class _TableMemo:
     def _classify(self, fd: FieldDescriptor, primes: np.ndarray) -> np.ndarray:
         """One (class, order, type index) row per prime."""
         ramified = _mod_primes(fd.disc_field, primes) == 0
-        if self.element_rows is not None:
-            elem = np.where(ramified, -1, self.residue[primes % fd.residue_action.conductor])
+        if self.conductor is not None:
+            elem = np.where(ramified, -1, self.residue[primes % self.conductor])
             return self.element_rows[elem]
         out = np.empty((primes.size, 3), dtype=np.int64)
         out[ramified] = (RAMIFIED, 0, -1)

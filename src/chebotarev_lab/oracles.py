@@ -12,9 +12,12 @@ import math
 import numpy as np
 
 from .artin import local_roots, partitions_of, schur
-from .fields import FieldDescriptor
+from .errors import AmbiguousClass
+from .fields import FieldDescriptor, frobenius_data
+from .groups import ConjugacyClass
 from .large_sieve import DirichletPolynomial
-from .weights import WeightParams
+from .sieve import PrimeSieve
+from .weights import WeightParams, f_eval
 
 # -- quadrature ---------------------------------------------------------------
 
@@ -210,8 +213,6 @@ def fourier_inversion_f(params: WeightParams, t: float, tol: float = 5e-9) -> fl
 
 def laplace_transform_quadrature(params: WeightParams, z: complex, nodes: int = 24) -> complex:
     """int f(t) e^{-zt} dt by composite Gauss-Legendre over the smooth pieces."""
-    from .weights import f_eval
-
     xs, ws = np.polynomial.legendre.leggauss(nodes)
     kn = params.knots()
     total = 0j
@@ -281,8 +282,6 @@ def naive_psi_gaussian_split(params: WeightParams, residue: int = 1) -> float:
     the production sum, so with exact compensated summation the two values
     agree bit for bit.
     """
-    from .weights import f_eval
-
     lx = params.log_x
     terms: list[float] = []
     for p in range(3, int(math.floor(params.x * math.exp(params.eps))) + 1, 2):
@@ -297,6 +296,37 @@ def naive_psi_gaussian_split(params: WeightParams, residue: int = 1) -> float:
                     terms.append(logp * weight)
             k += 1
     return math.fsum(terms)
+
+
+def psi_weighted_scalar(
+    fd: FieldDescriptor, cls: ConjugacyClass, params: WeightParams, sieve: PrimeSieve
+) -> list[tuple[int, float]]:
+    """The (p^k, term) pairs of the weighted prime sum, one prime at a time.
+
+    Each prime is classified by ``frobenius_data`` and the k-th power of its
+    Frobenius element is taken with ``group.power``: no Frobenius table, no
+    memo and no power map.  Terms use the same float formulas as the
+    production sum, so the two agree bit for bit.
+    """
+    group = fd.group
+    lx = math.log(params.x)
+    out: list[tuple[int, float]] = []
+    for p in sieve.upto(params.x * math.exp(params.eps)).tolist():
+        data = frobenius_data(fd, p)
+        if data.ramified:
+            continue
+        if data.conjugacy_class is None:
+            raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
+        sigma = data.conjugacy_class.representative
+        logp = math.log(p)
+        k = 1
+        while k * logp <= lx + params.eps:
+            if group.class_of(group.power(sigma, k)) == cls:
+                weight = f_eval(params, k * logp / lx)
+                if weight > 0.0:
+                    out.append((p**k, logp * weight))
+            k += 1
+    return out
 
 
 def gaussian_ideal_count(n: int) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterOutOfRange
 
@@ -34,16 +35,17 @@ class WeightParams:
     eps: float
 
     def __post_init__(self):
-        if self.x < 3:
-            raise ParameterOutOfRange(f"x must be >= 3, got {self.x}")
+        if not (3 <= self.x < math.inf):
+            raise ParameterOutOfRange(f"x must be finite and >= 3, got {self.x}")
         if not (0 < self.eps < 0.25):
             raise ParameterOutOfRange(f"eps must lie in (0, 1/4), got {self.eps}")
 
-    @property
+    # cached in the instance dict, which the field-based eq and hash never read
+    @cached_property
     def log_x(self) -> float:
         return math.log(self.x)
 
-    @property
+    @cached_property
     def boxcar_width(self) -> float:
         """w = eps / (2 log x)."""
         return self.eps / (2.0 * self.log_x)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +21,9 @@ from chebotarev_lab.errors import (
     ParameterOutOfRange,
     UnsupportedSubgroupAction,
 )
-from chebotarev_lab.fields import FieldDescriptor
+from chebotarev_lab.fields import BUILTIN_CATALOG, FieldDescriptor, load_catalog
 from chebotarev_lab.groups import build_group
-from chebotarev_lab.oracles import naive_psi_gaussian_split
+from chebotarev_lab.oracles import naive_psi_gaussian_split, psi_weighted_scalar
 from chebotarev_lab.weights import WeightParams
 from chebotarev_lab.zfr import classical_eta_profile, rational_eta_profile
 
@@ -175,6 +176,22 @@ def test_psi_matches_naive_oracle_exactly(catalog, sieve_medium):
     params = WeightParams(x=10**4, eps=0.1)
     psi = psi_weighted_class(g, g.group.class_by_label("1"), params, sieve_medium)
     assert psi == naive_psi_gaussian_split(params)
+
+
+DEMO_CATALOG = Path(__file__).resolve().parents[1] / "demos" / "catalog_quadratics.txt"
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_CATALOG, "quad(-3)", "quad(15)"])
+def test_psi_matches_scalar_oracle_exactly(name, sieve_medium):
+    # catalog rows are loaded fresh, so the rising x cross their switch to
+    # the Kronecker residue route (at |disc f| = 3 and 60 primes)
+    fd = BUILTIN_CATALOG.get(name) or {f.name: f for f in load_catalog(DEMO_CATALOG)}[name]
+    for x in (3, 97, 6614, 10**5):
+        for eps in (0.01, 0.1, 0.2499):
+            params = WeightParams(x=x, eps=eps)
+            for cls in fd.group.classes:
+                items = psi_weighted_items(fd, cls, params, sieve_medium)
+                assert items == psi_weighted_scalar(fd, cls, params, sieve_medium), (name, x, eps, cls.label)
 
 
 def test_psi_sharp_cutoff_proxy(catalog, sieve_medium):

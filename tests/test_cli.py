@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,45 @@ def test_validation_exit_codes():
     assert "nosuchfield" in err
     code, _, _ = run_cli(["chebotarev", "--field", "gaussian", "--class", "99", "--x", "50"])
     assert code == 1
+
+
+CATALOG = str(Path(__file__).resolve().parents[1] / "demos" / "catalog_quadratics.txt")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["chebotarev", "--x", "nan"],
+        ["chebotarev", "--x", "inf"],
+        ["chebotarev", "--x", "-inf"],
+        ["chebotarev", "--x", "100", "--weights-eps", "nan"],
+        ["family", "--catalog", CATALOG, "--x", "nan"],
+        ["family", "--catalog", CATALOG, "--x", "inf"],
+        ["family", "--catalog", CATALOG, "--x", "100", "--Q", "nan"],
+        ["family", "--catalog", CATALOG, "--x", "100", "--eps", "nan"],
+        ["large-sieve", "--u", "nan"],
+        ["large-sieve", "--u", "inf"],
+        ["large-sieve", "--y", "nan"],
+        ["large-sieve", "--y", "inf"],
+        ["large-sieve", "--Q", "nan"],
+        ["large-sieve", "--T", "inf"],
+        ["large-sieve", "--sigma", "nan"],
+        ["weights", "--x", "nan"],
+        ["weights", "--x", "inf"],
+        ["weights", "--grid", "0:nan:0.1"],
+        ["weights", "--grid", "0:1:0"],
+        ["weights", "--grid", "0:1"],
+        ["eta", "--Q", "nan"],
+        ["eta", "--c1", "nan"],
+        ["eta", "--x-values", "1000,inf"],
+    ],
+)
+def test_non_finite_and_malformed_floats_rejected(args, capsys):
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["code"] == "ValidationError"
 
 
 def test_computation_exit_code(tmp_path):

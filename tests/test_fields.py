@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from chebotarev_lab.chebotarev import pi_C_count
 from chebotarev_lab.errors import AmbiguousClass, CatalogError, LimitTooLarge, ValidationError
 from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
+    MAX_KRONECKER_CONDUCTOR,
     RAMIFIED,
     UNRESOLVED,
     FieldDescriptor,
+    _cycle_counts,
     _factor_type,
     builtin_field,
     factor_poly_mod_p,
     frobenius_data,
     frobenius_table,
+    load_catalog,
     parse_catalog,
     quadratic_field,
 )
@@ -257,6 +261,50 @@ def test_frobenius_table_huge_coefficients():
     ramified = {p for p, c in zip(small.tolist(), table.cls.tolist()) if c == RAMIFIED}
     assert {3, 11, 131, 2731} <= ramified
     _assert_table_matches(fd, small)
+
+
+# -- catalog quadratics: the Kronecker residue route keyed on disc f ------------
+
+DEMO_CATALOG = Path(__file__).resolve().parents[1] / "demos" / "catalog_quadratics.txt"
+# index divisors (2 for bad5, 2 and 3 for x^2 - 45), an odd disc f, and a
+# reducible f whose disc is a square
+KRONECKER_ROWS = """
+bad5  | -5 0 1 | C2 | 5
+x2m45 | -45 0 1 | C2 | 5
+x2px3 | 3 1 1 | C2 | -11
+x2m4  | -4 0 1 | C2 | 1
+"""
+
+
+@pytest.mark.parametrize(
+    "fd", load_catalog(DEMO_CATALOG) + parse_catalog(KRONECKER_ROWS, source="inline"), ids=lambda fd: fd.name
+)
+def test_kronecker_route_matches_frobenius_data(fd):
+    primes = sieve_primes(2 * 10**4).primes
+    q = abs(fd.poly_disc)
+    # growing prefixes: on the trace route below |disc f| primes, then across the switch
+    for n in sorted({1, max(1, q // 2), q - 1, q, q + 1, 2 * q + 5, primes.size} - {0}):
+        _assert_table_matches(fd, primes[:n])
+        assert fd._table_memo.conductor == (q if n >= q else None), (fd.name, n)
+    _assert_table_matches(fd, primes[:100])
+
+
+def test_quadratic_above_the_rule_stays_on_trace_route():
+    fd = parse_catalog("wide | -250007 0 1 | C2 | 1000028", source="inline")[0]
+    assert abs(fd.poly_disc) > MAX_KRONECKER_CONDUCTOR
+    _assert_table_matches(fd, sieve_primes(2 * 10**4).primes)
+    assert fd._table_memo.conductor is None
+
+
+def test_cycle_counts_of_quadratics():
+    # the trace route at n = 2, which catalog quadratics no longer reach past |disc f| primes
+    primes = sieve_primes(2 * 10**4).primes
+    for poly in ((1, 0, 1), (3, 1, 1)):  # x^2 + 1, x^2 + x + 3
+        disc = poly[1] ** 2 - 4 * poly[0]
+        usable = primes[(primes > 2) & (disc % primes != 0)]
+        for p, row in zip(usable.tolist(), _cycle_counts(poly, usable).tolist()):
+            degrees = [d for d, _ in factor_poly_mod_p(poly, p)]
+            assert row == [degrees.count(1), degrees.count(2)], (poly, p)
 
 
 def test_blind_class_count_names_first_ambiguous_prime(sieve_small):

@@ -30,6 +30,18 @@ def test_params_validation():
         WeightParams(x=10.0, eps=0.3)
     with pytest.raises(ParameterOutOfRange):
         WeightParams(x=10.0, eps=0.0)
+    for x in (math.nan, math.inf):
+        with pytest.raises(ParameterOutOfRange):
+            WeightParams(x=x, eps=0.1)
+
+
+def test_params_eq_and_hash_ignore_cached_values():
+    read, fresh = WeightParams(x=6614.0, eps=0.1), WeightParams(x=6614.0, eps=0.1)
+    before = hash(read)
+    assert (read.log_x, read.boxcar_width) == (math.log(6614.0), 0.1 / (2.0 * math.log(6614.0)))
+    assert hash(read) == before == hash(fresh)
+    assert read == fresh and repr(read) == repr(fresh)
+    assert read != WeightParams(x=6614.0, eps=0.2)
 
 
 def test_plateau_and_support_examples():
