@@ -12,6 +12,11 @@ The Rankin-Selberg values a_{KxK'}(p^j) are the h_j of the product multiset
 identity j h_j = sum_k p_k h_{j-k} gives them exactly.  The Cauchy sum of
 paired Schur values (``schur``, ``partitions_of``) is the same number by
 another route and is kept to check it.
+
+Over a prime range, the Frobenius orders come from ``frobenius_table``: the
+coefficient series, and the sums over prime powers of lambda_K(p^k) log p
+(``mertens_partial_sum``, ``log_deriv_taylor_term``), with lambda_K(p^k) the
+k-th power sum of the local roots.  ``local_roots`` classifies one prime.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
     RamifiedPrime,
     TruncationInsufficient,
 )
-from .fields import RAMIFIED, FieldDescriptor, frobenius_data, frobenius_table
+from .fields import FieldDescriptor, check_index_divisors, frobenius_data, frobenius_table
 from .sieve import PrimeSieve, sieve_primes
 
 MAX_PRIME_POWER_TRUNCATION = 24
@@ -250,6 +255,31 @@ def lambda_vm(fd: FieldDescriptor, n: int) -> float:
     return lambda_exact(fd, p, k) * math.log(p)
 
 
+def _prime_powers(fd: FieldDescriptor, n_max: int, sieve: PrimeSieve | None):
+    """(p^k, k, log p, lambda_K(p^k)) for the unramified prime powers p^k <= n_max,
+    p ascending and then k ascending.
+
+    The Frobenius orders come from the table of the primes up to n_max; an
+    index divisor raises RamifiedPrime (``check_index_divisors``).
+    """
+    if sieve is None or sieve.limit < n_max:
+        sieve = sieve_primes(n_max)
+    primes = sieve.upto(n_max)
+    orders = frobenius_table(fd, primes).order
+    check_index_divisors((fd,), primes, (orders,))
+    g = fd.group.order
+    for p, d in zip(primes.tolist(), orders.tolist()):
+        if d == 0:  # p divides D_K
+            continue
+        logp = math.log(p)
+        pk = p
+        k = 1
+        while pk <= n_max:
+            yield pk, k, logp, _power_sum(d, g, k)
+            pk *= p
+            k += 1
+
+
 def mertens_partial_sum(
     fd: FieldDescriptor, eta: float, n_max: int, sieve: PrimeSieve | None = None
 ) -> float:
@@ -259,20 +289,7 @@ def mertens_partial_sum(
         raise ParameterOutOfRange("eta must be positive")
     if n_max < 100:
         raise ParameterOutOfRange("truncation must be at least 100")
-    if sieve is None or sieve.limit < n_max:
-        sieve = sieve_primes(n_max)
-    terms = []
-    for p in sieve.upto(n_max).tolist():
-        if fd.is_ramified(p):
-            continue
-        roots = local_roots(fd, p)
-        logp = math.log(p)
-        pk = p
-        k = 1
-        while pk <= n_max:
-            terms.append(abs(roots.power_sum(k)) * logp / pk ** (1.0 + eta))
-            pk *= p
-            k += 1
+    terms = [abs(lam) * logp / pk ** (1.0 + eta) for pk, _, logp, lam in _prime_powers(fd, n_max, sieve)]
     return math.fsum(terms)
 
 
@@ -315,27 +332,15 @@ def log_deriv_taylor_term(
         raise TruncationInsufficient(
             f"tail certificate {tail:.3e} at N={n_max} exceeds {tail_tol:.0e}"
         )
-    if sieve is None or sieve.limit < n_max:
-        sieve = sieve_primes(n_max)
     re_terms: list[float] = []
     im_terms: list[float] = []
-    for p in sieve.upto(n_max).tolist():
-        if fd.is_ramified(p):
-            continue
-        roots = local_roots(fd, p)
-        logp = math.log(p)
-        pk = p
-        kk = 1
-        while pk <= n_max:
-            lam = roots.power_sum(kk)
-            if lam != 0:
-                logn = kk * logp
-                amp = lam * logp * logn**k * pk ** (-(1.0 + eta))
-                phase = cmath.exp(-1j * tau * logn)
-                re_terms.append(amp * phase.real)
-                im_terms.append(amp * phase.imag)
-            pk *= p
-            kk += 1
+    for pk, kk, logp, lam in _prime_powers(fd, n_max, sieve):
+        if lam != 0:
+            logn = kk * logp
+            amp = lam * logp * logn**k * pk ** (-(1.0 + eta))
+            phase = cmath.exp(-1j * tau * logn)
+            re_terms.append(amp * phase.real)
+            im_terms.append(amp * phase.imag)
     factor = eta ** (k + 1) / math.factorial(k)
     value = factor * complex(math.fsum(re_terms), math.fsum(im_terms))
     return TaylorTermValue(
@@ -390,26 +395,18 @@ def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_p
     The primes up to n_max are classified once by ``frobenius_table``, and
     a(p^e) = prime_power(d, e), with d the tuple of Frobenius orders of p in
     ``fds``.  Then a(n) = a(n / p^e) a(p^e) for p the smallest prime factor of
-    n, read off a sieve.  A prime that the table marks ramified although it
-    divides no D_K (an index divisor) raises RamifiedPrime, as the per-n route
-    does at its smallest such prime.
+    n, read off a sieve.  An index divisor raises RamifiedPrime
+    (``check_index_divisors``), as the per-n route does at its smallest such
+    prime.
     """
     if n_max < 1:
         return CoefficientSeries(coeffs={}, truncation=n_max)
     primes = sieve_primes(max(n_max, 2)).upto(n_max)
-    modulus = math.prod(fd.abs_disc for fd in fds)
-    orders = []
-    index_divisors = []
-    for i, fd in enumerate(fds):
-        table = frobenius_table(fd, primes)
-        index_divisors += [(p, i) for p in primes[table.cls == RAMIFIED].tolist() if modulus % p]
-        orders.append(table.order.tolist())
-    if index_divisors:
-        p, i = min(index_divisors)
-        raise RamifiedPrime(f"{fds[i].name}: p={p} is ramified")
+    orders = tuple(frobenius_table(fd, primes).order for fd in fds)
+    check_index_divisors(fds, primes, orders)
     key = [None] * (n_max + 1)  # the orders at each prime coprime to every D_K
-    for p, d in zip(primes.tolist(), zip(*orders)):
-        if modulus % p:
+    for p, d in zip(primes.tolist(), zip(*(order.tolist() for order in orders))):
+        if 0 not in d:
             key[p] = d
     spf = _smallest_prime_factors(n_max, primes)
     rest = [1] * (n_max + 1)  # n with its smallest prime's power removed

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .fields import (
     RAMIFIED,
     FieldDescriptor,
     builtin_field,
+    factor_poly_mod_p,
     frobenius_data,
     frobenius_table,
     load_catalog,
@@ -57,23 +57,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-@dataclass
-class RunConfig:
-    args: argparse.Namespace
+def _catalog_path(args) -> str | None:
+    return args.catalog or os.environ.get(CATALOG_ENV)
 
-    def resolve_field(self, name: str) -> FieldDescriptor:
-        catalog = self.load_fields()
-        for fd in catalog:
-            if fd.name == name:
-                return fd
-        raise ValidationError(f"unknown field {name!r}; known: {sorted(f.name for f in catalog)}")
 
-    def load_fields(self) -> list[FieldDescriptor]:
-        path = getattr(self.args, "catalog", None) or os.environ.get(CATALOG_ENV)
-        fields = list(BUILTIN_CATALOG.values())
-        if path:
-            fields.extend(load_catalog(path))
-        return fields
+def _resolve_field(args, name: str) -> FieldDescriptor:
+    fields = list(BUILTIN_CATALOG.values())
+    path = _catalog_path(args)
+    if path:
+        fields.extend(load_catalog(path))
+    for fd in fields:
+        if fd.name == name:
+            return fd
+    raise ValidationError(f"unknown field {name!r}; known: {sorted(f.name for f in fields)}")
 
 
 def _finite_float(text: str) -> float:
@@ -144,13 +140,10 @@ def _parse_class(fd: FieldDescriptor, label: str):
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    args = cfg.args
-    if args.selftest:
-        return _selftest_coeffs(cfg)
-    fd = cfg.resolve_field(args.field)
+def cmd_coeffs(args) -> int:
+    fd = _resolve_field(args, args.field)
     if args.other_field:
-        series = series_a_KxK(fd, cfg.resolve_field(args.other_field), args.n)
+        series = series_a_KxK(fd, _resolve_field(args, args.other_field), args.n)
         header = ["n", "a_KxK"]
     else:
         series = series_a_K(fd, args.n)
@@ -164,11 +157,8 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_splitting(cfg: RunConfig) -> int:
-    args = cfg.args
-    if args.selftest:
-        return _selftest_splitting(cfg)
-    fd = cfg.resolve_field(args.field)
+def cmd_splitting(args) -> int:
+    fd = _resolve_field(args, args.field)
     sieve = sieve_primes(max(args.limit, 2))
     primes = sieve.upto(args.limit)
     table = frobenius_table(fd, primes)
@@ -195,12 +185,9 @@ def cmd_splitting(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_large_sieve(cfg: RunConfig) -> int:
-    args = cfg.args
-    if args.selftest:
-        return _selftest_large_sieve(cfg)
+def cmd_large_sieve(args) -> int:
     names = [s for s in args.fields.split(",") if s]
-    fields = tuple(cfg.resolve_field(name) for name in names)
+    fields = tuple(_resolve_field(args, name) for name in names)
     window = FamilyWindow(fields=fields, q_bound=args.Q, t_height=args.T, y=args.y, u=args.u)
     family = Family(fields=fields, q_bound=args.Q, intersection_rule=args.rule)
     mult = intersection_multiplicity(family)
@@ -226,10 +213,7 @@ def cmd_large_sieve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_weights(cfg: RunConfig) -> int:
-    args = cfg.args
-    if args.selftest:
-        return _selftest_weights(cfg)
+def cmd_weights(args) -> int:
     params = WeightParams(x=args.x, eps=args.eps)
     lo, hi, step = args.grid
     rows = []
@@ -242,10 +226,7 @@ def cmd_weights(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eta(cfg: RunConfig) -> int:
-    args = cfg.args
-    if args.selftest:
-        return _selftest_eta(cfg)
+def cmd_eta(args) -> int:
     xs = args.x_values
     c1 = args.c1
     if args.Q is not None:
@@ -266,11 +247,8 @@ def cmd_eta(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_chebotarev(cfg: RunConfig) -> int:
-    args = cfg.args
-    if args.selftest:
-        return _selftest_chebotarev(cfg)
-    fd = cfg.resolve_field(args.field)
+def cmd_chebotarev(args) -> int:
+    fd = _resolve_field(args, args.field)
     selector = _parse_class(fd, args.cls)
     limit = int(args.x * math.exp(0.25)) + 2 if args.weights_eps else int(args.x) + 1
     sieve = sieve_primes(max(limit, 100))
@@ -299,16 +277,11 @@ def cmd_chebotarev(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_family(cfg: RunConfig) -> int:
-    args = cfg.args
-    if args.selftest:
-        return _selftest_family(cfg)
-    if args.catalog:
-        fields = tuple(load_catalog(args.catalog))
-    elif os.environ.get(CATALOG_ENV):
-        fields = tuple(load_catalog(os.environ[CATALOG_ENV]))
-    else:
+def cmd_family(args) -> int:
+    path = _catalog_path(args)
+    if not path:
         raise ValidationError("family needs --catalog or the catalog environment variable")
+    fields = tuple(load_catalog(path))
     family = Family(fields=fields, q_bound=args.Q, intersection_rule=args.rule)
     sieve = sieve_primes(int(args.x) + 1)
     report = avg_cheb_error(family, args.x, sieve, eps=args.eps)
@@ -329,21 +302,21 @@ def cmd_family(cfg: RunConfig) -> int:
 # -- selftests ---------------------------------------------------------------------
 
 
-def _selftest_payload(cfg: RunConfig, name: str, checks: list[dict]) -> int:
+def _selftest_payload(args, name: str, checks: list[dict]) -> int:
     all_pass = all(c["pass"] for c in checks)
     payload = {
         "schema": SCHEMA,
         "subcommand": name,
         "selftest": True,
-        "seed": getattr(cfg.args, "seed", 0) or 0,
+        "seed": getattr(args, "seed", 0) or 0,
         "checks": checks,
         "all_pass": all_pass,
     }
-    _emit(cfg.args, _json(payload))
+    _emit(args, _json(payload))
     return 0 if all_pass else 2
 
 
-def _selftest_coeffs(cfg: RunConfig) -> int:
+def _selftest_coeffs(args) -> int:
     from .arith import kronecker_symbol
 
     checks = []
@@ -366,21 +339,19 @@ def _selftest_coeffs(cfg: RunConfig) -> int:
     checks.append({"name": "cauchy-identity-spot", "pass": worst < 1e-9, "worst_abs_diff": worst})
     mert = mertens_partial_sum(fd, 1.0, 2000)
     checks.append({"name": "mertens-bound", "pass": mert <= fd.m / 1.0, "value": mert})
-    return _selftest_payload(cfg, "coeffs", checks)
+    return _selftest_payload(args, "coeffs", checks)
 
 
-def _selftest_splitting(cfg: RunConfig) -> int:
+def _selftest_splitting(args) -> int:
     checks = []
     sieve = sieve_primes(2000)
     fd = builtin_field("zeta5")
-    from .fields import _factor_type
-
     mismatch = 0
     for p in sieve.primes.tolist():
         if fd.is_ramified(p):
             continue
         data = frobenius_data(fd, p)
-        pairs = _factor_type(fd.defining_poly, p)
+        pairs = factor_poly_mod_p(fd.defining_poly, p)
         ftype = tuple(sorted(d for d, _ in pairs))
         if data.factorization_type != ftype:
             mismatch += 1
@@ -391,7 +362,6 @@ def _selftest_splitting(cfg: RunConfig) -> int:
     for p in sieve.primes.tolist():
         if p == 5:
             continue
-        want = 1
         q = p % 5
         k = 1
         while q != 1:
@@ -400,11 +370,11 @@ def _selftest_splitting(cfg: RunConfig) -> int:
         want = k
         orders.append(frobenius_data(fd, p).frobenius_order == want)
     checks.append({"name": "zeta5-order-oracle", "pass": all(orders)})
-    return _selftest_payload(cfg, "splitting", checks)
+    return _selftest_payload(args, "splitting", checks)
 
 
-def _selftest_large_sieve(cfg: RunConfig) -> int:
-    rng = _rng(cfg.args)
+def _selftest_large_sieve(args) -> int:
+    rng = _rng(args)
     checks = []
     worst = 0.0
     for _ in range(20):
@@ -418,11 +388,11 @@ def _selftest_large_sieve(cfg: RunConfig) -> int:
     left = np.max(np.linalg.eigvalsh(mat @ mat.conj().T))
     right = np.max(np.linalg.eigvalsh(mat.conj().T @ mat))
     checks.append({"name": "duality-eigenvalue", "pass": abs(left - right) < 1e-8, "diff": float(abs(left - right))})
-    return _selftest_payload(cfg, "large-sieve", checks)
+    return _selftest_payload(args, "large-sieve", checks)
 
 
-def _selftest_weights(cfg: RunConfig) -> int:
-    rng = _rng(cfg.args)
+def _selftest_weights(args) -> int:
+    rng = _rng(args)
     checks = []
     params = WeightParams(x=1000.0, eps=0.1)
     worst = 0.0
@@ -442,11 +412,11 @@ def _selftest_weights(cfg: RunConfig) -> int:
     checks.append({"name": "shifted-line-decay-sweep", "pass": sweep_v})
     f0 = laplace_F(params, 0.0).real
     checks.append({"name": "F0-window", "pass": 0.5 < f0 < 0.75, "value": f0})
-    return _selftest_payload(cfg, "weights", checks)
+    return _selftest_payload(args, "weights", checks)
 
 
-def _selftest_eta(cfg: RunConfig) -> int:
-    rng = _rng(cfg.args)
+def _selftest_eta(args) -> int:
+    rng = _rng(args)
     checks = []
     worst = 0.0
     for _ in range(20):
@@ -468,10 +438,10 @@ def _selftest_eta(cfg: RunConfig) -> int:
         grid = oracles.grid_eta_large(q, eps, m, x, DEFAULT_C1, points=20000)
         worst = max(worst, abs(closed - grid) / abs(grid))
     checks.append({"name": "large-closed-vs-grid", "pass": worst < 1e-5, "worst_rel": worst})
-    return _selftest_payload(cfg, "eta", checks)
+    return _selftest_payload(args, "eta", checks)
 
 
-def _selftest_chebotarev(cfg: RunConfig) -> int:
+def _selftest_chebotarev(args) -> int:
     checks = []
     sieve = sieve_primes(10**4)
     fd = builtin_field("gaussian")
@@ -489,10 +459,10 @@ def _selftest_chebotarev(cfg: RunConfig) -> int:
     psi = psi_weighted_class(fd, fd.group.class_by_label("1"), params, sieve)
     naive = oracles.naive_psi_gaussian_split(params)
     checks.append({"name": "psi-vs-naive", "pass": psi == naive, "psi": psi, "naive": naive})
-    return _selftest_payload(cfg, "chebotarev", checks)
+    return _selftest_payload(args, "chebotarev", checks)
 
 
-def _selftest_family(cfg: RunConfig) -> int:
+def _selftest_family(args) -> int:
     checks = []
     quads = [quadratic_field(d) for d in (-1, 2, 3, 5, -2, -3, 7, -7, 11, 13)]
     ok = True
@@ -502,7 +472,7 @@ def _selftest_family(cfg: RunConfig) -> int:
     checks.append({"name": "compositum-divisibility", "pass": ok})
     fam = Family(fields=tuple(quads), q_bound=60.0)
     checks.append({"name": "distinct-quadratics-m1", "pass": intersection_multiplicity(fam) == 1})
-    return _selftest_payload(cfg, "family", checks)
+    return _selftest_payload(args, "family", checks)
 
 
 # -- parser -----------------------------------------------------------------------
@@ -512,14 +482,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="chebotarev-lab", description="Chebotarev / Artin coefficient verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, selftest):
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
         p.add_argument("--seed", type=int, default=0, help="rng seed for selftests")
         p.add_argument("--catalog", default=None, help=f"extra catalog file (or ${CATALOG_ENV})")
-        p.add_argument("--selftest", action="store_true", help="run this module's oracle comparisons")
+        # --selftest swaps the subcommand's function for its oracle comparisons
+        p.add_argument("--selftest", dest="func", action="store_const", const=selftest,
+                       help="run this module's oracle comparisons")
 
     p = sub.add_parser("coeffs", help="Dirichlet coefficients a_K(n) or a_KxK'(n)")
-    common(p)
+    common(p, _selftest_coeffs)
     p.add_argument("--field", default="gaussian")
     p.add_argument("--other-field", default=None)
     p.add_argument("--n", type=int, default=100)
@@ -527,14 +499,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("splitting", help="Frobenius data table for primes up to a limit")
-    common(p)
+    common(p, _selftest_splitting)
     p.add_argument("--field", default="gaussian")
     p.add_argument("--limit", type=int, default=100)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_splitting)
 
     p = sub.add_parser("large-sieve", help="mean-value integrals and bound-shape reports")
-    common(p)
+    common(p, _selftest_large_sieve)
     p.add_argument("--fields", default="gaussian,sqrt5")
     p.add_argument("--Q", type=_finite_float, default=200.0)
     p.add_argument("--T", type=_finite_float, default=1.0)
@@ -545,14 +517,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_large_sieve)
 
     p = sub.add_parser("weights", help="evaluate the smooth cutoff f and its transform F")
-    common(p)
+    common(p, _selftest_weights)
     p.add_argument("--x", type=_finite_float, default=1000.0)
     p.add_argument("--eps", type=_finite_float, default=0.1)
     p.add_argument("--grid", type=_grid, default="0:1.2:0.05", help="t grid lo:hi:step")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("eta", help="error-term data eta(x) tables")
-    common(p)
+    common(p, _selftest_eta)
     p.add_argument("--disc", type=int, default=229)
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--Q", type=_finite_float, default=None, help="family mode: discriminant bound")
@@ -565,7 +537,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("chebotarev", help="exact class counts and weighted sums")
-    common(p)
+    common(p, _selftest_chebotarev)
     p.add_argument("--field", default="gaussian")
     p.add_argument("--class", dest="cls", default="1")
     p.add_argument("--x", type=_finite_float, default=100.0)
@@ -574,7 +546,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_chebotarev)
 
     p = sub.add_parser("family", help="family reports: m_F(Q) and averaged errors")
-    common(p)
+    common(p, _selftest_family)
     p.add_argument("--Q", type=_finite_float, default=200.0)
     p.add_argument("--x", type=_finite_float, default=10**4)
     p.add_argument("--eps", type=_finite_float, default=0.5)
@@ -588,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(RunConfig(args=args))
+        return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(_json({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
         return 1

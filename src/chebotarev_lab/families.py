@@ -173,11 +173,10 @@ def avg_cheb_error(
     x: float,
     sieve: PrimeSieve,
     eps: float = 0.5,
-    log_power: float = 2.0,
 ) -> AvgErrorReport:
     """(1/#F) sum over K of max_C |pi_C(x) - (|C|/|G|) pi(x)|, exactly.
 
-    Diagnostics carry the level-of-distribution shape x/(log x)^A and the
+    Diagnostics carry the level-of-distribution shape x/(log x)^2 and the
     exceptional-budget ratio m_F(Q) Q^eps / #F; constants stay symbolic.
     """
     pi_x = pi_count(x, sieve)
@@ -193,7 +192,7 @@ def avg_cheb_error(
         per_field[fd.name] = worst
     avg = math.fsum(per_field.values()) / family.size
     m_f = intersection_multiplicity(family)
-    shape = x / math.log(x) ** log_power
+    shape = x / math.log(x) ** 2.0
     diagnostics = {
         "eps": eps,
         "shape_x_over_logx_power": shape,

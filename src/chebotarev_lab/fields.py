@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .arith import kronecker_symbol, poly_discriminant
-from .errors import CatalogError, LimitTooLarge, ValidationError
+from .errors import CatalogError, LimitTooLarge, RamifiedPrime, ValidationError
 from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group
 
@@ -205,11 +205,12 @@ def frobenius_table(fd: FieldDescriptor, primes: np.ndarray) -> FrobeniusTable:
 
     Residue fields read the class off ``p mod conductor``; so does a
     quadratic without a declared action, by the Kronecker character of
-    disc(f), once a request holds at least |disc(f)| primes.  Otherwise, for
-    p > deg f with p not dividing disc(f), the factorization type comes from
-    the traces of the Frobenius matrix (``_cycle_counts``); the few other
-    primes go through ``frobenius_data``, and both routes share the
-    type-to-class helpers, so the table agrees with ``frobenius_data``.
+    disc(f), once a request holds at least |disc(f)| primes.  Otherwise a
+    prime dividing disc(f) is ramified, since f mod p then has a repeated
+    factor; for p > deg f the factorization type comes from the traces of
+    the Frobenius matrix (``_cycle_counts``), and the few primes p <= deg f
+    go through ``frobenius_data``.  Both routes share the type-to-class
+    helpers, so the table agrees with ``frobenius_data``.
 
     Each field keeps the table of the longest prime array it has been given
     and classifies only the primes beyond it.
@@ -219,6 +220,25 @@ def frobenius_table(fd: FieldDescriptor, primes: np.ndarray) -> FrobeniusTable:
         memo = _TableMemo(fd)
         object.__setattr__(fd, "_table_memo", memo)
     return memo.lookup(fd, np.asarray(primes, dtype=np.int64))
+
+
+def check_index_divisors(
+    fds: tuple[FieldDescriptor, ...], primes: np.ndarray, orders: tuple[np.ndarray, ...]
+) -> None:
+    """Raise RamifiedPrime at the smallest prime of ``primes`` that divides no
+    D_K of ``fds`` but has Frobenius order 0 (ramified) in one of their
+    tables; ``orders`` holds each field's ``FrobeniusTable.order`` over
+    ``primes``.  Such a prime divides disc(f) but not D_K: an index divisor.
+    """
+    bad = np.zeros(primes.size, dtype=bool)
+    for order in orders:
+        bad |= order == 0
+    for fd in fds:
+        bad &= _mod_primes(fd.disc_field, primes) != 0
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = next(fd.name for fd, order in zip(fds, orders) if order[i] == 0)
+        raise RamifiedPrime(f"{name}: p={int(primes[i])} is ramified")
 
 
 class _TableMemo:
@@ -277,26 +297,23 @@ class _TableMemo:
             self.types.append(ftype)
         return cls_index, order, self.type_index[ftype]
 
-    def _entry_of(self, data: FrobeniusData) -> tuple[int, int, int]:
-        if data.ramified:
-            return RAMIFIED, 0, -1
-        cls = UNRESOLVED if data.conjugacy_class is None else data.conjugacy_class.index
-        return self._entry(cls, data.frobenius_order, data.factorization_type)
-
     def _classify(self, fd: FieldDescriptor, primes: np.ndarray) -> np.ndarray:
         """One (class, order, type index) row per prime."""
         ramified = _mod_primes(fd.disc_field, primes) == 0
         if self.conductor is not None:
             elem = np.where(ramified, -1, self.residue[primes % self.conductor])
             return self.element_rows[elem]
+        # a monic f has a repeated factor mod p exactly when p | disc(f)
+        ramified |= _mod_primes(fd.poly_disc, primes) == 0
         out = np.empty((primes.size, 3), dtype=np.int64)
         out[ramified] = (RAMIFIED, 0, -1)
         n = fd.degree
-        # the trace route needs p > n, p not dividing disc(f), and n (p-1)^2 < 2^63
-        scalar = ~ramified & ((primes <= n) | (_mod_primes(fd.poly_disc, primes) == 0)
-                              | (primes > math.isqrt((2**63 - 1) // n)))
+        # the trace route needs p > n and n (p-1)^2 < 2^63
+        scalar = ~ramified & ((primes <= n) | (primes > math.isqrt((2**63 - 1) // n)))
         for i in np.flatnonzero(scalar).tolist():
-            out[i] = self._entry_of(frobenius_data(fd, int(primes[i])))
+            data = frobenius_data(fd, int(primes[i]))  # unramified: p divides neither D_K nor disc(f)
+            cls = UNRESOLVED if data.conjugacy_class is None else data.conjugacy_class.index
+            out[i] = self._entry(cls, data.frobenius_order, data.factorization_type)
         fast = ~(ramified | scalar)
         if fast.any():
             counts = _cycle_counts(fd.defining_poly, primes[fast])
@@ -394,52 +411,22 @@ def _cycle_counts_block(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray:
 # -- built-in catalog ---------------------------------------------------------
 
 
-def _cyclotomic_action(q: int, group: FiniteGroup, subgroup_residues: tuple[int, ...]) -> CyclotomicAction:
-    """Map residues mod q to elements of (Z/q)^* / H for H = subgroup_residues.
+def _cyclotomic_action(q: int, group: FiniteGroup) -> CyclotomicAction:
+    """Map residues mod q to the cyclic ``group`` through the quotient of
+    (Z/q)^* of order |G|.
 
-    The quotient is identified with the cyclic ``group`` through the smallest
-    primitive root mod q.
+    (Z/q)^* is cyclic for the conductors used here, so that quotient is
+    unique: with g the smallest primitive root mod q, g^k maps to the element
+    k mod |G|.
     """
     units = [r for r in range(1, q) if math.gcd(r, q) == 1]
-    gen = next(g for g in units if _mult_order(g, q) == len(units))
-    h = set()
-    for r in subgroup_residues:
-        h.add(r % q)
-    # expand H to a subgroup
-    closure = {1}
-    frontier = set(h) | {1}
-    while frontier:
-        a = frontier.pop()
-        for b in list(closure):
-            c = (a * b) % q
-            if c not in closure:
-                closure.add(c)
-                frontier.add(c)
-    h = closure
-    quotient_order = len(units) // len(h)
-    if quotient_order != group.order:
+    if len(units) % group.order:
         raise ValidationError("cyclotomic action does not match group order")
+    gen = next(g for g in units if len({pow(g, k, q) for k in range(len(units))}) == len(units))
     table = [-1] * q
-    # assign: coset of gen^k maps to group element (k mod quotient_order)
-    coset_elem: dict[frozenset[int], int] = {}
     for k in range(len(units)):
-        r = pow(gen, k, q)
-        coset = frozenset((r * x) % q for x in h)
-        if coset not in coset_elem:
-            coset_elem[coset] = k % quotient_order
-        for x in coset:
-            if table[x] < 0:
-                table[x] = coset_elem[coset]
+        table[pow(gen, k, q)] = k % group.order
     return CyclotomicAction(conductor=q, residue_class=tuple(table))
-
-
-def _mult_order(a: int, q: int) -> int:
-    k = 1
-    x = a % q
-    while x != 1:
-        x = (x * a) % q
-        k += 1
-    return k
 
 
 def _builtin_fields() -> dict[str, FieldDescriptor]:
@@ -472,7 +459,7 @@ def _builtin_fields() -> dict[str, FieldDescriptor]:
         defining_poly=(1, 1, 1, 1, 1),  # Phi_5
         group=c4,
         disc_field=125,
-        residue_action=_cyclotomic_action(5, c4, (1,)),
+        residue_action=_cyclotomic_action(5, c4),
     )
     c3 = build_group("C3")
     out["cyclo7plus"] = FieldDescriptor(
@@ -480,7 +467,7 @@ def _builtin_fields() -> dict[str, FieldDescriptor]:
         defining_poly=(-1, -2, 1, 1),  # x^3 + x^2 - 2x - 1, Q(zeta_7)^+
         group=c3,
         disc_field=49,
-        residue_action=_cyclotomic_action(7, c3, (1, 6)),
+        residue_action=_cyclotomic_action(7, c3),
     )
     c6 = build_group("C6")
     out["zeta7"] = FieldDescriptor(
@@ -488,7 +475,7 @@ def _builtin_fields() -> dict[str, FieldDescriptor]:
         defining_poly=(1, 1, 1, 1, 1, 1, 1),  # Phi_7
         group=c6,
         disc_field=-16807,
-        residue_action=_cyclotomic_action(7, c6, (1,)),
+        residue_action=_cyclotomic_action(7, c6),
     )
     s3 = build_group("S3")
     out["s3cubic"] = FieldDescriptor(

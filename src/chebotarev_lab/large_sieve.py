@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artin import coeff_a_K
-from .errors import LimitTooLarge, ParameterOutOfRange, RamifiedPrime, ValidationError
-from .fields import RAMIFIED, FieldDescriptor, frobenius_table
+from .errors import LimitTooLarge, ParameterOutOfRange, ValidationError
+from .fields import FieldDescriptor, check_index_divisors, frobenius_table
 from .sieve import PrimeSieve
 
 MSQ_NODES = 32  # Gauss-Legendre order of every panel
@@ -142,19 +142,18 @@ def prime_polynomial(fd: FieldDescriptor, y: float, u: float, sieve: PrimeSieve)
     """c(p) = a_K(p) log p / p over the window y < p <= u, unramified p.
 
     a_K(p) = |G| [Frobenius trivial] - 1, read off the Frobenius table of the
-    primes up to u.
+    primes up to u; an index divisor in the window raises RamifiedPrime
+    (``check_index_divisors``).
     """
     primes = sieve.upto(u)
     start = primes.size - sieve.window(y, u).size  # the window is the tail of primes <= u
-    table = frobenius_table(fd, primes)
+    window, orders = primes[start:], frobenius_table(fd, primes).order[start:]
+    check_index_divisors((fd,), window, (orders,))
     g = fd.group.order
     terms: dict[int, complex] = {}
-    for p, cls, order in zip(primes[start:].tolist(), table.cls[start:].tolist(), table.order[start:].tolist()):
-        if fd.is_ramified(p):
-            continue
-        if cls == RAMIFIED:
-            raise RamifiedPrime(f"{fd.name}: p={p} is ramified")
-        terms[p] = ((g if order == 1 else 0) - 1) * math.log(p) / p
+    for p, order in zip(window.tolist(), orders.tolist()):
+        if order:  # 0 when p divides D_K
+            terms[p] = ((g if order == 1 else 0) - 1) * math.log(p) / p
     return DirichletPolynomial(terms)
 
 

@@ -135,7 +135,7 @@ def large_sieve_zfr(q: float, eps: float, m: int, c1: float = DEFAULT_C1) -> Zfr
     return ZfrData(pieces=(density, classical), label=f"large-sieve(Q={q}, eps={eps}, m={m})")
 
 
-def eta_from_delta(zfr: ZfrData, x: float, grid_points: int = 10_000, refine: bool = True) -> float:
+def eta_from_delta(zfr: ZfrData, x: float, grid_points: int = 10_000) -> float:
     """eta(x) = inf over pieces of [Delta(u) log x + u], by grid plus refinement.
 
     The grid spans each piece up to u_max = 1000 + log x; beyond that the
@@ -144,6 +144,8 @@ def eta_from_delta(zfr: ZfrData, x: float, grid_points: int = 10_000, refine: bo
     """
     if x < 3:
         raise ParameterOutOfRange("x must be >= 3")
+    from scipy.optimize import minimize_scalar  # lazy: adds to every CLI start-up otherwise
+
     lx = math.log(x)
     u_cap = 1000.0 + lx
     best = math.inf
@@ -159,19 +161,16 @@ def eta_from_delta(zfr: ZfrData, x: float, grid_points: int = 10_000, refine: bo
         vals = piece.delta(grid) * lx + grid
         idx = int(np.argmin(vals))
         best = min(best, float(vals[idx]))
-        if refine:
-            from scipy.optimize import minimize_scalar
-
-            a = grid[max(idx - 1, 0)]
-            b = grid[min(idx + 1, grid_points - 1)]
-            if b > a:
-                res = minimize_scalar(
-                    lambda u: float(piece.delta(u)) * lx + u,
-                    bounds=(a, b),
-                    method="bounded",
-                    options={"xatol": 1e-12 * max(1.0, b)},
-                )
-                best = min(best, float(res.fun))
+        a = grid[max(idx - 1, 0)]
+        b = grid[min(idx + 1, grid_points - 1)]
+        if b > a:
+            res = minimize_scalar(
+                lambda u: float(piece.delta(u)) * lx + u,
+                bounds=(a, b),
+                method="bounded",
+                options={"xatol": 1e-12 * max(1.0, b)},
+            )
+            best = min(best, float(res.fun))
     return best
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -186,6 +187,10 @@ def test_series_index_divisor_is_ramified(catalog):
         coeff_a_K(bad5, 3)
     with pytest.raises(RamifiedPrime, match="bad5: p=3 "):
         series_a_KxK(catalog["gaussian"], bad5, 10)
+    with pytest.raises(RamifiedPrime, match="bad5: p=2 "):
+        mertens_partial_sum(bad5, 1.0, 100)
+    with pytest.raises(RamifiedPrime, match="bad5: p=2 "):
+        log_deriv_taylor_term(bad5, 1, 1.0, 3.0, 100)
     assert series_a_K(bad5, 1).coeffs == {1: 1}
 
 
@@ -267,6 +272,39 @@ def test_log_deriv_taylor_term(catalog):
         log_deriv_taylor_term(g, 1, 1.0, 0.0, 10**4, tail_tol=1e-8)
     with pytest.raises(ParameterOutOfRange):
         log_deriv_taylor_term(g, 41, 0.5)
+
+
+def test_prime_power_sums_match_per_prime_route(catalog):
+    # the table-driven sums against local_roots at each prime, with the same
+    # float expressions summed in the same order, so they agree exactly
+    n_max = 3000
+    primes = [p for p in range(2, n_max + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for name, fd in catalog.items():
+        powers = []  # (p^k, k, log p, lambda_K(p^k)), p then k ascending
+        for p in primes:
+            if fd.is_ramified(p):
+                continue
+            roots = local_roots(fd, p)
+            pk, k = p, 1
+            while pk <= n_max:
+                powers.append((pk, k, math.log(p), roots.power_sum(k)))
+                pk *= p
+                k += 1
+        for eta in (0.1, 0.5, 1.0, 2.0):
+            want = math.fsum([abs(lam) * logp / pk ** (1.0 + eta) for pk, _, logp, lam in powers])
+            assert mertens_partial_sum(fd, eta, n_max) == want, (name, eta)
+        for k in (0, 1, 5):
+            for eta, tau in ((0.1, 3.0), (0.5, -7.5), (1.0, 3.0), (1.0, 0.0)):
+                re_terms, im_terms = [], []
+                for pk, kk, logp, lam in powers:
+                    if lam != 0:
+                        logn = kk * logp
+                        amp = lam * logp * logn**k * pk ** (-(1.0 + eta))
+                        phase = cmath.exp(-1j * tau * logn)
+                        re_terms.append(amp * phase.real)
+                        im_terms.append(amp * phase.imag)
+                want = eta ** (k + 1) / math.factorial(k) * complex(math.fsum(re_terms), math.fsum(im_terms))
+                assert log_deriv_taylor_term(fd, k, eta, tau, n_max).value == want, (name, k, eta, tau)
 
 
 def test_series_multiplicative(catalog):
