@@ -8,10 +8,8 @@ from .artin import (
     LocalRootMultiset,
     Partition,
     coeff_a_K,
-    coeff_a_KxK,
     coeff_a_KxK_prime,
     euler_factor_series,
-    lambda_vm,
     local_roots,
     log_deriv_taylor_term,
     mertens_partial_sum,
@@ -62,7 +60,6 @@ from .large_sieve import (
     msq_integral,
     mvt_primes_lhs,
     mvt_report,
-    pre_large_sieve_lhs,
     prime_polynomial,
     zero_density_report,
 )
@@ -71,8 +68,6 @@ from .weights import (
     WeightParams,
     check_decay_right_halfplane,
     check_decay_shifted_line,
-    eps_flexi_li,
-    eps_flexi_pi,
     f_eval,
     laplace_F,
 )
@@ -86,8 +81,6 @@ from .zfr import (
     eta_classical_closed,
     eta_from_delta,
     eta_large_zfr_closed,
-    grid_eta_profile,
-    large_sieve_zfr,
     rational_eta_profile,
 )
 

@@ -5,9 +5,6 @@ Everything here is exact: Python integers throughout, no floating point.
 
 from __future__ import annotations
 
-import math
-from typing import Iterator
-
 from .errors import ParameterOutOfRange
 
 # Factoring cap for squarefree-part extraction; larger inputs are rejected
@@ -80,39 +77,6 @@ def squarefree_part(n: int) -> int:
     return sign * out
 
 
-def divisor_count_power(n: int, r: int) -> int:
-    """d_r(n): the Dirichlet coefficient of zeta(s)^r at n."""
-    out = 1
-    for _, e in factorize(n).items():
-        out *= math.comb(e + r - 1, r - 1)
-    return out
-
-
-def prime_power_decompose(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n = p^k, or None when n is not a prime power."""
-    if n < 2:
-        return None
-    fac = factorize(n)
-    if len(fac) != 1:
-        return None
-    (p, k), = fac.items()
-    return p, k
-
-
-def iter_prime_powers(primes, limit: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (n, p, k) with n = p^k <= limit, ascending in n."""
-    heap = [(int(p), int(p), 1) for p in primes if p <= limit]
-    heap.sort()
-    import heapq
-
-    heapq.heapify(heap)
-    while heap:
-        n, p, k = heapq.heappop(heap)
-        yield n, p, k
-        if n * p <= limit:
-            heapq.heappush(heap, (n * p, p, k + 1))
-
-
 # -- dense integer polynomials, coefficient lists with constant term first --
 
 
@@ -125,15 +89,6 @@ def poly_degree(f: list[int]) -> int:
 
 def poly_trim(f: list[int]) -> list[int]:
     return f[: poly_degree(f) + 1]
-
-
-def poly_mul(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
 
 
 def poly_derivative(f: list[int]) -> list[int]:

@@ -37,10 +37,9 @@ from .errors import (
     TruncationInsufficient,
 )
 from .fields import FieldDescriptor, check_index_divisors, frobenius_data, frobenius_table
-from .sieve import PrimeSieve, sieve_primes
+from .sieve import sieve_primes
 
 MAX_PRIME_POWER_TRUNCATION = 24
-TAIL_CERTIFICATE_BOUND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -220,51 +219,17 @@ def coeff_a_KxK_prime(fd1: FieldDescriptor, fd2: FieldDescriptor, p: int, j: int
     return _rs_homogeneous(a1.frobenius_order, a1.group_order, a2.frobenius_order, a2.group_order, j)
 
 
-def coeff_a_KxK(fd1: FieldDescriptor, fd2: FieldDescriptor, n: int) -> int:
-    """Multiplicative extension of the Rankin-Selberg prime-power coefficients."""
-    if n < 1:
-        raise ParameterOutOfRange("n must be >= 1")
-    if math.gcd(n, fd1.abs_disc * fd2.abs_disc) != 1:
-        raise NotCoprimeToDiscriminant(
-            f"n={n} shares a factor with D_K D_K' = {fd1.abs_disc * fd2.abs_disc}"
-        )
-    out = 1
-    for p, e in factorize(n).items():
-        out *= coeff_a_KxK_prime(fd1, fd2, p, e)
-    return out
-
-
 # -- von Mangoldt data ---------------------------------------------------------
 
 
-def lambda_exact(fd: FieldDescriptor, p: int, k: int) -> int:
-    """lambda_K(p^k) = sum of k-th powers of the local roots (exact integer)."""
-    return local_roots(fd, p).power_sum(k)
-
-
-def lambda_vm(fd: FieldDescriptor, n: int) -> float:
-    """lambda_K(n) Lambda(n): zero unless n = p^k with p unramified."""
-    if n < 2:
-        raise ParameterOutOfRange("n must be >= 2")
-    fac = factorize(n)
-    if len(fac) != 1:
-        return 0.0
-    (p, k), = fac.items()
-    if fd.is_ramified(p):
-        raise RamifiedPrime(f"{fd.name}: p={p} is ramified")
-    return lambda_exact(fd, p, k) * math.log(p)
-
-
-def _prime_powers(fd: FieldDescriptor, n_max: int, sieve: PrimeSieve | None):
+def _prime_powers(fd: FieldDescriptor, n_max: int):
     """(p^k, k, log p, lambda_K(p^k)) for the unramified prime powers p^k <= n_max,
     p ascending and then k ascending.
 
     The Frobenius orders come from the table of the primes up to n_max; an
     index divisor raises RamifiedPrime (``check_index_divisors``).
     """
-    if sieve is None or sieve.limit < n_max:
-        sieve = sieve_primes(n_max)
-    primes = sieve.upto(n_max)
+    primes = sieve_primes(n_max).upto(n_max)
     orders = frobenius_table(fd, primes).order
     check_index_divisors((fd,), primes, (orders,))
     g = fd.group.order
@@ -280,16 +245,14 @@ def _prime_powers(fd: FieldDescriptor, n_max: int, sieve: PrimeSieve | None):
             k += 1
 
 
-def mertens_partial_sum(
-    fd: FieldDescriptor, eta: float, n_max: int, sieve: PrimeSieve | None = None
-) -> float:
+def mertens_partial_sum(fd: FieldDescriptor, eta: float, n_max: int) -> float:
     """Partial sum of |lambda_K(n) Lambda(n)| / n^(1+eta) over unramified prime
     powers n <= n_max; bounded by m/eta."""
     if eta <= 0:
         raise ParameterOutOfRange("eta must be positive")
     if n_max < 100:
         raise ParameterOutOfRange("truncation must be at least 100")
-    terms = [abs(lam) * logp / pk ** (1.0 + eta) for pk, _, logp, lam in _prime_powers(fd, n_max, sieve)]
+    terms = [abs(lam) * logp / pk ** (1.0 + eta) for pk, _, logp, lam in _prime_powers(fd, n_max)]
     return math.fsum(terms)
 
 
@@ -312,7 +275,6 @@ def log_deriv_taylor_term(
     eta: float,
     tau: float = 0.0,
     n_max: int = 10**4,
-    sieve: PrimeSieve | None = None,
     tail_tol: float | None = None,
 ) -> TaylorTermValue:
     """(eta^(k+1)/k!) sum over unramified prime powers of
@@ -334,7 +296,7 @@ def log_deriv_taylor_term(
         )
     re_terms: list[float] = []
     im_terms: list[float] = []
-    for pk, kk, logp, lam in _prime_powers(fd, n_max, sieve):
+    for pk, kk, logp, lam in _prime_powers(fd, n_max):
         if lam != 0:
             logn = kk * logp
             amp = lam * logp * logn**k * pk ** (-(1.0 + eta))

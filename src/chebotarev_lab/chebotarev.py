@@ -415,7 +415,7 @@ def flexi_error_report(
     li_shape = ratio * x / lx * (
         math.exp(-eta_k / 8.0) * log_ed + math.exp(-eta_q / 8.0)
     ) + ratio * x**0.75 / lx
-    cert = is_admissible(fd.group, cls, strong_artin=fd.strong_artin)
+    cert = is_admissible(fd.group, cls)
     pi_shape = None
     pi_ratio = None
     if cert is not None:

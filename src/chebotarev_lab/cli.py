@@ -61,15 +61,21 @@ def _catalog_path(args) -> str | None:
     return args.catalog or os.environ.get(CATALOG_ENV)
 
 
-def _resolve_field(args, name: str) -> FieldDescriptor:
+def _resolve_fields(args, names: list[str]) -> tuple[FieldDescriptor, ...]:
+    """The descriptors of ``names``, from the built-ins and one read of the catalog.
+
+    A built-in wins over a catalog row of the same name, and a repeated name
+    yields the same descriptor, so its Frobenius table is built once.
+    """
     fields = list(BUILTIN_CATALOG.values())
     path = _catalog_path(args)
     if path:
         fields.extend(load_catalog(path))
-    for fd in fields:
-        if fd.name == name:
-            return fd
-    raise ValidationError(f"unknown field {name!r}; known: {sorted(f.name for f in fields)}")
+    by_name = {fd.name: fd for fd in reversed(fields)}  # the first of a name wins
+    for name in names:
+        if name not in by_name:
+            raise ValidationError(f"unknown field {name!r}; known: {sorted(f.name for f in fields)}")
+    return tuple(by_name[name] for name in names)
 
 
 def _finite_float(text: str) -> float:
@@ -141,12 +147,11 @@ def _parse_class(fd: FieldDescriptor, label: str):
 
 
 def cmd_coeffs(args) -> int:
-    fd = _resolve_field(args, args.field)
     if args.other_field:
-        series = series_a_KxK(fd, _resolve_field(args, args.other_field), args.n)
+        series = series_a_KxK(*_resolve_fields(args, [args.field, args.other_field]), args.n)
         header = ["n", "a_KxK"]
     else:
-        series = series_a_K(fd, args.n)
+        series = series_a_K(*_resolve_fields(args, [args.field]), args.n)
         header = ["n", "a_K"]
     rows = [[n, a] for n, a in series.coeffs.items()]
     if args.format == "json":
@@ -158,7 +163,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_splitting(args) -> int:
-    fd = _resolve_field(args, args.field)
+    (fd,) = _resolve_fields(args, [args.field])
     sieve = sieve_primes(max(args.limit, 2))
     primes = sieve.upto(args.limit)
     table = frobenius_table(fd, primes)
@@ -187,7 +192,7 @@ def cmd_splitting(args) -> int:
 
 def cmd_large_sieve(args) -> int:
     names = [s for s in args.fields.split(",") if s]
-    fields = tuple(_resolve_field(args, name) for name in names)
+    fields = _resolve_fields(args, names)
     window = FamilyWindow(fields=fields, q_bound=args.Q, t_height=args.T, y=args.y, u=args.u)
     family = Family(fields=fields, q_bound=args.Q, intersection_rule=args.rule)
     mult = intersection_multiplicity(family)
@@ -248,7 +253,7 @@ def cmd_eta(args) -> int:
 
 
 def cmd_chebotarev(args) -> int:
-    fd = _resolve_field(args, args.field)
+    (fd,) = _resolve_fields(args, [args.field])
     selector = _parse_class(fd, args.cls)
     limit = int(args.x * math.exp(0.25)) + 2 if args.weights_eps else int(args.x) + 1
     sieve = sieve_primes(max(limit, 100))

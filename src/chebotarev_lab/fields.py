@@ -69,7 +69,6 @@ class FieldDescriptor:
     group: FiniteGroup
     disc_field: int
     residue_action: CyclotomicAction | None = None
-    strong_artin: bool = False
     poly_disc: int = field(init=False, compare=False)
     _table_memo: _TableMemo | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -94,11 +93,6 @@ class FieldDescriptor:
     def degree(self) -> int:
         """Degree of the defining polynomial (the subfield k)."""
         return len(self.defining_poly) - 1
-
-    @property
-    def degree_closure(self) -> int:
-        """[K:Q] = |G|."""
-        return self.group.order
 
     @property
     def m(self) -> int:

@@ -34,16 +34,6 @@ def gf_monic(f: Poly, p: int) -> Poly:
     return [(c * inv) % p for c in f]
 
 
-def gf_add(f: Poly, g: Poly, p: int) -> Poly:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return gf_trim(out, p)
-
-
 def gf_sub(f: Poly, g: Poly, p: int) -> Poly:
     n = max(len(f), len(g))
     out = [0] * n

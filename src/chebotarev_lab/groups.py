@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -293,12 +292,3 @@ def build_group(name: str) -> FiniteGroup:
         if order % 2 == 0 and 4 <= order <= 12:
             return _dihedral(name, order // 2)
     raise UnknownGroup(f"group {name!r} is not in the catalog")
-
-
-def power_cycle_type(cycle_type: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Cycle type of sigma^k given the cycle type of sigma."""
-    out: list[int] = []
-    for length in cycle_type:
-        g = gcd(length, k)
-        out.extend([length // g] * g)
-    return tuple(sorted(out))

@@ -1,10 +1,10 @@
 """Exact large-sieve quantities: mean-value integrals of Dirichlet
-polynomials, the dual coefficient sums, and bound-shape reports.
+polynomials and bound-shape reports.
 
-The left-hand sides are computed exactly (nested sums) or to rounding
-(Gauss-Legendre quadrature of an entire integrand); the right-hand sides of
-the averaged inequalities carry implicit constants, so reports emit their
-shapes and empirical ratios without asserting anything.
+The left-hand sides are computed to rounding (Gauss-Legendre quadrature of
+an entire integrand); the right-hand sides of the averaged inequalities carry
+implicit constants, so reports emit their shapes and empirical ratios without
+asserting anything.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artin import coeff_a_K
 from .errors import LimitTooLarge, ParameterOutOfRange, ValidationError
 from .fields import FieldDescriptor, check_index_divisors, frobenius_table
 from .sieve import PrimeSieve
@@ -115,29 +114,6 @@ class FamilyWindow:
         return orders.pop() - 1
 
 
-def pre_large_sieve_lhs(window: FamilyWindow, b, x: float, t_height: float) -> float:
-    """sum over K of |sum over n in (x, x e^{1/T}], (n, D_K) = 1 of a_K(n) b(n)|^2.
-
-    ``b`` maps integers to complex numbers (callable or mapping).
-    """
-    if t_height <= 0 or x < 1:
-        raise ParameterOutOfRange("need T > 0 and x >= 1")
-    get = b.get if hasattr(b, "get") else lambda n, _default=0: b(n)
-    lo = x
-    hi = x * math.exp(1.0 / t_height)
-    ns = [n for n in range(int(math.floor(lo)) + 1, int(math.floor(hi)) + 1) if lo < n <= hi]
-    total = 0.0
-    for fd in window.fields:
-        acc = 0j
-        for n in ns:
-            coeff = get(n, 0)
-            if coeff == 0 or math.gcd(n, fd.abs_disc) != 1:
-                continue
-            acc += coeff_a_K(fd, n) * coeff
-        total += abs(acc) ** 2
-    return total
-
-
 def prime_polynomial(fd: FieldDescriptor, y: float, u: float, sieve: PrimeSieve) -> DirichletPolynomial:
     """c(p) = a_K(p) log p / p over the window y < p <= u, unramified p.
 
@@ -188,17 +164,8 @@ class BoundReport:
     ratio_log: float | None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
-    @property
-    def rhs_shape(self) -> float:
-        try:
-            return math.exp(self.rhs_shape_log)
-        except OverflowError:
-            return math.inf
 
-
-def zero_density_report(
-    window: FamilyWindow, sigma: float, multiplicity: int, lhs: float | None = None
-) -> BoundReport:
+def zero_density_report(window: FamilyWindow, sigma: float, multiplicity: int) -> BoundReport:
     """Shape m_F(Q) (QT)^{1e7 m^3 (1 - sigma)} (log QT)^{2 m^2} of the
     zero-density estimate; reported in log scale."""
     if not (0.5 <= sigma <= 1.0):
@@ -216,9 +183,9 @@ def zero_density_report(
     return BoundReport(
         kind="zero-density",
         params={"sigma": sigma, "Q": window.q_bound, "T": window.t_height, "m": m, "m_F": multiplicity},
-        lhs=lhs,
+        lhs=None,
         rhs_shape_log=rhs_log,
-        ratio_log=(math.log(lhs) - rhs_log) if lhs not in (None, 0.0) else None,
+        ratio_log=None,
         notes=notes,
     )
 

@@ -146,20 +146,3 @@ def check_decay_shifted_line(params: WeightParams, t: float) -> BoundCheck:
     lhs = abs(laplace_F(params, -s * lx))
     rhs = 5.0 * params.x ** (-0.25) / lx * (4.0 / params.eps) ** 2 / (0.25 + t * t)
     return BoundCheck(lhs=lhs, rhs=rhs)
-
-
-# -- the eps choices used by the prime-counting error analysis ----------------
-
-
-def eps_flexi_pi(x: float, eta_value: float) -> float:
-    """eps = x^{-1/4} + min(1/8, 8 e^{-eta(x)/4}) (admissible-class route)."""
-    return x ** (-0.25) + min(0.125, 8.0 * math.exp(-eta_value / 4.0))
-
-
-def eps_flexi_li(x: float, eta_field: float, eta_rational: float) -> float:
-    """Two-term variant used when no admissibility certificate is available."""
-    return (
-        x ** (-0.25)
-        + min(1.0 / 16.0, 8.0 * math.exp(-eta_field / 4.0))
-        + min(1.0 / 16.0, 8.0 * math.exp(-eta_rational / 4.0))
-    )

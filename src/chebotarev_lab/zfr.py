@@ -5,9 +5,9 @@ Delta is stored as a guaranteed lower bound on the zero-free width, clamped
 to [0, 1/2]; compositions take pointwise maxima.  All work happens in the
 log-height coordinate u = log t so that enormous heights never overflow.
 eta(x) = inf over the pieces of [Delta * log x + u].  Constant-width data
-keeps the height-3 domain floor (u >= log 3); the classical and large-sieve
-shapes use the relaxed floor u >= 0 that their closed-form optimizations
-assume, which only lowers the guaranteed bound.
+keeps the height-3 domain floor (u >= log 3); the classical shape uses the
+relaxed floor u >= 0 that its closed-form optimization assumes, which only
+lowers the guaranteed bound.
 """
 
 from __future__ import annotations
@@ -49,20 +49,8 @@ class ZfrData:
     pieces: tuple[ZfrPiece, ...]
     label: str = ""
 
-    def delta_at_logt(self, u: float) -> float:
-        best = 0.0
-        for piece in self.pieces:
-            if piece.u_lo <= u <= piece.u_hi:
-                best = max(best, float(piece.delta(u)))
-        return best
 
-    def delta_at(self, t: float) -> float:
-        if t <= 0:
-            raise ParameterOutOfRange("height t must be positive")
-        return self.delta_at_logt(math.log(t))
-
-
-def constant_zfr(value: float, label: str = "constant") -> ZfrData:
+def constant_zfr(value: float) -> ZfrData:
     """Delta identically equal to ``value`` on t >= 3 (clamped to [0, 1/2])."""
     piece = ZfrPiece(
         u_lo=U_MIN_HEIGHT3,
@@ -70,30 +58,20 @@ def constant_zfr(value: float, label: str = "constant") -> ZfrData:
         delta_fn=lambda u: np.full_like(np.asarray(u, dtype=float), value),
         provenance=f"constant width {value}",
     )
-    return ZfrData(pieces=(piece,), label=label)
+    return ZfrData(pieces=(piece,), label="constant")
 
 
-def classical_zfr(
-    d_e: int,
-    degree: int,
-    c1: float = DEFAULT_C1,
-    c_eps: float = DEFAULT_C_EPS,
-    eps: float | None = None,
-) -> ZfrData:
+def classical_zfr(d_e: int, degree: int, c1: float = DEFAULT_C1, c_eps: float = DEFAULT_C_EPS) -> ZfrData:
     """Classical region plus Stark's exceptional-zero bound for zeta_E.
 
     The classical piece Delta >= c1 / (log D_E + degree * u) lives on u >= 0;
-    the Stark piece Delta >= c(eps) D_E^{-eps} sits at u = 0 and carries the
-    at-most-one real simple exceptional zero caveat as provenance.
+    the Stark piece Delta >= c(eps) D_E^{-eps}, eps = 1/degree, sits at u = 0
+    and carries the at-most-one real simple exceptional zero caveat as
+    provenance.
     """
-    if d_e < 1:
-        raise ParameterOutOfRange("D_E must be >= 1")
-    if c1 <= 0 or c_eps <= 0:
-        raise ParameterOutOfRange("c1 and c(eps) must be positive")
-    if eps is None:
-        eps = 1.0 / degree
+    _check_classical_params(d_e, degree, c1, c_eps)
     log_d = math.log(d_e)
-    stark_width = c_eps * d_e ** (-eps)
+    stark_width = c_eps * d_e ** (-1.0 / degree)
     stark = ZfrPiece(
         u_lo=0.0,
         u_hi=0.0,
@@ -107,32 +85,6 @@ def classical_zfr(
         provenance="classical zero-free region",
     )
     return ZfrData(pieces=(stark, classical), label=f"classical(D={d_e}, n={degree})")
-
-
-def large_sieve_zfr(q: float, eps: float, m: int, c1: float = DEFAULT_C1) -> ZfrData:
-    """Dyadic zero-density region for non-exceptional fields of a family.
-
-    Delta >= 20 delta log Q / (log Q + u) up to u = Q^{eps/2}, then the
-    classical shape with conductor bound Q^2 and degree m+1.
-    """
-    _check_large_params(q, eps, m)
-    delta20 = 20.0 * eps / (1e9 * m**3)
-    log_q = math.log(q)
-    u_split = q ** (eps / 2.0)
-    density = ZfrPiece(
-        u_lo=0.0,
-        u_hi=u_split,
-        delta_fn=lambda u, lq=log_q, d=delta20: d * lq / (lq + np.asarray(u, dtype=float)),
-        provenance="zero-density dyadic region",
-    )
-    n_deg = m + 1
-    classical = ZfrPiece(
-        u_lo=u_split,
-        u_hi=math.inf,
-        delta_fn=lambda u, lq=log_q, n=n_deg, c=c1: c / (2 * lq + n * np.asarray(u, dtype=float)),
-        provenance="classical region with D_K <= Q",
-    )
-    return ZfrData(pieces=(density, classical), label=f"large-sieve(Q={q}, eps={eps}, m={m})")
 
 
 def eta_from_delta(zfr: ZfrData, x: float, grid_points: int = 10_000) -> float:
@@ -177,34 +129,33 @@ def eta_from_delta(zfr: ZfrData, x: float, grid_points: int = 10_000) -> float:
 # -- closed-form optimizations -------------------------------------------------
 
 
+def _check_classical_params(d_e: int, degree: int, c1: float, c_eps: float) -> None:
+    if d_e < 1:
+        raise ParameterOutOfRange("D_E must be >= 1")
+    if degree < 1:
+        raise ParameterOutOfRange("degree must be >= 1")
+    if c1 <= 0 or c_eps <= 0:
+        raise ParameterOutOfRange("c1 and c(eps) must be positive")
+
+
 def _classical_objective(u: float, log_d: float, degree: int, c1: float, lx: float) -> float:
     width = min(0.5, c1 / (log_d + degree * u)) if (log_d + degree * u) > 0 else 0.5
     return width * lx + u
 
 
-def eta_classical_closed(
-    d_e: int,
-    degree: int,
-    c1: float,
-    x: float,
-    c_eps: float = DEFAULT_C_EPS,
-    eps: float | None = None,
-) -> float:
+def eta_classical_closed(d_e: int, degree: int, c1: float, x: float, c_eps: float = DEFAULT_C_EPS) -> float:
     """Closed form for eta of the classical-plus-Stark data.
 
-    Stark branch: min(1/2, c(eps) D_E^{-eps}) log x.  Classical branch: the
-    convex objective c1 log x/(log D_E + n u) + u evaluated at the clamped
-    minimizer u* = max(0, sqrt(c1 log x / n) - log D_E / n).
+    Stark branch: min(1/2, c(eps) D_E^{-eps}) log x with eps = 1/degree.
+    Classical branch: the convex objective c1 log x/(log D_E + n u) + u
+    evaluated at the clamped minimizer u* = max(0, sqrt(c1 log x / n) - log D_E / n).
     """
     if x < 3:
         raise ParameterOutOfRange("x must be >= 3")
-    if d_e < 1:
-        raise ParameterOutOfRange("D_E must be >= 1")
-    if eps is None:
-        eps = 1.0 / degree
+    _check_classical_params(d_e, degree, c1, c_eps)
     lx = math.log(x)
     log_d = math.log(d_e)
-    stark = min(0.5, c_eps * d_e ** (-eps)) * lx
+    stark = min(0.5, c_eps * d_e ** (-1.0 / degree)) * lx
     u_star = max(0.0, math.sqrt(c1 * lx / degree) - log_d / degree)
     candidates = [0.0, u_star]
     # boundary where the 1/2 clamp activates, when it lies in range
@@ -234,10 +185,6 @@ class LargeZfrEta:
     three_term_bound: float
     delta20: float
 
-    @property
-    def exp_neg_eta(self) -> float:
-        return math.exp(-self.eta)
-
 
 def eta_large_zfr_closed(
     q: float, eps: float, m: int, x: float, c1: float = DEFAULT_C1
@@ -252,6 +199,8 @@ def eta_large_zfr_closed(
     _check_large_params(q, eps, m)
     if x < 3:
         raise ParameterOutOfRange("x must be >= 3")
+    if c1 <= 0:
+        raise ParameterOutOfRange("c1 must be positive")
     n_deg = m + 1
     delta = eps / (1e9 * m**3)
     lq = math.log(q)
@@ -306,30 +255,20 @@ class EtaProfile:
         return float(self.eta_fn(x))
 
 
-def classical_eta_profile(
-    d_e: int, degree: int, c1: float = DEFAULT_C1, c_eps: float = DEFAULT_C_EPS
-) -> EtaProfile:
+def classical_eta_profile(d_e: int, degree: int) -> EtaProfile:
     return EtaProfile(
         label=f"classical(D={d_e}, n={degree})",
         method="closed-form",
-        eta_fn=lambda x: eta_classical_closed(d_e, degree, c1, x, c_eps),
+        eta_fn=lambda x: eta_classical_closed(d_e, degree, DEFAULT_C1, x),
     )
 
 
-def rational_eta_profile(c1: float = DEFAULT_C1, c_eps: float = DEFAULT_C_EPS) -> EtaProfile:
+def rational_eta_profile() -> EtaProfile:
     """eta for the Riemann zeta function itself: classical data with D=1, n=1."""
     return EtaProfile(
         label="zeta",
         method="closed-form",
-        eta_fn=lambda x: eta_classical_closed(1, 1, c1, x, c_eps),
-    )
-
-
-def grid_eta_profile(zfr: ZfrData, grid_points: int = 10_000) -> EtaProfile:
-    return EtaProfile(
-        label=zfr.label or "grid",
-        method="grid",
-        eta_fn=lambda x: eta_from_delta(zfr, x, grid_points=grid_points),
+        eta_fn=lambda x: eta_classical_closed(1, 1, DEFAULT_C1, x),
     )
 
 

@@ -1,0 +1,59 @@
+"""Every public top-level name of the package is used by the package, the demos
+or the benchmark, not only by tests.
+
+A public function, class or constant of a module other than ``oracles`` must
+be named, as a whole word, somewhere outside its own definition: elsewhere in
+the package, in a demo, or in ``perfbench``.  Re-exports in ``__init__`` do
+not count, nor do tests.  The check reads source text and imports nothing.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chebotarev_lab"
+EXEMPT_MODULES = {"__init__.py", "oracles.py"}  # only re-exports; references for the tests
+EXEMPT_NAMES = {"__version__"}
+
+
+def _sources() -> list[Path]:
+    """The package modules but ``__init__``, the demos, and the benchmark outside its tests."""
+    files = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    for folder in ("demos", "perfbench"):
+        files.extend(sorted((ROOT / folder).glob("*.py")))
+    return files
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) of each public top-level definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_") and name not in EXEMPT_NAMES:
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_public_name_has_a_non_test_reference():
+    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in _sources()}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in EXEMPT_MODULES:
+            continue
+        for name, first, last in _definitions(ast.parse("\n".join(lines[path]))):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(
+                word.search(text)
+                for other, texts in lines.items()
+                for number, text in enumerate(texts, start=1)
+                if other != path or not first <= number <= last
+            ):
+                unused.append(f"{path.stem}.{name}")
+    assert not unused, f"public names used only by tests or not at all: {unused}"

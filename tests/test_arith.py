@@ -1,17 +1,12 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebotarev_lab.arith import (
-    divisor_count_power,
     factorize,
     int_det,
-    iter_prime_powers,
     kronecker_symbol,
     poly_discriminant,
-    prime_power_decompose,
     squarefree_part,
 )
 from chebotarev_lab.errors import ParameterOutOfRange
@@ -47,24 +42,8 @@ def test_factorize_and_squarefree():
     assert squarefree_part(8) == 2
     assert squarefree_part(-12) == -3
     assert squarefree_part(1) == 1
-    assert prime_power_decompose(125) == (5, 3)
-    assert prime_power_decompose(12) is None
     with pytest.raises(ParameterOutOfRange):
         factorize(10**13)
-
-
-def test_divisor_count_power():
-    # d_1(n) = 1; d_2 is the divisor function
-    assert divisor_count_power(60, 1) == 1
-    assert divisor_count_power(12, 2) == 6
-    assert divisor_count_power(8, 3) == math.comb(3 + 3 - 1, 3 - 1)
-
-
-def test_iter_prime_powers():
-    got = list(iter_prime_powers([2, 3, 5], 30))
-    ns = [n for n, _, _ in got]
-    assert ns == sorted(ns)
-    assert (27, 3, 3) in got and (16, 2, 4) in got and (25, 5, 2) in got
 
 
 def test_poly_discriminant_values():

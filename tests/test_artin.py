@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebotarev_lab.arith import divisor_count_power, kronecker_symbol
+from chebotarev_lab.arith import factorize, kronecker_symbol
 from chebotarev_lab.artin import (
     LocalRootMultiset,
     Partition,
     coeff_a_K,
-    coeff_a_KxK,
     coeff_a_KxK_prime,
     euler_factor_series,
-    lambda_vm,
     local_roots,
     log_deriv_taylor_term,
     mertens_partial_sum,
@@ -171,7 +169,12 @@ def test_series_match_per_n_coefficients(catalog):
         assert series_a_K(fd, n_max).coeffs == want, name
     for a, b in (("s3cubic", "zeta7"), ("sqrt5", "zeta7"), ("gaussian", "zeta5"), ("cyclo7plus", "cyclo7plus")):
         f1, f2 = catalog[a], catalog[b]
-        want = {n: coeff_a_KxK(f1, f2, n) for n in range(1, 701) if math.gcd(n, f1.abs_disc * f2.abs_disc) == 1}
+        want = {}
+        for n in range(1, 701):
+            if math.gcd(n, f1.abs_disc * f2.abs_disc) == 1:
+                want[n] = 1
+                for p, e in factorize(n).items():
+                    want[n] *= coeff_a_KxK_prime(f1, f2, p, e)
         assert series_a_KxK(f1, f2, 700).coeffs == want, (a, b)
     assert series_a_K(catalog["gaussian"], 0).coeffs == {}
     assert series_a_K(catalog["gaussian"], 1).coeffs == {1: 1}
@@ -196,25 +199,19 @@ def test_series_index_divisor_is_ramified(catalog):
 
 def test_a_KxK_multiplicative_and_bounded(catalog):
     g, z5 = catalog["gaussian"], catalog["zeta5"]
-    v3 = coeff_a_KxK(g, z5, 3)
-    v7 = coeff_a_KxK(g, z5, 7)
-    assert coeff_a_KxK(g, z5, 21) == v3 * v7
-    assert coeff_a_KxK(g, z5, 1) == 1
+    g_z5 = series_a_KxK(g, z5, 21).coeffs
+    assert g_z5[21] == g_z5[3] * g_z5[7]
+    assert g_z5[1] == 1
     # |a_{KxK'}(n)| <= d_{m^2}(n), the coefficient of zeta^{m^2}
+    r = z5.m**2
+    z5_z5 = series_a_KxK(z5, z5, 63).coeffs
     for n in (3, 7, 9, 21, 49, 63):
-        assert abs(coeff_a_KxK(z5, z5, n)) <= divisor_count_power(n, z5.m**2)
+        d_r = math.prod(math.comb(e + r - 1, r - 1) for e in factorize(n).values())
+        assert abs(z5_z5[n]) <= d_r
     # m = 1: d_1(n) = 1 bounds everything
+    g_g = series_a_KxK(g, g, 77).coeffs
     for n in (3, 7, 11, 21, 33, 77):
-        assert abs(coeff_a_KxK(g, g, n)) <= 1
-
-
-def test_lambda_examples(catalog):
-    g = catalog["gaussian"]
-    assert lambda_vm(g, 6) == 0.0
-    assert lambda_vm(g, 3) == pytest.approx(-math.log(3))
-    assert lambda_vm(g, 9) == pytest.approx(math.log(3))
-    with pytest.raises(RamifiedPrime):
-        lambda_vm(g, 4)
+        assert abs(g_g[n]) <= 1
 
 
 def test_mertens_bound_all_fields(catalog):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chebotarev_lab import fields
 from chebotarev_lab.arith import factorize
 from chebotarev_lab.cli import main
 from chebotarev_lab.fields import builtin_field
@@ -180,6 +181,53 @@ def test_non_finite_and_malformed_floats_rejected(args, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"]["code"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eta", "--degree", "0"],
+        ["eta", "--degree", "-2"],
+        ["eta", "--c1", "-1"],
+        ["eta", "--c1", "0"],
+        ["eta", "--c-eps", "-1"],
+        ["eta", "--Q", "100", "--c1", "-1"],
+    ],
+)
+def test_eta_constants_out_of_range(args, capsys):
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["code"] == "ParameterOutOfRange"
+
+
+@pytest.mark.parametrize(
+    "args, parses, memos",
+    [
+        (["large-sieve", "--catalog", CATALOG, "--fields", "quad(-3),quad(5),quad(-3)"], 1, 2),
+        (["coeffs", "--catalog", CATALOG, "--field", "quad(5)", "--other-field", "quad(5)"], 1, 1),
+        (["family", "--catalog", CATALOG], 1, 20),
+    ],
+)
+def test_catalog_parsed_once_per_invocation(args, parses, memos, monkeypatch, capsys):
+    # a repeated name resolves to one descriptor, so one Frobenius-table memo
+    counts = {"parses": 0, "memos": 0}
+    parse_catalog = fields.parse_catalog
+
+    def counting_parse(*a, **kw):
+        counts["parses"] += 1
+        return parse_catalog(*a, **kw)
+
+    class CountingMemo(fields._TableMemo):
+        def __init__(self, fd):
+            counts["memos"] += 1
+            super().__init__(fd)
+
+    monkeypatch.setattr(fields, "parse_catalog", counting_parse)
+    monkeypatch.setattr(fields, "_TableMemo", CountingMemo)
+    assert main(args) == 0
+    assert (counts["parses"], counts["memos"]) == (parses, memos)
 
 
 def test_computation_exit_code(tmp_path):

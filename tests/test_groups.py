@@ -7,7 +7,6 @@ from chebotarev_lab.groups import (
     build_group,
     perm_compose,
     perm_cycle_type,
-    power_cycle_type,
 )
 
 CATALOG_NAMES = [
@@ -107,10 +106,7 @@ def test_abelian_subgroups_a4_contains_v4():
     assert g.is_normal(v4[0])
 
 
-def test_power_cycle_type():
-    assert power_cycle_type((5,), 2) == (5,)
-    assert power_cycle_type((4,), 2) == (2, 2)
-    assert power_cycle_type((2, 3), 3) == (1, 1, 1, 2)
+def test_perm_cycle_type():
     assert perm_cycle_type((1, 2, 0, 4, 3)) == (2, 3)
 
 

@@ -14,7 +14,6 @@ from chebotarev_lab.large_sieve import (
     msq_integral,
     mvt_primes_lhs,
     mvt_report,
-    pre_large_sieve_lhs,
     prime_polynomial,
     zero_density_report,
 )
@@ -113,34 +112,6 @@ def test_msq_conjugation_symmetry():
     a = msq_integral(DirichletPolynomial(terms), 3.0)
     b = msq_integral(DirichletPolynomial(conj), 3.0)
     assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_pre_large_sieve_examples(sieve_small):
-    window = FamilyWindow(fields=tuple(QUADS), q_bound=60.0, t_height=1.0)
-    assert pre_large_sieve_lhs(window, {}, 100.0, 1.0) == 0.0
-    # single field, single n, b(n) = 1 -> a_K(n)^2
-    one = FamilyWindow(fields=(QUADS[0],), q_bound=10.0)
-    val = pre_large_sieve_lhs(one, {101: 1.0}, 100.9, 100.0)
-    assert val == pytest.approx(coeff_a_K(QUADS[0], 101) ** 2)
-    # ten quadratic fields, b = 1 on primes in (100, 100 e]: nested-loop oracle
-    primes = [n for n in range(101, 272) if all(n % d for d in range(2, int(n**0.5) + 1))]
-    b = {p: 1.0 for p in primes}
-    got = pre_large_sieve_lhs(window, b, 100.0, 1.0)
-    oracle = 0.0
-    for fd in QUADS:
-        inner = sum(coeff_a_K(fd, p) for p in primes if p <= 100 * math.e and math.gcd(p, fd.abs_disc) == 1)
-        oracle += inner**2
-    assert got == pytest.approx(oracle, abs=1e-9)
-
-
-def test_pre_large_sieve_monotone_in_family(sieve_small):
-    primes = [n for n in range(101, 272) if all(n % d for d in range(2, int(n**0.5) + 1))]
-    b = {p: 1.0 for p in primes}
-    values = []
-    for k in range(1, len(QUADS) + 1):
-        window = FamilyWindow(fields=tuple(QUADS[:k]), q_bound=60.0)
-        values.append(pre_large_sieve_lhs(window, b, 100.0, 1.0))
-    assert all(later >= earlier - 1e-12 for earlier, later in zip(values, values[1:]))
 
 
 def test_mvt_primes(sieve_small, catalog):

@@ -10,8 +10,6 @@ from chebotarev_lab.weights import (
     WeightParams,
     check_decay_right_halfplane,
     check_decay_shifted_line,
-    eps_flexi_li,
-    eps_flexi_pi,
     f_eval,
     laplace_F,
 )
@@ -160,13 +158,3 @@ def test_decay_shifted_line():
     assert big.passed and big.rhs / max(big.lhs, 1e-300) >= 2.0
     for t in np.arange(-1000.0, 1000.0, 0.1):
         assert check_decay_shifted_line(params, float(t)).passed
-
-
-def test_eps_presets():
-    # eta = 10: 8 e^{-2.5} > 1/8, so the min saturates at 1/8
-    assert eps_flexi_pi(10**4, 10.0) == pytest.approx(0.225)
-    # large eta: the exponential branch wins
-    assert eps_flexi_pi(10**4, 40.0) == pytest.approx(0.1 + 8 * math.exp(-10.0))
-    assert eps_flexi_li(10**4, 40.0, 40.0) < 0.25
-    # saturated branch
-    assert eps_flexi_pi(10**6, 0.0) == pytest.approx(10 ** (-1.5) + 0.125)

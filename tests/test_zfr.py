@@ -16,8 +16,6 @@ from chebotarev_lab.zfr import (
     eta_classical_closed,
     eta_from_delta,
     eta_large_zfr_closed,
-    grid_eta_profile,
-    large_sieve_zfr,
     rational_eta_profile,
 )
 
@@ -65,11 +63,14 @@ def test_closed_vs_grid_oracles_random():
         closed = eta_classical_closed(d_e, degree, c1, x, DEFAULT_C_EPS)
         grid = grid_eta_classical(d_e, degree, c1, x, DEFAULT_C_EPS)
         assert abs(closed - grid) / abs(grid) < 1e-5
+    large_points = [(1000.0, 0.2, 2, 1e9)]
     for _ in range(40):
         q = float(rng.uniform(2.0, 10**6))
         eps = float(rng.uniform(0.02, 0.98))
         m = int(rng.integers(1, 8))
         x = float(rng.uniform(3.0, 1e15))
+        large_points.append((q, eps, m, x))
+    for q, eps, m, x in large_points:
         closed = eta_large_zfr_closed(q, eps, m, x).eta
         grid = grid_eta_large(q, eps, m, x, DEFAULT_C1)
         assert abs(closed - grid) / abs(grid) < 1e-5
@@ -107,20 +108,13 @@ def test_large_zfr_structure():
         eta_large_zfr_closed(10.0, 1.5, 1, 10**6)
 
 
-def test_large_zfr_data_vs_closed():
-    # the piecewise data built from the same region reproduces the closed form
-    for (q, eps, m, x) in ((50.0, 0.5, 1, 10**6), (1000.0, 0.2, 2, 10**9)):
-        closed = eta_large_zfr_closed(q, eps, m, x).eta
-        grid = eta_from_delta(large_sieve_zfr(q, eps, m), x, grid_points=40000)
-        assert closed == pytest.approx(grid, rel=1e-5)
-
-
 def test_eta_monotone_and_halving():
     # eta nondecreasing in x; eta(sqrt x) >= eta(x)/2
+    zfr = classical_zfr(4, 2)
     profiles = [
         classical_eta_profile(229, 2),
         rational_eta_profile(),
-        grid_eta_profile(classical_zfr(4, 2)),
+        EtaProfile(label=zfr.label, method="grid", eta_fn=lambda x: eta_from_delta(zfr, x)),
     ]
     xs = np.geomspace(9.0, 1e12, 40)
     for profile in profiles:
