@@ -13,15 +13,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import AmbiguousClass, DomainTooSmall, ParameterOutOfRange, UnsupportedSubgroupAction
+from .errors import (
+    AmbiguousClass,
+    DomainTooSmall,
+    ParameterOutOfRange,
+    SieveRangeExceeded,
+    UnsupportedSubgroupAction,
+)
 from .fields import RAMIFIED, UNRESOLVED, FieldDescriptor, frobenius_table
 from .groups import ConjugacyClass, FiniteGroup
 from .sieve import PrimeSieve
 from .weights import WeightParams, f_eval
-from .zfr import EtaProfile
+
+if TYPE_CHECKING:  # only flexi_error_report's annotations name it; counting needs no zfr
+    from .zfr import EtaProfile
 
 
 def pi_count(x: float, sieve: PrimeSieve) -> int:
@@ -186,8 +195,6 @@ def psi_weighted_items(
     lx = params.log_x
     n_hi = x * math.exp(params.eps)  # supp f ends at 1 + eps/log x
     if n_hi > sieve.limit:
-        from .errors import SieveRangeExceeded
-
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
     primes = sieve.upto(n_hi)
     table = frobenius_table(fd, primes)

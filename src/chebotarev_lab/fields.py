@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import kronecker_symbol, poly_discriminant
+from .arith import kronecker_symbol, poly_discriminant, squarefree_part
 from .errors import CatalogError, LimitTooLarge, RamifiedPrime, ValidationError
 from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group
@@ -497,8 +497,6 @@ def quadratic_field(d: int) -> FieldDescriptor:
     Uses x^2 - d (disc 4d) or x^2 - x - (d-1)/4 (disc d) so that the
     polynomial discriminant equals the field discriminant.
     """
-    from .arith import squarefree_part
-
     if d in (0, 1) or squarefree_part(d) != d:
         raise ValidationError(f"d={d} must be squarefree and different from 0, 1")
     if d % 4 == 1:

@@ -23,28 +23,50 @@ from .weights import WeightParams, f_eval
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 60) -> float:
-    """Recursive adaptive Simpson integration of a real integrand."""
+    """Adaptive Simpson integration of a real integrand, breadth first.
 
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
+    ``f`` maps an array of points to the array of its values.  Each level
+    bisects every open interval and evaluates the new points of all of them in
+    one call of ``f``.  An interval with whole estimate W and half estimates
+    L, R closes when |L + R - W| <= 15 eps, or at the depth cap, with the value
+    L + R + (L + R - W) / 15; eps halves from one level to the next.  The
+    closed values are then added up the bisection tree, left child plus right
+    child, so the result is the recursive formulation's to the last bit.
+    """
+
+    def simpson(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
-    def rec(lo, hi, flo, fmid, fhi, whole, eps, depth):
+    def children(left_half, right_half, keep):
+        # the two halves of each kept interval, side by side: left, right, left, right, ...
+        return np.stack([left_half[keep], right_half[keep]], axis=1).ravel()
+
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    ends = np.asarray(f(np.array([a, 0.5 * (a + b), b])), dtype=float)
+    flo, fmid, fhi = ends[0:1], ends[1:2], ends[2:3]
+    whole = simpson(lo, hi, flo, fmid, fhi)
+    eps = tol
+    levels = []  # per level: the closed value of each interval, and which ones stayed open
+    for depth in range(max_depth, -1, -1):
         mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = f(lm)
-        frm = f(rm)
+        new = np.asarray(f(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])), dtype=float)
+        flm, frm = new[: lo.size], new[lo.size :]
         left = simpson(lo, mid, flo, flm, fmid)
         right = simpson(mid, hi, fmid, frm, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return rec(lo, mid, flo, flm, fmid, left, eps / 2.0, depth - 1) + rec(
-            mid, hi, fmid, frm, fhi, right, eps / 2.0, depth - 1
-        )
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return rec(a, b, fa, fm, fb, whole, tol, max_depth)
+        delta = left + right - whole
+        keep = ~(np.abs(delta) <= 15.0 * eps) if depth > 0 else np.zeros(lo.size, dtype=bool)
+        levels.append((left + right + delta / 15.0, keep))
+        if not keep.any():
+            break
+        lo, hi = children(lo, mid, keep), children(mid, hi, keep)
+        flo, fmid, fhi = children(flo, fmid, keep), children(flm, frm, keep), children(fmid, fhi, keep)
+        whole = children(left, right, keep)
+        eps = eps / 2.0
+    below = np.empty(0)
+    for value, keep in reversed(levels):
+        value[keep] = below[0::2] + below[1::2]
+        below = value
+    return float(below[0])
 
 
 def msq_integral_quadrature(poly: DirichletPolynomial, t_height: float, tol: float = 1e-10) -> float:
@@ -55,8 +77,11 @@ def msq_integral_quadrature(poly: DirichletPolynomial, t_height: float, tol: flo
     coeffs = np.array([poly.terms[n] for n in ns])
     logs = np.log(np.array(ns, dtype=float))
 
-    def integrand(t: float) -> float:
-        return abs(np.sum(coeffs * np.exp(-1j * t * logs))) ** 2
+    def integrand(t: np.ndarray) -> np.ndarray:
+        total = np.sum(coeffs * np.exp(-1j * t[:, None] * logs), axis=1)
+        # hypot and pow, as abs() and ** 2 compute them on one numpy scalar: the
+        # array forms np.abs and ** 2 differ in the last bit at some points
+        return np.float_power(np.hypot(total.real, total.imag), 2.0)
 
     return adaptive_simpson(integrand, -t_height, t_height, tol=tol)
 

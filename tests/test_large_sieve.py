@@ -17,7 +17,12 @@ from chebotarev_lab.large_sieve import (
     prime_polynomial,
     zero_density_report,
 )
-from chebotarev_lab.oracles import gallagher_window_integral, msq_integral_pairwise, msq_integral_quadrature
+from chebotarev_lab.oracles import (
+    adaptive_simpson,
+    gallagher_window_integral,
+    msq_integral_pairwise,
+    msq_integral_quadrature,
+)
 from chebotarev_lab.sieve import sieve_primes
 
 QUADS = [quadratic_field(d) for d in (-1, 2, 3, 5, -2, -3, 7, -7, 11, 13)]
@@ -50,6 +55,47 @@ def test_msq_against_quadrature_random():
             assert value == pytest.approx(quad, abs=1e-8)
             assert value == pytest.approx(msq_integral_pairwise(poly, t_height), rel=1e-12)
             assert value >= -1e-12
+
+
+def recursive_simpson(f, a, b, tol=1e-10, max_depth=60):
+    """Adaptive Simpson one interval at a time, on a scalar integrand: the
+    reference for the breadth-first oracle."""
+
+    def rec(lo, hi, flo, fmid, fhi, whole, eps, depth):
+        mid = 0.5 * (lo + hi)
+        flm, frm = f(0.5 * (lo + mid)), f(0.5 * (mid + hi))
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return rec(lo, mid, flo, flm, fmid, left, eps / 2.0, depth - 1) + rec(
+            mid, hi, fmid, frm, fhi, right, eps / 2.0, depth - 1
+        )
+
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    return rec(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, max_depth)
+
+
+def test_adaptive_simpson_matches_recursive_reference():
+    # a sharp peak refines near 0 only; the depth cap closes every interval at once
+    assert adaptive_simpson(lambda t: 1.0 / (1.0 + 400.0 * t * t), -1.0, 2.0) == recursive_simpson(
+        lambda t: 1.0 / (1.0 + 400.0 * t * t), -1.0, 2.0
+    )
+    assert adaptive_simpson(lambda t: t**4, 0.0, 1.0, tol=1e-300, max_depth=6) == recursive_simpson(
+        lambda t: t**4, 0.0, 1.0, tol=1e-300, max_depth=6
+    )
+    # at this seed, np.abs(...) ** 2 for the array integrand moves two of the six values in the last bit
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        ns = rng.choice(np.arange(2, 400), size=30, replace=False)
+        poly = DirichletPolynomial({int(n): complex(rng.normal(), rng.normal()) for n in ns})
+        coeffs = np.array([poly.terms[n] for n in poly.support])
+        logs = np.log(np.array(poly.support, dtype=float))
+        for t_height in (0.5, 1.0, 10.0):
+            reference = recursive_simpson(
+                lambda t: abs(np.sum(coeffs * np.exp(-1j * t * logs))) ** 2, -t_height, t_height
+            )
+            assert msq_integral_quadrature(poly, t_height) == reference
 
 
 def test_msq_prime_polynomial_against_pairwise(catalog):
