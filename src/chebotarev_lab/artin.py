@@ -80,12 +80,6 @@ class LocalRootMultiset:
         """Complete homogeneous symmetric value h_k at the multiset (exact)."""
         return _homogeneous(self.frobenius_order, self.group_order, k)
 
-    def power_sum(self, k: int) -> int:
-        """p_k at the multiset: |G| when d | k, minus the removed root's 1^k."""
-        if k == 0:
-            return self.size
-        return _power_sum(self.frobenius_order, self.group_order, k)
-
 
 def _power_sum(d: int, group_order: int, k: int) -> int:
     # p_k (k >= 1) of the d-th roots of unity with multiplicity |G|/d, one 1 removed
@@ -229,8 +223,9 @@ def _prime_powers(fd: FieldDescriptor, n_max: int):
     The Frobenius orders come from the table of the primes up to n_max; an
     index divisor raises RamifiedPrime (``check_index_divisors``).
     """
-    primes = sieve_primes(n_max).upto(n_max)
-    orders = frobenius_table(fd, primes).order
+    sieve = sieve_primes(n_max)
+    primes = sieve.upto(n_max)
+    orders = frobenius_table(fd, sieve, n_max).order
     check_index_divisors((fd,), primes, (orders,))
     g = fd.group.order
     for p, d in zip(primes.tolist(), orders.tolist()):
@@ -329,15 +324,6 @@ class CoefficientSeries:
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
-    def check_multiplicative(self) -> bool:
-        for n in self.coeffs:
-            for q in self.coeffs:
-                if n * q > self.truncation or math.gcd(n, q) != 1:
-                    continue
-                if self.coeffs[n * q] != self.coeffs[n] * self.coeffs[q]:
-                    return False
-        return True
-
 
 def series_a_K(fd: FieldDescriptor, n_max: int) -> CoefficientSeries:
     """a_K(n) for every n <= n_max coprime to D_K."""
@@ -363,8 +349,9 @@ def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_p
     """
     if n_max < 1:
         return CoefficientSeries(coeffs={}, truncation=n_max)
-    primes = sieve_primes(max(n_max, 2)).upto(n_max)
-    orders = tuple(frobenius_table(fd, primes).order for fd in fds)
+    sieve = sieve_primes(max(n_max, 2))
+    primes = sieve.upto(n_max)
+    orders = tuple(frobenius_table(fd, sieve, n_max).order for fd in fds)
     check_index_divisors(fds, primes, orders)
     key = [None] * (n_max + 1)  # the orders at each prime coprime to every D_K
     for p, d in zip(primes.tolist(), zip(*(order.tolist() for order in orders))):

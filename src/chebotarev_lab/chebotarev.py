@@ -64,7 +64,7 @@ class SplittingTally:
 
 def splitting_tally(fd: FieldDescriptor, x: float, sieve: PrimeSieve) -> SplittingTally:
     """Classify every prime p <= x and count each class."""
-    table = frobenius_table(fd, sieve.upto(x))
+    table = frobenius_table(fd, sieve, x)
     classes = fd.group.classes
     counts = np.bincount(table.cls[table.cls >= 0], minlength=len(classes))
     return SplittingTally(
@@ -95,7 +95,7 @@ def pi_C_count(
     """
     group = fd.group
     primes = sieve.upto(x)
-    table = frobenius_table(fd, primes)
+    table = frobenius_table(fd, sieve, x)
     if isinstance(selector, ConjugacyClass):
         size = selector.size
         p = _first_unresolved(primes, (table.cls == UNRESOLVED) & (table.order == selector.order))
@@ -197,7 +197,7 @@ def psi_weighted_items(
     if n_hi > sieve.limit:
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
     primes = sieve.upto(n_hi)
-    table = frobenius_table(fd, primes)
+    table = frobenius_table(fd, sieve, n_hi)
     p = _first_unresolved(primes, table.cls == UNRESOLVED)
     if p is not None:
         raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
@@ -356,7 +356,7 @@ def base_change_compare(
     c_h = frozenset(group.conj(g0, hh) for hh in h)
     orbits = _coset_orbit_table(group, h, c_h)
     primes = sieve.upto(x)
-    table = frobenius_table(fd, primes)
+    table = frobenius_table(fd, sieve, x)
     p = _first_unresolved(primes, table.cls == UNRESOLVED)
     if p is not None:
         raise UnsupportedSubgroupAction(f"{fd.name}: class not resolvable at p={p}")

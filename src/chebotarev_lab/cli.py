@@ -141,7 +141,7 @@ def cmd_splitting(args) -> int:
     (fd,) = _resolve_fields(args, [args.field])
     sieve = sieve_primes(max(args.limit, 2))
     primes = sieve.upto(args.limit)
-    table = frobenius_table(fd, primes)
+    table = frobenius_table(fd, sieve, args.limit)
     labels = [c.label for c in fd.group.classes]
     types = ["+".join(str(d) for d in ftype) for ftype in table.types]
     rows = []

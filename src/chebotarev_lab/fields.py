@@ -8,8 +8,8 @@ class is resolved exactly through the residue of p modulo the conductor
 (Frobenius acts on roots of unity by zeta -> zeta^p, and on a quadratic field
 through the Kronecker character chi_D, a character mod |D|).
 
-``frobenius_data`` classifies one prime; ``frobenius_table`` classifies an
-ascending prime array at once and agrees with it prime by prime.
+``frobenius_data`` classifies one prime; ``frobenius_table`` classifies the
+primes of a sieve up to x at once and agrees with it prime by prime.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .arith import kronecker_symbol, poly_discriminant, squarefree_part
 from .errors import CatalogError, LimitTooLarge, RamifiedPrime, ValidationError
 from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group
+from .sieve import PrimeSieve
 
 RAMIFIED = -1  # class index of a ramified prime in a FrobeniusTable
 UNRESOLVED = -2  # class index of an unramified prime whose class the data cannot separate
@@ -194,26 +195,29 @@ class FrobeniusTable:
     types: tuple[tuple[int, ...], ...]
 
 
-def frobenius_table(fd: FieldDescriptor, primes: np.ndarray) -> FrobeniusTable:
-    """Frobenius data of every prime of an ascending int64 array, at once.
+def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
+    """Frobenius data of every prime p <= x of ``sieve``, at once.
 
     Residue fields read the class off ``p mod conductor``; so does a
     quadratic without a declared action, by the Kronecker character of
-    disc(f), once a request holds at least |disc(f)| primes.  Otherwise a
+    disc(f), once its memo is to hold at least |disc(f)| primes.  Otherwise a
     prime dividing disc(f) is ramified, since f mod p then has a repeated
     factor; for p > deg f the factorization type comes from the traces of
     the Frobenius matrix (``_cycle_counts``), and the few primes p <= deg f
     go through ``frobenius_data``.  Both routes share the type-to-class
     helpers, so the table agrees with ``frobenius_data``.
 
-    Each field keeps the table of the longest prime array it has been given
-    and classifies only the primes beyond it.
+    Each field keeps the table of a prefix of the sieve's primes and returns
+    slices of it.  A request beyond the prefix extends it to
+    min(len(sieve), max(pi(x), 2 * prefix)) primes, so a session of rising x
+    classifies O(log x) times, while a first request classifies exactly the
+    pi(x) primes asked for.
     """
     memo = fd._table_memo
     if memo is None:
         memo = _TableMemo(fd)
         object.__setattr__(fd, "_table_memo", memo)
-    return memo.lookup(fd, np.asarray(primes, dtype=np.int64))
+    return memo.lookup(fd, sieve, x)
 
 
 def check_index_divisors(
@@ -236,8 +240,9 @@ def check_index_divisors(
 
 
 class _TableMemo:
-    """One field's table over the longest prime array classified so far.
+    """One field's table over a prefix of a sieve's primes.
 
+    A sieve whose primes do not begin with the prefix starts the memo afresh.
     Type indices are assigned in the order types are first met and never
     change, so a table extended later keeps the indices it had.
     """
@@ -248,7 +253,7 @@ class _TableMemo:
         self.types: list[tuple[int, ...]] = []
         self.type_index: dict[tuple[int, ...], int] = {}
         self.conductor: int | None = None  # set on the residue route
-        self.kronecker_from: int | None = None  # request size that moves a quadratic to it
+        self.kronecker_from: int | None = None  # memo size that moves a quadratic to it
         if fd.residue_action is not None:
             self._use_action(fd, fd.residue_action)
         elif fd.degree == fd.group.order == 2 and abs(fd.poly_disc) <= MAX_KRONECKER_CONDUCTOR:
@@ -256,7 +261,7 @@ class _TableMemo:
             # |disc f|, and p | disc f exactly when f has a repeated factor mod
             # p, which the trace route reports as ramified: both routes give
             # every prime the same entry.  The residue table is built in
-            # O(|disc f|), so only once a request holds that many primes.
+            # O(|disc f|), so only once the memo is to hold that many primes.
             self.kronecker_from = abs(fd.poly_disc)
 
     def _use_action(self, fd: FieldDescriptor, action: CyclotomicAction) -> None:
@@ -267,23 +272,25 @@ class _TableMemo:
         self.residue = np.asarray(action.residue_class, dtype=np.int64)
         self.conductor = action.conductor
 
-    def lookup(self, fd: FieldDescriptor, primes: np.ndarray) -> FrobeniusTable:
-        n, k = primes.size, self.primes.size
-        if n <= k and np.array_equal(primes, self.primes[:n]):
-            return FrobeniusTable(*(a[:n] for a in self.arrays), types=tuple(self.types))
-        if self.kronecker_from is not None and n >= self.kronecker_from:
+    def lookup(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
+        primes, n, k = sieve.primes, sieve.count_leq(x), self.primes.size
+        if n <= k and np.array_equal(primes[:n], self.primes[:n]):
+            return self._table(n)
+        if not np.array_equal(primes[:k], self.primes):
+            self.primes, self.arrays, k = self.primes[:0], tuple(a[:0] for a in self.arrays), 0
+        size = min(primes.size, max(n, 2 * k))
+        if self.kronecker_from is not None and size >= self.kronecker_from:
             self._use_action(fd, kronecker_action(fd.poly_disc))
             self.kronecker_from = None
-        if n > k and np.array_equal(primes[:k], self.primes):
-            tail = _compact(self._classify(fd, primes[k:]))
-            arrays = tuple(np.concatenate(pair) for pair in zip(self.arrays, tail))
-        else:
-            arrays = _compact(self._classify(fd, primes))
-        for a in arrays:
+        tail = _compact(self._classify(fd, primes[k:size]))
+        self.arrays = tuple(np.concatenate(pair) for pair in zip(self.arrays, tail))
+        for a in self.arrays:
             a.flags.writeable = False
-        if n >= k:
-            self.primes, self.arrays = primes.copy(), arrays
-        return FrobeniusTable(*arrays, types=tuple(self.types))
+        self.primes = primes[:size].copy()
+        return self._table(n)
+
+    def _table(self, n: int) -> FrobeniusTable:
+        return FrobeniusTable(*(a[:n] for a in self.arrays), types=tuple(self.types))
 
     def _entry(self, cls_index: int, order: int, ftype: tuple[int, ...]) -> tuple[int, int, int]:
         if ftype not in self.type_index:

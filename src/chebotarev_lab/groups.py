@@ -109,10 +109,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self._table, self._table.T))
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -187,11 +183,6 @@ class FiniteGroup:
 
     def is_normal(self, h: frozenset[int]) -> bool:
         return all(self.conj(a, g) in h for a in h for g in range(self.order))
-
-    def center(self) -> frozenset[int]:
-        return frozenset(
-            a for a in range(self.order) if all(self.mul(a, b) == self.mul(b, a) for b in range(self.order))
-        )
 
     def abelian_subgroups(self) -> list[frozenset[int]]:
         """All abelian subgroups, as closures of commuting pairs.

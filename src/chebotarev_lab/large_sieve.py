@@ -123,7 +123,7 @@ def prime_polynomial(fd: FieldDescriptor, y: float, u: float, sieve: PrimeSieve)
     """
     primes = sieve.upto(u)
     start = primes.size - sieve.window(y, u).size  # the window is the tail of primes <= u
-    window, orders = primes[start:], frobenius_table(fd, primes).order[start:]
+    window, orders = primes[start:], frobenius_table(fd, sieve, u).order[start:]
     check_index_divisors((fd,), window, (orders,))
     g = fd.group.order
     terms: dict[int, complex] = {}

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .artin import local_roots, partitions_of, schur
-from .errors import AmbiguousClass
+from .errors import AmbiguousClass, ComputationError
 from .fields import FieldDescriptor, frobenius_data
 from .groups import ConjugacyClass
 from .large_sieve import DirichletPolynomial
@@ -32,24 +32,32 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
     L + R + (L + R - W) / 15; eps halves from one level to the next.  The
     closed values are then added up the bisection tree, left child plus right
     child, so the result is the recursive formulation's to the last bit.
+    A non-finite value of ``f`` raises ComputationError at once: its interval
+    would never close, and the open intervals would double up to the depth cap.
     """
 
     def simpson(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    def values(points):
+        out = np.asarray(f(points), dtype=float)
+        if not np.isfinite(out).all():
+            raise ComputationError(f"integrand is not finite on [{a}, {b}]")
+        return out
 
     def children(left_half, right_half, keep):
         # the two halves of each kept interval, side by side: left, right, left, right, ...
         return np.stack([left_half[keep], right_half[keep]], axis=1).ravel()
 
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    ends = np.asarray(f(np.array([a, 0.5 * (a + b), b])), dtype=float)
+    ends = values(np.array([a, 0.5 * (a + b), b]))
     flo, fmid, fhi = ends[0:1], ends[1:2], ends[2:3]
     whole = simpson(lo, hi, flo, fmid, fhi)
     eps = tol
     levels = []  # per level: the closed value of each interval, and which ones stayed open
     for depth in range(max_depth, -1, -1):
         mid = 0.5 * (lo + hi)
-        new = np.asarray(f(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])), dtype=float)
+        new = values(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)]))
         flm, frm = new[: lo.size], new[lo.size :]
         left = simpson(lo, mid, flo, flm, fmid)
         right = simpson(mid, hi, fmid, frm, fhi)

@@ -1,10 +1,11 @@
-"""Every public top-level name of the package is used by the package, the demos
-or the benchmark, not only by tests.
+"""Every public name of the package is used by the package, the demos or the
+benchmark, not only by tests.
 
-A public function, class or constant of a module other than ``oracles`` must
-be named, as a whole word, somewhere outside its own definition: elsewhere in
-the package, in a demo, or in ``perfbench``.  Re-exports in ``__init__`` do
-not count, nor do tests.  The check reads source text and imports nothing.
+A public function, class or constant of a module other than ``oracles``, and
+a public method or property of such a class, must be named, as a whole word,
+somewhere outside its own definition: elsewhere in the package, in a demo, or
+in ``perfbench``.  Re-exports in ``__init__`` do not count, nor do tests.  The
+check reads source text and imports nothing.
 """
 
 import ast
@@ -26,8 +27,13 @@ def _sources() -> list[Path]:
 
 
 def _definitions(tree: ast.Module):
-    """(name, first line, last line) of each public top-level definition."""
+    """(name, first line, last line) of each public top-level definition, and
+    (class.name, first line, last line) of each public method of a public class."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.lineno, member.end_lineno
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -48,7 +54,7 @@ def test_every_public_name_has_a_non_test_reference():
         if path.name in EXEMPT_MODULES:
             continue
         for name, first, last in _definitions(ast.parse("\n".join(lines[path]))):
-            word = re.compile(rf"\b{re.escape(name)}\b")
+            word = re.compile(rf"\b{re.escape(name.rsplit('.', 1)[-1])}\b")
             if not any(
                 word.search(text)
                 for other, texts in lines.items()

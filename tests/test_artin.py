@@ -284,7 +284,8 @@ def test_prime_power_sums_match_per_prime_route(catalog):
             roots = local_roots(fd, p)
             pk, k = p, 1
             while pk <= n_max:
-                powers.append((pk, k, math.log(p), roots.power_sum(k)))
+                # p_k(A_K(p)), the k-th power sum of the local roots
+                powers.append((pk, k, math.log(p), round(sum(z**k for z in roots.roots_complex()).real)))
                 pk *= p
                 k += 1
         for eta in (0.1, 0.5, 1.0, 2.0):
@@ -304,13 +305,18 @@ def test_prime_power_sums_match_per_prime_route(catalog):
                 assert log_deriv_taylor_term(fd, k, eta, tau, n_max).value == want, (name, k, eta, tau)
 
 
+def _is_multiplicative(series):
+    a = series.coeffs
+    return all(a[n * q] == a[n] * a[q] for n in a for q in a if n * q <= series.truncation and math.gcd(n, q) == 1)
+
+
 def test_series_multiplicative(catalog):
     series = series_a_K(catalog["sqrt5"], 300)
-    assert series.check_multiplicative()
+    assert _is_multiplicative(series)
     from chebotarev_lab.artin import series_a_KxK
 
     pair = series_a_KxK(catalog["gaussian"], catalog["zeta5"], 150)
-    assert pair.check_multiplicative()
+    assert _is_multiplicative(pair)
 
 
 def test_local_roots_conjugation_closed(nontrivial_fields, sieve_small):

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chebotarev_lab import fields
 from chebotarev_lab.chebotarev import pi_C_count
 from chebotarev_lab.errors import AmbiguousClass, CatalogError, LimitTooLarge, ValidationError
 from chebotarev_lab.fields import (
@@ -23,7 +25,7 @@ from chebotarev_lab.fields import (
     quadratic_field,
 )
 from chebotarev_lab.groups import build_group
-from chebotarev_lab.sieve import SIEVE_CAP, sieve_primes
+from chebotarev_lab.sieve import SIEVE_CAP, PrimeSieve, sieve_primes
 
 
 def test_factor_poly_examples():
@@ -211,8 +213,9 @@ def _table_fields():
     return list(BUILTIN_CATALOG.values()) + [_zeta5blind()] + parse_catalog(TABLE_ROWS, source="inline")
 
 
-def _assert_table_matches(fd, primes):
-    table = frobenius_table(fd, primes)
+def _assert_table_matches(fd, sieve, x):
+    primes = sieve.upto(x)
+    table = frobenius_table(fd, sieve, x)
     for i, p in enumerate(primes.tolist()):
         data = frobenius_data(fd, p)
         got = (int(table.cls[i]), int(table.order[i]))
@@ -226,11 +229,12 @@ def _assert_table_matches(fd, primes):
 
 @pytest.mark.parametrize("fd", _table_fields(), ids=lambda fd: fd.name)
 def test_frobenius_table_matches_frobenius_data(fd):
-    primes = sieve_primes(2 * 10**4).primes
-    # a prefix first, then the whole array: the second call classifies the tail
-    _assert_table_matches(fd, primes[:500])
-    _assert_table_matches(fd, primes)
-    _assert_table_matches(fd, primes[:100])
+    sieve = sieve_primes(2 * 10**4)
+    primes = sieve.primes
+    # a prefix first, then the whole sieve: the second call classifies the tail
+    _assert_table_matches(fd, sieve, int(primes[499]))
+    _assert_table_matches(fd, sieve, sieve.limit)
+    _assert_table_matches(fd, sieve, int(primes[99]))
 
 
 def _primes_below(n, count):
@@ -246,21 +250,22 @@ def _primes_below(n, count):
 
 def test_frobenius_table_near_sieve_cap():
     # p^2 near 10^16: the int64 products of the trace route must not wrap
-    primes = _primes_below(SIEVE_CAP, 20)
+    sieve = PrimeSieve(limit=SIEVE_CAP, primes=_primes_below(SIEVE_CAP, 20))
     for fd in _table_fields():
-        _assert_table_matches(fd, primes)
+        _assert_table_matches(fd, sieve, SIEVE_CAP)
 
 
 def test_frobenius_table_huge_coefficients():
     # coefficient and discriminants above 2^63 reduce exactly mod each prime
     fd = parse_catalog(TABLE_ROWS, source="inline")[-1]
     assert BIG_COEFF > 2**63 and abs(fd.disc_field) > 2**63 and abs(fd.poly_disc) > 2**63
-    small = sieve_primes(2 * 10**4).primes
+    sieve = sieve_primes(2 * 10**4)
+    small = sieve.primes
     assert [p for p in small.tolist() if fd.poly_disc % p == 0 and fd.disc_field % p] == [5, 109]
-    table = frobenius_table(fd, small)
+    table = frobenius_table(fd, sieve, sieve.limit)
     ramified = {p for p, c in zip(small.tolist(), table.cls.tolist()) if c == RAMIFIED}
     assert {3, 11, 131, 2731} <= ramified
-    _assert_table_matches(fd, small)
+    _assert_table_matches(fd, sieve, sieve.limit)
 
 
 # -- catalog quadratics: the Kronecker residue route keyed on disc f ------------
@@ -280,20 +285,74 @@ x2m4  | -4 0 1 | C2 | 1
     "fd", load_catalog(DEMO_CATALOG) + parse_catalog(KRONECKER_ROWS, source="inline"), ids=lambda fd: fd.name
 )
 def test_kronecker_route_matches_frobenius_data(fd):
-    primes = sieve_primes(2 * 10**4).primes
+    sieve = sieve_primes(2 * 10**4)
+    primes = sieve.primes
     q = abs(fd.poly_disc)
-    # growing prefixes: on the trace route below |disc f| primes, then across the switch
-    for n in sorted({1, max(1, q // 2), q - 1, q, q + 1, 2 * q + 5, primes.size} - {0}):
-        _assert_table_matches(fd, primes[:n])
-        assert fd._table_memo.conductor == (q if n >= q else None), (fd.name, n)
-    _assert_table_matches(fd, primes[:100])
+    # growing prefixes: on the trace route below |disc f| primes, then across the
+    # switch, which happens as soon as the memo is to hold |disc f| primes
+    for n in sorted({min(m, primes.size) for m in (1, q // 2, q - 1, q, q + 1, 2 * q + 5, primes.size)} - {0}):
+        _assert_table_matches(fd, sieve, int(primes[n - 1]))
+        held = fd._table_memo.primes.size
+        assert n <= held <= primes.size, (fd.name, n, held)
+        assert fd._table_memo.conductor == (q if held >= q else None), (fd.name, n, held)
+    _assert_table_matches(fd, sieve, int(primes[99]))
 
 
 def test_quadratic_above_the_rule_stays_on_trace_route():
     fd = parse_catalog("wide | -250007 0 1 | C2 | 1000028", source="inline")[0]
     assert abs(fd.poly_disc) > MAX_KRONECKER_CONDUCTOR
-    _assert_table_matches(fd, sieve_primes(2 * 10**4).primes)
+    sieve = sieve_primes(2 * 10**4)
+    _assert_table_matches(fd, sieve, sieve.limit)
     assert fd._table_memo.conductor is None
+
+
+# -- memo growth: a rising-x session reads ahead in the sieve ---------------------
+
+GROWTH_FIELDS = {"s3cubic": BUILTIN_CATALOG["s3cubic"], "zeta5blind": _zeta5blind(),
+                 # |disc f| = 1004 primes: crosses to the Kronecker route mid-session
+                 "mid": parse_catalog("mid | -251 0 1 | C2 | 1004", source="inline")[0]}
+
+
+def _classified(monkeypatch):
+    """(memo owner, prime count) of every ``_classify`` call from now on."""
+    log = []
+    classify = fields._TableMemo._classify
+
+    def counting(self, fd, primes):
+        log.append((fd, primes.size))
+        return classify(self, fd, primes)
+
+    monkeypatch.setattr(fields._TableMemo, "_classify", counting)
+    return log
+
+
+def _rows(table):
+    types = [None if t < 0 else table.types[t] for t in table.ftype.tolist()]
+    return table.cls.tolist(), table.order.tolist(), types
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH_FIELDS))
+def test_rising_x_session_classifies_log_many_times(name, monkeypatch):
+    base = GROWTH_FIELDS[name]
+    fd = replace(base)  # a fresh memo
+    sieve = sieve_primes(10**5)
+    xs = np.geomspace(500, sieve.limit, 20)
+    log = _classified(monkeypatch)
+    for x in xs:
+        table = frobenius_table(fd, sieve, x)
+        assert fd._table_memo.primes.size <= len(sieve), x
+        assert _rows(table) == _rows(frobenius_table(replace(base), sieve, x)), x
+    calls = [size for owner, size in log if owner is fd]
+    assert len(calls) <= math.ceil(math.log2(sieve.count_leq(xs[-1]) / sieve.count_leq(xs[0]))) + 1
+    assert sum(calls) == len(sieve)  # every prime once
+
+
+def test_cold_request_classifies_exactly_pi_x(monkeypatch):
+    fd = replace(BUILTIN_CATALOG["s3cubic"])
+    sieve = sieve_primes(10**5)
+    log = _classified(monkeypatch)
+    frobenius_table(fd, sieve, 2 * 10**4)
+    assert log == [(fd, sieve.count_leq(2 * 10**4))]
 
 
 def test_cycle_counts_of_quadratics():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chebotarev_lab.artin import coeff_a_K
-from chebotarev_lab.errors import LimitTooLarge, ParameterOutOfRange, RamifiedPrime, ValidationError
+from chebotarev_lab.errors import ComputationError, LimitTooLarge, ParameterOutOfRange, RamifiedPrime, ValidationError
 from chebotarev_lab.fields import parse_catalog, quadratic_field
 from chebotarev_lab.large_sieve import (
     DirichletPolynomial,
@@ -74,6 +74,14 @@ def recursive_simpson(f, a, b, tol=1e-10, max_depth=60):
 
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     return rec(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, max_depth)
+
+
+def test_adaptive_simpson_rejects_non_finite_integrand():
+    # the ends are finite but the first new point, 0.25, is not; and an inf integrand
+    with pytest.raises(ComputationError, match="not finite"):
+        adaptive_simpson(lambda t: np.where(t == 0.25, np.nan, np.sin(t)), 0.0, 1.0)
+    with pytest.raises(ComputationError, match="not finite"):
+        adaptive_simpson(lambda t: np.full_like(t, np.inf), 0.0, 1.0)
 
 
 def test_adaptive_simpson_matches_recursive_reference():
