@@ -17,7 +17,6 @@ _EXPORTS = {
         "coeff_a_KxK_prime",
         "euler_factor_series",
         "local_roots",
-        "log_deriv_taylor_term",
         "mertens_partial_sum",
         "partitions_of",
         "schur",

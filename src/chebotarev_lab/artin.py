@@ -14,9 +14,9 @@ paired Schur values (``schur``, ``partitions_of``) is the same number by
 another route and is kept to check it.
 
 Over a prime range, the Frobenius orders come from ``frobenius_table``: the
-coefficient series, and the sums over prime powers of lambda_K(p^k) log p
-(``mertens_partial_sum``, ``log_deriv_taylor_term``), with lambda_K(p^k) the
-k-th power sum of the local roots.  ``local_roots`` classifies one prime.
+coefficient series, and the sum over prime powers of |lambda_K(p^k)| log p
+(``mertens_partial_sum``), with lambda_K(p^k) the k-th power sum of the local
+roots.  ``local_roots`` classifies one prime.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import (
     ParameterOutOfRange,
     PartitionTooLong,
     RamifiedPrime,
-    TruncationInsufficient,
 )
 from .fields import FieldDescriptor, check_index_divisors, frobenius_data, frobenius_table
 from .sieve import sieve_primes
@@ -217,7 +216,7 @@ def coeff_a_KxK_prime(fd1: FieldDescriptor, fd2: FieldDescriptor, p: int, j: int
 
 
 def _prime_powers(fd: FieldDescriptor, n_max: int):
-    """(p^k, k, log p, lambda_K(p^k)) for the unramified prime powers p^k <= n_max,
+    """(p^k, log p, lambda_K(p^k)) for the unramified prime powers p^k <= n_max,
     p ascending and then k ascending.
 
     The Frobenius orders come from the table of the primes up to n_max; an
@@ -235,7 +234,7 @@ def _prime_powers(fd: FieldDescriptor, n_max: int):
         pk = p
         k = 1
         while pk <= n_max:
-            yield pk, k, logp, _power_sum(d, g, k)
+            yield pk, logp, _power_sum(d, g, k)
             pk *= p
             k += 1
 
@@ -247,68 +246,8 @@ def mertens_partial_sum(fd: FieldDescriptor, eta: float, n_max: int) -> float:
         raise ParameterOutOfRange("eta must be positive")
     if n_max < 100:
         raise ParameterOutOfRange("truncation must be at least 100")
-    terms = [abs(lam) * logp / pk ** (1.0 + eta) for pk, _, logp, lam in _prime_powers(fd, n_max)]
+    terms = [abs(lam) * logp / pk ** (1.0 + eta) for pk, logp, lam in _prime_powers(fd, n_max)]
     return math.fsum(terms)
-
-
-@dataclass(frozen=True)
-class TaylorTermValue:
-    """One truncated Taylor-coefficient magnitude of -L'/L with its certificate."""
-
-    value: complex
-    magnitude: float
-    tail_bound: float
-    k: int
-    eta: float
-    tau: float
-    truncation: int
-
-
-def log_deriv_taylor_term(
-    fd: FieldDescriptor,
-    k: int,
-    eta: float,
-    tau: float = 0.0,
-    n_max: int = 10**4,
-    tail_tol: float | None = None,
-) -> TaylorTermValue:
-    """(eta^(k+1)/k!) sum over unramified prime powers of
-    lambda_K(n) Lambda(n) (log n)^k n^(-s0) truncated at n_max, s0 = 1+eta+i tau.
-
-    The geometric-tail certificate m * n_max^(-eta/2) * 2^(-k) is attached to
-    the result; when ``tail_tol`` is given (typically 1e-8) the call raises
-    TruncationInsufficient if the certificate does not meet it.
-    """
-    if not (0 < eta <= 1):
-        raise ParameterOutOfRange("eta must lie in (0, 1]")
-    if k < 0 or k > 40:
-        raise ParameterOutOfRange("k must lie in [0, 40]")
-    m = fd.m
-    tail = m * n_max ** (-eta / 2.0) * 2.0 ** (-k)
-    if tail_tol is not None and tail >= tail_tol:
-        raise TruncationInsufficient(
-            f"tail certificate {tail:.3e} at N={n_max} exceeds {tail_tol:.0e}"
-        )
-    re_terms: list[float] = []
-    im_terms: list[float] = []
-    for pk, kk, logp, lam in _prime_powers(fd, n_max):
-        if lam != 0:
-            logn = kk * logp
-            amp = lam * logp * logn**k * pk ** (-(1.0 + eta))
-            phase = cmath.exp(-1j * tau * logn)
-            re_terms.append(amp * phase.real)
-            im_terms.append(amp * phase.imag)
-    factor = eta ** (k + 1) / math.factorial(k)
-    value = factor * complex(math.fsum(re_terms), math.fsum(im_terms))
-    return TaylorTermValue(
-        value=value,
-        magnitude=abs(value),
-        tail_bound=tail,
-        k=k,
-        eta=eta,
-        tau=tau,
-        truncation=n_max,
-    )
 
 
 # -- truncated Dirichlet series -------------------------------------------------

@@ -179,14 +179,15 @@ def is_admissible(
 # -- weighted prime sums ---------------------------------------------------------
 
 
-def psi_weighted_items(
+def _psi_terms(
     fd: FieldDescriptor,
     cls: ConjugacyClass,
     params: WeightParams,
     sieve: PrimeSieve,
-) -> list[tuple[int, float]]:
-    """The (p^k, log p * f(log p^k / log x)) pairs of the weighted prime sum,
-    over unramified p with the k-th Frobenius power in cls, ascending in p.
+) -> tuple[list[int], list[float]]:
+    """The p^k and the terms of the weighted prime sum as two parallel lists,
+    ascending in p and then k (the segments are described at
+    ``psi_weighted_items``).
 
     The weight argument is evaluated as k*log(p)/log(x) so independent
     reimplementations of the same sum produce bit-identical terms.
@@ -204,26 +205,67 @@ def psi_weighted_items(
     order = fd.group.order
     hits = _power_hits(fd.group, cls.index)
     # a prime enters the sum through k = 1 or, when p^2 <= n_hi, through some k >= 2
+    root = math.isqrt(int(2 * n_hi))
     unramified = table.cls >= 0
     first_hit = np.array([h[1 % order] for h in hits])[np.where(unramified, table.cls, 0)]
-    keep = unramified & (first_hit | (primes <= math.isqrt(int(2 * n_hi))))
+    keep = unramified & (first_hit | (primes <= root))
+    # the plateau block primes[start:stop]: p > root, so p^2 > n_hi, and f == 1.0
+    start = sieve.count_leq(root)
+    stop = max(start, sieve.count_leq(x ** params.plateau[1] * (1.0 - 1e-9)))
     top = lx + params.eps
     log = math.log
-    out: list[tuple[int, float]] = []
-    append = out.append
-    for p, c in zip(primes[keep].tolist(), table.cls[keep].tolist()):
-        hit = hits[c]
-        logp = log(p)
-        k = 1
-        n = p
-        while k * logp <= top:
-            if hit[k % order]:
-                weight = f_eval(params, k * logp / lx)
-                if weight > 0.0:
-                    append((n, logp * weight))
-            k += 1
-            n *= p
-    return out
+    ns: list[int] = []
+    terms: list[float] = []
+
+    def weigh(lo: int, hi: int) -> None:
+        sel = keep[lo:hi]
+        for p, c in zip(primes[lo:hi][sel].tolist(), table.cls[lo:hi][sel].tolist()):
+            hit = hits[c]
+            logp = log(p)
+            k = 1
+            n = p
+            while k * logp <= top:
+                if hit[k % order]:
+                    weight = f_eval(params, k * logp / lx)
+                    if weight > 0.0:
+                        ns.append(n)
+                        terms.append(logp * weight)
+                k += 1
+                n *= p
+
+    weigh(0, start)
+    block = primes[start:stop][keep[start:stop]].tolist()
+    ns.extend(block)
+    terms.extend(map(log, block))
+    weigh(stop, primes.size)
+    return ns, terms
+
+
+def psi_weighted_items(
+    fd: FieldDescriptor,
+    cls: ConjugacyClass,
+    params: WeightParams,
+    sieve: PrimeSieve,
+) -> list[tuple[int, float]]:
+    """The (p^k, log p * f(log p^k / log x)) pairs of the weighted prime sum,
+    over unramified p with the k-th Frobenius power in cls, ascending in p.
+
+    The primes up to n_hi = x e^eps, where supp f ends, fall in three segments:
+
+    - p <= isqrt(2 n_hi): p^k may enter for k >= 2, and p may lie on the
+      lower ramp, so every (p, k) with a hit is weighed by ``f_eval``;
+    - the plateau block isqrt(2 n_hi) < p <= x (1 - 1e-9): here p^2 > n_hi, so
+      only k = 1 enters, and log p / log x lies inside the plateau [1/2, 1]
+      with a margin far above rounding.  Both branches of f return constants
+      there, so f is exactly 1.0 and the term is exactly ``math.log(p)``;
+      f is not called;
+    - the upper ramp x (1 - 1e-9) < p <= n_hi, weighed by ``f_eval``.
+
+    So the terms equal, bit for bit, those of one scalar loop that weighs
+    every (p, k).
+    """
+    ns, terms = _psi_terms(fd, cls, params, sieve)
+    return list(zip(ns, terms))
 
 
 @lru_cache(maxsize=256)
@@ -245,10 +287,13 @@ def psi_weighted_class(
     the Frobenius class equal to cls: sum of log p * f(log p^k / log x).
 
     Realized as a direct sum (the contour definition agrees by Mellin
-    inversion) and reduced with exact compensated summation, so the value is
-    deterministic and independent of any work partition.
+    inversion) over the terms of ``psi_weighted_items``: f weighs the small
+    primes and the upper ramp, and each plateau prime adds exactly log p,
+    since f is exactly 1.0 on [1/2, 1].  The terms are reduced with exact
+    compensated summation, so the value is deterministic and independent of
+    their order or of any work partition.
     """
-    return math.fsum(v for _, v in psi_weighted_items(fd, cls, params, sieve))
+    return math.fsum(_psi_terms(fd, cls, params, sieve)[1])
 
 
 def partial_summation_pi(data: list[tuple[int, float]]) -> float:

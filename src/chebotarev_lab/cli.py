@@ -97,13 +97,9 @@ def _json(payload: dict) -> str:
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
-    def fmt(v) -> str:
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
+    # str(float) is the shortest round-trip repr, and str of a numpy scalar is its value
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines)
 
 

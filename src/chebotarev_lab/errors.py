@@ -64,10 +64,6 @@ class AmbiguousClass(ComputationError):
     code = "AmbiguousClass"
 
 
-class TruncationInsufficient(ComputationError):
-    code = "TruncationInsufficient"
-
-
 class DomainTooSmall(ComputationError):
     code = "DomainTooSmall"
 

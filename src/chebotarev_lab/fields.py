@@ -15,6 +15,7 @@ primes of a sieve up to x at once and agrees with it prime by prime.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -242,13 +243,16 @@ def check_index_divisors(
 class _TableMemo:
     """One field's table over a prefix of a sieve's primes.
 
-    A sieve whose primes do not begin with the prefix starts the memo afresh.
+    A request from the sieve the memo was last extended from skips comparing
+    primes, as a sieve's primes are read-only; another sieve is compared, and
+    one whose primes do not begin with the prefix starts the memo afresh.
     Type indices are assigned in the order types are first met and never
     change, so a table extended later keeps the indices it had.
     """
 
     def __init__(self, fd: FieldDescriptor):
         self.primes = np.zeros(0, dtype=np.int64)
+        self.source: weakref.ref[PrimeSieve] | None = None  # the sieve last extended from
         self.arrays = _compact(np.zeros((0, 3), dtype=np.int64))
         self.types: list[tuple[int, ...]] = []
         self.type_index: dict[tuple[int, ...], int] = {}
@@ -274,9 +278,10 @@ class _TableMemo:
 
     def lookup(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
         primes, n, k = sieve.primes, sieve.count_leq(x), self.primes.size
-        if n <= k and np.array_equal(primes[:n], self.primes[:n]):
+        same = self.source is not None and self.source() is sieve
+        if n <= k and (same or np.array_equal(primes[:n], self.primes[:n])):
             return self._table(n)
-        if not np.array_equal(primes[:k], self.primes):
+        if not (same or np.array_equal(primes[:k], self.primes)):
             self.primes, self.arrays, k = self.primes[:0], tuple(a[:0] for a in self.arrays), 0
         size = min(primes.size, max(n, 2 * k))
         if self.kronecker_from is not None and size >= self.kronecker_from:
@@ -287,6 +292,7 @@ class _TableMemo:
         for a in self.arrays:
             a.flags.writeable = False
         self.primes = primes[:size].copy()
+        self.source = weakref.ref(sieve)
         return self._table(n)
 
     def _table(self, n: int) -> FrobeniusTable:

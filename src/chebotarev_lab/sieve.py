@@ -13,10 +13,19 @@ SIEVE_CAP = 10**8
 
 @dataclass(frozen=True)
 class PrimeSieve:
-    """Ascending primes <= limit, built once and shared read-only."""
+    """Ascending primes <= limit, built once and shared read-only.
+
+    The sieve keeps its own read-only copy of ``primes``, so one sieve object
+    always holds the same primes.
+    """
 
     limit: int
     primes: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        primes = np.array(self.primes, dtype=np.int64)
+        primes.flags.writeable = False
+        object.__setattr__(self, "primes", primes)
 
     def __len__(self) -> int:
         return int(self.primes.size)
@@ -52,4 +61,6 @@ def sieve_primes(limit: int) -> PrimeSieve:
     for p in range(2, int(limit**0.5) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return PrimeSieve(limit=limit, primes=np.flatnonzero(mask).astype(np.int64))
+    primes = np.flatnonzero(mask)
+    del mask  # freed before the sieve copies the primes
+    return PrimeSieve(limit=limit, primes=primes)

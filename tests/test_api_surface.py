@@ -2,14 +2,17 @@
 benchmark, not only by tests.
 
 A public function, class or constant of a module other than ``oracles``, and
-a public method or property of such a class, must be named, as a whole word,
-somewhere outside its own definition: elsewhere in the package, in a demo, or
-in ``perfbench``.  Re-exports in ``__init__`` do not count, nor do tests.  The
-check reads source text and imports nothing.
+a public method or property of such a class, must be named in code somewhere
+outside its own definition: elsewhere in the package, in a demo, or in
+``perfbench``.  Only code counts, that is the NAME tokens of ``tokenize``;
+a mention in a docstring, a string or a comment does not.  Re-exports in
+``__init__`` do not count, nor do tests.  The check reads source text and
+imports nothing.
 """
 
 import ast
-import re
+import io
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,18 +50,25 @@ def _definitions(tree: ast.Module):
                 yield name, node.lineno, node.end_lineno
 
 
+def _names(text: str) -> list[tuple[str, int]]:
+    """(identifier, line) of each NAME token of a source text."""
+    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+    return [(tok.string, tok.start[0]) for tok in tokens if tok.type == tokenize.NAME]
+
+
 def test_every_public_name_has_a_non_test_reference():
-    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in _sources()}
+    texts = {path: path.read_text(encoding="utf-8") for path in _sources()}
+    names = {path: _names(text) for path, text in texts.items()}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name in EXEMPT_MODULES:
             continue
-        for name, first, last in _definitions(ast.parse("\n".join(lines[path]))):
-            word = re.compile(rf"\b{re.escape(name.rsplit('.', 1)[-1])}\b")
+        for name, first, last in _definitions(ast.parse(texts[path])):
+            word = name.rsplit(".", 1)[-1]
             if not any(
-                word.search(text)
-                for other, texts in lines.items()
-                for number, text in enumerate(texts, start=1)
+                token == word
+                for other, tokens in names.items()
+                for token, number in tokens
                 if other != path or not first <= number <= last
             ):
                 unused.append(f"{path.stem}.{name}")

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import pytest
@@ -13,7 +12,6 @@ from chebotarev_lab.artin import (
     coeff_a_KxK_prime,
     euler_factor_series,
     local_roots,
-    log_deriv_taylor_term,
     mertens_partial_sum,
     partitions_of,
     schur,
@@ -25,7 +23,6 @@ from chebotarev_lab.errors import (
     ParameterOutOfRange,
     PartitionTooLong,
     RamifiedPrime,
-    TruncationInsufficient,
 )
 from chebotarev_lab.fields import parse_catalog
 from chebotarev_lab.oracles import gaussian_ideal_count, rs_cauchy_coefficient, rs_product_coefficients
@@ -192,8 +189,6 @@ def test_series_index_divisor_is_ramified(catalog):
         series_a_KxK(catalog["gaussian"], bad5, 10)
     with pytest.raises(RamifiedPrime, match="bad5: p=2 "):
         mertens_partial_sum(bad5, 1.0, 100)
-    with pytest.raises(RamifiedPrime, match="bad5: p=2 "):
-        log_deriv_taylor_term(bad5, 1, 1.0, 3.0, 100)
     assert series_a_K(bad5, 1).coeffs == {1: 1}
 
 
@@ -240,44 +235,13 @@ def test_mertens_oracle_value(catalog):
     assert value < 1.0  # m / eta
 
 
-def test_log_deriv_taylor_term(catalog):
-    g = catalog["gaussian"]
-    # k = 0, tau = 0, eta = 1: eta * |sum| <= m/eta by the absolute-value bound
-    t0 = log_deriv_taylor_term(g, 0, 1.0, 0.0, 10**4)
-    assert t0.magnitude <= 1.0
-    # k = 1 matches the independent reversed-order oracle to 1e-8
-    t1 = log_deriv_taylor_term(g, 1, 1.0, 0.0, 10**4)
-    terms = []
-    for p in range(10**4, 2, -1):
-        if any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
-            continue
-        lam = 1 if p % 4 == 1 else -1
-        pk, k = p, 1
-        while pk <= 10**4:
-            lam_k = 1 if (lam == 1 or k % 2 == 0) else -1
-            logn = k * math.log(p)
-            terms.append(lam_k * math.log(p) * logn / pk**2)
-            pk *= p
-            k += 1
-    oracle = abs(sum(terms))  # eta^(k+1)/k! = 1
-    assert t1.magnitude == pytest.approx(oracle, abs=1e-8)
-    # large k: the truncated value shrinks far below 1e-8, certificate passes at 1e-8
-    t40 = log_deriv_taylor_term(g, 40, 0.5, 0.0, 10**4, tail_tol=1e-8)
-    assert t40.magnitude < 1e-8
-    assert t40.tail_bound < 1e-8
-    with pytest.raises(TruncationInsufficient):
-        log_deriv_taylor_term(g, 1, 1.0, 0.0, 10**4, tail_tol=1e-8)
-    with pytest.raises(ParameterOutOfRange):
-        log_deriv_taylor_term(g, 41, 0.5)
-
-
 def test_prime_power_sums_match_per_prime_route(catalog):
-    # the table-driven sums against local_roots at each prime, with the same
-    # float expressions summed in the same order, so they agree exactly
+    # the table-driven sum against local_roots at each prime, with the same
+    # float expression summed in the same order, so they agree exactly
     n_max = 3000
     primes = [p for p in range(2, n_max + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
     for name, fd in catalog.items():
-        powers = []  # (p^k, k, log p, lambda_K(p^k)), p then k ascending
+        powers = []  # (p^k, log p, lambda_K(p^k)), p then k ascending
         for p in primes:
             if fd.is_ramified(p):
                 continue
@@ -285,24 +249,12 @@ def test_prime_power_sums_match_per_prime_route(catalog):
             pk, k = p, 1
             while pk <= n_max:
                 # p_k(A_K(p)), the k-th power sum of the local roots
-                powers.append((pk, k, math.log(p), round(sum(z**k for z in roots.roots_complex()).real)))
+                powers.append((pk, math.log(p), round(sum(z**k for z in roots.roots_complex()).real)))
                 pk *= p
                 k += 1
         for eta in (0.1, 0.5, 1.0, 2.0):
-            want = math.fsum([abs(lam) * logp / pk ** (1.0 + eta) for pk, _, logp, lam in powers])
+            want = math.fsum([abs(lam) * logp / pk ** (1.0 + eta) for pk, logp, lam in powers])
             assert mertens_partial_sum(fd, eta, n_max) == want, (name, eta)
-        for k in (0, 1, 5):
-            for eta, tau in ((0.1, 3.0), (0.5, -7.5), (1.0, 3.0), (1.0, 0.0)):
-                re_terms, im_terms = [], []
-                for pk, kk, logp, lam in powers:
-                    if lam != 0:
-                        logn = kk * logp
-                        amp = lam * logp * logn**k * pk ** (-(1.0 + eta))
-                        phase = cmath.exp(-1j * tau * logn)
-                        re_terms.append(amp * phase.real)
-                        im_terms.append(amp * phase.imag)
-                want = eta ** (k + 1) / math.factorial(k) * complex(math.fsum(re_terms), math.fsum(im_terms))
-                assert log_deriv_taylor_term(fd, k, eta, tau, n_max).value == want, (name, k, eta, tau)
 
 
 def _is_multiplicative(series):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from chebotarev_lab import chebotarev
 from chebotarev_lab.chebotarev import (
     base_change_compare,
     flexi_error_report,
@@ -21,7 +22,7 @@ from chebotarev_lab.errors import (
     ParameterOutOfRange,
     UnsupportedSubgroupAction,
 )
-from chebotarev_lab.fields import BUILTIN_CATALOG, FieldDescriptor, load_catalog
+from chebotarev_lab.fields import BUILTIN_CATALOG, FieldDescriptor, frobenius_data, load_catalog
 from chebotarev_lab.groups import build_group
 from chebotarev_lab.oracles import naive_psi_gaussian_split, psi_weighted_scalar
 from chebotarev_lab.weights import WeightParams
@@ -192,6 +193,62 @@ def test_psi_matches_scalar_oracle_exactly(name, sieve_medium):
             for cls in fd.group.classes:
                 items = psi_weighted_items(fd, cls, params, sieve_medium)
                 assert items == psi_weighted_scalar(fd, cls, params, sieve_medium), (name, x, eps, cls.label)
+
+
+# x prime puts p = x on the upper ramp, x = p + 1/2 puts p on the plateau, and
+# x = p - 1/2 puts p just past x; x = 3 and 5 leave the plateau block empty,
+# and x = 7 and 11 hold its first primes
+PLATEAU_EDGE_XS = (3, 5, 7, 11, 96.5, 97, 97.5, 1008.5, 1009, 1009.5, 7918.5, 7919, 7919.5)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "zeta7", "s3cubic", "quad(15)"])
+def test_psi_plateau_edges_match_scalar_oracle(name, sieve_medium):
+    # quad(15) is loaded fresh, so its memo crosses the Kronecker switch (|disc f| = 60)
+    fd = BUILTIN_CATALOG.get(name) or {f.name: f for f in load_catalog(DEMO_CATALOG)}[name]
+    for x in PLATEAU_EDGE_XS:
+        for eps in (0.001, 0.2499):
+            params = WeightParams(x=x, eps=eps)
+            for cls in fd.group.classes:
+                want = psi_weighted_scalar(fd, cls, params, sieve_medium)
+                assert psi_weighted_items(fd, cls, params, sieve_medium) == want, (name, x, eps, cls.label)
+                assert psi_weighted_class(fd, cls, params, sieve_medium) == math.fsum(v for _, v in want)
+
+
+def _weighed_pairs(fd, cls, params, sieve):
+    """(p, k) pairs with the k-th Frobenius power in cls, outside the plateau
+    block isqrt(2 x e^eps) < p <= x (1 - 1e-9): the pairs f must weigh."""
+    n_hi = params.x * math.exp(params.eps)
+    root = math.isqrt(int(2 * n_hi))
+    count = 0
+    for p in sieve.upto(n_hi).tolist():
+        data = frobenius_data(fd, p)
+        if data.ramified or root < p <= params.x * (1.0 - 1e-9):
+            continue
+        sigma = data.conjugacy_class.representative
+        k = 1
+        while k * math.log(p) <= params.log_x + params.eps:
+            count += fd.group.class_of(fd.group.power(sigma, k)) == cls
+            k += 1
+    return count
+
+
+@pytest.mark.parametrize("name", ["gaussian", "zeta5", "zeta7", "s3cubic"])
+def test_psi_calls_f_only_off_the_plateau(name, sieve_medium, monkeypatch):
+    fd = BUILTIN_CATALOG[name]
+    calls = []
+    f_eval = chebotarev.f_eval
+
+    def counting(params, t):
+        calls.append(t)
+        return f_eval(params, t)
+
+    monkeypatch.setattr(chebotarev, "f_eval", counting)
+    for x, eps in ((11, 0.001), (1009, 0.1), (10**4 - 0.5, 0.2499)):
+        params = WeightParams(x=x, eps=eps)
+        for cls in fd.group.classes:
+            calls.clear()
+            psi_weighted_class(fd, cls, params, sieve_medium)
+            assert len(calls) == _weighed_pairs(fd, cls, params, sieve_medium), (name, x, eps, cls.label)
 
 
 def test_psi_sharp_cutoff_proxy(catalog, sieve_medium):

@@ -8,7 +8,7 @@ import pytest
 
 from chebotarev_lab import fields
 from chebotarev_lab.arith import factorize
-from chebotarev_lab.cli import main
+from chebotarev_lab.cli import _csv, main
 from chebotarev_lab.fields import builtin_field
 from chebotarev_lab.oracles import rs_product_coefficients
 
@@ -85,6 +85,14 @@ def test_weights_grid(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("t,f,")
     assert len(lines) == 6
+
+
+def test_csv_cells_print_as_repr():
+    # str of a float is its shortest round-trip repr, so CSV floats read back exactly
+    floats = [0.1, 1e22, 5e-324, -0.0, math.nan]
+    out = _csv([[7, "ab", *floats]], ["n", "s", "a", "b", "c", "d", "e"])
+    assert out == "n,s,a,b,c,d,e\n7,ab,0.1,1e+22,5e-324,-0.0,nan"
+    assert out.splitlines()[1] == ",".join(["7", "ab", *map(repr, floats)])
 
 
 def test_eta_csv(capsys):

@@ -355,6 +355,41 @@ def test_cold_request_classifies_exactly_pi_x(monkeypatch):
     assert log == [(fd, sieve.count_leq(2 * 10**4))]
 
 
+def test_memo_hit_from_the_same_sieve_compares_no_primes(monkeypatch):
+    fd = replace(BUILTIN_CATALOG["s3cubic"])
+    sieve = sieve_primes(10**4)
+    frobenius_table(fd, sieve, 5000)
+    compared = []
+    array_equal = np.array_equal
+
+    def counting(a, b):
+        compared.append(a.size)
+        return array_equal(a, b)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    for x in (100, 5000, 3000, sieve.limit, 7000):  # hits and one extension
+        frobenius_table(fd, sieve, x)
+    assert compared == []
+    # another sieve object with the same primes is compared, and keeps the memo
+    log = _classified(monkeypatch)
+    _assert_table_matches(fd, sieve_primes(10**4), 2000)
+    assert compared and log == []
+
+
+def test_memo_restarts_on_a_sieve_with_other_primes(monkeypatch):
+    fd = replace(BUILTIN_CATALOG["s3cubic"])
+    sieve = sieve_primes(10**4)
+    frobenius_table(fd, sieve, sieve.limit)
+    # hand-built: 101 left out, so the prefix differs from the memo's at its 26th prime
+    other = PrimeSieve(limit=sieve.limit, primes=sieve.primes[sieve.primes != 101])
+    log = _classified(monkeypatch)
+    _assert_table_matches(fd, other, 5000)
+    assert log == [(fd, other.count_leq(5000))]
+    # and back: the first sieve is compared against the memo from ``other``
+    _assert_table_matches(fd, sieve, 5000)
+    assert log[1:] == [(fd, sieve.count_leq(5000))]
+
+
 def test_cycle_counts_of_quadratics():
     # the trace route at n = 2, which catalog quadratics no longer reach past |disc f| primes
     primes = sieve_primes(2 * 10**4).primes

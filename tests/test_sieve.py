@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from chebotarev_lab.errors import LimitTooLarge, SieveRangeExceeded
 from chebotarev_lab.oracles import segmented_sieve_count, trial_division_primes
-from chebotarev_lab.sieve import sieve_primes
+from chebotarev_lab.sieve import PrimeSieve, sieve_primes
 
 
 def test_small_primes():
@@ -36,3 +37,17 @@ def test_range_guards(sieve_small):
         sieve_small.count_leq(10**5)
     assert sieve_small.count_leq(10**4) == 1229
     assert sieve_small.window(10, 30).tolist() == [11, 13, 17, 19, 23, 29]
+
+
+def test_primes_are_read_only():
+    # one sieve object always holds the same primes, which the table memo relies on
+    with pytest.raises(ValueError):
+        sieve_primes(100).primes[0] = 4
+    given = np.array([2, 3, 5])
+    hand = PrimeSieve(limit=5, primes=given)
+    given[0] = 4  # the sieve holds its own copy
+    assert hand.primes.tolist() == [2, 3, 5]
+    with pytest.raises(ValueError):
+        hand.primes[0] = 4
+    with pytest.raises(ValueError):
+        hand.upto(5)[1] = 4
