@@ -4,16 +4,18 @@ certificates, base change, and error reports.
 Counting is exact: every prime up to x is classified once, through the
 field's Frobenius table (``fields.frobenius_table``), and counts are integer
 reductions over that table, so the class counts partition pi(x) minus the
-ramified primes.  Weighted sums add their terms in ascending order of p and
-then k, so results are bit-stable.
+ramified primes.  Weighted prime sums weigh the terms of every class of a
+field in one pass and reduce each class's terms with exact compensated
+summation, so results are bit-stable.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -178,16 +180,61 @@ def is_admissible(
 
 # -- weighted prime sums ---------------------------------------------------------
 
+_PLATEAU_CHUNK = 1 << 12  # plateau primes turned into Python ints at a time
+
+
+def _power_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """powers[c][k % |G|]: the index of the class holding the k-th powers of class c."""
+    return tuple(
+        tuple(group.class_of(group.power(c.representative, k)).index for k in range(group.order))
+        for c in group.classes
+    )
+
+
+class _PsiMemo:
+    """One field's psi of every class at one (sieve, weight parameters).
+
+    The sieve is held weakly and matched by identity, as the table memo does,
+    so a dropped sieve is never matched again nor kept alive; any other
+    request rebuilds the values and replaces them.
+    """
+
+    def __init__(self, group: FiniteGroup):
+        self.powers = _power_classes(group)
+        # (the sieve, held weakly; the parameters; the sum of each class)
+        self.sums: tuple[weakref.ref[PrimeSieve], WeightParams, tuple[float, ...]] | None = None
+
+
+def _psi_memo(fd: FieldDescriptor) -> _PsiMemo:
+    memo = fd._psi_memo
+    if memo is None:
+        memo = _PsiMemo(fd.group)
+        object.__setattr__(fd, "_psi_memo", memo)
+    return memo
+
+
+def _plateau_primes(block: np.ndarray, block_cls: np.ndarray, c: int) -> Iterator[int]:
+    """The primes of class c in the plateau block, ascending, read a chunk at a time."""
+    step = _PLATEAU_CHUNK
+    return chain.from_iterable(
+        block[i : i + step][block_cls[i : i + step] == c].tolist() for i in range(0, block.size, step)
+    )
+
 
 def _psi_terms(
     fd: FieldDescriptor,
-    cls: ConjugacyClass,
     params: WeightParams,
     sieve: PrimeSieve,
-) -> tuple[list[int], list[float]]:
-    """The p^k and the terms of the weighted prime sum as two parallel lists,
-    ascending in p and then k (the segments are described at
-    ``psi_weighted_items``).
+    powers: tuple[tuple[int, ...], ...],
+) -> list[tuple[list[tuple[int, float]], Iterator[int], list[tuple[int, float]]]]:
+    """The terms of the weighted prime sum of every class, in one pass.
+
+    Entry c holds class c's weighed (p^k, term) pairs below the plateau block,
+    an iterator over its primes in the block, each of which adds exactly
+    log p, and its weighed pairs above the block, each part ascending in p
+    and then k (the segments are described at ``psi_weighted_items``).  Every
+    (p, k) outside the block is weighed once and goes to the class of
+    Frob_p^k, read off ``powers``.
 
     The weight argument is evaluated as k*log(p)/log(x) so independent
     reimplementations of the same sum produce bit-identical terms.
@@ -203,42 +250,34 @@ def _psi_terms(
     if p is not None:
         raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
     order = fd.group.order
-    hits = _power_hits(fd.group, cls.index)
-    # a prime enters the sum through k = 1 or, when p^2 <= n_hi, through some k >= 2
-    root = math.isqrt(int(2 * n_hi))
-    unramified = table.cls >= 0
-    first_hit = np.array([h[1 % order] for h in hits])[np.where(unramified, table.cls, 0)]
-    keep = unramified & (first_hit | (primes <= root))
-    # the plateau block primes[start:stop]: p > root, so p^2 > n_hi, and f == 1.0
-    start = sieve.count_leq(root)
+    # the plateau block primes[start:stop]: p > isqrt(2 n_hi), so p^2 > n_hi, and f == 1.0
+    start = sieve.count_leq(math.isqrt(int(2 * n_hi)))
     stop = max(start, sieve.count_leq(x ** params.plateau[1] * (1.0 - 1e-9)))
     top = lx + params.eps
     log = math.log
-    ns: list[int] = []
-    terms: list[float] = []
+    classes = range(len(powers))
 
-    def weigh(lo: int, hi: int) -> None:
-        sel = keep[lo:hi]
-        for p, c in zip(primes[lo:hi][sel].tolist(), table.cls[lo:hi][sel].tolist()):
-            hit = hits[c]
+    def weigh(lo: int, hi: int) -> list[list[tuple[int, float]]]:
+        pairs: list[list[tuple[int, float]]] = [[] for _ in classes]
+        for p, c in zip(primes[lo:hi].tolist(), table.cls[lo:hi].tolist()):
+            if c < 0:  # ramified
+                continue
+            power = powers[c]
             logp = log(p)
             k = 1
             n = p
             while k * logp <= top:
-                if hit[k % order]:
-                    weight = f_eval(params, k * logp / lx)
-                    if weight > 0.0:
-                        ns.append(n)
-                        terms.append(logp * weight)
+                weight = f_eval(params, k * logp / lx)
+                if weight > 0.0:
+                    pairs[power[k % order]].append((n, logp * weight))
                 k += 1
                 n *= p
+        return pairs
 
-    weigh(0, start)
-    block = primes[start:stop][keep[start:stop]].tolist()
-    ns.extend(block)
-    terms.extend(map(log, block))
-    weigh(stop, primes.size)
-    return ns, terms
+    lower = weigh(0, start)
+    upper = weigh(stop, primes.size)
+    block, block_cls = primes[start:stop], table.cls[start:stop]
+    return [(lower[c], _plateau_primes(block, block_cls, c), upper[c]) for c in classes]
 
 
 def psi_weighted_items(
@@ -248,12 +287,13 @@ def psi_weighted_items(
     sieve: PrimeSieve,
 ) -> list[tuple[int, float]]:
     """The (p^k, log p * f(log p^k / log x)) pairs of the weighted prime sum,
-    over unramified p with the k-th Frobenius power in cls, ascending in p.
+    over unramified p with the k-th Frobenius power in cls, ascending in p
+    and then k.
 
     The primes up to n_hi = x e^eps, where supp f ends, fall in three segments:
 
     - p <= isqrt(2 n_hi): p^k may enter for k >= 2, and p may lie on the
-      lower ramp, so every (p, k) with a hit is weighed by ``f_eval``;
+      lower ramp, so every (p, k) is weighed by ``f_eval``;
     - the plateau block isqrt(2 n_hi) < p <= x (1 - 1e-9): here p^2 > n_hi, so
       only k = 1 enters, and log p / log x lies inside the plateau [1/2, 1]
       with a margin far above rounding.  Both branches of f return constants
@@ -262,19 +302,13 @@ def psi_weighted_items(
     - the upper ramp x (1 - 1e-9) < p <= n_hi, weighed by ``f_eval``.
 
     So the terms equal, bit for bit, those of one scalar loop that weighs
-    every (p, k).
+    every (p, k).  The pairs come from the pass that builds the terms of
+    every class, which ``psi_weighted_class`` runs too; the pairs are not
+    memoized.
     """
-    ns, terms = _psi_terms(fd, cls, params, sieve)
-    return list(zip(ns, terms))
-
-
-@lru_cache(maxsize=256)
-def _power_hits(group: FiniteGroup, cls_index: int) -> tuple[tuple[bool, ...], ...]:
-    """hits[c][k % |G|]: the k-th power of class c lies in class cls_index."""
-    return tuple(
-        tuple(group.class_of(group.power(c.representative, k)).index == cls_index for k in range(group.order))
-        for c in group.classes
-    )
+    lower, plateau, upper = _psi_terms(fd, params, sieve, _psi_memo(fd).powers)[cls.index]
+    log = math.log
+    return lower + [(p, log(p)) for p in plateau] + upper
 
 
 def psi_weighted_class(
@@ -292,8 +326,24 @@ def psi_weighted_class(
     since f is exactly 1.0 on [1/2, 1].  The terms are reduced with exact
     compensated summation, so the value is deterministic and independent of
     their order or of any work partition.
+
+    One pass builds the terms of every class, and each class's plateau logs
+    are streamed into its sum.  The field keeps the sums of every class for
+    the last (sieve, params) it was asked, so the other classes at the same
+    sieve object and parameters are read back without recomputation; any
+    other request recomputes them.  A request that raises leaves the kept
+    sums as they were.
     """
-    return math.fsum(_psi_terms(fd, cls, params, sieve)[1])
+    memo = _psi_memo(fd)
+    sums = memo.sums
+    if sums is None or sums[0]() is not sieve or sums[1] != params:
+        log = math.log
+        values = tuple(
+            math.fsum(chain((t for _, t in lower), map(log, plateau), (t for _, t in upper)))
+            for lower, plateau, upper in _psi_terms(fd, params, sieve, memo.powers)
+        )
+        sums = memo.sums = (weakref.ref(sieve), params, values)
+    return sums[2][cls.index]
 
 
 def partial_summation_pi(data: list[tuple[int, float]]) -> float:

@@ -239,7 +239,9 @@ def cmd_chebotarev(args) -> int:
 
     (fd,) = _resolve_fields(args, [args.field])
     selector = _parse_class(fd, args.cls)
-    limit = int(args.x * math.exp(0.25)) + 2 if args.weights_eps else int(args.x) + 1
+    # the parameters validate eps before any sieve; psi needs primes to x e^eps
+    params = WeightParams(x=args.x, eps=args.weights_eps) if args.weights_eps else None
+    limit = int(args.x * math.exp(params.eps)) + 2 if params is not None else int(args.x) + 1
     sieve = sieve_primes(max(limit, 100))
     count = pi_C_count(fd, selector, args.x, sieve)
     payload = {
@@ -252,8 +254,7 @@ def cmd_chebotarev(args) -> int:
         "error": count.error,
         "pi_x": pi_count(args.x, sieve),
     }
-    if args.weights_eps:
-        params = WeightParams(x=args.x, eps=args.weights_eps)
+    if params is not None:
         if not hasattr(selector, "representative"):
             raise ValidationError("--weights-eps needs an exact class, not a union")
         payload["psi_weighted"] = psi_weighted_class(fd, selector, params, sieve)

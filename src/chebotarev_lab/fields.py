@@ -73,6 +73,8 @@ class FieldDescriptor:
     residue_action: CyclotomicAction | None = None
     poly_disc: int = field(init=False, compare=False)
     _table_memo: _TableMemo | None = field(default=None, init=False, repr=False, compare=False)
+    # chebotarev's psi of every class at one (sieve, weight parameters)
+    _psi_memo: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = self.defining_poly

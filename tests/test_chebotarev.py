@@ -1,7 +1,12 @@
+import dataclasses
+import gc
 import itertools
 import math
+import random
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chebotarev_lab import chebotarev
@@ -20,11 +25,13 @@ from chebotarev_lab.errors import (
     AmbiguousClass,
     DomainTooSmall,
     ParameterOutOfRange,
+    SieveRangeExceeded,
     UnsupportedSubgroupAction,
 )
 from chebotarev_lab.fields import BUILTIN_CATALOG, FieldDescriptor, frobenius_data, load_catalog
 from chebotarev_lab.groups import build_group
 from chebotarev_lab.oracles import naive_psi_gaussian_split, psi_weighted_scalar
+from chebotarev_lab.sieve import PrimeSieve, sieve_primes
 from chebotarev_lab.weights import WeightParams
 from chebotarev_lab.zfr import classical_eta_profile, rational_eta_profile
 
@@ -234,7 +241,9 @@ def _weighed_pairs(fd, cls, params, sieve):
 
 @pytest.mark.parametrize("name", ["gaussian", "zeta5", "zeta7", "s3cubic"])
 def test_psi_calls_f_only_off_the_plateau(name, sieve_medium, monkeypatch):
-    fd = BUILTIN_CATALOG[name]
+    # one pass weighs the pairs of every class: the first class query at an
+    # (x, eps) calls f once per pair of any class, the others not at all
+    fd = dataclasses.replace(BUILTIN_CATALOG[name])  # a fresh psi memo
     calls = []
     f_eval = chebotarev.f_eval
 
@@ -245,10 +254,79 @@ def test_psi_calls_f_only_off_the_plateau(name, sieve_medium, monkeypatch):
     monkeypatch.setattr(chebotarev, "f_eval", counting)
     for x, eps in ((11, 0.001), (1009, 0.1), (10**4 - 0.5, 0.2499)):
         params = WeightParams(x=x, eps=eps)
-        for cls in fd.group.classes:
+        want = sum(_weighed_pairs(fd, cls, params, sieve_medium) for cls in fd.group.classes)
+        for i, cls in enumerate(fd.group.classes):
             calls.clear()
             psi_weighted_class(fd, cls, params, sieve_medium)
-            assert len(calls) == _weighed_pairs(fd, cls, params, sieve_medium), (name, x, eps, cls.label)
+            assert len(calls) == (want if i == 0 else 0), (name, x, eps, cls.label)
+
+
+def _catalog_field(name):
+    """A fresh descriptor, so its table and psi memos start empty."""
+    if name in BUILTIN_CATALOG:
+        return dataclasses.replace(BUILTIN_CATALOG[name])
+    return {f.name: f for f in load_catalog(DEMO_CATALOG)}[name]
+
+
+def test_psi_memo_matches_scalar_oracle_in_any_order(sieve_small):
+    # fields, sieves, x, eps and classes interleaved: the memo must never
+    # answer for another field, sieve object or parameters.  The second sieve
+    # holds the same primes as the first; the third lacks 3 and 547, so a
+    # value read back for the wrong sieve would differ
+    twin = sieve_primes(sieve_small.limit)
+    holed = PrimeSieve(limit=sieve_small.limit, primes=np.delete(sieve_small.primes, [1, 100]))
+    fields = [_catalog_field(name) for name in ("gaussian", "zeta7", "s3cubic", "quad(15)")]
+    queries = [
+        (fd, sieve, WeightParams(x=x, eps=eps), cls)
+        for fd in fields
+        for sieve in (sieve_small, twin, holed)
+        for x in (97, 1009.5, 5000)
+        for eps in (0.01, 0.2)
+        for cls in fd.group.classes
+    ]
+    rng = random.Random(5)
+    order = queries * 2
+    rng.shuffle(order)
+    want = {}
+    for fd, sieve, params, cls in order:
+        key = (fd.name, id(sieve), params, cls.index)
+        if key not in want:
+            want[key] = math.fsum(v for _, v in psi_weighted_scalar(fd, cls, params, sieve))
+        got = psi_weighted_class(fd, cls, params, sieve)
+        assert got == want[key], (fd.name, sieve.primes.size, params, cls.label)
+
+
+def test_psi_errors_raise_on_every_class_query(catalog, sieve_small):
+    # a request that raises keeps nothing, so each class query raises again,
+    # and the sums kept from an earlier request stay as they were
+    z5 = catalog["zeta5"]
+    blind = FieldDescriptor(
+        name="zeta5blind", defining_poly=z5.defining_poly, group=z5.group, disc_field=z5.disc_field
+    )
+    fd = dataclasses.replace(z5)
+    kept = WeightParams(x=100, eps=0.1)
+    psi_weighted_class(fd, fd.group.classes[0], kept, sieve_small)
+    for field, params, error in (
+        (fd, WeightParams(x=sieve_small.limit, eps=0.1), SieveRangeExceeded),
+        (blind, WeightParams(x=1000, eps=0.1), AmbiguousClass),
+    ):
+        for _ in range(2):
+            for cls in field.group.classes:
+                with pytest.raises(error):
+                    psi_weighted_class(field, cls, params, sieve_small)
+    for cls in fd.group.classes:
+        want = math.fsum(v for _, v in psi_weighted_scalar(fd, cls, kept, sieve_small))
+        assert psi_weighted_class(fd, cls, kept, sieve_small) == want
+
+
+def test_psi_memo_keeps_no_dropped_sieve_alive(catalog):
+    fd = dataclasses.replace(catalog["gaussian"])
+    sieve = sieve_primes(3000)
+    psi_weighted_class(fd, fd.group.classes[0], WeightParams(x=1000, eps=0.1), sieve)
+    ref = weakref.ref(sieve)
+    del sieve
+    gc.collect()
+    assert ref() is None
 
 
 def test_psi_sharp_cutoff_proxy(catalog, sieve_medium):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from chebotarev_lab import fields
+from chebotarev_lab import fields, sieve
 from chebotarev_lab.arith import factorize
 from chebotarev_lab.cli import _csv, main
 from chebotarev_lab.fields import builtin_field
@@ -70,6 +70,33 @@ def test_chebotarev_with_weights(capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["psi_weighted"] > 0
+
+
+class _Sieved(Exception):
+    """Stops a CLI run at its sieve."""
+
+
+def test_chebotarev_sieves_to_x_e_eps(monkeypatch, capsys):
+    # psi needs primes to x e^eps, not x e^(1/4): at x = 8e7 and eps = 0.1
+    # that is 8.84e7, within the 1e8 cap that x e^(1/4) exceeds.  An eps out
+    # of range is reported as such before any sieve is asked for
+    limits = []
+
+    def record(limit):
+        limits.append(limit)
+        raise _Sieved
+
+    monkeypatch.setattr(sieve, "sieve_primes", record)
+    for x, eps, want in (("8e7", "0.1", int(8e7 * math.exp(0.1)) + 2), ("5e7", None, int(5e7) + 1)):
+        limits.clear()
+        argv = ["chebotarev", "--field", "gaussian", "--x", x] + (["--weights-eps", eps] if eps else [])
+        with pytest.raises(_Sieved):
+            main(argv)
+        assert limits == [want] and want <= sieve.SIEVE_CAP
+    limits.clear()
+    assert main(["chebotarev", "--field", "gaussian", "--x", "8e7", "--weights-eps", "7"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "ParameterOutOfRange"
+    assert limits == []
 
 
 def test_splitting_table(capsys):
