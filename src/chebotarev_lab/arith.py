@@ -77,6 +77,13 @@ def squarefree_part(n: int) -> int:
     return sign * out
 
 
+def fundamental_disc(d: int) -> int:
+    """Discriminant of Q(sqrt(d)) for d != 0: the squarefree part s of d if
+    s = 1 mod 4, else 4 s.  d is a fundamental discriminant when this is d."""
+    s = squarefree_part(d)
+    return s if s % 4 == 1 else 4 * s
+
+
 # -- dense integer polynomials, coefficient lists with constant term first --
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import squarefree_part
+from .arith import fundamental_disc, squarefree_part
 from .chebotarev import pi_count, splitting_tally
 from .errors import (
     EqualFields,
@@ -113,11 +113,6 @@ def intersection_multiplicity(family: Family) -> int:
 # -- compositum discriminants ---------------------------------------------------
 
 
-def _fundamental_disc(d: int) -> int:
-    s = squarefree_part(d)
-    return s if s % 4 == 1 else 4 * s
-
-
 @dataclass(frozen=True)
 class CompositumCheck:
     """Discriminant of a biquadratic compositum with its divisibility checks."""
@@ -138,7 +133,7 @@ def compositum_disc_check(a: FieldDescriptor, b: FieldDescriptor) -> CompositumC
     if a.disc_field == b.disc_field:
         raise EqualFields("fields coincide; the compositum formula needs distinct quadratics")
     d1, d2 = a.disc_field, b.disc_field
-    d3 = _fundamental_disc(squarefree_part(d1 * d2))
+    d3 = fundamental_disc(d1 * d2)
     disc_comp = abs(d1 * d2 * d3)
     bound = (d1 * d2) ** 2
     divides = bound % disc_comp == 0

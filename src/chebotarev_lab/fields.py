@@ -5,8 +5,9 @@ the Galois group G of the closure K, and the (user-supplied) field
 discriminant D_K.  Frobenius conjugacy classes at unramified primes come from
 the factorization type of the polynomial mod p; for the abelian built-ins the
 class is resolved exactly through the residue of p modulo the conductor
-(Frobenius acts on roots of unity by zeta -> zeta^p, and on a quadratic field
-through the Kronecker character chi_D, a character mod |D|).
+(Frobenius acts on roots of unity by zeta -> zeta^p).  A quadratic field
+Q(sqrt D_K) without a declared action is classified by the Kronecker
+character chi_{D_K} alone, so its D_K is checked against the polynomial.
 
 ``frobenius_data`` classifies one prime; ``frobenius_table`` classifies the
 primes of a sieve up to x at once and agrees with it prime by prime.
@@ -22,15 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import kronecker_symbol, poly_discriminant, squarefree_part
-from .errors import CatalogError, LimitTooLarge, RamifiedPrime, ValidationError
+from .arith import fundamental_disc, kronecker_symbol, poly_discriminant, squarefree_part
+from .errors import CatalogError, RamifiedPrime, ValidationError
 from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group
 from .sieve import PrimeSieve
 
 RAMIFIED = -1  # class index of a ramified prime in a FrobeniusTable
 UNRESOLVED = -2  # class index of an unramified prime whose class the data cannot separate
-MAX_KRONECKER_CONDUCTOR = 10**6  # |D| bound for the residue table of a quadratic field
 _CHUNK_ENTRIES = 1 << 20  # int64 entries per block of Frobenius matrices
 
 
@@ -45,21 +45,8 @@ class CyclotomicAction:
     residue_class: tuple[int, ...]  # indexed by residue mod conductor, -1 off-support
 
     def element_of(self, p: int) -> int | None:
-        r = p % self.conductor
-        e = self.residue_class[r]
+        e = self.residue_class[p % self.conductor]
         return None if e < 0 else e
-
-
-def kronecker_action(discriminant: int) -> CyclotomicAction:
-    """Quadratic field of fundamental discriminant D: Frobenius at p is chi_D(p),
-    a character mod |D|, so the class of p depends on p mod |D| alone."""
-    q = abs(discriminant)
-    if q > MAX_KRONECKER_CONDUCTOR:
-        raise LimitTooLarge(f"|D| = {q} exceeds the residue table bound {MAX_KRONECKER_CONDUCTOR}")
-    table = tuple(
-        -1 if math.gcd(r, q) != 1 else (0 if kronecker_symbol(discriminant, r) == 1 else 1) for r in range(q)
-    )
-    return CyclotomicAction(conductor=q, residue_class=table)
 
 
 @dataclass(frozen=True)
@@ -91,6 +78,14 @@ class FieldDescriptor:
             raise ValidationError(
                 f"{self.name}: a residue action needs deg k = |G|, got {self.degree} and {self.group.order}"
             )
+        if self.degree == self.group.order == 2:
+            # k = K = Q(sqrt D_K), classified by chi_{D_K} alone
+            d = self.disc_field
+            index2, rest = divmod(disc, d)
+            if rest or index2 < 1 or math.isqrt(index2) ** 2 != index2:
+                raise ValidationError(f"{self.name}: disc f / D_K = {disc} / {d} is not a square")
+            if d == 1 or fundamental_disc(d) != d:
+                raise ValidationError(f"{self.name}: D_K = {d} must be a fundamental discriminant other than 1")
         object.__setattr__(self, "poly_disc", disc)
 
     @property
@@ -143,18 +138,26 @@ def frobenius_data(fd: FieldDescriptor, p: int) -> FrobeniusData:
         elem = fd.residue_action.element_of(p)
         if elem is None:
             return FrobeniusData(p=p, ramified=True)
-        cls, d, ftype = _element_frobenius(fd, elem)
+    elif _by_legendre(fd):
+        elem = 0 if kronecker_symbol(fd.disc_field, p) == 1 else 1
+    else:
+        pairs = _factor_type(fd.defining_poly, p)
+        if any(mult > 1 for _, mult in pairs):
+            return FrobeniusData(p=p, ramified=True)
+        ftype = tuple(sorted(d for d, _ in pairs))
+        cls, d = _type_frobenius(fd, ftype)
         return FrobeniusData(p=p, ramified=False, factorization_type=ftype, frobenius_order=d, conjugacy_class=cls)
-    pairs = _factor_type(fd.defining_poly, p)
-    if any(mult > 1 for _, mult in pairs):
-        return FrobeniusData(p=p, ramified=True)
-    ftype = tuple(sorted(d for d, _ in pairs))
-    cls, d = _type_frobenius(fd, ftype)
+    cls, d, ftype = _element_frobenius(fd, elem)
     return FrobeniusData(p=p, ramified=False, factorization_type=ftype, frobenius_order=d, conjugacy_class=cls)
 
 
+def _by_legendre(fd: FieldDescriptor) -> bool:
+    """A quadratic without a declared action: p is split or inert as chi_{D_K}(p) is 1 or -1."""
+    return fd.residue_action is None and fd.degree == fd.group.order == 2
+
+
 def _element_frobenius(fd: FieldDescriptor, elem: int) -> tuple[ConjugacyClass, int, tuple[int, ...]]:
-    """Class, order and factorization type of a Frobenius element given by the residue route."""
+    """Class, order and factorization type of a Frobenius element from the residue or chi_{D_K} route."""
     d = fd.group.element_orders[elem]
     # k = K is Galois, so every prime above p has residue degree d
     return fd.group.class_of(elem), d, tuple([d] * (fd.degree // d))
@@ -162,20 +165,13 @@ def _element_frobenius(fd: FieldDescriptor, elem: int) -> tuple[ConjugacyClass, 
 
 def _type_frobenius(fd: FieldDescriptor, ftype: tuple[int, ...]) -> tuple[ConjugacyClass | None, int]:
     """Class (None when ambiguous) and order of Frobenius with factorization type ftype."""
-    d = math.lcm(*ftype)
-    return _class_from_type(fd, ftype, d), d
-
-
-def _class_from_type(fd: FieldDescriptor, ftype: tuple[int, ...], d: int) -> ConjugacyClass | None:
-    g = fd.group
+    g, d = fd.group, math.lcm(*ftype)
     if g.name.startswith("S") and g.perms is not None and fd.degree == len(g.perms[0]):
         # for S_n acting on the n roots, the factorization type is the cycle
         # type, a complete class invariant
-        return g.class_by_cycle_type(ftype)
+        return g.class_by_cycle_type(ftype), d
     candidates = g.classes_of_order(d)
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+    return (candidates[0] if len(candidates) == 1 else None), d
 
 
 # -- Frobenius tables ----------------------------------------------------------
@@ -201,14 +197,15 @@ class FrobeniusTable:
 def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
     """Frobenius data of every prime p <= x of ``sieve``, at once.
 
-    Residue fields read the class off ``p mod conductor``; so does a
-    quadratic without a declared action, by the Kronecker character of
-    disc(f), once its memo is to hold at least |disc(f)| primes.  Otherwise a
-    prime dividing disc(f) is ramified, since f mod p then has a repeated
-    factor; for p > deg f the factorization type comes from the traces of
-    the Frobenius matrix (``_cycle_counts``), and the few primes p <= deg f
-    go through ``frobenius_data``.  Both routes share the type-to-class
-    helpers, so the table agrees with ``frobenius_data``.
+    Residue fields read the class off ``p mod conductor``.  A quadratic
+    without a declared action reads chi_{D_K}(p) by Euler's criterion,
+    D_K^((p-1)/2) mod p, and ramifies exactly at the primes dividing D_K.
+    Otherwise a prime dividing disc(f) is ramified, since f mod p then has a
+    repeated factor; for p > deg f the factorization type comes from the
+    traces of the Frobenius matrix (``_cycle_counts``).  On both vectorised
+    routes the few primes p <= deg f go through ``frobenius_data``, and the
+    routes share its element- and type-to-class helpers, so the table agrees
+    with ``frobenius_data``.
 
     Each field keeps the table of a prefix of the sieve's primes and returns
     slices of it.  A request beyond the prefix extends it to
@@ -258,25 +255,12 @@ class _TableMemo:
         self.arrays = _compact(np.zeros((0, 3), dtype=np.int64))
         self.types: list[tuple[int, ...]] = []
         self.type_index: dict[tuple[int, ...], int] = {}
-        self.conductor: int | None = None  # set on the residue route
-        self.kronecker_from: int | None = None  # memo size that moves a quadratic to it
-        if fd.residue_action is not None:
-            self._use_action(fd, fd.residue_action)
-        elif fd.degree == fd.group.order == 2 and abs(fd.poly_disc) <= MAX_KRONECKER_CONDUCTOR:
-            # disc f = 0, 1 mod 4, so chi(p) = (disc f / p) is a character mod
-            # |disc f|, and p | disc f exactly when f has a repeated factor mod
-            # p, which the trace route reports as ramified: both routes give
-            # every prime the same entry.  The residue table is built in
-            # O(|disc f|), so only once the memo is to hold that many primes.
-            self.kronecker_from = abs(fd.poly_disc)
-
-    def _use_action(self, fd: FieldDescriptor, action: CyclotomicAction) -> None:
-        # one row per group element, then the ramified row read by residue -1
-        entries = [self._entry(cls.index, d, ftype) for cls, d, ftype in
-                   (_element_frobenius(fd, e) for e in fd.group.elements())]
-        self.element_rows = np.array(entries + [(RAMIFIED, 0, -1)], dtype=np.int64)
-        self.residue = np.asarray(action.residue_class, dtype=np.int64)
-        self.conductor = action.conductor
+        self.residue = None if fd.residue_action is None else np.asarray(fd.residue_action.residue_class)
+        if self.residue is not None or _by_legendre(fd):
+            # one row per group element, then the ramified row read by element -1
+            entries = [self._entry(cls.index, d, ftype) for cls, d, ftype in
+                       (_element_frobenius(fd, e) for e in fd.group.elements())]
+            self.element_rows = np.array(entries + [(RAMIFIED, 0, -1)], dtype=np.int64)
 
     def lookup(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
         primes, n, k = sieve.primes, sieve.count_leq(x), self.primes.size
@@ -286,9 +270,6 @@ class _TableMemo:
         if not (same or np.array_equal(primes[:k], self.primes)):
             self.primes, self.arrays, k = self.primes[:0], tuple(a[:0] for a in self.arrays), 0
         size = min(primes.size, max(n, 2 * k))
-        if self.kronecker_from is not None and size >= self.kronecker_from:
-            self._use_action(fd, kronecker_action(fd.poly_disc))
-            self.kronecker_from = None
         tail = _compact(self._classify(fd, primes[k:size]))
         self.arrays = tuple(np.concatenate(pair) for pair in zip(self.arrays, tail))
         for a in self.arrays:
@@ -308,32 +289,53 @@ class _TableMemo:
 
     def _classify(self, fd: FieldDescriptor, primes: np.ndarray) -> np.ndarray:
         """One (class, order, type index) row per prime."""
-        ramified = _mod_primes(fd.disc_field, primes) == 0
-        if self.conductor is not None:
-            elem = np.where(ramified, -1, self.residue[primes % self.conductor])
+        disc_residue = _mod_primes(fd.disc_field, primes)
+        ramified = disc_residue == 0
+        if self.residue is not None:
+            elem = np.where(ramified, -1, self.residue[primes % fd.residue_action.conductor])
             return self.element_rows[elem]
-        # a monic f has a repeated factor mod p exactly when p | disc(f)
-        ramified |= _mod_primes(fd.poly_disc, primes) == 0
+        legendre = _by_legendre(fd)
+        if not legendre:
+            # a monic f has a repeated factor mod p exactly when p | disc(f)
+            ramified |= _mod_primes(fd.poly_disc, primes) == 0
         out = np.empty((primes.size, 3), dtype=np.int64)
         out[ramified] = (RAMIFIED, 0, -1)
         n = fd.degree
-        # the trace route needs p > n and n (p-1)^2 < 2^63
+        # both vectorised routes need p > n and n (p-1)^2 < 2^63
         scalar = ~ramified & ((primes <= n) | (primes > math.isqrt((2**63 - 1) // n)))
         for i in np.flatnonzero(scalar).tolist():
-            data = frobenius_data(fd, int(primes[i]))  # unramified: p divides neither D_K nor disc(f)
+            data = frobenius_data(fd, int(primes[i]))  # p divides neither D_K nor, unless legendre, disc(f)
             cls = UNRESOLVED if data.conjugacy_class is None else data.conjugacy_class.index
             out[i] = self._entry(cls, data.frobenius_order, data.factorization_type)
         fast = ~(ramified | scalar)
-        if fast.any():
-            counts = _cycle_counts(fd.defining_poly, primes[fast])
-            distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
-            entries = []
-            for row in distinct.tolist():
-                ftype = tuple(d for d, c in enumerate(row, start=1) for _ in range(c))
-                cls, order = _type_frobenius(fd, ftype)
-                entries.append(self._entry(UNRESOLVED if cls is None else cls.index, order, ftype))
-            out[fast] = np.array(entries, dtype=np.int64)[inverse.reshape(-1)]
+        if not fast.any():
+            return out
+        if legendre:
+            # Euler's criterion: D_K^((p-1)/2) = chi_{D_K}(p) mod p, and element 1 is Frobenius at an inert p
+            p = primes[fast]
+            inert = _pow_mod(disc_residue[fast], p >> 1, p) != 1
+            out[fast] = self.element_rows[inert.astype(np.int64)]
+            return out
+        counts = _cycle_counts(fd.defining_poly, primes[fast])
+        distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
+        entries = []
+        for row in distinct.tolist():
+            ftype = tuple(d for d, c in enumerate(row, start=1) for _ in range(c))
+            cls, order = _type_frobenius(fd, ftype)
+            entries.append(self._entry(UNRESOLVED if cls is None else cls.index, order, ftype))
+        out[fast] = np.array(entries, dtype=np.int64)[inverse.reshape(-1)]
         return out
+
+
+def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod m for each m of ``mod`` by in-place square-and-multiply; needs (m-1)^2 < 2^63."""
+    out = np.ones_like(mod)
+    for bit in range(int(exp.max()).bit_length() - 1, -1, -1):
+        out *= out
+        out %= mod
+        out *= np.where(exp & (1 << bit), base, 1)
+        out %= mod
+    return out
 
 
 def _compact(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -453,14 +455,14 @@ def _builtin_fields() -> dict[str, FieldDescriptor]:
         defining_poly=(1, 0, 1),  # x^2 + 1
         group=c2,
         disc_field=-4,
-        residue_action=kronecker_action(-4),
+        residue_action=_cyclotomic_action(4, c2),
     )
     out["sqrt5"] = FieldDescriptor(
         name="sqrt5",
         defining_poly=(-1, -1, 1),  # x^2 - x - 1
         group=c2,
         disc_field=5,
-        residue_action=kronecker_action(5),
+        residue_action=_cyclotomic_action(5, c2),
     )
     c4 = build_group("C4")
     out["zeta5"] = FieldDescriptor(
@@ -514,19 +516,8 @@ def quadratic_field(d: int) -> FieldDescriptor:
     """
     if d in (0, 1) or squarefree_part(d) != d:
         raise ValidationError(f"d={d} must be squarefree and different from 0, 1")
-    if d % 4 == 1:
-        poly = (-(d - 1) // 4, -1, 1)
-        disc = d
-    else:
-        poly = (-d, 0, 1)
-        disc = 4 * d
-    return FieldDescriptor(
-        name=f"quad({d})",
-        defining_poly=poly,
-        group=build_group("C2"),
-        disc_field=disc,
-        residue_action=kronecker_action(disc),
-    )
+    poly, disc = ((-(d - 1) // 4, -1, 1), d) if d % 4 == 1 else ((-d, 0, 1), 4 * d)
+    return FieldDescriptor(name=f"quad({d})", defining_poly=poly, group=build_group("C2"), disc_field=disc)
 
 
 # -- catalog files ------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from chebotarev_lab.arith import (
     factorize,
+    fundamental_disc,
     int_det,
     kronecker_symbol,
     poly_discriminant,
@@ -44,6 +45,19 @@ def test_factorize_and_squarefree():
     assert squarefree_part(1) == 1
     with pytest.raises(ParameterOutOfRange):
         factorize(10**13)
+
+
+def test_fundamental_disc():
+    # the discriminant of Q(sqrt d) for any nonzero d
+    assert [fundamental_disc(d) for d in (-1, 2, 3, 5, -3, 12, -45, 20, 200003, -800012)] == \
+        [-4, 8, 12, 5, -3, 12, -20, 5, 800012, -200003]
+    # d is fundamental exactly when it is 1 mod 4 and squarefree, or 4m with m = 2, 3 mod 4 squarefree
+    for d in range(-200, 201):
+        if d in (0, 1):
+            continue
+        m = d // 4
+        want = (d % 4 == 1 and squarefree_part(d) == d) or (d % 4 == 0 and m % 4 in (2, 3) and squarefree_part(m) == m)
+        assert (fundamental_disc(d) == d) == want, d
 
 
 def test_poly_discriminant_values():

@@ -24,7 +24,7 @@ from chebotarev_lab.errors import (
     PartitionTooLong,
     RamifiedPrime,
 )
-from chebotarev_lab.fields import parse_catalog
+from chebotarev_lab.fields import parse_catalog, quadratic_field
 from chebotarev_lab.oracles import gaussian_ideal_count, rs_cauchy_coefficient, rs_product_coefficients
 
 
@@ -178,18 +178,29 @@ def test_series_match_per_n_coefficients(catalog):
 
 
 def test_series_index_divisor_is_ramified(catalog):
-    # 2 and 3 divide disc(x^2 - 45) = 180 but not D_K = 5: the table marks them
-    # ramified, and the series fails at the smallest prime coprime to every D_K
+    # x^3 - 4x - 8 = 8 (y^3 - y - 1) at x = 2y generates s3cubic's field, but
+    # 2 divides its disc -1472 = 2^6 (-23) and not D_K = -23^3: the table marks
+    # 2 ramified, and the series fails at the smallest prime coprime to every D_K
+    s3x2 = parse_catalog("s3x2 | -8 -4 0 1 | S3 | -12167\n")[0]
+    with pytest.raises(RamifiedPrime, match="s3x2: p=2 "):
+        series_a_K(s3x2, 10)
+    with pytest.raises(RamifiedPrime, match="s3x2: p=2 "):
+        coeff_a_K(s3x2, 2)
+    with pytest.raises(RamifiedPrime, match="s3x2: p=2 "):
+        series_a_KxK(catalog["sqrt5"], s3x2, 10)
+    with pytest.raises(RamifiedPrime, match="s3x2: p=2 "):
+        mertens_partial_sum(s3x2, 1.0, 100)
+    assert series_a_K(s3x2, 1).coeffs == {1: 1}
+
+
+def test_quadratic_index_divisor_is_exact(catalog):
+    # 2 and 3 divide disc(x^2 - 45) = 180 but not D_K = 5: chi_5 classifies them
     bad5 = parse_catalog("bad5 | -45 0 1 | C2 | 5\n")[0]
-    with pytest.raises(RamifiedPrime, match="bad5: p=2 "):
-        series_a_K(bad5, 10)
-    with pytest.raises(RamifiedPrime, match="bad5: p=3 "):
-        coeff_a_K(bad5, 3)
-    with pytest.raises(RamifiedPrime, match="bad5: p=3 "):
-        series_a_KxK(catalog["gaussian"], bad5, 10)
-    with pytest.raises(RamifiedPrime, match="bad5: p=2 "):
-        mertens_partial_sum(bad5, 1.0, 100)
-    assert series_a_K(bad5, 1).coeffs == {1: 1}
+    q5 = quadratic_field(5)
+    assert coeff_a_K(bad5, 3) == -1  # 3 is inert in Q(sqrt 5)
+    assert series_a_K(bad5, 300).coeffs == series_a_K(q5, 300).coeffs
+    assert series_a_KxK(catalog["gaussian"], bad5, 100).coeffs == series_a_KxK(catalog["gaussian"], q5, 100).coeffs
+    assert mertens_partial_sum(bad5, 1.0, 100) == mertens_partial_sum(q5, 1.0, 100)
 
 
 def test_a_KxK_multiplicative_and_bounded(catalog):

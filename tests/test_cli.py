@@ -165,7 +165,7 @@ def test_family_subcommand(tmp_path, capsys):
 
 def test_malformed_catalog_exit_code_and_line(tmp_path):
     catalog = tmp_path / "bad.txt"
-    catalog.write_text("fine | -1 0 1 | C2 | -4\noops | one two | C2 | 5\n", encoding="utf-8")
+    catalog.write_text("fine | 1 0 1 | C2 | -4\noops | one two | C2 | 5\n", encoding="utf-8")
     code, out, err = run_cli(["family", "--catalog", str(catalog), "--Q", "40", "--x", "100"])
     assert code == 1
     assert "bad.txt:2" in err

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 from chebotarev_lab import fields
-from chebotarev_lab.chebotarev import pi_C_count
-from chebotarev_lab.errors import AmbiguousClass, CatalogError, LimitTooLarge, ValidationError
+from chebotarev_lab.chebotarev import pi_C_count, splitting_tally
+from chebotarev_lab.arith import kronecker_symbol
+from chebotarev_lab.errors import AmbiguousClass, CatalogError, ValidationError
 from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
-    MAX_KRONECKER_CONDUCTOR,
     RAMIFIED,
     UNRESOLVED,
     FieldDescriptor,
@@ -144,19 +145,17 @@ def test_quadratic_field_generator():
     assert fd5.disc_field == 5 and fd5.poly_disc == 5
     with pytest.raises(ValidationError):
         quadratic_field(12)
-    with pytest.raises(LimitTooLarge):  # residue table of 4 * 1000003 entries
-        quadratic_field(1000003)
 
 
 def test_catalog_parsing():
     text = """
 # comment line
-myquad | -1 0 1 | C2 | -4
+myquad | 1 0 1 | C2 | -4
 cubic  | -1 -1 0 1 | S3 | -12167
 """
     fields = parse_catalog(text, source="inline")
     assert [fd.name for fd in fields] == ["myquad", "cubic"]
-    assert fields[0].defining_poly == (-1, 0, 1)
+    assert fields[0].defining_poly == (1, 0, 1)
     assert fields[1].group.name == "S3"
 
 
@@ -178,10 +177,30 @@ def test_catalog_malformed_lines(line, fragment):
 
 
 def test_catalog_line_numbers():
-    text = "good | -1 0 1 | C2 | -4\n\n# fine\nbroken | nope | C2 | 1"
+    text = "good | 1 0 1 | C2 | -4\n\n# fine\nbroken | nope | C2 | 1"
     with pytest.raises(CatalogError) as err:
         parse_catalog(text, source="cat")
     assert "cat:4" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row,fragment",
+    [
+        ("1 0 1 | C2 | -3", "disc f / D_K = -4 / -3"),  # x^2 + 1 generates Q(i), D_K = -4
+        ("200003 0 1 | C2 | -800012", "D_K = -800012"),  # D_K = -200003: 4 * D_K is not fundamental
+        ("-1 0 1 | C2 | -4", "disc f / D_K = 4 / -4"),  # reducible: disc f is a square
+        ("-4 0 1 | C2 | 1", "D_K = 1"),  # reducible, and 1 is no quadratic discriminant
+        ("-250000000001 -1 1 | C2 | 1000000000005", "factoring"),  # D_K past FACTOR_LIMIT cannot be checked
+    ],
+    ids=["x2p1", "x2p200003", "x2m1", "x2m4", "unfactorable"],
+)
+def test_catalog_rejects_wrong_quadratic_discriminant(row, fragment):
+    # chi_{D_K} classifies every prime of a catalog quadratic, so D_K must be
+    # fundamental, not 1, and disc f / D_K a nonzero square
+    text = f"good | 1 0 1 | C2 | -4\n# fine\nbad | {row}\ncubic | -1 -1 0 1 | S3 | -12167\n"
+    with pytest.raises(CatalogError) as err:
+        parse_catalog(text, source="cat")
+    assert str(err.value).startswith("cat:3: ") and fragment in str(err.value)
 
 
 def test_builtin_lookup():
@@ -268,17 +287,27 @@ def test_frobenius_table_huge_coefficients():
     _assert_table_matches(fd, sieve, sieve.limit)
 
 
-# -- catalog quadratics: the Kronecker residue route keyed on disc f ------------
+# -- quadratics: chi_{D_K} by Euler's criterion -----------------------------------
 
 DEMO_CATALOG = Path(__file__).resolve().parents[1] / "demos" / "catalog_quadratics.txt"
-# index divisors (2 for bad5, 2 and 3 for x^2 - 45), an odd disc f, and a
-# reducible f whose disc is a square
+# index divisors (2 for bad5, 2 and 3 for x^2 - 45) and an odd disc f
 KRONECKER_ROWS = """
 bad5  | -5 0 1 | C2 | 5
 x2m45 | -45 0 1 | C2 | 5
 x2px3 | 3 1 1 | C2 | -11
-x2m4  | -4 0 1 | C2 | 1
 """
+
+
+def _assert_kronecker(fd, sieve, x):
+    """The table of p <= x: chi_{D_K}(p) per prime, and the type of f mod p off disc f."""
+    table = frobenius_table(fd, sieve, x)
+    want = {0: (RAMIFIED, 0), 1: (0, 1), -1: (1, 2)}  # (class index, order) by chi
+    for i, p in enumerate(sieve.upto(x).tolist()):
+        got = (int(table.cls[i]), int(table.order[i]))
+        assert got == want[kronecker_symbol(fd.disc_field, p)], (fd.name, p)
+        if fd.poly_disc % p:
+            ftype = tuple(d for d, _ in _factor_type(fd.defining_poly, p))
+            assert table.types[table.ftype[i]] == ftype, (fd.name, p)
 
 
 @pytest.mark.parametrize(
@@ -287,29 +316,45 @@ x2m4  | -4 0 1 | C2 | 1
 def test_kronecker_route_matches_frobenius_data(fd):
     sieve = sieve_primes(2 * 10**4)
     primes = sieve.primes
-    q = abs(fd.poly_disc)
-    # growing prefixes: on the trace route below |disc f| primes, then across the
-    # switch, which happens as soon as the memo is to hold |disc f| primes
-    for n in sorted({min(m, primes.size) for m in (1, q // 2, q - 1, q, q + 1, 2 * q + 5, primes.size)} - {0}):
+    assert fd.residue_action is None
+    # growing prefixes, each classified by the same route
+    for n in (1, 2, 3, 10, 100, 1000, primes.size):
         _assert_table_matches(fd, sieve, int(primes[n - 1]))
-        held = fd._table_memo.primes.size
-        assert n <= held <= primes.size, (fd.name, n, held)
-        assert fd._table_memo.conductor == (q if held >= q else None), (fd.name, n, held)
+        _assert_kronecker(fd, sieve, int(primes[n - 1]))
     _assert_table_matches(fd, sieve, int(primes[99]))
 
 
-def test_quadratic_above_the_rule_stays_on_trace_route():
-    fd = parse_catalog("wide | -250007 0 1 | C2 | 1000028", source="inline")[0]
-    assert abs(fd.poly_disc) > MAX_KRONECKER_CONDUCTOR
+def test_wide_quadratics_build_at_once():
+    # |D_K| past 10^6: no residue table, no size cap
+    start = time.perf_counter()
+    wide = [parse_catalog("wide | -250007 0 1 | C2 | 1000028", source="inline")[0], quadratic_field(1000003)]
+    assert time.perf_counter() - start < 0.1
+    assert [fd.disc_field for fd in wide] == [1000028, 4000012]
     sieve = sieve_primes(2 * 10**4)
-    _assert_table_matches(fd, sieve, sieve.limit)
-    assert fd._table_memo.conductor is None
+    for fd in wide:
+        _assert_kronecker(fd, sieve, sieve.limit)
+        _assert_table_matches(fd, sieve, sieve.limit)
+
+
+def test_quadratic_index_divisors_get_their_true_class():
+    # 2 divides disc(x^2 + 200003) = 4 (-200003) but not D_K; 2 and 3 divide disc(x^2 - 45)
+    sieve = sieve_primes(2 * 10**4)
+    big, bad5 = parse_catalog("big | 200003 0 1 | C2 | -200003\nbad5 | -45 0 1 | C2 | 5", source="inline")
+    for fd, twin, divisors in ((big, quadratic_field(-200003), (2,)), (bad5, quadratic_field(5), (2, 3))):
+        assert splitting_tally(fd, sieve.limit, sieve) == splitting_tally(twin, sieve.limit, sieve)
+        table = frobenius_table(fd, sieve, 100)
+        for p in divisors:
+            data = frobenius_data(fd, p)
+            assert not data.ramified and data == frobenius_data(twin, p)
+            assert table.cls[sieve.count_leq(p) - 1] == data.conjugacy_class.index
+    assert splitting_tally(bad5, 100, sieve).ramified == 1
+    assert frobenius_data(bad5, 3).conjugacy_class.label == "2"  # 3 is inert in Q(sqrt 5)
 
 
 # -- memo growth: a rising-x session reads ahead in the sieve ---------------------
 
 GROWTH_FIELDS = {"s3cubic": BUILTIN_CATALOG["s3cubic"], "zeta5blind": _zeta5blind(),
-                 # |disc f| = 1004 primes: crosses to the Kronecker route mid-session
+                 # a catalog quadratic, classified by chi_{1004} from its first prime on
                  "mid": parse_catalog("mid | -251 0 1 | C2 | 1004", source="inline")[0]}
 
 
@@ -391,7 +436,7 @@ def test_memo_restarts_on_a_sieve_with_other_primes(monkeypatch):
 
 
 def test_cycle_counts_of_quadratics():
-    # the trace route at n = 2, which catalog quadratics no longer reach past |disc f| primes
+    # the trace route at n = 2, which quadratics no longer take
     primes = sieve_primes(2 * 10**4).primes
     for poly in ((1, 0, 1), (3, 1, 1)):  # x^2 + 1, x^2 + x + 3
         disc = poly[1] ** 2 - 4 * poly[0]

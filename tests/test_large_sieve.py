@@ -120,11 +120,17 @@ def test_msq_size_guard():
         msq_integral(poly, 1e12)
 
 
-def test_prime_polynomial_index_divisor(sieve_small):
+def test_prime_polynomial_index_divisor(catalog, sieve_small):
+    # 2 divides disc(x^3 - 4x - 8) = 2^6 (-23) but not D_K: the window must leave it out
+    s3x2 = parse_catalog("s3x2 | -8 -4 0 1 | S3 | -12167\n")[0]
+    with pytest.raises(RamifiedPrime, match="s3x2: p=2 "):
+        prime_polynomial(s3x2, 1.0, 100.0, sieve_small)
+    assert prime_polynomial(s3x2, 2.0, 100.0, sieve_small).terms == \
+        prime_polynomial(catalog["s3cubic"], 2.0, 100.0, sieve_small).terms
+    # a quadratic's index divisors 2 and 3 are classified by chi_{D_K}
     bad5 = parse_catalog("bad5 | -45 0 1 | C2 | 5\n")[0]
-    with pytest.raises(RamifiedPrime, match="bad5: p=3 "):
-        prime_polynomial(bad5, 2.0, 100.0, sieve_small)
-    assert prime_polynomial(bad5, 3.0, 6.0, sieve_small).terms == {}  # only 5, which ramifies
+    assert prime_polynomial(bad5, 1.0, 100.0, sieve_small).terms == \
+        prime_polynomial(quadratic_field(5), 1.0, 100.0, sieve_small).terms
 
 
 # Starts its argv and prints the exit code and peak RSS (ru_maxrss) of that
