@@ -79,8 +79,9 @@ def squarefree_part(n: int) -> int:
 
 def fundamental_disc(d: int) -> int:
     """Discriminant of Q(sqrt(d)) for d != 0: the squarefree part s of d if
-    s = 1 mod 4, else 4 s.  d is a fundamental discriminant when this is d."""
-    s = squarefree_part(d)
+    s = 1 mod 4, else 4 s.  d is a fundamental discriminant when this is d.
+    A factor 4 of d is stripped first, so 4 d' factors as d' does."""
+    s = squarefree_part(d // 4 if d % 4 == 0 else d)
     return s if s % 4 == 1 else 4 * s
 
 

@@ -12,8 +12,8 @@ summation, so results are bit-stable.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
@@ -29,7 +29,7 @@ from .errors import (
 from .fields import RAMIFIED, UNRESOLVED, FieldDescriptor, frobenius_table
 from .groups import ConjugacyClass, FiniteGroup
 from .sieve import PrimeSieve
-from .weights import WeightParams, f_eval
+from .weights import WeightParams, below_support, f_eval
 
 if TYPE_CHECKING:  # only flexi_error_report's annotations name it; counting needs no zfr
     from .zfr import EtaProfile
@@ -183,34 +183,13 @@ def is_admissible(
 _PLATEAU_CHUNK = 1 << 12  # plateau primes turned into Python ints at a time
 
 
+@lru_cache(maxsize=64)  # bounded: it keeps each group it is given alive
 def _power_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """powers[c][k % |G|]: the index of the class holding the k-th powers of class c."""
     return tuple(
         tuple(group.class_of(group.power(c.representative, k)).index for k in range(group.order))
         for c in group.classes
     )
-
-
-class _PsiMemo:
-    """One field's psi of every class at one (sieve, weight parameters).
-
-    The sieve is held weakly and matched by identity, as the table memo does,
-    so a dropped sieve is never matched again nor kept alive; any other
-    request rebuilds the values and replaces them.
-    """
-
-    def __init__(self, group: FiniteGroup):
-        self.powers = _power_classes(group)
-        # (the sieve, held weakly; the parameters; the sum of each class)
-        self.sums: tuple[weakref.ref[PrimeSieve], WeightParams, tuple[float, ...]] | None = None
-
-
-def _psi_memo(fd: FieldDescriptor) -> _PsiMemo:
-    memo = fd._psi_memo
-    if memo is None:
-        memo = _PsiMemo(fd.group)
-        object.__setattr__(fd, "_psi_memo", memo)
-    return memo
 
 
 def _plateau_primes(block: np.ndarray, block_cls: np.ndarray, c: int) -> Iterator[int]:
@@ -222,10 +201,7 @@ def _plateau_primes(block: np.ndarray, block_cls: np.ndarray, c: int) -> Iterato
 
 
 def _psi_terms(
-    fd: FieldDescriptor,
-    params: WeightParams,
-    sieve: PrimeSieve,
-    powers: tuple[tuple[int, ...], ...],
+    fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve
 ) -> list[tuple[list[tuple[int, float]], Iterator[int], list[tuple[int, float]]]]:
     """The terms of the weighted prime sum of every class, in one pass.
 
@@ -233,8 +209,8 @@ def _psi_terms(
     an iterator over its primes in the block, each of which adds exactly
     log p, and its weighed pairs above the block, each part ascending in p
     and then k (the segments are described at ``psi_weighted_items``).  Every
-    (p, k) outside the block is weighed once and goes to the class of
-    Frob_p^k, read off ``powers``.
+    (p, k) outside the block and not below supp f is weighed once and goes to
+    the class of Frob_p^k, read off ``_power_classes``.
 
     The weight argument is evaluated as k*log(p)/log(x) so independent
     reimplementations of the same sum produce bit-identical terms.
@@ -249,7 +225,7 @@ def _psi_terms(
     p = _first_unresolved(primes, table.cls == UNRESOLVED)
     if p is not None:
         raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
-    order = fd.group.order
+    order, powers = fd.group.order, _power_classes(fd.group)
     # the plateau block primes[start:stop]: p > isqrt(2 n_hi), so p^2 > n_hi, and f == 1.0
     start = sieve.count_leq(math.isqrt(int(2 * n_hi)))
     stop = max(start, sieve.count_leq(x ** params.plateau[1] * (1.0 - 1e-9)))
@@ -267,9 +243,11 @@ def _psi_terms(
             k = 1
             n = p
             while k * logp <= top:
-                weight = f_eval(params, k * logp / lx)
-                if weight > 0.0:
-                    pairs[power[k % order]].append((n, logp * weight))
+                t = k * logp / lx
+                if not below_support(params, t):
+                    weight = f_eval(params, t)
+                    if weight > 0.0:
+                        pairs[power[k % order]].append((n, logp * weight))
                 k += 1
                 n *= p
         return pairs
@@ -293,7 +271,8 @@ def psi_weighted_items(
     The primes up to n_hi = x e^eps, where supp f ends, fall in three segments:
 
     - p <= isqrt(2 n_hi): p^k may enter for k >= 2, and p may lie on the
-      lower ramp, so every (p, k) is weighed by ``f_eval``;
+      lower ramp, so every (p, k) is weighed by ``f_eval``, but those that
+      ``below_support`` puts below supp f, where f is exactly 0.0;
     - the plateau block isqrt(2 n_hi) < p <= x (1 - 1e-9): here p^2 > n_hi, so
       only k = 1 enters, and log p / log x lies inside the plateau [1/2, 1]
       with a margin far above rounding.  Both branches of f return constants
@@ -306,7 +285,7 @@ def psi_weighted_items(
     every class, which ``psi_weighted_class`` runs too; the pairs are not
     memoized.
     """
-    lower, plateau, upper = _psi_terms(fd, params, sieve, _psi_memo(fd).powers)[cls.index]
+    lower, plateau, upper = _psi_terms(fd, params, sieve)[cls.index]
     log = math.log
     return lower + [(p, log(p)) for p in plateau] + upper
 
@@ -328,22 +307,21 @@ def psi_weighted_class(
     their order or of any work partition.
 
     One pass builds the terms of every class, and each class's plateau logs
-    are streamed into its sum.  The field keeps the sums of every class for
-    the last (sieve, params) it was asked, so the other classes at the same
-    sieve object and parameters are read back without recomputation; any
-    other request recomputes them.  A request that raises leaves the kept
-    sums as they were.
+    are streamed into its sum.  The sieve keeps, in ``sieve.derived``, the
+    sums of every class of the field for the last params it was asked, so the
+    other classes at the same parameters are read back without
+    recomputation; other parameters recompute them.  A request that raises
+    leaves the kept sums as they were.
     """
-    memo = _psi_memo(fd)
-    sums = memo.sums
-    if sums is None or sums[0]() is not sieve or sums[1] != params:
+    kept = sieve.derived.get(("psi_weighted_class", fd))
+    if kept is None or kept[0] != params:
         log = math.log
         values = tuple(
             math.fsum(chain((t for _, t in lower), map(log, plateau), (t for _, t in upper)))
-            for lower, plateau, upper in _psi_terms(fd, params, sieve, memo.powers)
+            for lower, plateau, upper in _psi_terms(fd, params, sieve)
         )
-        sums = memo.sums = (weakref.ref(sieve), params, values)
-    return sums[2][cls.index]
+        kept = sieve.derived["psi_weighted_class", fd] = (params, values)
+    return kept[1][cls.index]
 
 
 def partial_summation_pi(data: list[tuple[int, float]]) -> float:

@@ -16,7 +16,6 @@ primes of a sieve up to x at once and agrees with it prime by prime.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .arith import fundamental_disc, kronecker_symbol, poly_discriminant, squarefree_part
-from .errors import CatalogError, RamifiedPrime, ValidationError
+from .errors import CatalogError, ParameterOutOfRange, RamifiedPrime, ValidationError
 from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group
 from .sieve import PrimeSieve
@@ -59,9 +58,6 @@ class FieldDescriptor:
     disc_field: int
     residue_action: CyclotomicAction | None = None
     poly_disc: int = field(init=False, compare=False)
-    _table_memo: _TableMemo | None = field(default=None, init=False, repr=False, compare=False)
-    # chebotarev's psi of every class at one (sieve, weight parameters)
-    _psi_memo: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = self.defining_poly
@@ -84,7 +80,11 @@ class FieldDescriptor:
             index2, rest = divmod(disc, d)
             if rest or index2 < 1 or math.isqrt(index2) ** 2 != index2:
                 raise ValidationError(f"{self.name}: disc f / D_K = {disc} / {d} is not a square")
-            if d == 1 or fundamental_disc(d) != d:
+            try:
+                fundamental = fundamental_disc(d)
+            except ParameterOutOfRange as exc:
+                raise ParameterOutOfRange(f"{self.name}: D_K = {d} cannot be checked: {exc}") from None
+            if d == 1 or fundamental != d:
                 raise ValidationError(f"{self.name}: D_K = {d} must be a fundamental discriminant other than 1")
         object.__setattr__(self, "poly_disc", disc)
 
@@ -207,16 +207,15 @@ def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Frobeni
     routes share its element- and type-to-class helpers, so the table agrees
     with ``frobenius_data``.
 
-    Each field keeps the table of a prefix of the sieve's primes and returns
-    slices of it.  A request beyond the prefix extends it to
-    min(len(sieve), max(pi(x), 2 * prefix)) primes, so a session of rising x
-    classifies O(log x) times, while a first request classifies exactly the
-    pi(x) primes asked for.
+    The sieve keeps each field's table of a prefix of its primes, in
+    ``sieve.derived``, and returns slices of it.  A request beyond the prefix
+    extends it to min(len(sieve), max(pi(x), 2 * prefix)) primes, so a
+    session of rising x classifies O(log x) times, while a first request
+    classifies exactly the pi(x) primes asked for.
     """
-    memo = fd._table_memo
+    memo = sieve.derived.get(("frobenius_table", fd))
     if memo is None:
-        memo = _TableMemo(fd)
-        object.__setattr__(fd, "_table_memo", memo)
+        memo = sieve.derived["frobenius_table", fd] = _TableMemo(fd)
     return memo.lookup(fd, sieve, x)
 
 
@@ -240,18 +239,15 @@ def check_index_divisors(
 
 
 class _TableMemo:
-    """One field's table over a prefix of a sieve's primes.
+    """One field's table over a prefix ``sieve.primes[:size]`` of the sieve
+    that keeps it.
 
-    A request from the sieve the memo was last extended from skips comparing
-    primes, as a sieve's primes are read-only; another sieve is compared, and
-    one whose primes do not begin with the prefix starts the memo afresh.
     Type indices are assigned in the order types are first met and never
     change, so a table extended later keeps the indices it had.
     """
 
     def __init__(self, fd: FieldDescriptor):
-        self.primes = np.zeros(0, dtype=np.int64)
-        self.source: weakref.ref[PrimeSieve] | None = None  # the sieve last extended from
+        self.size = 0
         self.arrays = _compact(np.zeros((0, 3), dtype=np.int64))
         self.types: list[tuple[int, ...]] = []
         self.type_index: dict[tuple[int, ...], int] = {}
@@ -263,19 +259,14 @@ class _TableMemo:
             self.element_rows = np.array(entries + [(RAMIFIED, 0, -1)], dtype=np.int64)
 
     def lookup(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
-        primes, n, k = sieve.primes, sieve.count_leq(x), self.primes.size
-        same = self.source is not None and self.source() is sieve
-        if n <= k and (same or np.array_equal(primes[:n], self.primes[:n])):
-            return self._table(n)
-        if not (same or np.array_equal(primes[:k], self.primes)):
-            self.primes, self.arrays, k = self.primes[:0], tuple(a[:0] for a in self.arrays), 0
-        size = min(primes.size, max(n, 2 * k))
-        tail = _compact(self._classify(fd, primes[k:size]))
-        self.arrays = tuple(np.concatenate(pair) for pair in zip(self.arrays, tail))
-        for a in self.arrays:
-            a.flags.writeable = False
-        self.primes = primes[:size].copy()
-        self.source = weakref.ref(sieve)
+        n, k = sieve.count_leq(x), self.size
+        if n > k:
+            size = min(len(sieve), max(n, 2 * k))
+            tail = _compact(self._classify(fd, sieve.primes[k:size]))
+            self.arrays = tuple(np.concatenate(pair) for pair in zip(self.arrays, tail))
+            for a in self.arrays:
+                a.flags.writeable = False
+            self.size = size
         return self._table(n)
 
     def _table(self, n: int) -> FrobeniusTable:

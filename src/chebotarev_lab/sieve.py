@@ -16,11 +16,14 @@ class PrimeSieve:
     """Ascending primes <= limit, built once and shared read-only.
 
     The sieve keeps its own read-only copy of ``primes``, so one sieve object
-    always holds the same primes.
+    always holds the same primes.  The layers above keep what they compute
+    from those primes in ``derived``, keyed by (owner, descriptor), so it
+    lives exactly as long as the sieve.
     """
 
     limit: int
     primes: np.ndarray = field(repr=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         primes = np.array(self.primes, dtype=np.int64)

@@ -78,6 +78,11 @@ def _smoothed_step(s: float, w: float) -> float:
     return 1.0 - s * s / (2 * w * w)
 
 
+def below_support(params: WeightParams, t: float) -> bool:
+    """Whether t - 1/2 <= -2w, the test by which both steps of ``f_eval`` give 0.0, so f(t) is exactly 0.0."""
+    return t - 0.5 <= -2 * params.boxcar_width
+
+
 def f_eval(params: WeightParams, t: float) -> float:
     """The weight f(t): 1 on [1/2, 1], quadratic ramps, 0 outside the support."""
     w = params.boxcar_width

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import math
@@ -191,8 +190,8 @@ DEMO_CATALOG = Path(__file__).resolve().parents[1] / "demos" / "catalog_quadrati
 
 @pytest.mark.parametrize("name", [*BUILTIN_CATALOG, "quad(-3)", "quad(15)"])
 def test_psi_matches_scalar_oracle_exactly(name, sieve_medium):
-    # catalog rows are loaded fresh, so the rising x cross their switch to
-    # the Kronecker residue route (at |disc f| = 3 and 60 primes)
+    # the catalog quadratics take the chi_{D_K} route, the built-ins the
+    # residue and trace routes
     fd = BUILTIN_CATALOG.get(name) or {f.name: f for f in load_catalog(DEMO_CATALOG)}[name]
     for x in (3, 97, 6614, 10**5):
         for eps in (0.01, 0.1, 0.2499):
@@ -210,7 +209,6 @@ PLATEAU_EDGE_XS = (3, 5, 7, 11, 96.5, 97, 97.5, 1008.5, 1009, 1009.5, 7918.5, 79
 
 @pytest.mark.parametrize("name", ["gaussian", "zeta7", "s3cubic", "quad(15)"])
 def test_psi_plateau_edges_match_scalar_oracle(name, sieve_medium):
-    # quad(15) is loaded fresh, so its memo crosses the Kronecker switch (|disc f| = 60)
     fd = BUILTIN_CATALOG.get(name) or {f.name: f for f in load_catalog(DEMO_CATALOG)}[name]
     for x in PLATEAU_EDGE_XS:
         for eps in (0.001, 0.2499):
@@ -223,7 +221,8 @@ def test_psi_plateau_edges_match_scalar_oracle(name, sieve_medium):
 
 def _weighed_pairs(fd, cls, params, sieve):
     """(p, k) pairs with the k-th Frobenius power in cls, outside the plateau
-    block isqrt(2 x e^eps) < p <= x (1 - 1e-9): the pairs f must weigh."""
+    block isqrt(2 x e^eps) < p <= x (1 - 1e-9) and above the lower end of
+    supp f, where t = k log p / log x has t - 1/2 > -2w: the pairs f must weigh."""
     n_hi = params.x * math.exp(params.eps)
     root = math.isqrt(int(2 * n_hi))
     count = 0
@@ -234,7 +233,8 @@ def _weighed_pairs(fd, cls, params, sieve):
         sigma = data.conjugacy_class.representative
         k = 1
         while k * math.log(p) <= params.log_x + params.eps:
-            count += fd.group.class_of(fd.group.power(sigma, k)) == cls
+            if k * math.log(p) / params.log_x - 0.5 > -2 * params.boxcar_width:
+                count += fd.group.class_of(fd.group.power(sigma, k)) == cls
             k += 1
     return count
 
@@ -243,7 +243,8 @@ def _weighed_pairs(fd, cls, params, sieve):
 def test_psi_calls_f_only_off_the_plateau(name, sieve_medium, monkeypatch):
     # one pass weighs the pairs of every class: the first class query at an
     # (x, eps) calls f once per pair of any class, the others not at all
-    fd = dataclasses.replace(BUILTIN_CATALOG[name])  # a fresh psi memo
+    fd = BUILTIN_CATALOG[name]
+    sieve = PrimeSieve(limit=sieve_medium.limit, primes=sieve_medium.primes)  # keeps no psi sums yet
     calls = []
     f_eval = chebotarev.f_eval
 
@@ -254,32 +255,29 @@ def test_psi_calls_f_only_off_the_plateau(name, sieve_medium, monkeypatch):
     monkeypatch.setattr(chebotarev, "f_eval", counting)
     for x, eps in ((11, 0.001), (1009, 0.1), (10**4 - 0.5, 0.2499)):
         params = WeightParams(x=x, eps=eps)
-        want = sum(_weighed_pairs(fd, cls, params, sieve_medium) for cls in fd.group.classes)
+        want = sum(_weighed_pairs(fd, cls, params, sieve) for cls in fd.group.classes)
         for i, cls in enumerate(fd.group.classes):
             calls.clear()
-            psi_weighted_class(fd, cls, params, sieve_medium)
+            psi_weighted_class(fd, cls, params, sieve)
             assert len(calls) == (want if i == 0 else 0), (name, x, eps, cls.label)
 
 
 def _catalog_field(name):
-    """A fresh descriptor, so its table and psi memos start empty."""
-    if name in BUILTIN_CATALOG:
-        return dataclasses.replace(BUILTIN_CATALOG[name])
-    return {f.name: f for f in load_catalog(DEMO_CATALOG)}[name]
+    return BUILTIN_CATALOG.get(name) or {f.name: f for f in load_catalog(DEMO_CATALOG)}[name]
 
 
-def test_psi_memo_matches_scalar_oracle_in_any_order(sieve_small):
-    # fields, sieves, x, eps and classes interleaved: the memo must never
-    # answer for another field, sieve object or parameters.  The second sieve
-    # holds the same primes as the first; the third lacks 3 and 547, so a
-    # value read back for the wrong sieve would differ
-    twin = sieve_primes(sieve_small.limit)
+def test_psi_sums_match_scalar_oracle_in_any_order(sieve_small):
+    # fields, sieves, x, eps and classes interleaved: the kept sums must never
+    # answer for another field, sieve object or parameters.  The sieves start
+    # with no sums kept; the second holds the same primes as the first; the
+    # third lacks 3 and 547, so a value read back for the wrong sieve would differ
+    first, twin = sieve_primes(sieve_small.limit), sieve_primes(sieve_small.limit)
     holed = PrimeSieve(limit=sieve_small.limit, primes=np.delete(sieve_small.primes, [1, 100]))
     fields = [_catalog_field(name) for name in ("gaussian", "zeta7", "s3cubic", "quad(15)")]
     queries = [
         (fd, sieve, WeightParams(x=x, eps=eps), cls)
         for fd in fields
-        for sieve in (sieve_small, twin, holed)
+        for sieve in (first, twin, holed)
         for x in (97, 1009.5, 5000)
         for eps in (0.01, 0.2)
         for cls in fd.group.classes
@@ -299,34 +297,36 @@ def test_psi_memo_matches_scalar_oracle_in_any_order(sieve_small):
 def test_psi_errors_raise_on_every_class_query(catalog, sieve_small):
     # a request that raises keeps nothing, so each class query raises again,
     # and the sums kept from an earlier request stay as they were
-    z5 = catalog["zeta5"]
+    fd = catalog["zeta5"]
     blind = FieldDescriptor(
-        name="zeta5blind", defining_poly=z5.defining_poly, group=z5.group, disc_field=z5.disc_field
+        name="zeta5blind", defining_poly=fd.defining_poly, group=fd.group, disc_field=fd.disc_field
     )
-    fd = dataclasses.replace(z5)
+    sieve = sieve_primes(sieve_small.limit)  # keeps no psi sums yet
     kept = WeightParams(x=100, eps=0.1)
-    psi_weighted_class(fd, fd.group.classes[0], kept, sieve_small)
+    psi_weighted_class(fd, fd.group.classes[0], kept, sieve)
     for field, params, error in (
-        (fd, WeightParams(x=sieve_small.limit, eps=0.1), SieveRangeExceeded),
+        (fd, WeightParams(x=sieve.limit, eps=0.1), SieveRangeExceeded),
         (blind, WeightParams(x=1000, eps=0.1), AmbiguousClass),
     ):
         for _ in range(2):
             for cls in field.group.classes:
                 with pytest.raises(error):
-                    psi_weighted_class(field, cls, params, sieve_small)
+                    psi_weighted_class(field, cls, params, sieve)
     for cls in fd.group.classes:
-        want = math.fsum(v for _, v in psi_weighted_scalar(fd, cls, kept, sieve_small))
-        assert psi_weighted_class(fd, cls, kept, sieve_small) == want
+        want = math.fsum(v for _, v in psi_weighted_scalar(fd, cls, kept, sieve))
+        assert psi_weighted_class(fd, cls, kept, sieve) == want
 
 
-def test_psi_memo_keeps_no_dropped_sieve_alive(catalog):
-    fd = dataclasses.replace(catalog["gaussian"])
+def test_psi_sums_keep_no_dropped_sieve_alive(catalog):
+    fd = catalog["gaussian"]
+    state = dict(vars(fd))
     sieve = sieve_primes(3000)
     psi_weighted_class(fd, fd.group.classes[0], WeightParams(x=1000, eps=0.1), sieve)
     ref = weakref.ref(sieve)
     del sieve
     gc.collect()
     assert ref() is None
+    assert vars(fd) == state
 
 
 def test_psi_sharp_cutoff_proxy(catalog, sieve_medium):

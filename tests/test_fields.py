@@ -1,6 +1,7 @@
+import gc
 import math
 import time
-from dataclasses import replace
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from chebotarev_lab import fields
 from chebotarev_lab.chebotarev import pi_C_count, splitting_tally
-from chebotarev_lab.arith import kronecker_symbol
-from chebotarev_lab.errors import AmbiguousClass, CatalogError, ValidationError
+from chebotarev_lab.arith import fundamental_disc, kronecker_symbol
+from chebotarev_lab.errors import AmbiguousClass, CatalogError, ParameterOutOfRange, ValidationError
 from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
     RAMIFIED,
@@ -147,6 +148,21 @@ def test_quadratic_field_generator():
         quadratic_field(12)
 
 
+def test_quadratic_field_takes_every_factorable_d():
+    # D_K = 4d lies past FACTOR_LIMIT, but fundamental_disc strips the 4 and factors d
+    d = -999999999989
+    fd = quadratic_field(d)
+    assert fd.disc_field == fd.poly_disc == 4 * d
+    assert fundamental_disc(4 * d) == 4 * d and fundamental_disc(-4) == -4 and fundamental_disc(8) == 8
+    sieve = sieve_primes(2000)
+    table = frobenius_table(fd, sieve, sieve.limit)
+    for p, cls in zip(sieve.primes.tolist(), table.cls.tolist()):
+        chi = kronecker_symbol(4 * d, p)
+        assert cls == (RAMIFIED if chi == 0 else (chi == -1)), p
+    with pytest.raises(ParameterOutOfRange):
+        quadratic_field(-(10**12 + 3))  # d itself past FACTOR_LIMIT
+
+
 def test_catalog_parsing():
     text = """
 # comment line
@@ -191,8 +207,10 @@ def test_catalog_line_numbers():
         ("-1 0 1 | C2 | -4", "disc f / D_K = 4 / -4"),  # reducible: disc f is a square
         ("-4 0 1 | C2 | 1", "D_K = 1"),  # reducible, and 1 is no quadratic discriminant
         ("-250000000001 -1 1 | C2 | 1000000000005", "factoring"),  # D_K past FACTOR_LIMIT cannot be checked
+        # 4 (10^12 + 5): past FACTOR_LIMIT once the 4 is stripped; the message names the row and D_K
+        ("-1000000000005 0 1 | C2 | 4000000000020", "bad: D_K = 4000000000020 cannot be checked: factoring"),
     ],
-    ids=["x2p1", "x2p200003", "x2m1", "x2m4", "unfactorable"],
+    ids=["x2p1", "x2p200003", "x2m1", "x2m4", "unfactorable", "unfactorable4m"],
 )
 def test_catalog_rejects_wrong_quadratic_discriminant(row, fragment):
     # chi_{D_K} classifies every prime of a catalog quadratic, so D_K must be
@@ -359,12 +377,12 @@ GROWTH_FIELDS = {"s3cubic": BUILTIN_CATALOG["s3cubic"], "zeta5blind": _zeta5blin
 
 
 def _classified(monkeypatch):
-    """(memo owner, prime count) of every ``_classify`` call from now on."""
+    """(table memo, prime count) of every ``_classify`` call from now on."""
     log = []
     classify = fields._TableMemo._classify
 
     def counting(self, fd, primes):
-        log.append((fd, primes.size))
+        log.append((self, primes.size))
         return classify(self, fd, primes)
 
     monkeypatch.setattr(fields._TableMemo, "_classify", counting)
@@ -378,61 +396,53 @@ def _rows(table):
 
 @pytest.mark.parametrize("name", sorted(GROWTH_FIELDS))
 def test_rising_x_session_classifies_log_many_times(name, monkeypatch):
-    base = GROWTH_FIELDS[name]
-    fd = replace(base)  # a fresh memo
-    sieve = sieve_primes(10**5)
+    fd = GROWTH_FIELDS[name]
+    sieve = sieve_primes(10**5)  # a new sieve keeps no tables yet
     xs = np.geomspace(500, sieve.limit, 20)
     log = _classified(monkeypatch)
     for x in xs:
         table = frobenius_table(fd, sieve, x)
-        assert fd._table_memo.primes.size <= len(sieve), x
-        assert _rows(table) == _rows(frobenius_table(replace(base), sieve, x)), x
-    calls = [size for owner, size in log if owner is fd]
+        assert sieve.derived["frobenius_table", fd].size <= len(sieve), x
+        cold = PrimeSieve(limit=sieve.limit, primes=sieve.primes)  # the same primes, classified afresh
+        assert _rows(table) == _rows(frobenius_table(fd, cold, x)), x
+    memo = sieve.derived["frobenius_table", fd]
+    calls = [size for owner, size in log if owner is memo]
     assert len(calls) <= math.ceil(math.log2(sieve.count_leq(xs[-1]) / sieve.count_leq(xs[0]))) + 1
     assert sum(calls) == len(sieve)  # every prime once
 
 
 def test_cold_request_classifies_exactly_pi_x(monkeypatch):
-    fd = replace(BUILTIN_CATALOG["s3cubic"])
+    fd = BUILTIN_CATALOG["s3cubic"]
     sieve = sieve_primes(10**5)
     log = _classified(monkeypatch)
     frobenius_table(fd, sieve, 2 * 10**4)
-    assert log == [(fd, sieve.count_leq(2 * 10**4))]
+    assert log == [(sieve.derived["frobenius_table", fd], sieve.count_leq(2 * 10**4))]
 
 
-def test_memo_hit_from_the_same_sieve_compares_no_primes(monkeypatch):
-    fd = replace(BUILTIN_CATALOG["s3cubic"])
+def test_table_lives_as_long_as_its_sieve(monkeypatch):
+    fd = BUILTIN_CATALOG["s3cubic"]
+    state = dict(vars(fd))
     sieve = sieve_primes(10**4)
-    frobenius_table(fd, sieve, 5000)
-    compared = []
-    array_equal = np.array_equal
-
-    def counting(a, b):
-        compared.append(a.size)
-        return array_equal(a, b)
-
-    monkeypatch.setattr(np, "array_equal", counting)
-    for x in (100, 5000, 3000, sieve.limit, 7000):  # hits and one extension
+    log = _classified(monkeypatch)
+    for x in (100, 5000, 3000, sieve.limit, 7000):  # extensions and hits
         frobenius_table(fd, sieve, x)
-    assert compared == []
-    # another sieve object with the same primes is compared, and keeps the memo
-    log = _classified(monkeypatch)
-    _assert_table_matches(fd, sieve_primes(10**4), 2000)
-    assert compared and log == []
-
-
-def test_memo_restarts_on_a_sieve_with_other_primes(monkeypatch):
-    fd = replace(BUILTIN_CATALOG["s3cubic"])
-    sieve = sieve_primes(10**4)
-    frobenius_table(fd, sieve, sieve.limit)
-    # hand-built: 101 left out, so the prefix differs from the memo's at its 26th prime
-    other = PrimeSieve(limit=sieve.limit, primes=sieve.primes[sieve.primes != 101])
-    log = _classified(monkeypatch)
-    _assert_table_matches(fd, other, 5000)
-    assert log == [(fd, other.count_leq(5000))]
-    # and back: the first sieve is compared against the memo from ``other``
-    _assert_table_matches(fd, sieve, 5000)
-    assert log[1:] == [(fd, sieve.count_leq(5000))]
+    memo = sieve.derived["frobenius_table", fd]
+    assert [owner for owner, _ in log] == [memo] * len(log)
+    assert sum(size for _, size in log) == len(sieve)  # each prime once
+    # a twin sieve, and one without 101, each get a table of their own
+    twin = sieve_primes(10**4)
+    holed = PrimeSieve(limit=sieve.limit, primes=sieve.primes[sieve.primes != 101])
+    for other, x in ((twin, 2000), (holed, 5000)):
+        del log[:]
+        _assert_table_matches(fd, other, x)
+        assert log == [(other.derived["frobenius_table", fd], other.count_leq(x))]
+        assert other.derived["frobenius_table", fd] is not memo
+    # the table goes with its sieve, and the descriptor holds nothing of it
+    ref = weakref.ref(sieve)
+    del sieve, memo
+    gc.collect()
+    assert ref() is None
+    assert vars(fd) == state
 
 
 def test_cycle_counts_of_quadratics():

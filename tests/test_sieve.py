@@ -40,7 +40,7 @@ def test_range_guards(sieve_small):
 
 
 def test_primes_are_read_only():
-    # one sieve object always holds the same primes, which the table memo relies on
+    # one sieve object always holds the same primes, so what it keeps in ``derived`` stays valid
     with pytest.raises(ValueError):
         sieve_primes(100).primes[0] = 4
     given = np.array([2, 3, 5])

@@ -8,6 +8,7 @@ from chebotarev_lab.errors import ParameterOutOfRange
 from chebotarev_lab.oracles import fourier_inversion_f, laplace_transform_quadrature
 from chebotarev_lab.weights import (
     WeightParams,
+    below_support,
     check_decay_right_halfplane,
     check_decay_shifted_line,
     f_eval,
@@ -65,6 +66,16 @@ def test_shape_on_grid():
         assert np.all(vals[inside] == 1.0)
         outside = (ts < lo) | (ts > hi)
         assert np.all(vals[outside] == 0.0)
+
+
+def test_below_support_is_where_f_vanishes_on_the_left():
+    # below_support holds exactly where f is 0.0 left of the plateau, down to
+    # the floats next to the edge 1/2 - 2w
+    for params in PARAM_GRID:
+        edge = 0.5 - 2.0 * params.boxcar_width
+        ts = np.concatenate([np.linspace(-0.2, 0.5, 2001), edge + np.arange(-50, 51) * math.ulp(edge)])
+        for t in ts.tolist():
+            assert below_support(params, t) == (f_eval(params, t) == 0.0), (params, t)
 
 
 def test_transform_quadrature_agreement():
