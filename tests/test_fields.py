@@ -419,27 +419,56 @@ def test_cold_request_classifies_exactly_pi_x(monkeypatch):
     assert log == [(sieve.derived["frobenius_table", fd], sieve.count_leq(2 * 10**4))]
 
 
-def test_table_lives_as_long_as_its_sieve(monkeypatch):
+def test_memo_hit_from_the_same_sieve_compares_no_primes(monkeypatch):
     fd = BUILTIN_CATALOG["s3cubic"]
-    state = dict(vars(fd))
     sieve = sieve_primes(10**4)
+    compared = []
+    array_equal = np.array_equal
+
+    def counting(a, b):
+        compared.append(a.size)
+        return array_equal(a, b)
+
+    monkeypatch.setattr(np, "array_equal", counting)
     log = _classified(monkeypatch)
     for x in (100, 5000, 3000, sieve.limit, 7000):  # extensions and hits
         frobenius_table(fd, sieve, x)
     memo = sieve.derived["frobenius_table", fd]
     assert [owner for owner, _ in log] == [memo] * len(log)
     assert sum(size for _, size in log) == len(sieve)  # each prime once
-    # a twin sieve, and one without 101, each get a table of their own
+    # a twin sieve with the same primes gets a table of its own, still comparing none
     twin = sieve_primes(10**4)
-    holed = PrimeSieve(limit=sieve.limit, primes=sieve.primes[sieve.primes != 101])
-    for other, x in ((twin, 2000), (holed, 5000)):
-        del log[:]
-        _assert_table_matches(fd, other, x)
-        assert log == [(other.derived["frobenius_table", fd], other.count_leq(x))]
-        assert other.derived["frobenius_table", fd] is not memo
+    del log[:]
+    _assert_table_matches(fd, twin, 2000)
+    assert log == [(twin.derived["frobenius_table", fd], twin.count_leq(2000))]
+    assert twin.derived["frobenius_table", fd] is not memo
+    assert compared == []
+
+
+def test_memo_restarts_on_a_sieve_with_other_primes(monkeypatch):
+    fd = BUILTIN_CATALOG["s3cubic"]
+    sieve = sieve_primes(10**4)
+    frobenius_table(fd, sieve, sieve.limit)
+    memo = sieve.derived["frobenius_table", fd]
+    # hand-built: 101 left out, so its 26th prime differs from the first sieve's
+    other = PrimeSieve(limit=sieve.limit, primes=sieve.primes[sieve.primes != 101])
+    log = _classified(monkeypatch)
+    _assert_table_matches(fd, other, 5000)
+    assert log == [(other.derived["frobenius_table", fd], other.count_leq(5000))]
+    # and back: the first sieve still holds its own table and classifies nothing
+    _assert_table_matches(fd, sieve, 5000)
+    assert log[1:] == [] and sieve.derived["frobenius_table", fd] is memo
+
+
+def test_table_lives_as_long_as_its_sieve():
+    fd = BUILTIN_CATALOG["s3cubic"]
+    state = dict(vars(fd))
+    sieve = sieve_primes(10**4)
+    frobenius_table(fd, sieve, 7000)
+    assert sieve.derived["frobenius_table", fd].size == sieve.count_leq(7000)
     # the table goes with its sieve, and the descriptor holds nothing of it
     ref = weakref.ref(sieve)
-    del sieve, memo
+    del sieve
     gc.collect()
     assert ref() is None
     assert vars(fd) == state
