@@ -7,9 +7,8 @@ import math
 
 from chebotarev_lab import (
     DirichletPolynomial,
-    FamilyWindow,
     Family,
-    intersection_multiplicity,
+    MeanValueWindow,
     msq_integral,
     mvt_report,
     quadratic_field,
@@ -30,12 +29,11 @@ for T in (0.5, 1.0, 10.0):
 print()
 
 fields = tuple(quadratic_field(d) for d in (-1, 2, 3, 5, -2, -3, 7, -7, 11, 13))
-window = FamilyWindow(fields=fields, q_bound=60.0, t_height=1.0, y=10.0, u=5000.0)
 family = Family(fields=fields, q_bound=60.0)
-m_f = intersection_multiplicity(family)
-print(f"Family of {len(fields)} quadratic fields, m_F(Q) = {m_f}")
+window = MeanValueWindow(t_height=1.0, y=10.0, u=5000.0)
+print(f"Family of {family.size} quadratic fields, m_F(Q) = {family.multiplicity}")
 
-report = mvt_report(window, m_f, sieve)
+report = mvt_report(family, window, sieve)
 print("Mean-value report (constants symbolic, inequality never asserted):")
 print(f"  exact LHS          = {report.lhs:.6f}")
 print(f"  RHS shape (log)    = {report.rhs_shape_log:.6f}")
@@ -46,6 +44,6 @@ print()
 
 print("Zero-density bound shape at several sigma (log scale):")
 for sigma in (1.0, 0.9, 0.75, 0.5):
-    zde = zero_density_report(window, sigma, m_f)
+    zde = zero_density_report(family, window.t_height, sigma)
     print(f"  sigma = {sigma:4.2f}: log RHS shape = {zde.rhs_shape_log:.4f}")
 print("  (at sigma = 1 the (QT)-power vanishes, leaving m_F (log QT)^(2 m^2))")

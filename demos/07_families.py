@@ -6,7 +6,6 @@ from chebotarev_lab import (
     Family,
     avg_cheb_error,
     compositum_disc_check,
-    intersection_multiplicity,
     quadratic_field,
     sieve_primes,
 )
@@ -16,7 +15,7 @@ fields = tuple(quadratic_field(d) for d in ds)
 family = Family(fields=fields, q_bound=200.0)
 
 print(f"Quadratic family: {family.size} fields, rule = {family.intersection_rule}")
-print(f"Intersection multiplicity m_F(Q) = {intersection_multiplicity(family)}")
+print(f"Intersection multiplicity m_F(Q) = {family.multiplicity}")
 print()
 
 print("Compositum discriminants (three-quadratic-subfield product formula):")

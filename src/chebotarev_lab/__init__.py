@@ -42,7 +42,6 @@ _EXPORTS = {
         "Family",
         "avg_cheb_error",
         "compositum_disc_check",
-        "intersection_multiplicity",
         "resolvent_square_class",
     ),
     "fields": (
@@ -61,7 +60,7 @@ _EXPORTS = {
     "groups": ("ConjugacyClass", "FiniteGroup", "build_group"),
     "large_sieve": (
         "DirichletPolynomial",
-        "FamilyWindow",
+        "MeanValueWindow",
         "msq_integral",
         "mvt_primes_lhs",
         "mvt_report",

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     AmbiguousClass,
-    DomainTooSmall,
     ParameterOutOfRange,
     SieveRangeExceeded,
     UnsupportedSubgroupAction,
@@ -484,22 +483,18 @@ def flexi_error_report(
 ) -> FlexiErrorReport:
     """|pi_C - (|C|/|G|) pi(x)| with the unconditional two-eta bound shape and,
     when an admissibility certificate exists, the single-eta shape."""
-    log_ed = math.log(math.e * fd.abs_disc)
-    if x < log_ed**4:
-        raise DomainTooSmall(f"x={x} is below (log(e D_K))^4 = {log_ed ** 4:.3f}")
+    from .zfr import error_factor  # local, as counting needs no zfr
+
+    factor_k = error_factor(profile_field, x, fd.abs_disc)  # raises DomainTooSmall below its floor
     count = pi_C_count(fd, cls, x, sieve)
     ratio = cls.size / fd.group.order
     lx = math.log(x)
-    eta_k = profile_field.eta(x)
-    eta_q = profile_rational.eta(x)
-    li_shape = ratio * x / lx * (
-        math.exp(-eta_k / 8.0) * log_ed + math.exp(-eta_q / 8.0)
-    ) + ratio * x**0.75 / lx
+    li_shape = ratio * x / lx * (factor_k + error_factor(profile_rational, x, 1)) + ratio * x**0.75 / lx
     cert = is_admissible(fd.group, cls)
     pi_shape = None
     pi_ratio = None
     if cert is not None:
-        pi_shape = ratio * x / lx * math.exp(-eta_k / 8.0) * log_ed + ratio * x**0.75 / lx
+        pi_shape = ratio * x / lx * factor_k + ratio * x**0.75 / lx
         pi_ratio = abs(count.error) / pi_shape if pi_shape > 0 else math.inf
     return FlexiErrorReport(
         field=fd.name,
@@ -510,7 +505,7 @@ def flexi_error_report(
         pi_shape=pi_shape,
         li_ratio=abs(count.error) / li_shape if li_shape > 0 else math.inf,
         pi_ratio=pi_ratio,
-        eta_field=eta_k,
-        eta_rational=eta_q,
+        eta_field=profile_field.eta(x),
+        eta_rational=profile_rational.eta(x),
         certificate=cert,
     )

@@ -162,17 +162,16 @@ def cmd_splitting(args) -> int:
 
 
 def cmd_large_sieve(args) -> int:
-    from .families import Family, intersection_multiplicity
-    from .large_sieve import FamilyWindow, mvt_report, zero_density_report
+    from .families import Family
+    from .large_sieve import MeanValueWindow, mvt_report, zero_density_report
     from .sieve import sieve_primes
 
     names = [s for s in args.fields.split(",") if s]
     fields = _resolve_fields(args, names)
-    window = FamilyWindow(fields=fields, q_bound=args.Q, t_height=args.T, y=args.y, u=args.u)
+    window = MeanValueWindow(t_height=args.T, y=args.y, u=args.u)
     family = Family(fields=fields, q_bound=args.Q, intersection_rule=args.rule)
-    mult = intersection_multiplicity(family)
     sieve = sieve_primes(int(args.u) + 1)
-    report = mvt_report(window, mult, sieve)
+    report = mvt_report(family, window, sieve)
     payload = {
         "schema": SCHEMA,
         "kind": report.kind,
@@ -183,7 +182,7 @@ def cmd_large_sieve(args) -> int:
         "notes": list(report.notes),
     }
     if args.sigma is not None:
-        zde = zero_density_report(window, args.sigma, mult)
+        zde = zero_density_report(family, args.T, args.sigma)
         payload["zero_density"] = {
             "rhs_shape_log": zde.rhs_shape_log,
             "params": zde.params,

@@ -1,16 +1,19 @@
 """Families F(Q): intersection multiplicity, resolvent grouping, compositum
 discriminant checks, and averaged Chebotarev error reports.
 
-Nontrivial-intersection detection is rule-based per group tag: quadratic
-fields intersect iff they have equal discriminant; S_n closures (n >= 5)
-intersect iff they share the resolvent quadratic; simple groups only meet
-themselves.  Other tags require explicit pair data.
+Nontrivial-intersection detection is rule-based per group tag, and each rule
+says two fields meet iff one key is equal: quadratic fields by discriminant,
+S_n closures (n >= 5) by their resolvent quadratic, simple groups by their
+defining polynomial.  Other tags need the explicit-pairs rule, under which a
+field meets only itself (by name).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .arith import fundamental_disc, squarefree_part
 from .chebotarev import pi_count, splitting_tally
@@ -43,12 +46,18 @@ def default_rule(group_name: str) -> str | None:
 
 @dataclass(frozen=True)
 class Family:
-    """Fields sharing one group tag, bounded by |D_K| <= Q."""
+    """Fields sharing one group tag, bounded by |D_K| <= Q.
+
+    ``multiplicity`` is m_F(Q): the largest number of fields in the family
+    that meet one of them nontrivially, a field always meeting itself.  It is
+    computed once, when the family is built, so a rule that cannot decide
+    raises UndecidableIntersectionRule before anything is counted.
+    """
 
     fields: tuple[FieldDescriptor, ...]
     q_bound: float
     intersection_rule: str | None = None
-    explicit_pairs: frozenset[tuple[str, str]] = field(default_factory=frozenset)
+    multiplicity: int = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self.fields:
@@ -60,11 +69,22 @@ class Family:
             if fd.abs_disc > self.q_bound:
                 raise ValidationError(f"{fd.name}: |D_K| = {fd.abs_disc} exceeds Q = {self.q_bound}")
         if self.intersection_rule is None:
-            object.__setattr__(self, "intersection_rule", default_rule(self.fields[0].group.name))
+            object.__setattr__(self, "intersection_rule", default_rule(self.group_name))
+        key = _RULE_KEYS.get(self.intersection_rule)
+        if key is None:
+            raise UndecidableIntersectionRule(
+                f"no intersection rule for group tag {self.group_name}; provide explicit pairs"
+            )
+        object.__setattr__(self, "multiplicity", max(Counter(map(key, self.fields)).values()))
 
     @property
     def group_name(self) -> str:
         return self.fields[0].group.name
+
+    @property
+    def m(self) -> int:
+        """|G| - 1 of the family's group."""
+        return self.fields[0].m
 
     @property
     def size(self) -> int:
@@ -81,33 +101,13 @@ def resolvent_square_class(fd: FieldDescriptor) -> int:
     return squarefree_part(fd.poly_disc)
 
 
-def _intersects(family: Family, a: FieldDescriptor, b: FieldDescriptor) -> bool:
-    rule = family.intersection_rule
-    if rule == RULE_QUADRATIC:
-        return a.disc_field == b.disc_field
-    if rule == RULE_RESOLVENT:
-        return resolvent_square_class(a) == resolvent_square_class(b)
-    if rule == RULE_SIMPLE:
-        return a.defining_poly == b.defining_poly
-    if rule == RULE_EXPLICIT:
-        if a.name == b.name:
-            return True
-        return (a.name, b.name) in family.explicit_pairs or (b.name, a.name) in family.explicit_pairs
-    raise UndecidableIntersectionRule(
-        f"no intersection rule for group tag {family.group_name}; provide explicit pairs"
-    )
-
-
-def intersection_multiplicity(family: Family) -> int:
-    """m_F(Q): max over K of #{K' in the family with nontrivial intersection}.
-
-    A field always meets itself, so non-empty families give at least 1.
-    """
-    best = 0
-    for a in family.fields:
-        count = sum(1 for b in family.fields if _intersects(family, a, b))
-        best = max(best, count)
-    return best
+# two fields of a family meet nontrivially iff their keys under its rule are equal
+_RULE_KEYS = {
+    RULE_QUADRATIC: attrgetter("disc_field"),
+    RULE_RESOLVENT: resolvent_square_class,
+    RULE_SIMPLE: attrgetter("defining_poly"),
+    RULE_EXPLICIT: attrgetter("name"),
+}
 
 
 # -- compositum discriminants ---------------------------------------------------
@@ -186,19 +186,18 @@ def avg_cheb_error(
             worst = max(worst, abs(tally.by_class[cls.label] - expected))
         per_field[fd.name] = worst
     avg = math.fsum(per_field.values()) / family.size
-    m_f = intersection_multiplicity(family)
     shape = x / math.log(x) ** 2.0
     diagnostics = {
         "eps": eps,
         "shape_x_over_logx_power": shape,
         "avg_over_shape": avg / shape,
-        "mF_Qeps_over_size": m_f * family.q_bound**eps / family.size,
+        "mF_Qeps_over_size": family.multiplicity * family.q_bound**eps / family.size,
     }
     return AvgErrorReport(
         x=x,
         q_bound=family.q_bound,
         size=family.size,
-        multiplicity=m_f,
+        multiplicity=family.multiplicity,
         avg_error=avg,
         per_field=per_field,
         diagnostics=diagnostics,

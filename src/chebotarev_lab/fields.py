@@ -505,10 +505,15 @@ def quadratic_field(d: int) -> FieldDescriptor:
     Uses x^2 - d (disc 4d) or x^2 - x - (d-1)/4 (disc d) so that the
     polynomial discriminant equals the field discriminant.
     """
-    if d in (0, 1) or squarefree_part(d) != d:
+    name = f"quad({d})"
+    try:
+        squarefree = squarefree_part(d)
+    except ParameterOutOfRange as exc:
+        raise ParameterOutOfRange(f"{name}: d = {d} cannot be checked: {exc}") from None
+    if d in (0, 1) or squarefree != d:
         raise ValidationError(f"d={d} must be squarefree and different from 0, 1")
     poly, disc = ((-(d - 1) // 4, -1, 1), d) if d % 4 == 1 else ((-d, 0, 1), 4 * d)
-    return FieldDescriptor(name=f"quad({d})", defining_poly=poly, group=build_group("C2"), disc_field=disc)
+    return FieldDescriptor(name=name, defining_poly=poly, group=build_group("C2"), disc_field=disc)
 
 
 # -- catalog files ------------------------------------------------------------

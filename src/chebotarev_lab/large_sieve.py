@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import LimitTooLarge, ParameterOutOfRange, ValidationError
 from .fields import FieldDescriptor, check_index_divisors, frobenius_table
 from .sieve import PrimeSieve
+
+if TYPE_CHECKING:  # only annotations name it, so importing large_sieve loads no families
+    from .families import Family
 
 MSQ_NODES = 32  # Gauss-Legendre order of every panel
 MSQ_PANEL_TYPE = 16.0  # bound on L h, the exponential type of |S|^2 on one panel
@@ -84,34 +88,18 @@ def msq_integral(poly: DirichletPolynomial, t_height: float) -> float:
 
 
 @dataclass(frozen=True)
-class FamilyWindow:
-    """A family of fields with the window parameters of the averaged sums."""
+class MeanValueWindow:
+    """Height T and prime window y < p <= u of the mean-value sums."""
 
-    fields: tuple[FieldDescriptor, ...]
-    q_bound: float
-    t_height: float = 1.0
-    x: float | None = None
-    y: float | None = None
-    u: float | None = None
+    t_height: float
+    y: float
+    u: float
 
     def __post_init__(self):
-        for fd in self.fields:
-            if fd.abs_disc > self.q_bound:
-                raise ValidationError(f"{fd.name}: |D_K| = {fd.abs_disc} exceeds Q = {self.q_bound}")
-        if self.y is not None:
-            if self.y < 1:
-                raise ValidationError("y must be >= 1")
-            if self.u is not None and self.u < self.y:
-                raise ValidationError("u must be >= y")
-
-    @property
-    def m(self) -> int:
-        if not self.fields:
-            raise ValidationError("empty family")
-        orders = {fd.group.order for fd in self.fields}
-        if len(orders) != 1:
-            raise ValidationError("family mixes group orders")
-        return orders.pop() - 1
+        if self.y < 1:
+            raise ValidationError("y must be >= 1")
+        if self.u < self.y:
+            raise ValidationError("u must be >= y")
 
 
 def prime_polynomial(fd: FieldDescriptor, y: float, u: float, sieve: PrimeSieve) -> DirichletPolynomial:
@@ -122,7 +110,7 @@ def prime_polynomial(fd: FieldDescriptor, y: float, u: float, sieve: PrimeSieve)
     (``check_index_divisors``).
     """
     primes = sieve.upto(u)
-    start = primes.size - sieve.window(y, u).size  # the window is the tail of primes <= u
+    start = sieve.count_leq(y)  # the window is the tail of primes <= u
     window, orders = primes[start:], frobenius_table(fd, sieve, u).order[start:]
     check_index_divisors((fd,), window, (orders,))
     g = fd.group.order
@@ -133,12 +121,10 @@ def prime_polynomial(fd: FieldDescriptor, y: float, u: float, sieve: PrimeSieve)
     return DirichletPolynomial(terms)
 
 
-def mvt_primes_lhs(window: FamilyWindow, sieve: PrimeSieve) -> float:
+def mvt_primes_lhs(family: Family, window: MeanValueWindow, sieve: PrimeSieve) -> float:
     """sum over K of the mean-value integral of the prime polynomial."""
-    if window.y is None or window.u is None:
-        raise ParameterOutOfRange("window needs y and u")
     total = 0.0
-    for fd in window.fields:
+    for fd in family.fields:
         poly = prime_polynomial(fd, window.y, window.u, sieve)
         if poly.support:
             total += msq_integral(poly, window.t_height)
@@ -165,24 +151,24 @@ class BoundReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def zero_density_report(window: FamilyWindow, sigma: float, multiplicity: int) -> BoundReport:
+def zero_density_report(family: Family, t_height: float, sigma: float) -> BoundReport:
     """Shape m_F(Q) (QT)^{1e7 m^3 (1 - sigma)} (log QT)^{2 m^2} of the
     zero-density estimate; reported in log scale."""
     if not (0.5 <= sigma <= 1.0):
         raise ParameterOutOfRange("sigma must lie in [1/2, 1]")
-    m = window.m
-    qt = window.q_bound * window.t_height
+    m = family.m
+    qt = family.q_bound * t_height
     if qt <= 1:
         raise ParameterOutOfRange("need QT > 1")
     rhs_log = (
-        math.log(multiplicity)
+        math.log(family.multiplicity)
         + 1e7 * m**3 * (1.0 - sigma) * math.log(qt)
         + 2.0 * m**2 * math.log(math.log(qt))
     )
     notes = (f"field-count display: #F(Q) << Q^{52 * (m + 1)}",)
     return BoundReport(
         kind="zero-density",
-        params={"sigma": sigma, "Q": window.q_bound, "T": window.t_height, "m": m, "m_F": multiplicity},
+        params={"sigma": sigma, "Q": family.q_bound, "T": t_height, "m": m, "m_F": family.multiplicity},
         lhs=None,
         rhs_shape_log=rhs_log,
         ratio_log=None,
@@ -190,23 +176,21 @@ def zero_density_report(window: FamilyWindow, sigma: float, multiplicity: int) -
     )
 
 
-def mvt_report(window: FamilyWindow, multiplicity: int, sieve: PrimeSieve) -> BoundReport:
+def mvt_report(family: Family, window: MeanValueWindow, sieve: PrimeSieve) -> BoundReport:
     """Mean-value report: exact LHS against (log y)^{2 m^2} m_F(Q) log u.
 
     Tags the result when the window start does not honor the admissible range
     y >= (QT)^{108 (m+1)} with implicit constant 1.
     """
-    if window.y is None or window.u is None:
-        raise ParameterOutOfRange("window needs y and u")
-    m = window.m
-    lhs = mvt_primes_lhs(window, sieve)
+    m = family.m
+    lhs = mvt_primes_lhs(family, window, sieve)
     rhs_log = (
         2.0 * m**2 * math.log(math.log(window.y))
-        + math.log(multiplicity)
+        + math.log(family.multiplicity)
         + math.log(math.log(window.u))
     )
     notes = []
-    floor_log = 108 * (m + 1) * math.log(window.q_bound * window.t_height)
+    floor_log = 108 * (m + 1) * math.log(family.q_bound * window.t_height)
     if math.log(window.y) < floor_log:
         notes.append(
             "window start y=%g is below the literal admissible floor (QT)^(108(m+1)) = exp(%.4g)"
@@ -217,12 +201,12 @@ def mvt_report(window: FamilyWindow, multiplicity: int, sieve: PrimeSieve) -> Bo
     return BoundReport(
         kind="mean-value",
         params={
-            "Q": window.q_bound,
+            "Q": family.q_bound,
             "T": window.t_height,
             "y": window.y,
             "u": window.u,
             "m": m,
-            "m_F": multiplicity,
+            "m_F": family.multiplicity,
         },
         lhs=lhs,
         rhs_shape_log=rhs_log,

@@ -15,7 +15,7 @@ from . import oracles
 from .arith import kronecker_symbol
 from .artin import coeff_a_K, coeff_a_KxK_prime, mertens_partial_sum
 from .chebotarev import pi_C_count, pi_count, psi_weighted_class, splitting_tally
-from .families import Family, compositum_disc_check, intersection_multiplicity
+from .families import Family, compositum_disc_check
 from .fields import builtin_field, factor_poly_mod_p, frobenius_data, quadratic_field
 from .large_sieve import DirichletPolynomial, msq_integral
 from .sieve import sieve_primes
@@ -190,7 +190,7 @@ def _selftest_family(args) -> dict:
         ok = ok and res.divides_bound and res.conductor_divides
     checks.append({"name": "compositum-divisibility", "pass": ok})
     fam = Family(fields=tuple(quads), q_bound=60.0)
-    checks.append({"name": "distinct-quadratics-m1", "pass": intersection_multiplicity(fam) == 1})
+    checks.append({"name": "distinct-quadratics-m1", "pass": fam.multiplicity == 1})
     return _selftest_payload(args, "family", checks)
 
 

@@ -44,14 +44,6 @@ class PrimeSieve:
             raise SieveRangeExceeded(f"primes up to {x} requested but sieve limit is {self.limit}")
         return self.primes[: self.count_leq(x)]
 
-    def window(self, lo: float, hi: float) -> np.ndarray:
-        """Primes p with lo < p <= hi."""
-        if hi > self.limit:
-            raise SieveRangeExceeded(f"primes up to {hi} requested but sieve limit is {self.limit}")
-        i = int(np.searchsorted(self.primes, int(np.floor(lo)), side="right"))
-        j = int(np.searchsorted(self.primes, int(np.floor(hi)), side="right"))
-        return self.primes[i:j]
-
 
 def sieve_primes(limit: int) -> PrimeSieve:
     """Sieve of Eratosthenes; limit must lie in [2, 10^8]."""

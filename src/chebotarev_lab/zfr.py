@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainTooSmall, ParameterOutOfRange
 
 U_MIN_HEIGHT3 = math.log(3.0)
+ETA_GRID_POINTS = 10_000  # grid of each piece in eta_from_delta, before refinement
 
 # Non-normative configuration constants: the classical region's c_1 and
 # Stark's c(eps) are "sufficiently small"/effective without stated values.
@@ -87,7 +88,7 @@ def classical_zfr(d_e: int, degree: int, c1: float = DEFAULT_C1, c_eps: float = 
     return ZfrData(pieces=(stark, classical), label=f"classical(D={d_e}, n={degree})")
 
 
-def eta_from_delta(zfr: ZfrData, x: float, grid_points: int = 10_000) -> float:
+def eta_from_delta(zfr: ZfrData, x: float) -> float:
     """eta(x) = inf over pieces of [Delta(u) log x + u], by grid plus refinement.
 
     The grid spans each piece up to u_max = 1000 + log x; beyond that the
@@ -109,12 +110,12 @@ def eta_from_delta(zfr: ZfrData, x: float, grid_points: int = 10_000) -> float:
         if lo == hi:
             best = min(best, float(piece.delta(lo)) * lx + lo)
             continue
-        grid = np.linspace(lo, hi, grid_points)
+        grid = np.linspace(lo, hi, ETA_GRID_POINTS)
         vals = piece.delta(grid) * lx + grid
         idx = int(np.argmin(vals))
         best = min(best, float(vals[idx]))
         a = grid[max(idx - 1, 0)]
-        b = grid[min(idx + 1, grid_points - 1)]
+        b = grid[min(idx + 1, ETA_GRID_POINTS - 1)]
         if b > a:
             res = minimize_scalar(
                 lambda u: float(piece.delta(u)) * lx + u,
@@ -243,10 +244,9 @@ def eta_large_zfr_closed(
 
 @dataclass(frozen=True)
 class EtaProfile:
-    """An evaluable eta(x) with provenance; method is 'closed-form' or 'grid'."""
+    """An evaluable eta(x) with provenance."""
 
     label: str
-    method: str
     eta_fn: Callable[[float], float] = field(repr=False)
 
     def eta(self, x: float) -> float:
@@ -258,7 +258,6 @@ class EtaProfile:
 def classical_eta_profile(d_e: int, degree: int) -> EtaProfile:
     return EtaProfile(
         label=f"classical(D={d_e}, n={degree})",
-        method="closed-form",
         eta_fn=lambda x: eta_classical_closed(d_e, degree, DEFAULT_C1, x),
     )
 
@@ -267,7 +266,6 @@ def rational_eta_profile() -> EtaProfile:
     """eta for the Riemann zeta function itself: classical data with D=1, n=1."""
     return EtaProfile(
         label="zeta",
-        method="closed-form",
         eta_fn=lambda x: eta_classical_closed(1, 1, DEFAULT_C1, x),
     )
 

@@ -99,6 +99,25 @@ def test_chebotarev_sieves_to_x_e_eps(monkeypatch, capsys):
     assert limits == []
 
 
+def test_family_errors_come_before_any_sieve(monkeypatch, capsys, tmp_path):
+    # m_F and the mean-value window are checked when the family and window are
+    # built, so a family without an intersection rule or a bad window is
+    # reported without sieving to x or u
+    def refuse(limit):
+        raise _Sieved
+
+    monkeypatch.setattr(sieve, "sieve_primes", refuse)
+    catalog = tmp_path / "s3.txt"
+    catalog.write_text("s3 | -1 -1 0 1 | S3 | -12167\n", encoding="utf-8")
+    for argv, code, error in (
+        (["family", "--catalog", str(catalog), "--Q", "20000", "--x", "1e7"], 2, "UndecidableIntersectionRule"),
+        (["large-sieve", "--fields", "zeta5", "--u", "9e7"], 2, "UndecidableIntersectionRule"),
+        (["large-sieve", "--y", "0.5", "--u", "9e7"], 1, "ValidationError"),
+    ):
+        assert main(argv) == code, argv
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == error
+
+
 def test_splitting_table(capsys):
     assert main(["splitting", "--field", "s3cubic", "--limit", "60"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,5 +1,6 @@
 import pytest
 
+from chebotarev_lab import families
 from chebotarev_lab.arith import squarefree_part
 from chebotarev_lab.errors import (
     EqualFields,
@@ -11,10 +12,9 @@ from chebotarev_lab.families import (
     Family,
     avg_cheb_error,
     compositum_disc_check,
-    intersection_multiplicity,
     resolvent_square_class,
 )
-from chebotarev_lab.fields import FieldDescriptor, quadratic_field
+from chebotarev_lab.fields import FieldDescriptor, builtin_field, quadratic_field
 from chebotarev_lab.groups import build_group
 
 SQUAREFREE_SMALL = [-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -11, 13, -13, 14, -14, 15]
@@ -27,20 +27,20 @@ def quads(ds):
 def test_distinct_quadratics_multiplicity_one():
     fam = Family(fields=quads(SQUAREFREE_SMALL), q_bound=200.0)
     assert fam.intersection_rule == "quadratic-equality"
-    assert intersection_multiplicity(fam) == 1
+    assert fam.multiplicity == 1
 
 
 def test_duplicate_quadratics_counted():
     fields = quads([-1, 2]) + quads([2])
     fam = Family(fields=fields, q_bound=20.0)
-    assert intersection_multiplicity(fam) == 2
+    assert fam.multiplicity == 2
 
 
 def test_multiplicity_monotone_under_adding_fields():
     base = quads([-1, 2, 3])
     fam1 = Family(fields=base, q_bound=20.0)
     fam2 = Family(fields=base + quads([2]) , q_bound=20.0)
-    assert intersection_multiplicity(fam2) >= intersection_multiplicity(fam1)
+    assert fam2.multiplicity >= fam1.multiplicity
 
 
 def _quintic(name, poly):
@@ -55,7 +55,7 @@ def test_s5_resolvent_rule():
     assert resolvent_square_class(k1) == resolvent_square_class(k2) == squarefree_part(2869)
     fam = Family(fields=(k1, k2), q_bound=3000.0)
     assert fam.intersection_rule == "resolvent-discriminant"
-    assert intersection_multiplicity(fam) == 2
+    assert fam.multiplicity == 2
 
 
 def test_simple_group_rule():
@@ -64,35 +64,77 @@ def test_simple_group_rule():
     k2 = FieldDescriptor(name="b", defining_poly=(-4, -3, 0, 0, 0, 1), group=a5, disc_field=10**4 + 7)
     fam = Family(fields=(k1, k2), q_bound=10**5)
     assert fam.intersection_rule == "simple-group"
-    assert intersection_multiplicity(fam) == 1
+    assert fam.multiplicity == 1
     dup = Family(fields=(k1, k1, k2), q_bound=10**5)
-    assert intersection_multiplicity(dup) == 2
+    assert dup.multiplicity == 2
 
 
 def test_undecidable_rule():
+    # C2 resolves automatically; zeta5 carries the C4 tag, which has no rule,
+    # and the family says so when it is built
     fam = Family(fields=(quadratic_field(5),), q_bound=10.0, intersection_rule=None)
-    # C2 resolves automatically; force an unknown tag through zeta5
-    from chebotarev_lab.fields import builtin_field
-
+    assert fam.intersection_rule == "quadratic-equality"
     z5 = builtin_field("zeta5")
-    fam_c4 = Family(fields=(z5,), q_bound=200.0)
-    assert fam_c4.intersection_rule is None
+    with pytest.raises(UndecidableIntersectionRule) as err:
+        Family(fields=(z5,), q_bound=200.0)
+    assert str(err.value) == "no intersection rule for group tag C4; provide explicit pairs"
     with pytest.raises(UndecidableIntersectionRule):
-        intersection_multiplicity(fam_c4)
-    explicit = Family(
-        fields=(z5,), q_bound=200.0, intersection_rule="explicit-pairs"
-    )
-    assert intersection_multiplicity(explicit) == 1  # self-intersection only
+        Family(fields=quads([-1, 2]), q_bound=20.0, intersection_rule="no-such-rule")
+    explicit = Family(fields=(z5, z5), q_bound=200.0, intersection_rule="explicit-pairs")
+    assert explicit.multiplicity == 2  # the same field, named twice
+    assert Family(fields=(z5,), q_bound=200.0, intersection_rule="explicit-pairs").multiplicity == 1
 
 
-def test_intersection_symmetry():
-    fields = quads(SQUAREFREE_SMALL[:8])
-    fam = Family(fields=fields, q_bound=100.0)
-    from chebotarev_lab.families import _intersects
+def _pairwise_multiplicity(fields, meets) -> int:
+    """m_F(Q) by its definition: max over K of #{K' : K and K' meet}."""
+    return max(sum(1 for b in fields if meets(a, b)) for a in fields)
 
-    for a in fields:
-        for b in fields:
-            assert _intersects(fam, a, b) == _intersects(fam, b, a)
+
+def test_multiplicity_matches_pairwise_definition():
+    # each rule on a family with repeated fields, against the pairwise count
+    a5 = build_group("A5")
+    simple = [
+        FieldDescriptor(name="a", defining_poly=(-2, -1, 0, 0, 0, 1), group=a5, disc_field=10**4 + 3),
+        FieldDescriptor(name="b", defining_poly=(-4, -3, 0, 0, 0, 1), group=a5, disc_field=10**4 + 7),
+    ]
+    quintics = [
+        _quintic("q1", (-1, -1, 0, 0, 0, 1)),
+        _quintic("q2", (29, 79, 80, 40, 10, 1)),  # the same field as q1
+        _quintic("q3", (-2, 0, 0, 0, 0, 1)),  # x^5 - 2: another resolvent class
+    ]
+    z5 = builtin_field("zeta5")
+    # gaussian and quad(-1) share D_K = -4 under different names
+    quadratic = [builtin_field("gaussian"), *quads([-1, 2, 3, 2, 5])]
+    cases = [
+        ("quadratic-equality", quadratic, lambda a, b: a.disc_field == b.disc_field),
+        ("explicit-pairs", quadratic, lambda a, b: a.name == b.name),
+        ("resolvent-discriminant", quintics,
+         lambda a, b: squarefree_part(a.poly_disc) == squarefree_part(b.poly_disc)),
+        ("simple-group", simple, lambda a, b: a.defining_poly == b.defining_poly),
+        ("explicit-pairs", [z5], lambda a, b: a.name == b.name),
+    ]
+    for rule, base, meets in cases:
+        for picks in ((0,), (0, 1), (0, 0, 1), (1, 0, 1, 1), tuple(range(len(base))) * 2 + (0,)):
+            fields = tuple(base[i % len(base)] for i in picks)
+            fam = Family(fields=fields, q_bound=10**5, intersection_rule=rule)
+            assert fam.multiplicity == _pairwise_multiplicity(fields, meets), (rule, picks)
+
+
+def test_resolvent_rule_classifies_each_field_once(monkeypatch):
+    # m_F counts keys: each field's resolvent square class is computed once,
+    # not once for each pair it is in
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return squarefree_part(n)
+
+    monkeypatch.setattr(families, "squarefree_part", counting)
+    fields = tuple(_quintic(f"q{i}", (-1, -1, 0, 0, 0, 1)) for i in range(6))
+    fam = Family(fields=fields, q_bound=3000.0)
+    assert len(calls) == len(fields)
+    assert fam.intersection_rule == "resolvent-discriminant"
+    assert fam.multiplicity == 6
 
 
 def test_resolvent_square_class_examples():

@@ -110,7 +110,8 @@ def _class_proportion_check(fd, primes, rng, samples=100):
 def test_sn_chebotarev_proportions(catalog, sieve_large):
     # 100 random primes below 1e6: class statistics within 3 sigma
     rng = np.random.default_rng(20240817)
-    primes = sieve_large.window(10**5, 10**6)
+    primes = sieve_large.upto(10**6)
+    primes = primes[primes > 10**5]
     _class_proportion_check(catalog["s3cubic"], primes, rng)
     quintic = FieldDescriptor(
         name="s5quintic",
@@ -161,6 +162,16 @@ def test_quadratic_field_takes_every_factorable_d():
         assert cls == (RAMIFIED if chi == 0 else (chi == -1)), p
     with pytest.raises(ParameterOutOfRange):
         quadratic_field(-(10**12 + 3))  # d itself past FACTOR_LIMIT
+
+
+def test_quadratic_field_past_factor_limit_names_field_and_d():
+    # as a catalog row past FACTOR_LIMIT is named with its D_K
+    with pytest.raises(ParameterOutOfRange) as err:
+        quadratic_field(-(10**12 + 3))
+    assert str(err.value) == (
+        "quad(-1000000000003): d = -1000000000003 cannot be checked:"
+        " factoring inputs above 1000000000000 is not supported"
+    )
 
 
 def test_catalog_parsing():

@@ -7,10 +7,11 @@ import pytest
 
 from chebotarev_lab.artin import coeff_a_K
 from chebotarev_lab.errors import ComputationError, LimitTooLarge, ParameterOutOfRange, RamifiedPrime, ValidationError
+from chebotarev_lab.families import Family
 from chebotarev_lab.fields import parse_catalog, quadratic_field
 from chebotarev_lab.large_sieve import (
     DirichletPolynomial,
-    FamilyWindow,
+    MeanValueWindow,
     msq_integral,
     mvt_primes_lhs,
     mvt_report,
@@ -176,14 +177,14 @@ def test_msq_conjugation_symmetry():
 
 def test_mvt_primes(sieve_small, catalog):
     g = catalog["gaussian"]
-    empty = FamilyWindow(fields=(g,), q_bound=10.0, t_height=1.0, y=7.0, u=7.0)
-    assert mvt_primes_lhs(empty, sieve_small) == 0.0
-    window = FamilyWindow(fields=(g,), q_bound=10.0, t_height=1.0, y=2.0, u=20.0)
-    lhs = mvt_primes_lhs(window, sieve_small)
+    family = Family(fields=(g,), q_bound=10.0)
+    empty = MeanValueWindow(t_height=1.0, y=7.0, u=7.0)
+    assert mvt_primes_lhs(family, empty, sieve_small) == 0.0
+    lhs = mvt_primes_lhs(family, MeanValueWindow(t_height=1.0, y=2.0, u=20.0), sieve_small)
     poly = prime_polynomial(g, 2.0, 20.0, sieve_small)
     assert lhs == pytest.approx(msq_integral_quadrature(poly, 1.0), abs=1e-6)
-    bigger = FamilyWindow(fields=(g,), q_bound=10.0, t_height=2.0, y=2.0, u=20.0)
-    assert mvt_primes_lhs(bigger, sieve_small) >= lhs - 1e-12
+    bigger = MeanValueWindow(t_height=2.0, y=2.0, u=20.0)
+    assert mvt_primes_lhs(family, bigger, sieve_small) >= lhs - 1e-12
 
 
 def test_gallagher_consistency():
@@ -219,21 +220,27 @@ def test_duality_eigenvalues(sieve_small):
 
 
 def test_zero_density_report(catalog):
-    window = FamilyWindow(fields=tuple(QUADS), q_bound=60.0, t_height=10.0)
-    at_one = zero_density_report(window, 1.0, multiplicity=1)
+    family = Family(fields=tuple(QUADS), q_bound=60.0)
+    assert family.multiplicity == 1 and family.m == 1
+    at_one = zero_density_report(family, 10.0, 1.0)
     # exponent vanishes at sigma = 1: shape is m_F (log QT)^{2 m^2}
     assert at_one.rhs_shape_log == pytest.approx(2 * math.log(math.log(600.0)))
-    half = zero_density_report(window, 0.5, multiplicity=1)
+    assert at_one.params == {"sigma": 1.0, "Q": 60.0, "T": 10.0, "m": 1, "m_F": 1}
+    half = zero_density_report(family, 10.0, 0.5)
     assert half.rhs_shape_log == pytest.approx(0.5 * 1e7 * math.log(600.0), rel=1e-6)
     with pytest.raises(ParameterOutOfRange):
-        zero_density_report(window, 0.3, multiplicity=1)
+        zero_density_report(family, 10.0, 0.3)
+    # a repeated field doubles m_F, which the shape carries as log 2
+    doubled = Family(fields=tuple(QUADS) + (QUADS[0],), q_bound=60.0)
+    assert zero_density_report(doubled, 10.0, 1.0).rhs_shape_log == pytest.approx(
+        math.log(2) + 2 * math.log(math.log(600.0))
+    )
 
 
 def test_mvt_report(sieve_small, catalog):
-    window = FamilyWindow(
-        fields=(catalog["gaussian"],), q_bound=10.0, t_height=1.0, y=1000.0, u=10**4
-    )
-    report = mvt_report(window, multiplicity=1, sieve=sieve_small)
+    family = Family(fields=(catalog["gaussian"],), q_bound=10.0)
+    window = MeanValueWindow(t_height=1.0, y=1000.0, u=10**4)
+    report = mvt_report(family, window, sieve_small)
     m = 1
     want = 2 * m**2 * math.log(math.log(1000.0)) + math.log(math.log(10**4))
     assert report.rhs_shape_log == pytest.approx(want)
@@ -242,7 +249,9 @@ def test_mvt_report(sieve_small, catalog):
 
 
 def test_family_window_validation(catalog):
-    with pytest.raises(ValidationError):
-        FamilyWindow(fields=(catalog["gaussian"],), q_bound=2.0)
-    with pytest.raises(ValidationError):
-        FamilyWindow(fields=(catalog["gaussian"],), q_bound=10.0, y=5.0, u=2.0)
+    with pytest.raises(ValidationError, match="exceeds Q"):
+        Family(fields=(catalog["gaussian"],), q_bound=2.0)
+    with pytest.raises(ValidationError, match="u must be >= y"):
+        MeanValueWindow(t_height=1.0, y=5.0, u=2.0)
+    with pytest.raises(ValidationError, match="y must be >= 1"):
+        MeanValueWindow(t_height=1.0, y=0.5, u=2.0)

@@ -114,7 +114,7 @@ def test_eta_monotone_and_halving():
     profiles = [
         classical_eta_profile(229, 2),
         rational_eta_profile(),
-        EtaProfile(label=zfr.label, method="grid", eta_fn=lambda x: eta_from_delta(zfr, x)),
+        EtaProfile(label=zfr.label, eta_fn=lambda x: eta_from_delta(zfr, x)),
     ]
     xs = np.geomspace(9.0, 1e12, 40)
     for profile in profiles:
@@ -142,11 +142,7 @@ def test_exp_min_decomposition():
 
 def test_error_factor_examples():
     # Delta = 1/2, D_K = 1: x^{-1/16} 3^{-1/8}
-    profile = EtaProfile(
-        label="const-half",
-        method="closed-form",
-        eta_fn=lambda x: 0.5 * math.log(x) + math.log(3),
-    )
+    profile = EtaProfile(label="const-half", eta_fn=lambda x: 0.5 * math.log(x) + math.log(3))
     x = 10**6
     assert error_factor(profile, x, 1) == pytest.approx(x ** (-1 / 16) * 3 ** (-1 / 8))
     # monotone nonincreasing in x (above the domain threshold (log 229e)^4)
