@@ -85,6 +85,17 @@ def test_undecidable_rule():
     assert Family(fields=(z5,), q_bound=200.0, intersection_rule="explicit-pairs").multiplicity == 1
 
 
+def test_intersection_symmetry():
+    # a two-field family has m_F = 2 iff its fields meet; the order must not matter
+    fields = quads(SQUAREFREE_SMALL[:8])
+    for rule in ("quadratic-equality", "explicit-pairs"):
+        for a in fields:
+            for b in fields:
+                ab = Family(fields=(a, b), q_bound=100.0, intersection_rule=rule).multiplicity
+                ba = Family(fields=(b, a), q_bound=100.0, intersection_rule=rule).multiplicity
+                assert ab == ba == (2 if a.disc_field == b.disc_field else 1), (rule, a.name, b.name)
+
+
 def _pairwise_multiplicity(fields, meets) -> int:
     """m_F(Q) by its definition: max over K of #{K' : K and K' meet}."""
     return max(sum(1 for b in fields if meets(a, b)) for a in fields)
