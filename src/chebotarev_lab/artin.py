@@ -113,7 +113,8 @@ def local_roots(fd: FieldDescriptor, p: int) -> LocalRootMultiset:
     """A_K(p) for an unramified prime p."""
     data = frobenius_data(fd, p)
     if data.ramified:
-        raise RamifiedPrime(f"{fd.name}: p={p} is ramified")
+        why = "is ramified" if fd.is_ramified(p) else "divides disc f but not D_K"
+        raise RamifiedPrime(f"{fd.name}: p={p} {why}")
     return LocalRootMultiset(frobenius_order=data.frobenius_order, group_order=fd.group.order)
 
 
@@ -222,9 +223,8 @@ def _prime_powers(fd: FieldDescriptor, n_max: int):
     The Frobenius orders come from the table of the primes up to n_max; an
     index divisor raises RamifiedPrime (``check_index_divisors``).
     """
-    sieve = sieve_primes(n_max)
-    primes = sieve.upto(n_max)
-    orders = frobenius_table(fd, sieve, n_max).order
+    table = frobenius_table(fd, sieve_primes(n_max), n_max)
+    primes, orders = table.primes, table.order
     check_index_divisors((fd,), primes, (orders,))
     g = fd.group.order
     for p, d in zip(primes.tolist(), orders.tolist()):
@@ -289,8 +289,8 @@ def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_p
     if n_max < 1:
         return CoefficientSeries(coeffs={}, truncation=n_max)
     sieve = sieve_primes(max(n_max, 2))
-    primes = sieve.upto(n_max)
-    orders = tuple(frobenius_table(fd, sieve, n_max).order for fd in fds)
+    tables = [frobenius_table(fd, sieve, n_max) for fd in fds]
+    primes, orders = tables[0].primes, tuple(table.order for table in tables)
     check_index_divisors(fds, primes, orders)
     key = [None] * (n_max + 1)  # the orders at each prime coprime to every D_K
     for p, d in zip(primes.tolist(), zip(*(order.tolist() for order in orders))):

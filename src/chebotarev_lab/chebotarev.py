@@ -2,9 +2,9 @@
 certificates, base change, and error reports.
 
 Counting is exact: every prime up to x is classified once, through the
-field's Frobenius table (``fields.frobenius_table``), and counts are integer
-reductions over that table, so the class counts partition pi(x) minus the
-ramified primes.  Weighted prime sums weigh the terms of every class of a
+field's Frobenius table (``fields.frobenius_table``), and counts are sums
+over the histogram of its kinds, so the class counts partition pi(x) minus
+the ramified primes.  Weighted prime sums weigh the terms of every class of a
 field in one pass and reduce each class's terms with exact compensated
 summation, so results are bit-stable.
 """
@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     SieveRangeExceeded,
     UnsupportedSubgroupAction,
 )
-from .fields import RAMIFIED, UNRESOLVED, FieldDescriptor, frobenius_table
+from .fields import FieldDescriptor, frobenius_table
 from .groups import ConjugacyClass, FiniteGroup
 from .sieve import PrimeSieve
 from .weights import WeightParams, below_support, f_eval
@@ -66,20 +67,16 @@ class SplittingTally:
 def splitting_tally(fd: FieldDescriptor, x: float, sieve: PrimeSieve) -> SplittingTally:
     """Classify every prime p <= x and count each class."""
     table = frobenius_table(fd, sieve, x)
-    classes = fd.group.classes
-    counts = np.bincount(table.cls[table.cls >= 0], minlength=len(classes))
-    return SplittingTally(
-        x=x,
-        by_class={c.label: int(counts[c.index]) for c in classes},
-        ramified=int(np.count_nonzero(table.cls == RAMIFIED)),
-        unresolved=int(np.count_nonzero(table.cls == UNRESOLVED)),
-    )
-
-
-def _first_unresolved(primes: np.ndarray, unresolved: np.ndarray) -> int | None:
-    """The smallest prime flagged in ``unresolved``, or None."""
-    hits = np.flatnonzero(unresolved)
-    return int(primes[hits[0]]) if hits.size else None
+    by_class = {c.label: 0 for c in fd.group.classes}
+    ramified = unresolved = 0
+    for data, n in zip(table.kinds, table.counts):
+        if data.ramified:
+            ramified += n
+        elif data.ambiguous:
+            unresolved += n
+        else:
+            by_class[data.conjugacy_class.label] += n
+    return SplittingTally(x=x, by_class=by_class, ramified=ramified, unresolved=unresolved)
 
 
 def pi_C_count(
@@ -95,26 +92,25 @@ def pi_C_count(
     factorization data cannot separate it.
     """
     group = fd.group
-    primes = sieve.upto(x)
     table = frobenius_table(fd, sieve, x)
     if isinstance(selector, ConjugacyClass):
         size = selector.size
-        p = _first_unresolved(primes, (table.cls == UNRESOLVED) & (table.order == selector.order))
+        p = table.first(lambda data: data.ambiguous and data.frobenius_order == selector.order)
         if p is not None:
             raise AmbiguousClass(
                 f"{fd.name}: order-{selector.order} classes are not separated at p={p};"
                 " request the class union instead"
             )
-        count = int(np.count_nonzero(table.cls == selector.index))
+        count = table.count(lambda data: data.conjugacy_class == selector)
         label = selector.label
     else:
         d = int(selector)
         size = sum(c.size for c in group.classes_of_order(d))
         if size == 0:
             raise ParameterOutOfRange(f"{group.name} has no elements of order {d}")
-        count = int(np.count_nonzero(table.order == d))  # ramified primes have order 0
+        count = table.count(lambda data: data.frobenius_order == d)  # None when ramified
         label = f"order={d}"
-    expected = size / group.order * pi_count(x, sieve)
+    expected = size / group.order * table.primes.size
     return ChebotarevCount(x=x, class_label=label, count=count, expected=expected, error=count - expected)
 
 
@@ -139,30 +135,20 @@ def is_admissible(
     """Search for a subgroup H with H cap C nonempty, entire characters, and
     entire zeta_{K^H}/zeta.
 
-    The entire-characters requirement is certified only through "H abelian";
-    the entire-quotient requirement through "H normal" or H = G.  Central
-    classes always succeed via the cyclic subgroup of a representative.
-    Absence of a certificate is a value, not an error.
+    The entire-characters requirement is certified only through "H abelian"
+    (or, with ``strong_artin``, asserted for H = G); the entire-quotient
+    requirement through "H normal".  Central classes always succeed via the
+    cyclic subgroup of a representative.  Absence of a certificate is a
+    value, not an error.
     """
-    members = cls.members
     for h in group.abelian_subgroups():
-        if not (h & members):
-            continue
-        if group.is_normal(h):
+        if h & cls.members and group.is_normal(h):
             return AdmissibilityCertificate(
                 class_label=cls.label,
                 subgroup=h,
                 meets_class=True,
                 entire_characters="H abelian (class field theory)",
                 dedekind_quotient="H normal (Aramata-Brauer)",
-            )
-        if len(h) == group.order:
-            return AdmissibilityCertificate(
-                class_label=cls.label,
-                subgroup=h,
-                meets_class=True,
-                entire_characters="H abelian (class field theory)",
-                dedekind_quotient="H = G",
             )
     if strong_artin:
         full = frozenset(group.elements())
@@ -219,11 +205,11 @@ def _psi_terms(
     n_hi = x * math.exp(params.eps)  # supp f ends at 1 + eps/log x
     if n_hi > sieve.limit:
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
-    primes = sieve.upto(n_hi)
     table = frobenius_table(fd, sieve, n_hi)
-    p = _first_unresolved(primes, table.cls == UNRESOLVED)
+    p = table.first(attrgetter("ambiguous"))
     if p is not None:
         raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
+    primes, cls = table.primes, table.cls
     order, powers = fd.group.order, _power_classes(fd.group)
     # the plateau block primes[start:stop]: p > isqrt(2 n_hi), so p^2 > n_hi, and f == 1.0
     start = sieve.count_leq(math.isqrt(int(2 * n_hi)))
@@ -234,7 +220,7 @@ def _psi_terms(
 
     def weigh(lo: int, hi: int) -> list[list[tuple[int, float]]]:
         pairs: list[list[tuple[int, float]]] = [[] for _ in classes]
-        for p, c in zip(primes[lo:hi].tolist(), table.cls[lo:hi].tolist()):
+        for p, c in zip(primes[lo:hi].tolist(), cls[lo:hi].tolist()):
             if c < 0:  # ramified
                 continue
             power = powers[c]
@@ -253,7 +239,7 @@ def _psi_terms(
 
     lower = weigh(0, start)
     upper = weigh(stop, primes.size)
-    block, block_cls = primes[start:stop], table.cls[start:stop]
+    block, block_cls = primes[start:stop], cls[start:stop]
     return [(lower[c], _plateau_primes(block, block_cls, c), upper[c]) for c in classes]
 
 
@@ -427,20 +413,19 @@ def base_change_compare(
     g0 = meet[0]
     c_h = frozenset(group.conj(g0, hh) for hh in h)
     orbits = _coset_orbit_table(group, h, c_h)
-    primes = sieve.upto(x)
     table = frobenius_table(fd, sieve, x)
-    p = _first_unresolved(primes, table.cls == UNRESOLVED)
+    p = table.first(attrgetter("ambiguous"))
     if p is not None:
         raise UnsupportedSubgroupAction(f"{fd.name}: class not resolvable at p={p}")
-    pi_c = int(np.count_nonzero(table.cls == cls.index))
+    pi_c = table.count(lambda data: data.conjugacy_class == cls)
     # a prime of class c gives one K^H prime of norm p^f per orbit of length f
     # meeting C_H; it counts when p^f <= x, that is when p <= floor(x)^(1/f)
     pi_ch = 0
     for index, class_orbits in orbits.items():
         for length, in_ch in class_orbits:
             if in_ch:
-                end = int(np.searchsorted(primes, _iroot(max(int(x), 0), length), side="right"))
-                pi_ch += int(np.count_nonzero(table.cls[:end] == index))
+                prefix = frobenius_table(fd, sieve, _iroot(max(int(x), 0), length))
+                pi_ch += prefix.count(lambda data: data.conjugacy_class == group.classes[index])
     scale = cls.size / group.order * len(h) / len(c_h)
     lhs = abs(pi_c - scale * pi_ch)
     rhs = cls.size / group.order * (

@@ -131,21 +131,18 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_splitting(args) -> int:
-    from .fields import RAMIFIED, frobenius_table
+    from .fields import frobenius_table
     from .sieve import sieve_primes
 
     (fd,) = _resolve_fields(args, [args.field])
-    sieve = sieve_primes(max(args.limit, 2))
-    primes = sieve.upto(args.limit)
-    table = frobenius_table(fd, sieve, args.limit)
-    labels = [c.label for c in fd.group.classes]
-    types = ["+".join(str(d) for d in ftype) for ftype in table.types]
-    rows = []
-    for p, cls, order, ftype in zip(primes.tolist(), table.cls.tolist(), table.order.tolist(), table.ftype.tolist()):
-        if cls == RAMIFIED:
-            rows.append([p, 1, "", "", ""])
-        else:
-            rows.append([p, 0, types[ftype], order, labels[cls] if cls >= 0 else "?"])
+    table = frobenius_table(fd, sieve_primes(max(args.limit, 2)), args.limit)
+    by_kind = [
+        [1, "", "", ""] if data.ramified else
+        [0, "+".join(map(str, data.factorization_type)), data.frobenius_order,
+         "?" if data.ambiguous else data.conjugacy_class.label]
+        for data in table.kinds
+    ]
+    rows = [[p, *by_kind[k]] for p, k in zip(table.primes.tolist(), table.kind.tolist())]
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -170,8 +167,8 @@ def cmd_large_sieve(args) -> int:
     fields = _resolve_fields(args, names)
     window = MeanValueWindow(t_height=args.T, y=args.y, u=args.u)
     family = Family(fields=fields, q_bound=args.Q, intersection_rule=args.rule)
-    sieve = sieve_primes(int(args.u) + 1)
-    report = mvt_report(family, window, sieve)
+    zde = None if args.sigma is None else zero_density_report(family, args.T, args.sigma)
+    report = mvt_report(family, window, sieve_primes(int(args.u) + 1))
     payload = {
         "schema": SCHEMA,
         "kind": report.kind,
@@ -181,8 +178,7 @@ def cmd_large_sieve(args) -> int:
         "params": report.params,
         "notes": list(report.notes),
     }
-    if args.sigma is not None:
-        zde = zero_density_report(family, args.T, args.sigma)
+    if zde is not None:
         payload["zero_density"] = {
             "rhs_shape_log": zde.rhs_shape_log,
             "params": zde.params,

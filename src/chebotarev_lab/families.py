@@ -73,7 +73,8 @@ class Family:
         key = _RULE_KEYS.get(self.intersection_rule)
         if key is None:
             raise UndecidableIntersectionRule(
-                f"no intersection rule for group tag {self.group_name}; provide explicit pairs"
+                f"no intersection rule for group tag {self.group_name};"
+                f" use the {RULE_EXPLICIT} rule (--rule {RULE_EXPLICIT}), under which a field meets only itself"
             )
         object.__setattr__(self, "multiplicity", max(Counter(map(key, self.fields)).values()))
 

@@ -10,14 +10,15 @@ Q(sqrt D_K) without a declared action is classified by the Kronecker
 character chi_{D_K} alone, so its D_K is checked against the polynomial.
 
 ``frobenius_data`` classifies one prime; ``frobenius_table`` classifies the
-primes of a sieve up to x at once and agrees with it prime by prime.
+primes of a sieve up to x at once and agrees with it prime by prime, keeping
+one kind per prime: an index into the distinct records it has met.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group
 from .sieve import PrimeSieve
 
-RAMIFIED = -1  # class index of a ramified prime in a FrobeniusTable
-UNRESOLVED = -2  # class index of an unramified prime whose class the data cannot separate
+RAMIFIED = -1  # FrobeniusTable.cls of a ramified prime
+UNRESOLVED = -2  # FrobeniusTable.cls of an unramified prime whose class the data cannot separate
 _CHUNK_ENTRIES = 1 << 20  # int64 entries per block of Frobenius matrices
 
 
@@ -111,13 +112,20 @@ class FieldDescriptor:
 
 @dataclass(frozen=True)
 class FrobeniusData:
-    """Splitting data of one rational prime."""
+    """Splitting data of a rational prime, shared by every prime of one kind."""
 
-    p: int
     ramified: bool
     factorization_type: tuple[int, ...] | None = None  # ascending factor degrees
     frobenius_order: int | None = None
-    conjugacy_class: ConjugacyClass | None = None  # None when ambiguous
+    conjugacy_class: ConjugacyClass | None = None  # None when ramified or ambiguous
+
+    @property
+    def ambiguous(self) -> bool:
+        """Unramified, with a class the factorization data cannot separate."""
+        return not self.ramified and self.conjugacy_class is None
+
+
+_RAMIFIED_DATA = FrobeniusData(ramified=True)
 
 
 @lru_cache(maxsize=200_000)
@@ -133,22 +141,19 @@ def factor_poly_mod_p(poly: list[int] | tuple[int, ...], p: int) -> list[tuple[i
 def frobenius_data(fd: FieldDescriptor, p: int) -> FrobeniusData:
     """Frobenius data at p: ramified flag, type, order, class when unambiguous."""
     if fd.is_ramified(p):
-        return FrobeniusData(p=p, ramified=True)
+        return _RAMIFIED_DATA
     if fd.residue_action is not None:
         elem = fd.residue_action.element_of(p)
         if elem is None:
-            return FrobeniusData(p=p, ramified=True)
+            return _RAMIFIED_DATA
     elif _by_legendre(fd):
         elem = 0 if kronecker_symbol(fd.disc_field, p) == 1 else 1
     else:
         pairs = _factor_type(fd.defining_poly, p)
         if any(mult > 1 for _, mult in pairs):
-            return FrobeniusData(p=p, ramified=True)
-        ftype = tuple(sorted(d for d, _ in pairs))
-        cls, d = _type_frobenius(fd, ftype)
-        return FrobeniusData(p=p, ramified=False, factorization_type=ftype, frobenius_order=d, conjugacy_class=cls)
-    cls, d, ftype = _element_frobenius(fd, elem)
-    return FrobeniusData(p=p, ramified=False, factorization_type=ftype, frobenius_order=d, conjugacy_class=cls)
+            return _RAMIFIED_DATA
+        return _type_frobenius(fd, tuple(sorted(d for d, _ in pairs)))
+    return _element_frobenius(fd, elem)
 
 
 def _by_legendre(fd: FieldDescriptor) -> bool:
@@ -156,22 +161,22 @@ def _by_legendre(fd: FieldDescriptor) -> bool:
     return fd.residue_action is None and fd.degree == fd.group.order == 2
 
 
-def _element_frobenius(fd: FieldDescriptor, elem: int) -> tuple[ConjugacyClass, int, tuple[int, ...]]:
-    """Class, order and factorization type of a Frobenius element from the residue or chi_{D_K} route."""
+def _element_frobenius(fd: FieldDescriptor, elem: int) -> FrobeniusData:
+    """The record of a Frobenius element from the residue or chi_{D_K} route."""
     d = fd.group.element_orders[elem]
     # k = K is Galois, so every prime above p has residue degree d
-    return fd.group.class_of(elem), d, tuple([d] * (fd.degree // d))
+    return FrobeniusData(False, tuple([d] * (fd.degree // d)), d, fd.group.class_of(elem))
 
 
-def _type_frobenius(fd: FieldDescriptor, ftype: tuple[int, ...]) -> tuple[ConjugacyClass | None, int]:
-    """Class (None when ambiguous) and order of Frobenius with factorization type ftype."""
+def _type_frobenius(fd: FieldDescriptor, ftype: tuple[int, ...]) -> FrobeniusData:
+    """The record of an unramified prime whose factorization type is ftype."""
     g, d = fd.group, math.lcm(*ftype)
     if g.name.startswith("S") and g.perms is not None and fd.degree == len(g.perms[0]):
         # for S_n acting on the n roots, the factorization type is the cycle
         # type, a complete class invariant
-        return g.class_by_cycle_type(ftype), d
+        return FrobeniusData(False, ftype, d, g.class_by_cycle_type(ftype))
     candidates = g.classes_of_order(d)
-    return (candidates[0] if len(candidates) == 1 else None), d
+    return FrobeniusData(False, ftype, d, candidates[0] if len(candidates) == 1 else None)
 
 
 # -- Frobenius tables ----------------------------------------------------------
@@ -179,19 +184,46 @@ def _type_frobenius(fd: FieldDescriptor, ftype: tuple[int, ...]) -> tuple[Conjug
 
 @dataclass(frozen=True)
 class FrobeniusTable:
-    """Frobenius data of an ascending prime array, one entry per prime.
+    """Frobenius data of an ascending prime array, one kind per prime.
 
-    ``cls`` is the int8 class index, or RAMIFIED / UNRESOLVED; ``order`` the
-    Frobenius order (0 when ramified); ``ftype`` an index into ``types``, the
-    factorization types met so far (-1 when ramified).  ``order`` and
-    ``ftype`` are int16: a catalog polynomial of degree 16 or more can have
-    factor degrees whose lcm exceeds 127.  The arrays are read-only.
+    ``kind[i]`` indexes ``kinds``, the records met so far, so ``primes[i]``
+    has the record ``kinds[kind[i]]``.  Every count reads the histogram
+    ``counts`` of the kinds; ``cls`` and ``order`` spell the records out per
+    prime for code that walks the primes.  The arrays are read-only.
     """
 
-    cls: np.ndarray
-    order: np.ndarray
-    ftype: np.ndarray
-    types: tuple[tuple[int, ...], ...]
+    primes: np.ndarray
+    kind: np.ndarray  # int16
+    kinds: tuple[FrobeniusData, ...]
+
+    @cached_property
+    def counts(self) -> list[int]:
+        """counts[k]: the number of primes of kind k."""
+        return np.bincount(self.kind, minlength=len(self.kinds)).tolist()
+
+    def count(self, match) -> int:
+        """The number of primes whose record satisfies ``match``."""
+        return sum(n for data, n in zip(self.kinds, self.counts) if n and match(data))
+
+    def first(self, match) -> int | None:
+        """The smallest prime whose record satisfies ``match``, or None."""
+        wanted = [k for k, (data, n) in enumerate(zip(self.kinds, self.counts)) if n and match(data)]
+        return int(self.primes[np.isin(self.kind, wanted).argmax()]) if wanted else None
+
+    @property
+    def cls(self) -> np.ndarray:
+        """The class index of each prime, RAMIFIED or UNRESOLVED where it has none."""
+        return self._per_prime([RAMIFIED if data.ramified else UNRESOLVED if data.ambiguous
+                                else data.conjugacy_class.index for data in self.kinds])
+
+    @property
+    def order(self) -> np.ndarray:
+        """The Frobenius order of each prime, 0 when it is ramified."""
+        return self._per_prime([data.frobenius_order or 0 for data in self.kinds])
+
+    def _per_prime(self, values: list[int]) -> np.ndarray:
+        # int16: a catalog polynomial of degree 16 or more can have factor degrees whose lcm exceeds 127
+        return np.array(values, dtype=np.int16)[self.kind]
 
 
 def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
@@ -204,8 +236,8 @@ def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Frobeni
     repeated factor; for p > deg f the factorization type comes from the
     traces of the Frobenius matrix (``_cycle_counts``).  On both vectorised
     routes the few primes p <= deg f go through ``frobenius_data``, and the
-    routes share its element- and type-to-class helpers, so the table agrees
-    with ``frobenius_data``.
+    routes build their records with its element and type helpers, so the
+    table agrees with ``frobenius_data``.
 
     The sieve keeps each field's table of a prefix of its primes, in
     ``sieve.derived``, and returns slices of it.  A request beyond the prefix
@@ -235,69 +267,54 @@ def check_index_divisors(
     if bad.any():
         i = int(np.argmax(bad))
         name = next(fd.name for fd, order in zip(fds, orders) if order[i] == 0)
-        raise RamifiedPrime(f"{name}: p={int(primes[i])} is ramified")
+        raise RamifiedPrime(f"{name}: p={int(primes[i])} divides disc f but not D_K")
 
 
 class _TableMemo:
-    """One field's table over a prefix ``sieve.primes[:size]`` of the sieve
-    that keeps it.
+    """One field's kinds of a prefix of the primes of the sieve that keeps it.
 
-    Type indices are assigned in the order types are first met and never
+    Kind indices are assigned in the order records are first met and never
     change, so a table extended later keeps the indices it had.
     """
 
     def __init__(self, fd: FieldDescriptor):
-        self.size = 0
-        self.arrays = _compact(np.zeros((0, 3), dtype=np.int64))
-        self.types: list[tuple[int, ...]] = []
-        self.type_index: dict[tuple[int, ...], int] = {}
+        self.kind = np.zeros(0, dtype=np.int16)
+        self.index: dict[FrobeniusData, int] = {}
         self.residue = None if fd.residue_action is None else np.asarray(fd.residue_action.residue_class)
         if self.residue is not None or _by_legendre(fd):
-            # one row per group element, then the ramified row read by element -1
-            entries = [self._entry(cls.index, d, ftype) for cls, d, ftype in
-                       (_element_frobenius(fd, e) for e in fd.group.elements())]
-            self.element_rows = np.array(entries + [(RAMIFIED, 0, -1)], dtype=np.int64)
+            # the kind of each group element, then the ramified kind read by element -1
+            records = [_element_frobenius(fd, e) for e in fd.group.elements()] + [_RAMIFIED_DATA]
+            self.element_kind = self._kinds(records)
 
     def lookup(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
-        n, k = sieve.count_leq(x), self.size
+        n, k = sieve.count_leq(x), self.kind.size
         if n > k:
             size = min(len(sieve), max(n, 2 * k))
-            tail = _compact(self._classify(fd, sieve.primes[k:size]))
-            self.arrays = tuple(np.concatenate(pair) for pair in zip(self.arrays, tail))
-            for a in self.arrays:
-                a.flags.writeable = False
-            self.size = size
-        return self._table(n)
+            self.kind = np.concatenate((self.kind, self._classify(fd, sieve.primes[k:size])))
+            self.kind.flags.writeable = False
+        return FrobeniusTable(sieve.primes[:n], self.kind[:n], tuple(self.index))
 
-    def _table(self, n: int) -> FrobeniusTable:
-        return FrobeniusTable(*(a[:n] for a in self.arrays), types=tuple(self.types))
-
-    def _entry(self, cls_index: int, order: int, ftype: tuple[int, ...]) -> tuple[int, int, int]:
-        if ftype not in self.type_index:
-            self.type_index[ftype] = len(self.types)
-            self.types.append(ftype)
-        return cls_index, order, self.type_index[ftype]
+    def _kinds(self, records: list[FrobeniusData]) -> np.ndarray:
+        return np.array([self.index.setdefault(data, len(self.index)) for data in records], dtype=np.int16)
 
     def _classify(self, fd: FieldDescriptor, primes: np.ndarray) -> np.ndarray:
-        """One (class, order, type index) row per prime."""
+        """The kind of each prime."""
         disc_residue = _mod_primes(fd.disc_field, primes)
         ramified = disc_residue == 0
         if self.residue is not None:
             elem = np.where(ramified, -1, self.residue[primes % fd.residue_action.conductor])
-            return self.element_rows[elem]
+            return self.element_kind[elem]
         legendre = _by_legendre(fd)
         if not legendre:
             # a monic f has a repeated factor mod p exactly when p | disc(f)
             ramified |= _mod_primes(fd.poly_disc, primes) == 0
-        out = np.empty((primes.size, 3), dtype=np.int64)
-        out[ramified] = (RAMIFIED, 0, -1)
+        out = np.empty(primes.size, dtype=np.int16)
+        out[ramified] = self._kinds([_RAMIFIED_DATA])
         n = fd.degree
         # both vectorised routes need p > n and n (p-1)^2 < 2^63
         scalar = ~ramified & ((primes <= n) | (primes > math.isqrt((2**63 - 1) // n)))
-        for i in np.flatnonzero(scalar).tolist():
-            data = frobenius_data(fd, int(primes[i]))  # p divides neither D_K nor, unless legendre, disc(f)
-            cls = UNRESOLVED if data.conjugacy_class is None else data.conjugacy_class.index
-            out[i] = self._entry(cls, data.frobenius_order, data.factorization_type)
+        # p divides neither D_K nor, unless legendre, disc(f)
+        out[scalar] = self._kinds([frobenius_data(fd, p) for p in primes[scalar].tolist()])
         fast = ~(ramified | scalar)
         if not fast.any():
             return out
@@ -305,16 +322,13 @@ class _TableMemo:
             # Euler's criterion: D_K^((p-1)/2) = chi_{D_K}(p) mod p, and element 1 is Frobenius at an inert p
             p = primes[fast]
             inert = _pow_mod(disc_residue[fast], p >> 1, p) != 1
-            out[fast] = self.element_rows[inert.astype(np.int64)]
+            out[fast] = self.element_kind[inert.astype(np.int64)]
             return out
         counts = _cycle_counts(fd.defining_poly, primes[fast])
         distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
-        entries = []
-        for row in distinct.tolist():
-            ftype = tuple(d for d, c in enumerate(row, start=1) for _ in range(c))
-            cls, order = _type_frobenius(fd, ftype)
-            entries.append(self._entry(UNRESOLVED if cls is None else cls.index, order, ftype))
-        out[fast] = np.array(entries, dtype=np.int64)[inverse.reshape(-1)]
+        records = [_type_frobenius(fd, tuple(d for d, c in enumerate(row, start=1) for _ in range(c)))
+                   for row in distinct.tolist()]
+        out[fast] = self._kinds(records)[inverse.reshape(-1)]
         return out
 
 
@@ -327,10 +341,6 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         out *= np.where(exp & (1 << bit), base, 1)
         out %= mod
     return out
-
-
-def _compact(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return rows[:, 0].astype(np.int8), rows[:, 1].astype(np.int16), rows[:, 2].astype(np.int16)
 
 
 def _mod_primes(value: int, primes: np.ndarray) -> np.ndarray:

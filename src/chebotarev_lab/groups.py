@@ -34,17 +34,10 @@ class ConjugacyClass:
 class FiniteGroup:
     """Immutable finite group on elements 0..order-1 with a full table."""
 
-    def __init__(
-        self,
-        name: str,
-        table: list[list[int]],
-        element_names: list[str] | None = None,
-        perms: list[tuple[int, ...]] | None = None,
-    ):
+    def __init__(self, name: str, table: list[list[int]], perms: list[tuple[int, ...]] | None = None):
         self.name = name
         self.order = len(table)
         self._table = np.asarray(table, dtype=np.int64)
-        self.element_names = element_names or [str(i) for i in range(self.order)]
         self.perms = perms  # permutation realization, when built from one
         self._validate_table()
         self.element_orders = tuple(self._element_order(a) for a in range(self.order))
@@ -237,13 +230,12 @@ def _group_from_perms(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     perms = sorted(perms)
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[perm_compose(a, b)] for b in perms] for a in perms]
-    names = ["".join(map(str, p)) for p in perms]
-    return FiniteGroup(name, table, element_names=names, perms=perms)
+    return FiniteGroup(name, table, perms=perms)
 
 
 def _cyclic(name: str, d: int) -> FiniteGroup:
     table = [[(i + j) % d for j in range(d)] for i in range(d)]
-    return FiniteGroup(name, table, element_names=[f"g{i}" if i else "e" for i in range(d)])
+    return FiniteGroup(name, table)
 
 
 def _dihedral(name: str, n: int) -> FiniteGroup:
@@ -258,8 +250,7 @@ def _dihedral(name: str, n: int) -> FiniteGroup:
         return r if sb else r + n
 
     table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
-    names = [f"r{i}" if i else "e" for i in range(n)] + [f"sr{i}" if i else "s" for i in range(n)]
-    return FiniteGroup(name, table, element_names=names)
+    return FiniteGroup(name, table)
 
 
 @lru_cache(maxsize=None)

@@ -100,6 +100,8 @@ class MeanValueWindow:
             raise ValidationError("y must be >= 1")
         if self.u < self.y:
             raise ValidationError("u must be >= y")
+        if not (0 < self.t_height < math.inf):
+            raise ParameterOutOfRange("T must be positive and finite")
 
 
 def prime_polynomial(fd: FieldDescriptor, y: float, u: float, sieve: PrimeSieve) -> DirichletPolynomial:
@@ -109,9 +111,9 @@ def prime_polynomial(fd: FieldDescriptor, y: float, u: float, sieve: PrimeSieve)
     primes up to u; an index divisor in the window raises RamifiedPrime
     (``check_index_divisors``).
     """
-    primes = sieve.upto(u)
+    table = frobenius_table(fd, sieve, u)
     start = sieve.count_leq(y)  # the window is the tail of primes <= u
-    window, orders = primes[start:], frobenius_table(fd, sieve, u).order[start:]
+    window, orders = table.primes[start:], table.order[start:]
     check_index_divisors((fd,), window, (orders,))
     g = fd.group.order
     terms: dict[int, complex] = {}

@@ -113,6 +113,11 @@ def test_family_errors_come_before_any_sieve(monkeypatch, capsys, tmp_path):
         (["family", "--catalog", str(catalog), "--Q", "20000", "--x", "1e7"], 2, "UndecidableIntersectionRule"),
         (["large-sieve", "--fields", "zeta5", "--u", "9e7"], 2, "UndecidableIntersectionRule"),
         (["large-sieve", "--y", "0.5", "--u", "9e7"], 1, "ValidationError"),
+        # the zero-density parameters and the height T are checked before the sieve too
+        (["large-sieve", "--sigma", "0.3", "--u", "9e7"], 1, "ParameterOutOfRange"),
+        (["large-sieve", "--Q", "1", "--fields", "rational", "--rule", "explicit-pairs", "--sigma", "0.8",
+          "--u", "9e7"], 1, "ParameterOutOfRange"),
+        (["large-sieve", "--T", "0", "--sigma", "0.8", "--u", "9e7"], 1, "ParameterOutOfRange"),
     ):
         assert main(argv) == code, argv
         assert json.loads(capsys.readouterr().err)["error"]["code"] == error

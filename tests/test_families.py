@@ -77,7 +77,10 @@ def test_undecidable_rule():
     z5 = builtin_field("zeta5")
     with pytest.raises(UndecidableIntersectionRule) as err:
         Family(fields=(z5,), q_bound=200.0)
-    assert str(err.value) == "no intersection rule for group tag C4; provide explicit pairs"
+    assert str(err.value) == (
+        "no intersection rule for group tag C4;"
+        " use the explicit-pairs rule (--rule explicit-pairs), under which a field meets only itself"
+    )
     with pytest.raises(UndecidableIntersectionRule):
         Family(fields=quads([-1, 2]), q_bound=20.0, intersection_rule="no-such-rule")
     explicit = Family(fields=(z5, z5), q_bound=200.0, intersection_rule="explicit-pairs")

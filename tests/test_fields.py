@@ -262,17 +262,17 @@ def _table_fields():
 
 
 def _assert_table_matches(fd, sieve, x):
-    primes = sieve.upto(x)
     table = frobenius_table(fd, sieve, x)
-    for i, p in enumerate(primes.tolist()):
+    assert table.primes.tolist() == sieve.upto(x).tolist()
+    cls, order = table.cls.tolist(), table.order.tolist()
+    for i, p in enumerate(table.primes.tolist()):
         data = frobenius_data(fd, p)
-        got = (int(table.cls[i]), int(table.order[i]))
+        assert table.kinds[table.kind[i]] == data, (fd.name, p)
         if data.ramified:
-            assert got == (RAMIFIED, 0) and table.ftype[i] == -1, (fd.name, p)
-            continue
-        want_cls = UNRESOLVED if data.conjugacy_class is None else data.conjugacy_class.index
-        assert got == (want_cls, data.frobenius_order), (fd.name, p, got)
-        assert table.types[table.ftype[i]] == data.factorization_type, (fd.name, p)
+            want = (RAMIFIED, 0)
+        else:
+            want = (UNRESOLVED if data.conjugacy_class is None else data.conjugacy_class.index, data.frobenius_order)
+        assert (cls[i], order[i]) == want, (fd.name, p)
 
 
 @pytest.mark.parametrize("fd", _table_fields(), ids=lambda fd: fd.name)
@@ -330,13 +330,14 @@ x2px3 | 3 1 1 | C2 | -11
 def _assert_kronecker(fd, sieve, x):
     """The table of p <= x: chi_{D_K}(p) per prime, and the type of f mod p off disc f."""
     table = frobenius_table(fd, sieve, x)
-    want = {0: (RAMIFIED, 0), 1: (0, 1), -1: (1, 2)}  # (class index, order) by chi
-    for i, p in enumerate(sieve.upto(x).tolist()):
-        got = (int(table.cls[i]), int(table.order[i]))
-        assert got == want[kronecker_symbol(fd.disc_field, p)], (fd.name, p)
+    want = {0: (True, None, None), 1: (False, 0, 1), -1: (False, 1, 2)}  # (ramified, class index, order) by chi
+    for p, k in zip(table.primes.tolist(), table.kind.tolist()):
+        data = table.kinds[k]
+        index = None if data.conjugacy_class is None else data.conjugacy_class.index
+        assert (data.ramified, index, data.frobenius_order) == want[kronecker_symbol(fd.disc_field, p)], (fd.name, p)
         if fd.poly_disc % p:
             ftype = tuple(d for d, _ in _factor_type(fd.defining_poly, p))
-            assert table.types[table.ftype[i]] == ftype, (fd.name, p)
+            assert data.factorization_type == ftype, (fd.name, p)
 
 
 @pytest.mark.parametrize(
@@ -401,8 +402,7 @@ def _classified(monkeypatch):
 
 
 def _rows(table):
-    types = [None if t < 0 else table.types[t] for t in table.ftype.tolist()]
-    return table.cls.tolist(), table.order.tolist(), types
+    return [table.kinds[k] for k in table.kind.tolist()]
 
 
 @pytest.mark.parametrize("name", sorted(GROWTH_FIELDS))
@@ -413,7 +413,7 @@ def test_rising_x_session_classifies_log_many_times(name, monkeypatch):
     log = _classified(monkeypatch)
     for x in xs:
         table = frobenius_table(fd, sieve, x)
-        assert sieve.derived["frobenius_table", fd].size <= len(sieve), x
+        assert sieve.derived["frobenius_table", fd].kind.size <= len(sieve), x
         cold = PrimeSieve(limit=sieve.limit, primes=sieve.primes)  # the same primes, classified afresh
         assert _rows(table) == _rows(frobenius_table(fd, cold, x)), x
     memo = sieve.derived["frobenius_table", fd]
@@ -476,7 +476,7 @@ def test_table_lives_as_long_as_its_sieve():
     state = dict(vars(fd))
     sieve = sieve_primes(10**4)
     frobenius_table(fd, sieve, 7000)
-    assert sieve.derived["frobenius_table", fd].size == sieve.count_leq(7000)
+    assert sieve.derived["frobenius_table", fd].kind.size == sieve.count_leq(7000)
     # the table goes with its sieve, and the descriptor holds nothing of it
     ref = weakref.ref(sieve)
     del sieve
@@ -500,3 +500,40 @@ def test_blind_class_count_names_first_ambiguous_prime(sieve_small):
     blind = _zeta5blind()
     with pytest.raises(AmbiguousClass, match=r"at p=2;"):
         pi_C_count(blind, blind.group.class_by_label("4a"), 10**3, sieve_small)
+
+
+def test_memo_holds_one_int16_per_prime():
+    sieve = sieve_primes(2 * 10**4)
+    for fd in _table_fields():
+        table = frobenius_table(fd, sieve, 5000)
+        memo = sieve.derived["frobenius_table", fd]
+        # the element-to-kind and residue arrays are as small as the group and the conductor
+        per_prime = {name for name, value in vars(memo).items() if isinstance(value, np.ndarray) and value.size > 100}
+        assert per_prime == {"kind"} and memo.kind.dtype == np.int16, fd.name
+        assert table.kind.dtype == np.int16 and not table.kind.flags.writeable and not table.primes.flags.writeable
+        assert len(set(table.kinds)) == len(table.kinds), fd.name  # one record per kind
+
+
+@pytest.mark.parametrize("fd", _table_fields(), ids=lambda fd: fd.name)
+def test_counts_agree_with_the_per_prime_arrays(fd):
+    # every count reads the histogram of kinds; the per-prime cls and order say the same
+    sieve = sieve_primes(2 * 10**4)
+    classes = fd.group.classes
+    ambiguous = set()
+    for x in (100, 5000, sieve.limit):
+        table = frobenius_table(fd, sieve, x)
+        cls, order = table.cls, table.order
+        tally = splitting_tally(fd, x, sieve)
+        assert tally.by_class == {c.label: np.count_nonzero(cls == c.index) for c in classes}, x
+        assert tally.ramified == np.count_nonzero(cls == RAMIFIED), x
+        assert tally.unresolved == np.count_nonzero(cls == UNRESOLVED), x
+        for c in classes:
+            if np.any((cls == UNRESOLVED) & (order == c.order)):
+                with pytest.raises(AmbiguousClass):
+                    pi_C_count(fd, c, x, sieve)
+                ambiguous.add(c.label)
+            else:
+                assert pi_C_count(fd, c, x, sieve).count == np.count_nonzero(cls == c.index), (x, c.label)
+        for d in {c.order for c in classes}:
+            assert pi_C_count(fd, d, x, sieve).count == np.count_nonzero(order == d), (x, d)
+    assert ambiguous == ({c.label for c in classes if c.order == 4} if fd.name == "zeta5blind" else set())

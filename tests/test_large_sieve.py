@@ -124,7 +124,7 @@ def test_msq_size_guard():
 def test_prime_polynomial_index_divisor(catalog, sieve_small):
     # 2 divides disc(x^3 - 4x - 8) = 2^6 (-23) but not D_K: the window must leave it out
     s3x2 = parse_catalog("s3x2 | -8 -4 0 1 | S3 | -12167\n")[0]
-    with pytest.raises(RamifiedPrime, match="s3x2: p=2 "):
+    with pytest.raises(RamifiedPrime, match="^s3x2: p=2 divides disc f but not D_K$"):
         prime_polynomial(s3x2, 1.0, 100.0, sieve_small)
     assert prime_polynomial(s3x2, 2.0, 100.0, sieve_small).terms == \
         prime_polynomial(catalog["s3cubic"], 2.0, 100.0, sieve_small).terms
@@ -255,3 +255,6 @@ def test_family_window_validation(catalog):
         MeanValueWindow(t_height=1.0, y=5.0, u=2.0)
     with pytest.raises(ValidationError, match="y must be >= 1"):
         MeanValueWindow(t_height=1.0, y=0.5, u=2.0)
+    for t_height in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterOutOfRange, match="T must be positive and finite"):
+            MeanValueWindow(t_height=t_height, y=2.0, u=20.0)
