@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -165,7 +165,9 @@ def is_admissible(
 
 # -- weighted prime sums ---------------------------------------------------------
 
-_PLATEAU_CHUNK = 1 << 12  # plateau primes turned into Python ints at a time
+_UNIT = 2.0**-53  # log p >= log 2 > 1/2, so the float math.log(p) is a multiple of 2^-53
+_LOW = (1 << 29) - 1  # U = (U >> 29) 2^29 + (U & _LOW), parts below 2^29: pi(10^8) < 2^23 of them sum below 2^52
+_LOG_CHUNK = 1 << 12  # primes turned into Python ints at a time
 
 
 @lru_cache(maxsize=64)  # bounded: it keeps each group it is given alive
@@ -177,27 +179,42 @@ def _power_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _plateau_primes(block: np.ndarray, block_cls: np.ndarray, c: int) -> Iterator[int]:
-    """The primes of class c in the plateau block, ascending, read a chunk at a time."""
-    step = _PLATEAU_CHUNK
-    return chain.from_iterable(
-        block[i : i + step][block_cls[i : i + step] == c].tolist() for i in range(0, block.size, step)
-    )
+def _log_units(sieve: PrimeSieve, n: int) -> np.ndarray:
+    """U[i] = math.log(p_i) / 2^-53, an exact int64 below 2^58, for the first n primes of the sieve.
+
+    The sieve keeps U for a prefix of its primes, in ``sieve.derived``, grown
+    like the Frobenius tables to min(len(sieve), max(n, 2 * prefix)) primes.
+    """
+    units = sieve.derived.get("psi_log_units", np.zeros(0, dtype=np.int64))
+    if n > units.size:
+        primes = sieve.primes[units.size : min(len(sieve), max(n, 2 * units.size))]
+        chunks = (primes[i : i + _LOG_CHUNK].tolist() for i in range(0, primes.size, _LOG_CHUNK))
+        logs = np.fromiter(map(math.log, chain.from_iterable(chunks)), dtype=np.float64, count=primes.size)
+        units = sieve.derived["psi_log_units"] = np.concatenate((units, (logs / _UNIT).astype(np.int64)))
+    return units[:n]
 
 
-def _psi_terms(
-    fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve
-) -> list[tuple[list[tuple[int, float]], Iterator[int], list[tuple[int, float]]]]:
+@dataclass(frozen=True)
+class _PsiTerms:
+    """Class c's weighed (p^k, term) pairs below and above the plateau block,
+    each ascending in p and then k (see ``psi_weighted_items``), and the block,
+    where each prime adds exactly log p = units 2^-53 to class
+    ``kind_class[kind]`` (-1 for the ramified kind)."""
+
+    lower: list[list[tuple[int, float]]]
+    upper: list[list[tuple[int, float]]]
+    primes: np.ndarray
+    kind: np.ndarray
+    units: np.ndarray
+    kind_class: list[int]
+
+
+def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> _PsiTerms:
     """The terms of the weighted prime sum of every class, in one pass.
 
-    Entry c holds class c's weighed (p^k, term) pairs below the plateau block,
-    an iterator over its primes in the block, each of which adds exactly
-    log p, and its weighed pairs above the block, each part ascending in p
-    and then k (the segments are described at ``psi_weighted_items``).  Every
-    (p, k) outside the block and not below supp f is weighed once and goes to
-    the class of Frob_p^k, read off ``_power_classes``.
-
-    The weight argument is evaluated as k*log(p)/log(x) so independent
+    Every (p, k) outside the plateau block and not below supp f is weighed
+    once and goes to the class of Frob_p^k, read off ``_power_classes``.  The
+    weight argument is evaluated as k*log(p)/log(x) so independent
     reimplementations of the same sum produce bit-identical terms.
     """
     x = params.x
@@ -209,22 +226,23 @@ def _psi_terms(
     p = table.first(attrgetter("ambiguous"))
     if p is not None:
         raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
-    primes, cls = table.primes, table.cls
+    primes, kind, units = table.primes, table.kind, _log_units(sieve, table.primes.size)
+    kind_class = [-1 if data.ramified else data.conjugacy_class.index for data in table.kinds]
     order, powers = fd.group.order, _power_classes(fd.group)
     # the plateau block primes[start:stop]: p > isqrt(2 n_hi), so p^2 > n_hi, and f == 1.0
     start = sieve.count_leq(math.isqrt(int(2 * n_hi)))
     stop = max(start, sieve.count_leq(x ** params.plateau[1] * (1.0 - 1e-9)))
     top = lx + params.eps
-    log = math.log
     classes = range(len(powers))
 
     def weigh(lo: int, hi: int) -> list[list[tuple[int, float]]]:
         pairs: list[list[tuple[int, float]]] = [[] for _ in classes]
-        for p, c in zip(primes[lo:hi].tolist(), cls[lo:hi].tolist()):
+        for p, index, u in zip(primes[lo:hi].tolist(), kind[lo:hi].tolist(), units[lo:hi].tolist()):
+            c = kind_class[index]
             if c < 0:  # ramified
                 continue
             power = powers[c]
-            logp = log(p)
+            logp = u * _UNIT
             k = 1
             n = p
             while k * logp <= top:
@@ -237,10 +255,8 @@ def _psi_terms(
                 n *= p
         return pairs
 
-    lower = weigh(0, start)
-    upper = weigh(stop, primes.size)
-    block, block_cls = primes[start:stop], cls[start:stop]
-    return [(lower[c], _plateau_primes(block, block_cls, c), upper[c]) for c in classes]
+    return _PsiTerms(weigh(0, start), weigh(stop, primes.size), primes[start:stop], kind[start:stop],
+                     units[start:stop], kind_class)
 
 
 def psi_weighted_items(
@@ -270,9 +286,10 @@ def psi_weighted_items(
     every class, which ``psi_weighted_class`` runs too; the pairs are not
     memoized.
     """
-    lower, plateau, upper = _psi_terms(fd, params, sieve)[cls.index]
-    log = math.log
-    return lower + [(p, log(p)) for p in plateau] + upper
+    terms = _psi_terms(fd, params, sieve)
+    mine = np.isin(terms.kind, [k for k, c in enumerate(terms.kind_class) if c == cls.index])
+    plateau = zip(terms.primes[mine].tolist(), (terms.units[mine] * _UNIT).tolist())
+    return terms.lower[cls.index] + list(plateau) + terms.upper[cls.index]
 
 
 def psi_weighted_class(
@@ -286,24 +303,35 @@ def psi_weighted_class(
 
     Realized as a direct sum (the contour definition agrees by Mellin
     inversion) over the terms of ``psi_weighted_items``: f weighs the small
-    primes and the upper ramp, and each plateau prime adds exactly log p,
-    since f is exactly 1.0 on [1/2, 1].  The terms are reduced with exact
-    compensated summation, so the value is deterministic and independent of
-    their order or of any work partition.
+    primes and the ramps, and each plateau prime adds exactly log p, since f
+    is exactly 1.0 on [1/2, 1].  The plateau logs are summed as exact
+    integers: log p = U 2^-53 with U = math.log(p) / 2^-53 below 2^58, read
+    from a cache the sieve keeps, and two ``np.bincount`` over the kinds of
+    the block add the high and low 29 bits of U with every partial sum below
+    2^52, so exactly.  Those sums and the ramp terms are reduced with exact
+    compensated summation, which rounds their exact total once: the value
+    equals, bit for bit, the compensated sum of the terms one at a time, and
+    is independent of their order or of any work partition.
 
-    One pass builds the terms of every class, and each class's plateau logs
-    are streamed into its sum.  The sieve keeps, in ``sieve.derived``, the
-    sums of every class of the field for the last params it was asked, so the
-    other classes at the same parameters are read back without
-    recomputation; other parameters recompute them.  A request that raises
-    leaves the kept sums as they were.
+    One pass builds the terms of every class.  The sieve keeps, in
+    ``sieve.derived``, the sums of every class of the field for the last
+    params it was asked, so the other classes at the same parameters are
+    read back without recomputation; other parameters recompute them.  A
+    request that raises leaves the kept sums as they were.
     """
     kept = sieve.derived.get(("psi_weighted_class", fd))
     if kept is None or kept[0] != params:
-        log = math.log
+        terms = _psi_terms(fd, params, sieve)
+        size = len(terms.kind_class)
+        high = np.bincount(terms.kind, terms.units >> 29, size).tolist()
+        low = np.bincount(terms.kind, terms.units & _LOW, size).tolist()
+        plateau: list[list[float]] = [[] for _ in terms.lower]
+        for k, c in enumerate(terms.kind_class):
+            if c >= 0:
+                plateau[c] += (high[k] * 2.0**-24, low[k] * _UNIT)
         values = tuple(
-            math.fsum(chain((t for _, t in lower), map(log, plateau), (t for _, t in upper)))
-            for lower, plateau, upper in _psi_terms(fd, params, sieve)
+            math.fsum(chain((t for _, t in lower), sums, (t for _, t in upper)))
+            for lower, sums, upper in zip(terms.lower, plateau, terms.upper)
         )
         kept = sieve.derived["psi_weighted_class", fd] = (params, values)
     return kept[1][cls.index]

@@ -168,7 +168,7 @@ def cmd_large_sieve(args) -> int:
     window = MeanValueWindow(t_height=args.T, y=args.y, u=args.u)
     family = Family(fields=fields, q_bound=args.Q, intersection_rule=args.rule)
     zde = None if args.sigma is None else zero_density_report(family, args.T, args.sigma)
-    report = mvt_report(family, window, sieve_primes(int(args.u) + 1))
+    report = mvt_report(family, window, sieve_primes(math.ceil(args.u)))
     payload = {
         "schema": SCHEMA,
         "kind": report.kind,
@@ -236,7 +236,7 @@ def cmd_chebotarev(args) -> int:
     selector = _parse_class(fd, args.cls)
     # the parameters validate eps before any sieve; psi needs primes to x e^eps
     params = WeightParams(x=args.x, eps=args.weights_eps) if args.weights_eps else None
-    limit = int(args.x * math.exp(params.eps)) + 2 if params is not None else int(args.x) + 1
+    limit = math.ceil(args.x * math.exp(params.eps) if params is not None else args.x)
     sieve = sieve_primes(max(limit, 100))
     count = pi_C_count(fd, selector, args.x, sieve)
     payload = {
@@ -272,7 +272,7 @@ def cmd_family(args) -> int:
         raise ValidationError("family needs --catalog or the catalog environment variable")
     fields = tuple(load_catalog(path))
     family = Family(fields=fields, q_bound=args.Q, intersection_rule=args.rule)
-    sieve = sieve_primes(int(args.x) + 1)
+    sieve = sieve_primes(math.ceil(args.x))
     report = avg_cheb_error(family, args.x, sieve, eps=args.eps)
     payload = {
         "schema": SCHEMA,

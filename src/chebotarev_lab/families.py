@@ -70,12 +70,16 @@ class Family:
                 raise ValidationError(f"{fd.name}: |D_K| = {fd.abs_disc} exceeds Q = {self.q_bound}")
         if self.intersection_rule is None:
             object.__setattr__(self, "intersection_rule", default_rule(self.group_name))
-        key = _RULE_KEYS.get(self.intersection_rule)
-        if key is None:
+            if self.intersection_rule is None:
+                raise UndecidableIntersectionRule(
+                    f"no intersection rule for group tag {self.group_name};"
+                    f" use the {RULE_EXPLICIT} rule (--rule {RULE_EXPLICIT}), under which a field meets only itself"
+                )
+        elif self.intersection_rule not in _RULE_KEYS:
             raise UndecidableIntersectionRule(
-                f"no intersection rule for group tag {self.group_name};"
-                f" use the {RULE_EXPLICIT} rule (--rule {RULE_EXPLICIT}), under which a field meets only itself"
+                f"unknown intersection rule {self.intersection_rule!r}; known: {sorted(_RULE_KEYS)}"
             )
+        key = _RULE_KEYS[self.intersection_rule]
         object.__setattr__(self, "multiplicity", max(Counter(map(key, self.fields)).values()))
 
     @property

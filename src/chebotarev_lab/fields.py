@@ -324,11 +324,13 @@ class _TableMemo:
             inert = _pow_mod(disc_residue[fast], p >> 1, p) != 1
             out[fast] = self.element_kind[inert.astype(np.int64)]
             return out
-        counts = _cycle_counts(fd.defining_poly, primes[fast])
-        distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
+        counts = _cycle_counts(fd.defining_poly, primes[fast]).astype(np.int16)
+        # a 1-D unique over the rows, each read as one opaque value, groups the primes by type
+        rows = counts.view(np.dtype((np.void, counts.itemsize * n))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         records = [_type_frobenius(fd, tuple(d for d, c in enumerate(row, start=1) for _ in range(c)))
-                   for row in distinct.tolist()]
-        out[fast] = self._kinds(records)[inverse.reshape(-1)]
+                   for row in counts[first].tolist()]
+        out[fast] = self._kinds(records)[inverse]
         return out
 
 
@@ -362,61 +364,62 @@ def _cycle_counts(poly: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
     n < p, which its value mod p gives exactly; Moebius-style inversion over
     the divisors of k recovers c_k.  The Frobenius matrix has the columns
     x^(ip) mod f, from one x^p mod f per prime by square-and-multiply.
+
+    A block of primes is worked on at once, with the prime axis last: a
+    polynomial is an (n, primes) array, row j holding the coefficients of
+    x^j, so every step of the arithmetic is a numpy operation on whole rows.
     """
     n = len(poly) - 1
     out = np.empty((primes.size, n), dtype=np.int64)
     step = max(1, _CHUNK_ENTRIES // (n * n))
     for lo in range(0, primes.size, step):
-        out[lo : lo + step] = _cycle_counts_block(poly, primes[lo : lo + step])
+        out[lo : lo + step] = _cycle_counts_block(poly, primes[lo : lo + step]).T
     return out
 
 
 def _cycle_counts_block(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray:
     n = len(poly) - 1
-    m = p.size
-    col = p[:, None]
-    low = np.stack([_mod_primes(c, p) for c in poly[:-1]], axis=1)  # f = x^n + sum low_j x^j
+    low = np.stack([_mod_primes(c, p) for c in poly[:-1]])  # f = x^n + sum low[j] x^j
 
     def reduce(prod: np.ndarray) -> np.ndarray:
         # fold x^i (i >= n) back with x^n = -sum low_j x^j; entries stay below n p^2
-        for i in range(prod.shape[1] - 1, n - 1, -1):
-            prod[:, i - n : i] -= (prod[:, i] % p)[:, None] * low
-        return prod[:, :n] % col
+        for i in range(prod.shape[0] - 1, n - 1, -1):
+            prod[i - n : i] -= (prod[i] % p) * low
+        return prod[:n] % p
 
     def mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        prod = np.zeros((m, 2 * n - 1), dtype=np.int64)
+        prod = np.zeros((2 * n - 1, p.size), dtype=np.int64)
         for i in range(n):
-            prod[:, i : i + n] += a[:, i : i + 1] * b
-        return reduce(prod % col)
+            prod[i : i + n] += a[i] * b
+        return reduce(prod % p)
 
     def times_x(a: np.ndarray) -> np.ndarray:
-        prod = np.zeros((m, n + 1), dtype=np.int64)
-        prod[:, 1:] = a
+        prod = np.zeros((n + 1, p.size), dtype=np.int64)
+        prod[1:] = a
         return reduce(prod)
 
-    one = np.zeros((m, n), dtype=np.int64)
-    one[:, 0] = 1
+    one = np.zeros((n, p.size), dtype=np.int64)
+    one[0] = 1
     xp = one
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
         xp = mulmod(xp, xp)
         odd = ((p >> bit) & 1).astype(bool)
         if odd.any():
-            xp = np.where(odd[:, None], times_x(xp), xp)
-    frob = np.empty((m, n, n), dtype=np.int64)  # column i holds x^(ip) mod f
-    frob[:, :, 0] = one
+            xp = np.where(odd, times_x(xp), xp)
+    frob = np.empty((n, n, p.size), dtype=np.int64)  # frob[:, i] holds x^(ip) mod f
+    frob[:, 0] = one
     for i in range(1, n):
-        frob[:, :, i] = xp if i == 1 else mulmod(frob[:, :, i - 1], xp)
-    col3 = p[:, None, None]
+        frob[:, i] = xp if i == 1 else mulmod(frob[:, i - 1], xp)
     power = frob
-    counts = np.zeros((m, n), dtype=np.int64)
+    counts = np.zeros((n, p.size), dtype=np.int64)
     for k in range(1, n + 1):
         if k > 1:
-            power = np.matmul(power, frob) % col3
-        rest = np.trace(power, axis1=1, axis2=2) % p
+            power = np.einsum("ijm,jkm->ikm", power, frob) % p
+        rest = np.trace(power) % p
         for d in range(1, k):
             if k % d == 0:
-                rest = rest - d * counts[:, d - 1]
-        counts[:, k - 1] = rest // k
+                rest = rest - d * counts[d - 1]
+        counts[k - 1] = rest // k
     return counts
 
 

@@ -17,8 +17,9 @@ class PrimeSieve:
 
     The sieve keeps its own read-only copy of ``primes``, so one sieve object
     always holds the same primes.  The layers above keep what they compute
-    from those primes in ``derived``, keyed by (owner, descriptor), so it
-    lives exactly as long as the sieve.
+    from those primes in ``derived``, keyed by (owner, descriptor), or by
+    owner alone for what no field shapes, so it lives exactly as long as the
+    sieve.
     """
 
     limit: int

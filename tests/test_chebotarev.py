@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebotarev_lab import chebotarev
 from chebotarev_lab.chebotarev import (
@@ -327,6 +329,46 @@ def test_psi_sums_keep_no_dropped_sieve_alive(catalog):
     gc.collect()
     assert ref() is None
     assert vars(fd) == state
+
+
+def test_log_units_equal_math_log():
+    # U * 2^-53 is math.log(p) itself, exactly, for every prime of the sieve
+    sieve = sieve_primes(10**6)
+    units = chebotarev._log_units(sieve, len(sieve))
+    assert units.dtype == np.int64 and units.max() < 2**58
+    assert (units * 2.0**-53).tolist() == [math.log(p) for p in sieve.primes.tolist()]
+
+
+def test_log_units_grow_geometrically_with_x(catalog):
+    # a first psi computes log p only to x e^eps; rising x extends the kept
+    # prefix at most doubling it each time, so it is rebuilt O(log x) times
+    fd, sieve, eps = catalog["gaussian"], sieve_primes(10**6), 0.01
+    psi_weighted_class(fd, fd.group.classes[0], WeightParams(x=1000, eps=eps), sieve)
+    need = sieve.count_leq(1000 * math.exp(eps))
+    assert need <= sieve.derived["psi_log_units"].size <= 2 * need
+    sizes = []
+    for x in np.geomspace(1000, 5 * 10**5, 60).tolist():
+        psi_weighted_class(fd, fd.group.classes[0], WeightParams(x=x, eps=eps), sieve)
+        size = sieve.derived["psi_log_units"].size
+        assert sieve.count_leq(x * math.exp(eps)) <= size <= len(sieve)
+        if size not in sizes:
+            sizes.append(size)
+    assert all(b >= 2 * a for a, b in zip(sizes, sizes[1:])) and len(sizes) <= 10, sizes
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    x=st.floats(min_value=3, max_value=2 * 10**5),
+    eps=st.floats(min_value=1e-6, max_value=0.25, exclude_max=True),
+    name=st.sampled_from(["gaussian", "zeta7", "quad(15)"]),
+)
+def test_psi_class_equals_fsum_of_scalar_terms(x, eps, name, sieve_large):
+    # the exact-integer plateau sums give the compensated sum of the scalar terms, bit for bit
+    fd = _catalog_field(name)
+    params = WeightParams(x=x, eps=eps)
+    for cls in fd.group.classes:
+        want = math.fsum(v for _, v in psi_weighted_scalar(fd, cls, params, sieve_large))
+        assert psi_weighted_class(fd, cls, params, sieve_large) == want, (name, x, eps, cls.label)
 
 
 def test_psi_sharp_cutoff_proxy(catalog, sieve_medium):

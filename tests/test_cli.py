@@ -87,7 +87,7 @@ def test_chebotarev_sieves_to_x_e_eps(monkeypatch, capsys):
         raise _Sieved
 
     monkeypatch.setattr(sieve, "sieve_primes", record)
-    for x, eps, want in (("8e7", "0.1", int(8e7 * math.exp(0.1)) + 2), ("5e7", None, int(5e7) + 1)):
+    for x, eps, want in (("8e7", "0.1", math.ceil(8e7 * math.exp(0.1))), ("5e7", None, 5 * 10**7)):
         limits.clear()
         argv = ["chebotarev", "--field", "gaussian", "--x", x] + (["--weights-eps", eps] if eps else [])
         with pytest.raises(_Sieved):
@@ -97,6 +97,44 @@ def test_chebotarev_sieves_to_x_e_eps(monkeypatch, capsys):
     assert main(["chebotarev", "--field", "gaussian", "--x", "8e7", "--weights-eps", "7"]) == 1
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "ParameterOutOfRange"
     assert limits == []
+
+
+def test_x_at_the_sieve_cap_runs(monkeypatch, capsys, tmp_path):
+    # every command sieves to ceil(x), so x at the cap runs and x just past it
+    # is refused with the limit it needs, not x + 1
+    cap = 1000
+    monkeypatch.setattr(sieve, "SIEVE_CAP", cap)
+    catalog = tmp_path / "quads.txt"
+    catalog.write_text("m1 | 1 0 1 | C2 | -4\nm3 | 1 1 1 | C2 | -3\n", encoding="utf-8")
+    psi_x = repr(cap / math.exp(0.1))  # x e^0.1 rounds up to the cap
+    assert math.ceil(float(psi_x) * math.exp(0.1)) == cap
+    for argv in (
+        ["chebotarev", "--field", "gaussian", "--x", "1000"],
+        ["chebotarev", "--field", "gaussian", "--x", psi_x, "--weights-eps", "0.1"],
+        ["family", "--catalog", str(catalog), "--x", "1000"],
+        ["large-sieve", "--u", "1000"],
+    ):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    for argv, limit in (
+        (["chebotarev", "--field", "gaussian", "--x", "1000.5"], 1001),
+        (["chebotarev", "--field", "gaussian", "--x", "1000", "--weights-eps", "0.1"], 1106),
+        (["family", "--catalog", str(catalog), "--x", "1000.5"], 1001),
+        (["large-sieve", "--u", "1000.5"], 1001),
+    ):
+        assert main(argv) == 1, argv
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"code": "LimitTooLarge", "message": f"sieve limit must be <= 1000, got {limit}"}, argv
+
+
+def test_family_names_an_unknown_rule(capsys):
+    assert main(["family", "--catalog", CATALOG, "--rule", "bogus"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {
+        "code": "UndecidableIntersectionRule",
+        "message": "unknown intersection rule 'bogus'; known:"
+        " ['explicit-pairs', 'quadratic-equality', 'resolvent-discriminant', 'simple-group']",
+    }
 
 
 def test_family_errors_come_before_any_sieve(monkeypatch, capsys, tmp_path):

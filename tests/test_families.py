@@ -88,6 +88,17 @@ def test_undecidable_rule():
     assert Family(fields=(z5,), q_bound=200.0, intersection_rule="explicit-pairs").multiplicity == 1
 
 
+def test_unknown_rule_is_named():
+    # a rule that does not exist is named, with the known ones, whatever the group tag
+    for fields in (quads([-1, 2]), (builtin_field("zeta5"),)):
+        with pytest.raises(UndecidableIntersectionRule) as err:
+            Family(fields=fields, q_bound=200.0, intersection_rule="no-such-rule")
+        assert str(err.value) == (
+            "unknown intersection rule 'no-such-rule'; known:"
+            " ['explicit-pairs', 'quadratic-equality', 'resolvent-discriminant', 'simple-group']"
+        )
+
+
 def test_intersection_symmetry():
     # a two-field family has m_F = 2 iff its fields meet; the order must not matter
     fields = quads(SQUAREFREE_SMALL[:8])

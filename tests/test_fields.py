@@ -9,7 +9,7 @@ import pytest
 
 from chebotarev_lab import fields
 from chebotarev_lab.chebotarev import pi_C_count, splitting_tally
-from chebotarev_lab.arith import fundamental_disc, kronecker_symbol
+from chebotarev_lab.arith import fundamental_disc, kronecker_symbol, poly_discriminant
 from chebotarev_lab.errors import AmbiguousClass, CatalogError, ParameterOutOfRange, ValidationError
 from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
@@ -27,6 +27,7 @@ from chebotarev_lab.fields import (
     quadratic_field,
 )
 from chebotarev_lab.groups import build_group
+from chebotarev_lab.oracles import is_prime_trial
 from chebotarev_lab.sieve import SIEVE_CAP, PrimeSieve, sieve_primes
 
 
@@ -494,6 +495,42 @@ def test_cycle_counts_of_quadratics():
         for p, row in zip(usable.tolist(), _cycle_counts(poly, usable).tolist()):
             degrees = [d for d, _ in factor_poly_mod_p(poly, p)]
             assert row == [degrees.count(1), degrees.count(2)], (poly, p)
+
+
+# x^3 + 3x^2 - 98765x + 123457, x^4 - 5x^2 + 5, Phi_7, a degree-10 polynomial and Phi_13
+_KERNEL_POLYS = {
+    3: (123457, -98765, 3, 1),
+    4: (5, 0, -5, 0, 1),
+    6: (1,) * 7,
+    10: (3, 1, -2, 0, 5, 0, 0, 1, 0, -1, 1),
+    12: (1,) * 13,
+}
+
+
+def _kernel_primes(poly):
+    """The first 120 usable primes and the 6 largest below the overflow bound n (p-1)^2 < 2^63."""
+    n, disc = len(poly) - 1, poly_discriminant(list(poly))
+    usable = [p for p in sieve_primes(5000).primes.tolist() if p > n and disc % p][:120]
+    p = math.isqrt((2**63 - 1) // n)
+    while len(usable) < 126:
+        if is_prime_trial(p) and disc % p:
+            usable.append(p)
+        p -= 1
+    return np.array(usable, dtype=np.int64)
+
+
+@pytest.mark.parametrize("chunk", [fields._CHUNK_ENTRIES, 1000])
+@pytest.mark.parametrize("degree", sorted(_KERNEL_POLYS))
+def test_cycle_counts_match_scalar_factorization(degree, chunk, monkeypatch):
+    # the vectorised kernel against the scalar distinct-degree factorization
+    # of gfpoly, a different algorithm; a small chunk makes blocks of a few
+    # primes, so block boundaries are crossed
+    monkeypatch.setattr(fields, "_CHUNK_ENTRIES", chunk)
+    poly = _KERNEL_POLYS[degree]
+    primes = _kernel_primes(poly)
+    for p, row in zip(primes.tolist(), _cycle_counts(poly, primes).tolist()):
+        degrees = [d for d, _ in factor_poly_mod_p(poly, p)]
+        assert row == [degrees.count(d) for d in range(1, degree + 1)], (degree, p)
 
 
 def test_blind_class_count_names_first_ambiguous_prime(sieve_small):
