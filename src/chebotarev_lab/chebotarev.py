@@ -3,15 +3,16 @@ certificates, base change, and error reports.
 
 Counting is exact: every prime up to x is classified once, through the
 field's Frobenius table (``fields.frobenius_table``), and counts are sums
-over the histogram of its kinds, so the class counts partition pi(x) minus
-the ramified primes.  Weighted prime sums weigh the terms of every class of a
-field in one pass and reduce each class's terms with exact compensated
-summation, so results are bit-stable.
+over its class histogram (``fields.class_histogram``), so the class counts
+partition pi(x) minus the ramified primes.  Weighted prime sums weigh the
+terms of every class of a field in one pass and reduce each class's terms
+with exact compensated summation, so results are bit-stable.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -26,7 +27,7 @@ from .errors import (
     SieveRangeExceeded,
     UnsupportedSubgroupAction,
 )
-from .fields import FieldDescriptor, frobenius_table
+from .fields import FieldDescriptor, FrobeniusData, class_histogram, frobenius_table
 from .groups import ConjugacyClass, FiniteGroup
 from .sieve import PrimeSieve
 from .weights import WeightParams, below_support, f_eval
@@ -66,10 +67,9 @@ class SplittingTally:
 
 def splitting_tally(fd: FieldDescriptor, x: float, sieve: PrimeSieve) -> SplittingTally:
     """Classify every prime p <= x and count each class."""
-    table = frobenius_table(fd, sieve, x)
     by_class = {c.label: 0 for c in fd.group.classes}
     ramified = unresolved = 0
-    for data, n in zip(table.kinds, table.counts):
+    for data, n in class_histogram(fd, sieve, x).items():
         if data.ramified:
             ramified += n
         elif data.ambiguous:
@@ -88,30 +88,42 @@ def pi_C_count(
     """pi_C(x, K/Q) for a conjugacy class, or a class union by Frobenius order.
 
     Passing an int d counts the union of all classes of element order d.
-    Raises AmbiguousClass when an exact class is requested but the
-    factorization data cannot separate it.
+    Raises AmbiguousClass, naming the smallest such p <= x, when an exact
+    class is requested but the factorization data cannot separate it.  The
+    count and pi(x) are read off the class histogram to x.
     """
     group = fd.group
-    table = frobenius_table(fd, sieve, x)
+    hist = class_histogram(fd, sieve, x)
     if isinstance(selector, ConjugacyClass):
         size = selector.size
-        p = table.first(lambda data: data.ambiguous and data.frobenius_order == selector.order)
+        p = _first_prime(fd, sieve, x, hist, lambda data: data.ambiguous and data.frobenius_order == selector.order)
         if p is not None:
             raise AmbiguousClass(
                 f"{fd.name}: order-{selector.order} classes are not separated at p={p};"
                 " request the class union instead"
             )
-        count = table.count(lambda data: data.conjugacy_class == selector)
+        count = _class_count(hist, selector)
         label = selector.label
     else:
         d = int(selector)
         size = sum(c.size for c in group.classes_of_order(d))
         if size == 0:
             raise ParameterOutOfRange(f"{group.name} has no elements of order {d}")
-        count = table.count(lambda data: data.frobenius_order == d)  # None when ramified
+        count = sum(n for data, n in hist.items() if data.frobenius_order == d)  # None when ramified
         label = f"order={d}"
-    expected = size / group.order * table.primes.size
+    expected = size / group.order * sum(hist.values())
     return ChebotarevCount(x=x, class_label=label, count=count, expected=expected, error=count - expected)
+
+
+def _class_count(hist: Mapping[FrobeniusData, int], cls: ConjugacyClass) -> int:
+    """The number of primes of class cls in a class histogram."""
+    return sum(n for data, n in hist.items() if data.conjugacy_class == cls)
+
+
+def _first_prime(fd: FieldDescriptor, sieve: PrimeSieve, x: float, hist: Mapping[FrobeniusData, int],
+                 match=attrgetter("ambiguous")) -> int | None:
+    """The smallest p <= x whose record satisfies ``match``, or None; only a hit in ``hist`` walks the table."""
+    return frobenius_table(fd, sieve, x).first(match) if any(map(match, hist)) else None
 
 
 # -- admissibility -------------------------------------------------------------
@@ -222,10 +234,10 @@ def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> 
     n_hi = x * math.exp(params.eps)  # supp f ends at 1 + eps/log x
     if n_hi > sieve.limit:
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
-    table = frobenius_table(fd, sieve, n_hi)
-    p = table.first(attrgetter("ambiguous"))
+    p = _first_prime(fd, sieve, n_hi, class_histogram(fd, sieve, n_hi))
     if p is not None:
         raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
+    table = frobenius_table(fd, sieve, n_hi)
     primes, kind, units = table.primes, table.kind, _log_units(sieve, table.primes.size)
     kind_class = [-1 if data.ramified else data.conjugacy_class.index for data in table.kinds]
     order, powers = fd.group.order, _power_classes(fd.group)
@@ -365,46 +377,34 @@ class BaseChangeCheck:
         return self.lhs <= self.rhs_bound
 
 
-def _coset_orbit_table(
-    group: FiniteGroup, h: frozenset[int], c_h: frozenset[int]
-) -> dict[int, list[tuple[int, bool]]]:
-    """For each conjugacy class of G: the <sigma>-orbits on G/H as
-    (orbit length, Frobenius in C_H) pairs.
+def _coset_orbits_in_ch(group: FiniteGroup, h: frozenset[int], c_h: frozenset[int]) -> dict[int, list[int]]:
+    """For each conjugacy class of G: the lengths of the <sigma>-orbits on G/H
+    whose Frobenius lies in C_H.
 
     A prime of the fixed field K^H above an unramified p corresponds to an
     orbit of sigma_p on the cosets; its residue degree is the orbit length f
     and its Frobenius class in H is the H-class of g^{-1} sigma^f g for the
     coset representative g.
     """
-    h_sorted = sorted(h)
+    coset: dict[int, int] = {}  # element -> index of its coset gH in reps
     reps: list[int] = []
-    seen: set[int] = set()
     for g in group.elements():
-        if g not in seen:
+        if g not in coset:
+            coset.update((group.mul(g, hh), len(reps)) for hh in h)
             reps.append(g)
-            cos = {group.mul(g, hh) for hh in h_sorted}
-            seen |= cos
-    coset_index = {}
-    for i, g in enumerate(reps):
-        for hh in h_sorted:
-            coset_index[group.mul(g, hh)] = i
-    table: dict[int, list[tuple[int, bool]]] = {}
+    table: dict[int, list[int]] = {}
     for cls in group.classes:
         sigma = cls.representative
         visited = [False] * len(reps)
-        orbits: list[tuple[int, bool]] = []
+        table[cls.index] = []
         for i, g in enumerate(reps):
-            if visited[i]:
-                continue
-            length = 0
-            j = i
+            length, j = 0, i
             while not visited[j]:
                 visited[j] = True
-                j = coset_index[group.mul(sigma, reps[j])]
+                j = coset[group.mul(sigma, reps[j])]
                 length += 1
-            frob = group.mul(group.mul(group.inv(g), group.power(sigma, length)), g)
-            orbits.append((length, frob in c_h))
-        table[cls.index] = orbits
+            if length and group.mul(group.mul(group.inv(g), group.power(sigma, length)), g) in c_h:
+                table[cls.index].append(length)
     return table
 
 
@@ -440,20 +440,16 @@ def base_change_compare(
         raise ParameterOutOfRange("H does not meet the conjugacy class")
     g0 = meet[0]
     c_h = frozenset(group.conj(g0, hh) for hh in h)
-    orbits = _coset_orbit_table(group, h, c_h)
-    table = frobenius_table(fd, sieve, x)
-    p = table.first(attrgetter("ambiguous"))
+    orbits = _coset_orbits_in_ch(group, h, c_h)
+    hist = class_histogram(fd, sieve, x)
+    p = _first_prime(fd, sieve, x, hist)
     if p is not None:
         raise UnsupportedSubgroupAction(f"{fd.name}: class not resolvable at p={p}")
-    pi_c = table.count(lambda data: data.conjugacy_class == cls)
+    pi_c = _class_count(hist, cls)
     # a prime of class c gives one K^H prime of norm p^f per orbit of length f
     # meeting C_H; it counts when p^f <= x, that is when p <= floor(x)^(1/f)
-    pi_ch = 0
-    for index, class_orbits in orbits.items():
-        for length, in_ch in class_orbits:
-            if in_ch:
-                prefix = frobenius_table(fd, sieve, _iroot(max(int(x), 0), length))
-                pi_ch += prefix.count(lambda data: data.conjugacy_class == group.classes[index])
+    prefix = {f: class_histogram(fd, sieve, _iroot(max(int(x), 0), f)) for f in set(chain(*orbits.values()))}
+    pi_ch = sum(_class_count(prefix[f], group.classes[index]) for index, lengths in orbits.items() for f in lengths)
     scale = cls.size / group.order * len(h) / len(c_h)
     lhs = abs(pi_c - scale * pi_ch)
     rhs = cls.size / group.order * (

@@ -17,9 +17,11 @@ one kind per prime: an index into the distinct records it has met.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,8 +31,6 @@ from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group
 from .sieve import PrimeSieve
 
-RAMIFIED = -1  # FrobeniusTable.cls of a ramified prime
-UNRESOLVED = -2  # FrobeniusTable.cls of an unramified prime whose class the data cannot separate
 _CHUNK_ENTRIES = 1 << 20  # int64 entries per block of Frobenius matrices
 
 
@@ -187,43 +187,24 @@ class FrobeniusTable:
     """Frobenius data of an ascending prime array, one kind per prime.
 
     ``kind[i]`` indexes ``kinds``, the records met so far, so ``primes[i]``
-    has the record ``kinds[kind[i]]``.  Every count reads the histogram
-    ``counts`` of the kinds; ``cls`` and ``order`` spell the records out per
-    prime for code that walks the primes.  The arrays are read-only.
+    has the record ``kinds[kind[i]]``, for code that walks the primes (counts
+    read ``class_histogram``).  The arrays are read-only.
     """
 
     primes: np.ndarray
     kind: np.ndarray  # int16
     kinds: tuple[FrobeniusData, ...]
 
-    @cached_property
-    def counts(self) -> list[int]:
-        """counts[k]: the number of primes of kind k."""
-        return np.bincount(self.kind, minlength=len(self.kinds)).tolist()
-
-    def count(self, match) -> int:
-        """The number of primes whose record satisfies ``match``."""
-        return sum(n for data, n in zip(self.kinds, self.counts) if n and match(data))
-
     def first(self, match) -> int | None:
         """The smallest prime whose record satisfies ``match``, or None."""
-        wanted = [k for k, (data, n) in enumerate(zip(self.kinds, self.counts)) if n and match(data)]
-        return int(self.primes[np.isin(self.kind, wanted).argmax()]) if wanted else None
-
-    @property
-    def cls(self) -> np.ndarray:
-        """The class index of each prime, RAMIFIED or UNRESOLVED where it has none."""
-        return self._per_prime([RAMIFIED if data.ramified else UNRESOLVED if data.ambiguous
-                                else data.conjugacy_class.index for data in self.kinds])
+        hit = np.isin(self.kind, [k for k, data in enumerate(self.kinds) if match(data)])
+        return int(self.primes[hit.argmax()]) if hit.any() else None
 
     @property
     def order(self) -> np.ndarray:
         """The Frobenius order of each prime, 0 when it is ramified."""
-        return self._per_prime([data.frobenius_order or 0 for data in self.kinds])
-
-    def _per_prime(self, values: list[int]) -> np.ndarray:
         # int16: a catalog polynomial of degree 16 or more can have factor degrees whose lcm exceeds 127
-        return np.array(values, dtype=np.int16)[self.kind]
+        return np.array([data.frobenius_order or 0 for data in self.kinds], dtype=np.int16)[self.kind]
 
 
 def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
@@ -239,16 +220,35 @@ def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Frobeni
     routes build their records with its element and type helpers, so the
     table agrees with ``frobenius_data``.
 
-    The sieve keeps each field's table of a prefix of its primes, in
-    ``sieve.derived``, and returns slices of it.  A request beyond the prefix
-    extends it to min(len(sieve), max(pi(x), 2 * prefix)) primes, so a
-    session of rising x classifies O(log x) times, while a first request
-    classifies exactly the pi(x) primes asked for.
+    The sieve keeps each field's kinds of a prefix of its primes, a
+    ``_TableMemo`` in ``sieve.derived``, and returns slices of them.  A
+    request beyond the prefix extends it to min(len(sieve), max(pi(x),
+    2 * prefix)) primes, so a session of rising x classifies O(log x) times,
+    while a first request classifies exactly the pi(x) primes asked for.
     """
-    memo = sieve.derived.get(("frobenius_table", fd))
-    if memo is None:
-        memo = sieve.derived["frobenius_table", fd] = _TableMemo(fd)
-    return memo.lookup(fd, sieve, x)
+    memo = _memo(fd, sieve)
+    n = memo.extend(fd, sieve, x)
+    return FrobeniusTable(sieve.primes[:n], memo.kind[:n], tuple(memo.index))
+
+
+def class_histogram(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Mapping[FrobeniusData, int]:
+    """The number of primes p <= x of ``sieve`` with each record, leaving out
+    records with none: one ``np.bincount`` over the kinds ``frobenius_table``
+    keeps, with no table built.  The memo keeps the histogram of the last
+    prime count asked for, so the queries of one x count once; the mapping
+    is a read-only view of it.
+    """
+    memo = _memo(fd, sieve)
+    n = memo.extend(fd, sieve, x)
+    if memo.last[0] != n:
+        counts = np.bincount(memo.kind[:n]).tolist()  # up to the largest kind met, where zip stops
+        memo.last = n, MappingProxyType({data: c for data, c in zip(memo.index, counts) if c})
+    return memo.last[1]
+
+
+def _memo(fd: FieldDescriptor, sieve: PrimeSieve) -> _TableMemo:
+    key = "frobenius_table", fd
+    return sieve.derived.get(key) or sieve.derived.setdefault(key, _TableMemo(fd))
 
 
 def check_index_divisors(
@@ -271,28 +271,31 @@ def check_index_divisors(
 
 
 class _TableMemo:
-    """One field's kinds of a prefix of the primes of the sieve that keeps it.
+    """One field's kinds of a prefix of the primes of the sieve that keeps it,
+    and ``last``: the last prime count n a histogram was asked for, and it.
 
     Kind indices are assigned in the order records are first met and never
-    change, so a table extended later keeps the indices it had.
+    change, so a table or histogram of kind[:n] stays right as kind grows.
     """
 
     def __init__(self, fd: FieldDescriptor):
         self.kind = np.zeros(0, dtype=np.int16)
         self.index: dict[FrobeniusData, int] = {}
+        self.last: tuple[int, Mapping[FrobeniusData, int]] = (0, MappingProxyType({}))
         self.residue = None if fd.residue_action is None else np.asarray(fd.residue_action.residue_class)
         if self.residue is not None or _by_legendre(fd):
             # the kind of each group element, then the ramified kind read by element -1
             records = [_element_frobenius(fd, e) for e in fd.group.elements()] + [_RAMIFIED_DATA]
             self.element_kind = self._kinds(records)
 
-    def lookup(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
+    def extend(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> int:
+        """pi(x), once the kinds reach the primes up to x."""
         n, k = sieve.count_leq(x), self.kind.size
         if n > k:
             size = min(len(sieve), max(n, 2 * k))
             self.kind = np.concatenate((self.kind, self._classify(fd, sieve.primes[k:size])))
             self.kind.flags.writeable = False
-        return FrobeniusTable(sieve.primes[:n], self.kind[:n], tuple(self.index))
+        return n
 
     def _kinds(self, records: list[FrobeniusData]) -> np.ndarray:
         return np.array([self.index.setdefault(data, len(self.index)) for data in records], dtype=np.int16)

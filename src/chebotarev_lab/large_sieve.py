@@ -96,8 +96,8 @@ class MeanValueWindow:
     u: float
 
     def __post_init__(self):
-        if self.y < 1:
-            raise ValidationError("y must be >= 1")
+        if not self.y > 1:  # the mean-value shape reads log log y
+            raise ValidationError("y must be > 1")
         if self.u < self.y:
             raise ValidationError("u must be >= y")
         if not (0 < self.t_height < math.inf):

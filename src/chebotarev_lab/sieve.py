@@ -38,7 +38,7 @@ class PrimeSieve:
         """pi(x) for x <= limit."""
         if x > self.limit:
             raise SieveRangeExceeded(f"pi({x}) requested but sieve limit is {self.limit}")
-        return int(np.searchsorted(self.primes, int(x), side="right"))
+        return int(self.primes.searchsorted(int(x), side="right"))
 
     def upto(self, x: float) -> np.ndarray:
         if x > self.limit:

@@ -485,6 +485,34 @@ def test_base_change_validation(catalog, sieve_small):
         )
 
 
+def test_ambiguity_errors_name_the_smallest_ambiguous_prime(catalog, sieve_small):
+    # the counts find ambiguity in the class histogram, and only then walk the
+    # table for the prime the message names: the smallest ambiguous p <= x (or
+    # <= x e^eps for psi), here 2 and, on a sieve without 2 and 3, 7
+    z5 = catalog["zeta5"]
+    blind = FieldDescriptor(
+        name="zeta5blind", defining_poly=z5.defining_poly, group=z5.group, disc_field=z5.disc_field
+    )
+    four_a, whole = z5.group.class_by_label("4a"), frozenset(z5.group.elements())
+    late = PrimeSieve(limit=sieve_small.limit, primes=sieve_small.primes[sieve_small.primes > 3])
+    for sieve in (sieve_small, late):
+        p = min(q for q in sieve.primes.tolist() if frobenius_data(blind, q).ambiguous)
+        assert p == (2 if sieve is sieve_small else 7)
+        for error, message, call in (
+            (AmbiguousClass, f"zeta5blind: order-4 classes are not separated at p={p}; request the class union instead",
+             lambda: pi_C_count(blind, four_a, 1000, sieve)),
+            (AmbiguousClass, f"zeta5blind: class not resolvable at p={p}",
+             lambda: psi_weighted_class(blind, four_a, WeightParams(x=1000, eps=0.1), sieve)),
+            (UnsupportedSubgroupAction, f"zeta5blind: class not resolvable at p={p}",
+             lambda: base_change_compare(blind, z5.group.classes[0], whole, 1000, sieve)),
+        ):
+            with pytest.raises(error) as err:
+                call()
+            assert str(err.value) == message
+    # below the first ambiguous prime there is nothing to name
+    assert pi_C_count(blind, four_a, 5, late).count == 0
+
+
 # -- error reports ------------------------------------------------------------------
 
 

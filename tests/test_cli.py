@@ -151,6 +151,9 @@ def test_family_errors_come_before_any_sieve(monkeypatch, capsys, tmp_path):
         (["family", "--catalog", str(catalog), "--Q", "20000", "--x", "1e7"], 2, "UndecidableIntersectionRule"),
         (["large-sieve", "--fields", "zeta5", "--u", "9e7"], 2, "UndecidableIntersectionRule"),
         (["large-sieve", "--y", "0.5", "--u", "9e7"], 1, "ValidationError"),
+        # log log y is undefined at y = 1: a typed error, not a math domain traceback
+        (["large-sieve", "--y", "1", "--u", "1.5"], 1, "ValidationError"),
+        (["large-sieve", "--y", "1", "--u", "1"], 1, "ValidationError"),
         # the zero-density parameters and the height T are checked before the sieve too
         (["large-sieve", "--sigma", "0.3", "--u", "9e7"], 1, "ParameterOutOfRange"),
         (["large-sieve", "--Q", "1", "--fields", "rational", "--rule", "explicit-pairs", "--sigma", "0.8",
@@ -159,6 +162,13 @@ def test_family_errors_come_before_any_sieve(monkeypatch, capsys, tmp_path):
     ):
         assert main(argv) == code, argv
         assert json.loads(capsys.readouterr().err)["error"]["code"] == error
+
+
+def test_large_sieve_y_one_is_a_typed_error():
+    # y = 1 once reached log(log y) in the mean-value report and died with a math domain traceback
+    code, out, err = run_cli(["large-sieve", "--y", "1", "--u", "1.5"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"code": "ValidationError", "message": "y must be > 1"}}
 
 
 def test_splitting_table(capsys):

@@ -1,7 +1,9 @@
 import gc
 import math
+import random
 import time
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +15,12 @@ from chebotarev_lab.arith import fundamental_disc, kronecker_symbol, poly_discri
 from chebotarev_lab.errors import AmbiguousClass, CatalogError, ParameterOutOfRange, ValidationError
 from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
-    RAMIFIED,
-    UNRESOLVED,
     FieldDescriptor,
+    FrobeniusData,
     _cycle_counts,
     _factor_type,
     builtin_field,
+    class_histogram,
     factor_poly_mod_p,
     frobenius_data,
     frobenius_table,
@@ -29,6 +31,16 @@ from chebotarev_lab.fields import (
 from chebotarev_lab.groups import build_group
 from chebotarev_lab.oracles import is_prime_trial
 from chebotarev_lab.sieve import SIEVE_CAP, PrimeSieve, sieve_primes
+
+RAMIFIED, UNRESOLVED = -1, -2  # the class code of a ramified prime and of one whose class is ambiguous
+
+
+def _class_codes(table):
+    """Each prime's class index, read off its record ``table.kinds[k]``, or
+    RAMIFIED or UNRESOLVED where it has none."""
+    codes = [RAMIFIED if data.ramified else UNRESOLVED if data.ambiguous else data.conjugacy_class.index
+             for data in table.kinds]
+    return np.array(codes, dtype=np.int16)[table.kind]
 
 
 def test_factor_poly_examples():
@@ -158,7 +170,7 @@ def test_quadratic_field_takes_every_factorable_d():
     assert fundamental_disc(4 * d) == 4 * d and fundamental_disc(-4) == -4 and fundamental_disc(8) == 8
     sieve = sieve_primes(2000)
     table = frobenius_table(fd, sieve, sieve.limit)
-    for p, cls in zip(sieve.primes.tolist(), table.cls.tolist()):
+    for p, cls in zip(sieve.primes.tolist(), _class_codes(table).tolist()):
         chi = kronecker_symbol(4 * d, p)
         assert cls == (RAMIFIED if chi == 0 else (chi == -1)), p
     with pytest.raises(ParameterOutOfRange):
@@ -265,7 +277,7 @@ def _table_fields():
 def _assert_table_matches(fd, sieve, x):
     table = frobenius_table(fd, sieve, x)
     assert table.primes.tolist() == sieve.upto(x).tolist()
-    cls, order = table.cls.tolist(), table.order.tolist()
+    cls, order = _class_codes(table).tolist(), table.order.tolist()
     for i, p in enumerate(table.primes.tolist()):
         data = frobenius_data(fd, p)
         assert table.kinds[table.kind[i]] == data, (fd.name, p)
@@ -312,7 +324,7 @@ def test_frobenius_table_huge_coefficients():
     small = sieve.primes
     assert [p for p in small.tolist() if fd.poly_disc % p == 0 and fd.disc_field % p] == [5, 109]
     table = frobenius_table(fd, sieve, sieve.limit)
-    ramified = {p for p, c in zip(small.tolist(), table.cls.tolist()) if c == RAMIFIED}
+    ramified = {p for p, c in zip(small.tolist(), _class_codes(table).tolist()) if c == RAMIFIED}
     assert {3, 11, 131, 2731} <= ramified
     _assert_table_matches(fd, sieve, sieve.limit)
 
@@ -377,7 +389,7 @@ def test_quadratic_index_divisors_get_their_true_class():
         for p in divisors:
             data = frobenius_data(fd, p)
             assert not data.ramified and data == frobenius_data(twin, p)
-            assert table.cls[sieve.count_leq(p) - 1] == data.conjugacy_class.index
+            assert _class_codes(table)[sieve.count_leq(p) - 1] == data.conjugacy_class.index
     assert splitting_tally(bad5, 100, sieve).ramified == 1
     assert frobenius_data(bad5, 3).conjugacy_class.label == "2"  # 3 is inert in Q(sqrt 5)
 
@@ -559,7 +571,7 @@ def test_counts_agree_with_the_per_prime_arrays(fd):
     ambiguous = set()
     for x in (100, 5000, sieve.limit):
         table = frobenius_table(fd, sieve, x)
-        cls, order = table.cls, table.order
+        cls, order = _class_codes(table), table.order
         tally = splitting_tally(fd, x, sieve)
         assert tally.by_class == {c.label: np.count_nonzero(cls == c.index) for c in classes}, x
         assert tally.ramified == np.count_nonzero(cls == RAMIFIED), x
@@ -574,3 +586,89 @@ def test_counts_agree_with_the_per_prime_arrays(fd):
         for d in {c.order for c in classes}:
             assert pi_C_count(fd, d, x, sieve).count == np.count_nonzero(order == d), (x, d)
     assert ambiguous == ({c.label for c in classes if c.order == 4} if fd.name == "zeta5blind" else set())
+
+
+# -- class histograms: every count reads one memoised histogram per prefix ---------
+
+HISTOGRAM_FIELDS = [*BUILTIN_CATALOG.values(), quadratic_field(-3), quadratic_field(15)]
+
+
+def _scalar_histogram(fd, sieve, x):
+    """The oracle: the records of the primes p <= x from ``frobenius_data``, one prime at a time."""
+    return Counter(frobenius_data(fd, p) for p in sieve.upto(x).tolist())
+
+
+@pytest.mark.parametrize("fd", HISTOGRAM_FIELDS, ids=lambda fd: fd.name)
+def test_class_histogram_matches_scalar_oracle(fd):
+    sieve = sieve_primes(3000)
+    p = sieve.primes.tolist()
+    # a first request classifies primes[:101]; then x at, below and above the
+    # kept prime count, back to it, below the prefix, across two extensions
+    # of the table, at no prime at all and at the whole sieve
+    for x in (p[100], p[100], p[100] - 0.5, p[100] + 0.5, p[100], p[50] + 0.5, p[150], p[150] + 0.5,
+              p[300] - 0.5, p[300], 1.5, sieve.limit):
+        hist = class_histogram(fd, sieve, x)
+        assert dict(hist) == _scalar_histogram(fd, sieve, x), (fd.name, x)
+        assert all(n > 0 for n in hist.values()), (fd.name, x)  # records without a prime are left out
+
+
+def test_class_histogram_in_any_order():
+    # fields, sieves and x interleaved: a histogram never answers for another
+    # field, sieve object or x.  The twin sieve holds the same primes as the
+    # first; the holed one lacks 3 and 547, so a histogram read back for the
+    # wrong sieve would differ.  Histograms handed out earlier keep their counts
+    first, twin = sieve_primes(2000), sieve_primes(2000)
+    holed = PrimeSieve(limit=first.limit, primes=np.delete(first.primes, [1, 100]))
+    fds = [BUILTIN_CATALOG["gaussian"], BUILTIN_CATALOG["zeta7"], BUILTIN_CATALOG["s3cubic"], quadratic_field(15)]
+    queries = [(fd, sieve, x) for fd in fds for sieve in (first, twin, holed) for x in (2, 97, 546.5, 547, 1009.5, 2000)]
+    order = queries * 2
+    random.Random(5).shuffle(order)
+    want, handed = {}, []
+    for fd, sieve, x in order:
+        key = (fd.name, id(sieve), x)
+        if key not in want:
+            want[key] = _scalar_histogram(fd, sieve, x)
+        hist = class_histogram(fd, sieve, x)
+        assert dict(hist) == want[key], (fd.name, sieve.primes.size, x)
+        handed.append((hist, want[key]))
+    assert all(dict(hist) == counts for hist, counts in handed)
+
+
+def test_class_histogram_is_read_only(sieve_small):
+    fd = BUILTIN_CATALOG["zeta7"]
+    hist = class_histogram(fd, sieve_small, 5000)
+    want = dict(hist)
+    record = next(iter(hist))
+    with pytest.raises(TypeError):
+        hist[record] = 0
+    with pytest.raises(TypeError):
+        del hist[record]
+    with pytest.raises(TypeError):
+        hist[FrobeniusData(ramified=True)] = 1
+    assert dict(class_histogram(fd, sieve_small, 5000)) == want
+    assert splitting_tally(fd, 5000, sieve_small).total() == sieve_small.count_leq(5000)
+
+
+def test_repeated_query_counts_once(monkeypatch):
+    fd = BUILTIN_CATALOG["s3cubic"]
+    sieve = sieve_primes(10**4)
+    counted = []
+    bincount = np.bincount
+
+    def counting(kind, *args, **kwargs):
+        counted.append(kind.size)
+        return bincount(kind, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    hist = class_histogram(fd, sieve, 5000)
+    assert counted == [sieve.count_leq(5000)]
+    # the same x, and an x with the same prime count, read the kept histogram
+    assert class_histogram(fd, sieve, 5000) is hist and class_histogram(fd, sieve, 5000.5) is hist
+    for cls in fd.group.classes:
+        pi_C_count(fd, cls, 5000, sieve)
+    splitting_tally(fd, 5000, sieve)
+    assert counted == [sieve.count_leq(5000)]
+    # another x counts afresh and is kept in its place
+    class_histogram(fd, sieve, 3000)
+    class_histogram(fd, sieve, 3000)
+    assert counted == [sieve.count_leq(5000), sieve.count_leq(3000)]

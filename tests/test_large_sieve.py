@@ -253,8 +253,9 @@ def test_family_window_validation(catalog):
         Family(fields=(catalog["gaussian"],), q_bound=2.0)
     with pytest.raises(ValidationError, match="u must be >= y"):
         MeanValueWindow(t_height=1.0, y=5.0, u=2.0)
-    with pytest.raises(ValidationError, match="y must be >= 1"):
-        MeanValueWindow(t_height=1.0, y=0.5, u=2.0)
+    for y in (0.5, 1.0):
+        with pytest.raises(ValidationError, match="y must be > 1"):
+            MeanValueWindow(t_height=1.0, y=y, u=2.0)
     for t_height in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterOutOfRange, match="T must be positive and finite"):
             MeanValueWindow(t_height=t_height, y=2.0, u=20.0)
