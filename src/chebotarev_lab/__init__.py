@@ -19,6 +19,7 @@ _EXPORTS = {
         "local_roots",
         "mertens_partial_sum",
         "partitions_of",
+        "prime_coefficients",
         "schur",
         "series_a_K",
         "series_a_KxK",

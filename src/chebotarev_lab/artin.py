@@ -13,10 +13,13 @@ identity j h_j = sum_k p_k h_{j-k} gives them exactly.  The Cauchy sum of
 paired Schur values (``schur``, ``partitions_of``) is the same number by
 another route and is kept to check it.
 
-Over a prime range, the Frobenius orders come from ``frobenius_table``: the
-coefficient series, and the sum over prime powers of |lambda_K(p^k)| log p
-(``mertens_partial_sum``), with lambda_K(p^k) the k-th power sum of the local
-roots.  ``local_roots`` classifies one prime.
+Over a prime range, one reader, ``_unramified_orders``, takes the Frobenius
+orders off ``frobenius_table`` and refuses an index divisor (p | disc f, p
+not dividing D_K), which the table marks ramified.  The coefficient series,
+the a_K(p) of the large-sieve prime polynomial (``prime_coefficients``) and
+the sum over prime powers of |lambda_K(p^k)| log p (``mertens_partial_sum``)
+all read it.  ``local_roots`` classifies one prime and refuses the same
+primes.
 """
 
 from __future__ import annotations
@@ -30,15 +33,17 @@ import numpy as np
 
 from .arith import factorize, int_det
 from .errors import (
+    LimitTooLarge,
     NotCoprimeToDiscriminant,
     ParameterOutOfRange,
     PartitionTooLong,
     RamifiedPrime,
 )
-from .fields import FieldDescriptor, check_index_divisors, frobenius_data, frobenius_table
-from .sieve import sieve_primes
+from .fields import FieldDescriptor, frobenius_data, frobenius_table
+from .sieve import PrimeSieve, sieve_primes
 
 MAX_PRIME_POWER_TRUNCATION = 24
+MAX_SERIES_TERMS = 10**7  # _multiplicative_series holds about 200 MB per 10^6 terms
 
 
 @dataclass(frozen=True)
@@ -213,30 +218,37 @@ def coeff_a_KxK_prime(fd1: FieldDescriptor, fd2: FieldDescriptor, p: int, j: int
     return _rs_homogeneous(a1.frobenius_order, a1.group_order, a2.frobenius_order, a2.group_order, j)
 
 
-# -- von Mangoldt data ---------------------------------------------------------
+# -- the unramified primes of a range -------------------------------------------
 
 
-def _prime_powers(fd: FieldDescriptor, n_max: int):
-    """(p^k, log p, lambda_K(p^k)) for the unramified prime powers p^k <= n_max,
-    p ascending and then k ascending.
+def _unramified_orders(fds: tuple[FieldDescriptor, ...], sieve: PrimeSieve, y: float, x: float):
+    """The primes y < p <= x of ``sieve`` that divide no D_K of ``fds``, and an
+    int16 array of their Frobenius orders, one row per field.
 
-    The Frobenius orders come from the table of the primes up to n_max; an
-    index divisor raises RamifiedPrime (``check_index_divisors``).
+    A prime of order 0 (ramified) in some field's ``frobenius_table`` that
+    divides no D_K is an index divisor: RamifiedPrime is raised at the
+    smallest, as ``local_roots`` does; one dividing another D_K is left out.
     """
-    table = frobenius_table(fd, sieve_primes(n_max), n_max)
-    primes, orders = table.primes, table.order
-    check_index_divisors((fd,), primes, (orders,))
-    g = fd.group.order
-    for p, d in zip(primes.tolist(), orders.tolist()):
-        if d == 0:  # p divides D_K
-            continue
-        logp = math.log(p)
-        pk = p
-        k = 1
-        while pk <= n_max:
-            yield pk, logp, _power_sum(d, g, k)
-            pk *= p
-            k += 1
+    tables = [frobenius_table(fd, sieve, x) for fd in fds]
+    start = sieve.count_leq(y)  # the window is the tail of the primes <= x
+    primes = tables[0].primes[start:]
+    # int16: a catalog polynomial of degree 16 or more can have factor degrees whose lcm exceeds 127
+    orders = np.stack([np.array([data.frobenius_order or 0 for data in t.kinds], dtype=np.int16)[t.kind[start:]]
+                       for t in tables])
+    ramified = np.flatnonzero((orders == 0).any(axis=0))
+    for i in ramified.tolist():
+        p = int(primes[i])
+        if all(fd.disc_field % p for fd in fds):
+            name = next(fd.name for fd, row in zip(fds, orders) if row[i] == 0)
+            raise RamifiedPrime(f"{name}: p={p} divides disc f but not D_K")
+    return np.delete(primes, ramified), np.delete(orders, ramified, axis=1)
+
+
+def prime_coefficients(fd: FieldDescriptor, sieve: PrimeSieve, y: float, x: float) -> dict[int, int]:
+    """a_K(p) = |G| [Frob_p trivial] - 1 for each unramified prime y < p <= x
+    of ``sieve``; an index divisor in the window raises RamifiedPrime."""
+    primes, orders = _unramified_orders((fd,), sieve, y, x)
+    return {p: _power_sum(d, fd.group.order, 1) for p, d in zip(primes.tolist(), orders[0].tolist())}
 
 
 def mertens_partial_sum(fd: FieldDescriptor, eta: float, n_max: int) -> float:
@@ -246,7 +258,15 @@ def mertens_partial_sum(fd: FieldDescriptor, eta: float, n_max: int) -> float:
         raise ParameterOutOfRange("eta must be positive")
     if n_max < 100:
         raise ParameterOutOfRange("truncation must be at least 100")
-    terms = [abs(lam) * logp / pk ** (1.0 + eta) for pk, logp, lam in _prime_powers(fd, n_max)]
+    primes, orders = _unramified_orders((fd,), sieve_primes(n_max), 1, n_max)
+    g = fd.group.order
+    terms = []
+    for p, d in zip(primes.tolist(), orders[0].tolist()):
+        logp = math.log(p)
+        pk, k = p, 1
+        while pk <= n_max:
+            terms.append(abs(_power_sum(d, g, k)) * logp / pk ** (1.0 + eta))
+            pk, k = pk * p, k + 1
     return math.fsum(terms)
 
 
@@ -279,24 +299,26 @@ def series_a_KxK(fd1: FieldDescriptor, fd2: FieldDescriptor, n_max: int) -> Coef
 def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_power) -> CoefficientSeries:
     """A multiplicative a(n) for every n <= n_max coprime to each D_K.
 
-    The primes up to n_max are classified once by ``frobenius_table``, and
-    a(p^e) = prime_power(d, e), with d the tuple of Frobenius orders of p in
-    ``fds``.  Then a(n) = a(n / p^e) a(p^e) for p the smallest prime factor of
-    n, read off a sieve.  An index divisor raises RamifiedPrime
-    (``check_index_divisors``), as the per-n route does at its smallest such
-    prime.
+    a(p^e) = prime_power(d, e), with d the tuple of orders of p in ``fds``
+    from ``_unramified_orders``, and a(n) = a(n / p^e) a(p^e) for p the
+    smallest prime factor of n.  More than MAX_SERIES_TERMS terms raise
+    LimitTooLarge before anything is sieved.
     """
+    if n_max > MAX_SERIES_TERMS:
+        raise LimitTooLarge(f"series truncation must be <= {MAX_SERIES_TERMS}, got {n_max}")
     if n_max < 1:
         return CoefficientSeries(coeffs={}, truncation=n_max)
     sieve = sieve_primes(max(n_max, 2))
-    tables = [frobenius_table(fd, sieve, n_max) for fd in fds]
-    primes, orders = tables[0].primes, tuple(table.order for table in tables)
-    check_index_divisors(fds, primes, orders)
+    primes, orders = _unramified_orders(fds, sieve, 1, n_max)
     key = [None] * (n_max + 1)  # the orders at each prime coprime to every D_K
-    for p, d in zip(primes.tolist(), zip(*(order.tolist() for order in orders))):
-        if 0 not in d:
-            key[p] = d
-    spf = _smallest_prime_factors(n_max, primes)
+    for p, d in zip(primes.tolist(), zip(*orders.tolist())):
+        key[p] = d
+    spf = np.zeros(n_max + 1, dtype=np.int64)  # the smallest prime factor of n, 0 at n = 0 and 1
+    below = sieve.upto(n_max)
+    for q in below[below * below <= n_max][::-1].tolist():  # smaller primes overwrite larger
+        spf[q * q :: q] = q
+    spf[below] = below
+    spf = spf.tolist()
     rest = [1] * (n_max + 1)  # n with its smallest prime's power removed
     expo = [0] * (n_max + 1)  # exponent of the smallest prime of n
     coeffs = {1: 1}
@@ -310,12 +332,3 @@ def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_p
         if key[p] is not None and rest[n] in coeffs:
             coeffs[n] = coeffs[rest[n]] * prime_power(key[p], expo[n])
     return CoefficientSeries(coeffs=coeffs, truncation=n_max)
-
-
-def _smallest_prime_factors(n_max: int, primes: np.ndarray) -> list[int]:
-    """spf[n] for 0 <= n <= n_max, with spf[0] = spf[1] = 0, from the primes <= n_max."""
-    spf = np.zeros(n_max + 1, dtype=np.int64)
-    for p in primes[primes * primes <= n_max][::-1].tolist():  # smaller primes overwrite larger
-        spf[p * p :: p] = p
-    spf[primes] = primes
-    return spf.tolist()

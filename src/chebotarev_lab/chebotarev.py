@@ -234,10 +234,10 @@ def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> 
     n_hi = x * math.exp(params.eps)  # supp f ends at 1 + eps/log x
     if n_hi > sieve.limit:
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
-    p = _first_prime(fd, sieve, n_hi, class_histogram(fd, sieve, n_hi))
+    table = frobenius_table(fd, sieve, n_hi)  # not class_histogram, which would replace the one counts keep
+    p = table.first(attrgetter("ambiguous"))
     if p is not None:
         raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
-    table = frobenius_table(fd, sieve, n_hi)
     primes, kind, units = table.primes, table.kind, _log_units(sieve, table.primes.size)
     kind_class = [-1 if data.ramified else data.conjugacy_class.index for data in table.kinds]
     order, powers = fd.group.order, _power_classes(fd.group)

@@ -11,7 +11,9 @@ character chi_{D_K} alone, so its D_K is checked against the polynomial.
 
 ``frobenius_data`` classifies one prime; ``frobenius_table`` classifies the
 primes of a sieve up to x at once and agrees with it prime by prime, keeping
-one kind per prime: an index into the distinct records it has met.
+one kind per prime: an index into the distinct records it has met.  They
+only classify: an index divisor (p | disc f, p not dividing D_K) on the
+factorization route gets the ramified record, which ``artin`` refuses.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .arith import fundamental_disc, kronecker_symbol, poly_discriminant, squarefree_part
-from .errors import CatalogError, ParameterOutOfRange, RamifiedPrime, ValidationError
+from .errors import CatalogError, ParameterOutOfRange, ValidationError
 from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group
 from .sieve import PrimeSieve
@@ -197,14 +199,11 @@ class FrobeniusTable:
 
     def first(self, match) -> int | None:
         """The smallest prime whose record satisfies ``match``, or None."""
-        hit = np.isin(self.kind, [k for k, data in enumerate(self.kinds) if match(data)])
+        kinds = [k for k, data in enumerate(self.kinds) if match(data)]
+        if not kinds:  # no scan of the primes
+            return None
+        hit = np.isin(self.kind, kinds)
         return int(self.primes[hit.argmax()]) if hit.any() else None
-
-    @property
-    def order(self) -> np.ndarray:
-        """The Frobenius order of each prime, 0 when it is ramified."""
-        # int16: a catalog polynomial of degree 16 or more can have factor degrees whose lcm exceeds 127
-        return np.array([data.frobenius_order or 0 for data in self.kinds], dtype=np.int16)[self.kind]
 
 
 def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
@@ -249,25 +248,6 @@ def class_histogram(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Mapping
 def _memo(fd: FieldDescriptor, sieve: PrimeSieve) -> _TableMemo:
     key = "frobenius_table", fd
     return sieve.derived.get(key) or sieve.derived.setdefault(key, _TableMemo(fd))
-
-
-def check_index_divisors(
-    fds: tuple[FieldDescriptor, ...], primes: np.ndarray, orders: tuple[np.ndarray, ...]
-) -> None:
-    """Raise RamifiedPrime at the smallest prime of ``primes`` that divides no
-    D_K of ``fds`` but has Frobenius order 0 (ramified) in one of their
-    tables; ``orders`` holds each field's ``FrobeniusTable.order`` over
-    ``primes``.  Such a prime divides disc(f) but not D_K: an index divisor.
-    """
-    bad = np.zeros(primes.size, dtype=bool)
-    for order in orders:
-        bad |= order == 0
-    for fd in fds:
-        bad &= _mod_primes(fd.disc_field, primes) != 0
-    if bad.any():
-        i = int(np.argmax(bad))
-        name = next(fd.name for fd, order in zip(fds, orders) if order[i] == 0)
-        raise RamifiedPrime(f"{name}: p={int(primes[i])} divides disc f but not D_K")
 
 
 class _TableMemo:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import UnknownGroup, ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity, as FiniteGroup: build_group is cached
 class ConjugacyClass:
     """A conjugacy class: representative element, members, common order."""
 

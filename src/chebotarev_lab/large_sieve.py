@@ -4,7 +4,8 @@ polynomials and bound-shape reports.
 The left-hand sides are computed to rounding (Gauss-Legendre quadrature of
 an entire integrand); the right-hand sides of the averaged inequalities carry
 implicit constants, so reports emit their shapes and empirical ratios without
-asserting anything.
+asserting anything.  The prime polynomials take their coefficients a_K(p)
+from ``artin.prime_coefficients``, which also refuses index divisors.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .artin import prime_coefficients
 from .errors import LimitTooLarge, ParameterOutOfRange, ValidationError
-from .fields import FieldDescriptor, check_index_divisors, frobenius_table
+from .fields import FieldDescriptor
 from .sieve import PrimeSieve
 
 if TYPE_CHECKING:  # only annotations name it, so importing large_sieve loads no families
@@ -105,22 +107,10 @@ class MeanValueWindow:
 
 
 def prime_polynomial(fd: FieldDescriptor, y: float, u: float, sieve: PrimeSieve) -> DirichletPolynomial:
-    """c(p) = a_K(p) log p / p over the window y < p <= u, unramified p.
-
-    a_K(p) = |G| [Frobenius trivial] - 1, read off the Frobenius table of the
-    primes up to u; an index divisor in the window raises RamifiedPrime
-    (``check_index_divisors``).
-    """
-    table = frobenius_table(fd, sieve, u)
-    start = sieve.count_leq(y)  # the window is the tail of primes <= u
-    window, orders = table.primes[start:], table.order[start:]
-    check_index_divisors((fd,), window, (orders,))
-    g = fd.group.order
-    terms: dict[int, complex] = {}
-    for p, order in zip(window.tolist(), orders.tolist()):
-        if order:  # 0 when p divides D_K
-            terms[p] = ((g if order == 1 else 0) - 1) * math.log(p) / p
-    return DirichletPolynomial(terms)
+    """c(p) = a_K(p) log p / p over the window y < p <= u, unramified p, with
+    a_K(p) from ``artin.prime_coefficients``; an index divisor in the window
+    raises RamifiedPrime."""
+    return DirichletPolynomial({p: a * math.log(p) / p for p, a in prime_coefficients(fd, sieve, y, u).items()})
 
 
 def mvt_primes_lhs(family: Family, window: MeanValueWindow, sieve: PrimeSieve) -> float:

@@ -1,24 +1,30 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebotarev_lab import artin
 from chebotarev_lab.arith import factorize, kronecker_symbol
 from chebotarev_lab.artin import (
     LocalRootMultiset,
     Partition,
+    _unramified_orders,
     coeff_a_K,
     coeff_a_KxK_prime,
     euler_factor_series,
     local_roots,
     mertens_partial_sum,
     partitions_of,
+    prime_coefficients,
     schur,
     series_a_K,
     series_a_KxK,
 )
 from chebotarev_lab.errors import (
+    LimitTooLarge,
     NotCoprimeToDiscriminant,
     ParameterOutOfRange,
     PartitionTooLong,
@@ -26,6 +32,10 @@ from chebotarev_lab.errors import (
 )
 from chebotarev_lab.fields import parse_catalog, quadratic_field
 from chebotarev_lab.oracles import gaussian_ideal_count, rs_cauchy_coefficient, rs_product_coefficients
+from chebotarev_lab.sieve import sieve_primes
+from test_fields import _table_fields
+
+S3X2_ROW = "s3x2 | -8 -4 0 1 | S3 | -12167\n"  # s3cubic's field, with the index divisor 2
 
 
 def test_local_roots_examples(catalog):
@@ -295,3 +305,67 @@ def test_local_roots_conjugation_closed(nontrivial_fields, sieve_small):
             assert all(mults[r] == mults[(d - r) % d] for r in mults)
             total = sum(roots.roots_complex())
             assert abs(total.imag) < 1e-10
+
+
+# -- the reader of unramified Frobenius orders -----------------------------------
+
+
+@pytest.mark.parametrize("fd", _table_fields() + parse_catalog(S3X2_ROW), ids=lambda fd: fd.name)
+def test_unramified_orders_match_the_per_prime_route(fd):
+    # the primes y < p <= x off the tables against local_roots one prime at a
+    # time, which raises at an index divisor and only there
+    x = 3000
+    sieve = sieve_primes(x)
+    raised = []
+    for y in (1, 2, 2.5, 23, 23.5):
+        roots, error = {}, None
+        for p in sieve.upto(x).tolist():
+            if p <= y or fd.is_ramified(p):
+                continue
+            try:
+                roots[p] = local_roots(fd, p)
+            except RamifiedPrime as exc:
+                error = str(exc)
+                break
+        if error is not None:
+            with pytest.raises(RamifiedPrime, match=f"^{re.escape(error)}$"):
+                _unramified_orders((fd,), sieve, y, x)
+            with pytest.raises(RamifiedPrime, match=f"^{re.escape(error)}$"):
+                prime_coefficients(fd, sieve, y, x)
+            raised.append(y)
+            continue
+        primes, orders = _unramified_orders((fd,), sieve, y, x)
+        assert orders.dtype == np.int16 and orders.shape == (1, len(roots)), (fd.name, y)
+        assert primes.tolist() == list(roots), (fd.name, y)
+        assert orders[0].tolist() == [r.frobenius_order for r in roots.values()], (fd.name, y)
+        assert prime_coefficients(fd, sieve, y, x) == {p: r.h(1) for p, r in roots.items()}, (fd.name, y)
+    # s3x2's index divisor 2 leaves the window from y = 2 on; big has index divisors 5 and 109
+    assert raised == {"s3x2": [1], "big": [1, 2, 2.5, 23, 23.5]}.get(fd.name, [])
+
+
+def test_unramified_orders_of_a_pair(catalog):
+    # an index divisor of one field that divides the other's D_K is left out;
+    # one that divides neither raises, naming the field that has it
+    s3x2, s3cubic, gaussian, sqrt5 = parse_catalog(S3X2_ROW)[0], *map(catalog.get, ("s3cubic", "gaussian", "sqrt5"))
+    sieve = sieve_primes(400)
+    got = _unramified_orders((s3x2, gaussian), sieve, 1, 400)
+    want = _unramified_orders((s3cubic, gaussian), sieve, 1, 400)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert want[0][:2].tolist() == [3, 5] and want[1].shape == (2, want[0].size)
+    assert series_a_KxK(s3x2, gaussian, 400).coeffs == series_a_KxK(s3cubic, gaussian, 400).coeffs
+    for pair in ((s3x2, sqrt5), (sqrt5, s3x2)):
+        with pytest.raises(RamifiedPrime, match="^s3x2: p=2 divides disc f but not D_K$"):
+            _unramified_orders(pair, sieve, 1, 400)
+
+
+def test_series_term_cap_raises_before_sieving(catalog, monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(artin, "sieve_primes", refuse)
+    n = artin.MAX_SERIES_TERMS + 1
+    message = f"^series truncation must be <= {artin.MAX_SERIES_TERMS}, got {n}$"
+    with pytest.raises(LimitTooLarge, match=message):
+        series_a_K(catalog["gaussian"], n)
+    with pytest.raises(LimitTooLarge, match=message):
+        series_a_KxK(catalog["gaussian"], catalog["zeta5"], n)

@@ -22,6 +22,7 @@ from chebotarev_lab.chebotarev import (
     psi_weighted_items,
     splitting_tally,
 )
+from chebotarev_lab.families import Family, avg_cheb_error
 from chebotarev_lab.errors import (
     AmbiguousClass,
     DomainTooSmall,
@@ -555,3 +556,26 @@ def test_flexi_trivial_field(catalog, sieve_small):
     )
     assert report.actual_error == 0.0
     assert report.li_shape > 0 and report.pi_shape > 0
+
+
+def test_psi_leaves_the_kept_histogram_to_the_counts(monkeypatch):
+    # psi checks ambiguity on its own table, so a family query at x after psi
+    # at x reads the histogram it kept: no unweighted np.bincount runs
+    sieve = sieve_primes(10**4)
+    family = Family(fields=(BUILTIN_CATALOG["gaussian"], BUILTIN_CATALOG["sqrt5"]), q_bound=20.0)
+    bincount, counted = np.bincount, []
+
+    def counting(x, weights=None, minlength=0):
+        if weights is None:
+            counted.append(len(x))
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    for x in (2000.0, 5000.0):
+        avg_cheb_error(family, x, sieve)
+        assert counted, x  # the first query at x counts
+        for fd in family.fields:
+            psi_weighted_class(fd, fd.group.classes[1], WeightParams(x=x, eps=0.2), sieve)
+        counted.clear()
+        avg_cheb_error(family, x, sieve)
+        assert counted == [], x

@@ -55,6 +55,19 @@ def test_coeffs_pair_past_exponent_8(capsys):
         assert abs(value - want) < 1e-6, (n, value, want)
 
 
+def test_coeffs_past_the_term_cap_is_refused_before_sieving(monkeypatch, capsys):
+    from chebotarev_lab import artin
+
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(artin, "sieve_primes", refuse)
+    n = artin.MAX_SERIES_TERMS + 1
+    assert main(["coeffs", "--field", "gaussian", "--other-field", "sqrt5", "--n", str(n)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"code": "LimitTooLarge", "message": f"series truncation must be <= {artin.MAX_SERIES_TERMS}, got {n}"}
+
+
 def test_chebotarev_json(capsys):
     assert main(["chebotarev", "--field", "gaussian", "--class", "1", "--x", "100"]) == 0
     payload = json.loads(capsys.readouterr().out)

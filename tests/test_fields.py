@@ -277,15 +277,15 @@ def _table_fields():
 def _assert_table_matches(fd, sieve, x):
     table = frobenius_table(fd, sieve, x)
     assert table.primes.tolist() == sieve.upto(x).tolist()
-    cls, order = _class_codes(table).tolist(), table.order.tolist()
+    cls = _class_codes(table).tolist()
     for i, p in enumerate(table.primes.tolist()):
-        data = frobenius_data(fd, p)
-        assert table.kinds[table.kind[i]] == data, (fd.name, p)
+        data, record = frobenius_data(fd, p), table.kinds[table.kind[i]]
+        assert record == data, (fd.name, p)
         if data.ramified:
-            want = (RAMIFIED, 0)
+            want = (RAMIFIED, None)
         else:
             want = (UNRESOLVED if data.conjugacy_class is None else data.conjugacy_class.index, data.frobenius_order)
-        assert (cls[i], order[i]) == want, (fd.name, p)
+        assert (cls[i], record.frobenius_order) == want, (fd.name, p)
 
 
 @pytest.mark.parametrize("fd", _table_fields(), ids=lambda fd: fd.name)
@@ -571,7 +571,8 @@ def test_counts_agree_with_the_per_prime_arrays(fd):
     ambiguous = set()
     for x in (100, 5000, sieve.limit):
         table = frobenius_table(fd, sieve, x)
-        cls, order = _class_codes(table), table.order
+        cls = _class_codes(table)
+        order = np.array([data.frobenius_order or 0 for data in table.kinds])[table.kind]  # 0 where ramified
         tally = splitting_tally(fd, x, sieve)
         assert tally.by_class == {c.label: np.count_nonzero(cls == c.index) for c in classes}, x
         assert tally.ramified == np.count_nonzero(cls == RAMIFIED), x

@@ -1,11 +1,14 @@
 """What each entry point loads: the CLI imports only the layers a subcommand
 runs, and the package resolves its public names on first access."""
 
+import ast
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,58 @@ def test_unknown_name_and_submodules():
     from chebotarev_lab import fields
 
     assert fields is importlib.import_module(f"{PACKAGE}.fields")
+
+
+# -- the layering, read off the source alone ---------------------------------------
+
+LOWER = {"sieve", "groups", "arith", "gfpoly", "fields", "weights"}
+UPPER = {"artin", "chebotarev", "large_sieve", "families", "zfr", "cli", "selftests"}
+
+
+def _sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8") for path in (ROOT / "src" / PACKAGE).glob("*.py")}
+
+
+def _relative_imports(text: str) -> set[str]:
+    """The package modules a module's ``from .x import`` and ``from . import x``
+    name anywhere, lazy imports in functions and TYPE_CHECKING blocks included."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+    return out
+
+
+def test_package_imports_are_layered():
+    graph = {name: _relative_imports(text) for name, text in _sources().items()}
+    for name in LOWER:
+        assert not graph[name] & UPPER, (name, graph[name] & UPPER)
+    # depth-first search for a cycle: a module met again while on the path
+    done, path = set(), []
+
+    def visit(name: str) -> None:
+        assert name not in path, f"import cycle: {' -> '.join(path[path.index(name):] + [name])}"
+        if name in done:
+            return
+        path.append(name)
+        for dep in sorted(graph.get(name, ())):
+            visit(dep)
+        path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+def test_only_artin_refuses_index_divisors():
+    # fields only classifies and large_sieve reads artin, so neither names RamifiedPrime in code
+    def names(text: str) -> set[str]:
+        return {tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline) if tok.type == tokenize.NAME}
+
+    sources = _sources()
+    assert "RamifiedPrime" in names(sources["artin"])
+    for module in ("fields", "large_sieve"):
+        assert "RamifiedPrime" not in names(sources[module]), module
+    from_fields = [alias.name for node in ast.walk(ast.parse(sources["large_sieve"]))
+                   if isinstance(node, ast.ImportFrom) and node.module == "fields" for alias in node.names]
+    assert from_fields == ["FieldDescriptor"]
