@@ -10,7 +10,6 @@ import importlib
 
 _EXPORTS = {
     "artin": (
-        "CoefficientSeries",
         "LocalRootMultiset",
         "Partition",
         "coeff_a_K",

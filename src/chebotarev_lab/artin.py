@@ -273,30 +273,19 @@ def mertens_partial_sum(fd: FieldDescriptor, eta: float, n_max: int) -> float:
 # -- truncated Dirichlet series -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientSeries:
-    """Exact coefficients n -> a(n), n <= truncation, n coprime to the conductor."""
-
-    coeffs: dict[int, int]
-    truncation: int
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-
-def series_a_K(fd: FieldDescriptor, n_max: int) -> CoefficientSeries:
+def series_a_K(fd: FieldDescriptor, n_max: int) -> dict[int, int]:
     """a_K(n) for every n <= n_max coprime to D_K."""
     g = fd.group.order
     return _multiplicative_series((fd,), n_max, lambda d, e: _homogeneous(d[0], g, e))
 
 
-def series_a_KxK(fd1: FieldDescriptor, fd2: FieldDescriptor, n_max: int) -> CoefficientSeries:
+def series_a_KxK(fd1: FieldDescriptor, fd2: FieldDescriptor, n_max: int) -> dict[int, int]:
     """a_{K x K'}(n) for every n <= n_max coprime to D_K D_K'."""
     g1, g2 = fd1.group.order, fd2.group.order
     return _multiplicative_series((fd1, fd2), n_max, lambda d, e: _rs_homogeneous(d[0], g1, d[1], g2, e))
 
 
-def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_power) -> CoefficientSeries:
+def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_power) -> dict[int, int]:
     """A multiplicative a(n) for every n <= n_max coprime to each D_K.
 
     a(p^e) = prime_power(d, e), with d the tuple of orders of p in ``fds``
@@ -307,7 +296,7 @@ def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_p
     if n_max > MAX_SERIES_TERMS:
         raise LimitTooLarge(f"series truncation must be <= {MAX_SERIES_TERMS}, got {n_max}")
     if n_max < 1:
-        return CoefficientSeries(coeffs={}, truncation=n_max)
+        return {}
     sieve = sieve_primes(max(n_max, 2))
     primes, orders = _unramified_orders(fds, sieve, 1, n_max)
     key = [None] * (n_max + 1)  # the orders at each prime coprime to every D_K
@@ -331,4 +320,4 @@ def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_p
             rest[n], expo[n] = m, 1
         if key[p] is not None and rest[n] in coeffs:
             coeffs[n] = coeffs[rest[n]] * prime_power(key[p], expo[n])
-    return CoefficientSeries(coeffs=coeffs, truncation=n_max)
+    return coeffs

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -182,15 +181,6 @@ _LOW = (1 << 29) - 1  # U = (U >> 29) 2^29 + (U & _LOW), parts below 2^29: pi(10
 _LOG_CHUNK = 1 << 12  # primes turned into Python ints at a time
 
 
-@lru_cache(maxsize=64)  # bounded: it keeps each group it is given alive
-def _power_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """powers[c][k % |G|]: the index of the class holding the k-th powers of class c."""
-    return tuple(
-        tuple(group.class_of(group.power(c.representative, k)).index for k in range(group.order))
-        for c in group.classes
-    )
-
-
 def _log_units(sieve: PrimeSieve, n: int) -> np.ndarray:
     """U[i] = math.log(p_i) / 2^-53, an exact int64 below 2^58, for the first n primes of the sieve.
 
@@ -225,7 +215,7 @@ def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> 
     """The terms of the weighted prime sum of every class, in one pass.
 
     Every (p, k) outside the plateau block and not below supp f is weighed
-    once and goes to the class of Frob_p^k, read off ``_power_classes``.  The
+    once and goes to the class of Frob_p^k, read off ``FiniteGroup.power_classes``.  The
     weight argument is evaluated as k*log(p)/log(x) so independent
     reimplementations of the same sum produce bit-identical terms.
     """
@@ -240,7 +230,7 @@ def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> 
         raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
     primes, kind, units = table.primes, table.kind, _log_units(sieve, table.primes.size)
     kind_class = [-1 if data.ramified else data.conjugacy_class.index for data in table.kinds]
-    order, powers = fd.group.order, _power_classes(fd.group)
+    order, powers = fd.group.order, fd.group.power_classes
     # the plateau block primes[start:stop]: p > isqrt(2 n_hi), so p^2 > n_hi, and f == 1.0
     start = sieve.count_leq(math.isqrt(int(2 * n_hi)))
     stop = max(start, sieve.count_leq(x ** params.plateau[1] * (1.0 - 1e-9)))

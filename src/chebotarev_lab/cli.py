@@ -121,7 +121,7 @@ def cmd_coeffs(args) -> int:
     else:
         series = series_a_K(*_resolve_fields(args, [args.field]), args.n)
         header = ["n", "a_K"]
-    rows = [[n, a] for n, a in series.coeffs.items()]
+    rows = [[n, a] for n, a in series.items()]
     if args.format == "json":
         _emit(args, _json({"schema": SCHEMA, "field": args.field, "other_field": args.other_field,
                            "coefficients": {str(r[0]): r[1] for r in rows}}))

@@ -38,17 +38,10 @@ _CHUNK_ENTRIES = 1 << 20  # int64 entries per block of Frobenius matrices
 
 @dataclass(frozen=True)
 class CyclotomicAction:
-    """Exact Frobenius for abelian fields: class determined by p mod q.
-
-    ``residue_class`` maps each residue coprime to q to a group element id.
-    """
+    """Exact Frobenius for abelian fields: Frob_p is ``residue_class[p % conductor]``, -1 when p | conductor."""
 
     conductor: int
-    residue_class: tuple[int, ...]  # indexed by residue mod conductor, -1 off-support
-
-    def element_of(self, p: int) -> int | None:
-        e = self.residue_class[p % self.conductor]
-        return None if e < 0 else e
+    residue_class: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -145,8 +138,8 @@ def frobenius_data(fd: FieldDescriptor, p: int) -> FrobeniusData:
     if fd.is_ramified(p):
         return _RAMIFIED_DATA
     if fd.residue_action is not None:
-        elem = fd.residue_action.element_of(p)
-        if elem is None:
+        elem = fd.residue_action.residue_class[p % fd.residue_action.conductor]
+        if elem < 0:
             return _RAMIFIED_DATA
     elif _by_legendre(fd):
         elem = 0 if kronecker_symbol(fd.disc_field, p) == 1 else 1
@@ -173,11 +166,9 @@ def _element_frobenius(fd: FieldDescriptor, elem: int) -> FrobeniusData:
 def _type_frobenius(fd: FieldDescriptor, ftype: tuple[int, ...]) -> FrobeniusData:
     """The record of an unramified prime whose factorization type is ftype."""
     g, d = fd.group, math.lcm(*ftype)
-    if g.name.startswith("S") and g.perms is not None and fd.degree == len(g.perms[0]):
-        # for S_n acting on the n roots, the factorization type is the cycle
-        # type, a complete class invariant
-        return FrobeniusData(False, ftype, d, g.class_by_cycle_type(ftype))
-    candidates = g.classes_of_order(d)
+    # a group acting on the deg f roots: Frob_p has the factorization type as its cycle type
+    on_roots = g.perms is not None and len(g.perms[0]) == fd.degree
+    candidates = g.classes_of_cycle_type(ftype) if on_roots else g.classes_of_order(d)
     return FrobeniusData(False, ftype, d, candidates[0] if len(candidates) == 1 else None)
 
 
@@ -548,6 +539,12 @@ def parse_catalog(text: str, source: str = "<catalog>") -> list[FieldDescriptor]
             fd = FieldDescriptor(name=name, defining_poly=coeffs, group=group, disc_field=disc)
         except (ValidationError, CatalogError) as exc:
             raise CatalogError(f"{source}:{lineno}: {exc}") from None
+        rest = disc  # a prime ramified in K ramifies in k, so it divides disc f
+        while (common := math.gcd(rest, fd.poly_disc)) != 1:
+            rest //= common
+        if abs(rest) != 1:
+            raise CatalogError(f"{source}:{lineno}: {name}: D_K = {disc} has a prime factor"
+                               f" that does not divide disc f = {fd.poly_disc}")
         out.append(fd)
     return out
 

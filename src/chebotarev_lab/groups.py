@@ -43,6 +43,12 @@ class FiniteGroup:
         self.element_orders = tuple(self._element_order(a) for a in range(self.order))
         self.classes = self._conjugacy_classes()
         self._class_of = {e: c for c in self.classes for e in c.members}
+        # power_classes[c][k % |G|]: the index of the class holding the k-th powers of class c; set
+        # here, as every attribute, since one set later would slow every attribute read of the group
+        self.power_classes = tuple(
+            tuple(self.class_of(self.power(c.representative, k)).index for k in range(self.order))
+            for c in self.classes
+        )
 
     # -- construction-time checks -------------------------------------
 
@@ -150,15 +156,11 @@ class FiniteGroup:
     def classes_of_order(self, d: int) -> list[ConjugacyClass]:
         return [c for c in self.classes if c.order == d]
 
-    def class_by_cycle_type(self, cycle_type: tuple[int, ...]) -> ConjugacyClass:
-        """Class with the given sorted cycle type (permutation groups only)."""
+    def classes_of_cycle_type(self, cycle_type: tuple[int, ...]) -> list[ConjugacyClass]:
+        """Classes of the given ascending cycle type (permutation groups only), as ``classes_of_order``."""
         if self.perms is None:
             raise ValidationError(f"{self.name}: no permutation realization")
-        want = tuple(sorted(cycle_type))
-        for c in self.classes:
-            if perm_cycle_type(self.perms[c.representative]) == want:
-                return c
-        raise ValidationError(f"{self.name}: no class of cycle type {want}")
+        return [c for c in self.classes if perm_cycle_type(self.perms[c.representative]) == cycle_type]
 
     # -- subgroups --------------------------------------------------------
 

@@ -14,7 +14,6 @@ import numpy as np
 from .artin import local_roots, partitions_of, schur
 from .errors import AmbiguousClass, ComputationError
 from .fields import FieldDescriptor, frobenius_data
-from .groups import ConjugacyClass
 from .large_sieve import DirichletPolynomial
 from .sieve import PrimeSieve
 from .weights import WeightParams, f_eval
@@ -332,9 +331,10 @@ def naive_psi_gaussian_split(params: WeightParams, residue: int = 1) -> float:
 
 
 def psi_weighted_scalar(
-    fd: FieldDescriptor, cls: ConjugacyClass, params: WeightParams, sieve: PrimeSieve
-) -> list[tuple[int, float]]:
-    """The (p^k, term) pairs of the weighted prime sum, one prime at a time.
+    fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve
+) -> list[list[tuple[int, float]]]:
+    """The (p^k, term) pairs of the weighted prime sum of every class, indexed
+    by class index, one prime at a time.
 
     Each prime is classified by ``frobenius_data`` and the k-th power of its
     Frobenius element is taken with ``group.power``: no Frobenius table, no
@@ -343,7 +343,7 @@ def psi_weighted_scalar(
     """
     group = fd.group
     lx = math.log(params.x)
-    out: list[tuple[int, float]] = []
+    out: list[list[tuple[int, float]]] = [[] for _ in group.classes]
     for p in sieve.upto(params.x * math.exp(params.eps)).tolist():
         data = frobenius_data(fd, p)
         if data.ramified:
@@ -354,10 +354,9 @@ def psi_weighted_scalar(
         logp = math.log(p)
         k = 1
         while k * logp <= lx + params.eps:
-            if group.class_of(group.power(sigma, k)) == cls:
-                weight = f_eval(params, k * logp / lx)
-                if weight > 0.0:
-                    out.append((p**k, logp * weight))
+            weight = f_eval(params, k * logp / lx)
+            if weight > 0.0:
+                out[group.class_of(group.power(sigma, k)).index].append((p**k, logp * weight))
             k += 1
     return out
 

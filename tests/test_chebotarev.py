@@ -199,9 +199,10 @@ def test_psi_matches_scalar_oracle_exactly(name, sieve_medium):
     for x in (3, 97, 6614, 10**5):
         for eps in (0.01, 0.1, 0.2499):
             params = WeightParams(x=x, eps=eps)
+            want = psi_weighted_scalar(fd, params, sieve_medium)
             for cls in fd.group.classes:
                 items = psi_weighted_items(fd, cls, params, sieve_medium)
-                assert items == psi_weighted_scalar(fd, cls, params, sieve_medium), (name, x, eps, cls.label)
+                assert items == want[cls.index], (name, x, eps, cls.label)
 
 
 # x prime puts p = x on the upper ramp, x = p + 1/2 puts p on the plateau, and
@@ -216,8 +217,9 @@ def test_psi_plateau_edges_match_scalar_oracle(name, sieve_medium):
     for x in PLATEAU_EDGE_XS:
         for eps in (0.001, 0.2499):
             params = WeightParams(x=x, eps=eps)
+            scalar = psi_weighted_scalar(fd, params, sieve_medium)
             for cls in fd.group.classes:
-                want = psi_weighted_scalar(fd, cls, params, sieve_medium)
+                want = scalar[cls.index]
                 assert psi_weighted_items(fd, cls, params, sieve_medium) == want, (name, x, eps, cls.label)
                 assert psi_weighted_class(fd, cls, params, sieve_medium) == math.fsum(v for _, v in want)
 
@@ -290,11 +292,11 @@ def test_psi_sums_match_scalar_oracle_in_any_order(sieve_small):
     rng.shuffle(order)
     want = {}
     for fd, sieve, params, cls in order:
-        key = (fd.name, id(sieve), params, cls.index)
+        key = (fd.name, id(sieve), params)
         if key not in want:
-            want[key] = math.fsum(v for _, v in psi_weighted_scalar(fd, cls, params, sieve))
+            want[key] = [math.fsum(v for _, v in pairs) for pairs in psi_weighted_scalar(fd, params, sieve)]
         got = psi_weighted_class(fd, cls, params, sieve)
-        assert got == want[key], (fd.name, sieve.primes.size, params, cls.label)
+        assert got == want[key][cls.index], (fd.name, sieve.primes.size, params, cls.label)
 
 
 def test_psi_errors_raise_on_every_class_query(catalog, sieve_small):
@@ -315,8 +317,9 @@ def test_psi_errors_raise_on_every_class_query(catalog, sieve_small):
             for cls in field.group.classes:
                 with pytest.raises(error):
                     psi_weighted_class(field, cls, params, sieve)
+    scalar = psi_weighted_scalar(fd, kept, sieve)
     for cls in fd.group.classes:
-        want = math.fsum(v for _, v in psi_weighted_scalar(fd, cls, kept, sieve))
+        want = math.fsum(v for _, v in scalar[cls.index])
         assert psi_weighted_class(fd, cls, kept, sieve) == want
 
 
@@ -367,8 +370,9 @@ def test_psi_class_equals_fsum_of_scalar_terms(x, eps, name, sieve_large):
     # the exact-integer plateau sums give the compensated sum of the scalar terms, bit for bit
     fd = _catalog_field(name)
     params = WeightParams(x=x, eps=eps)
+    scalar = psi_weighted_scalar(fd, params, sieve_large)
     for cls in fd.group.classes:
-        want = math.fsum(v for _, v in psi_weighted_scalar(fd, cls, params, sieve_large))
+        want = math.fsum(v for _, v in scalar[cls.index])
         assert psi_weighted_class(fd, cls, params, sieve_large) == want, (name, x, eps, cls.label)
 
 

@@ -256,6 +256,35 @@ def test_malformed_catalog_exit_code_and_line(tmp_path):
     assert "bad.txt:2" in err
 
 
+def test_catalog_d_k_off_disc_f_exit_code_and_message(tmp_path, capsys):
+    # x^3 - x - 1 has disc -23, so D_K = -7 * 23 names a prime that cannot ramify
+    catalog = tmp_path / "w.txt"
+    catalog.write_text("fine | 1 0 1 | C2 | -4\nw | -1 -1 0 1 | S3 | -161\n", encoding="utf-8")
+    assert main(["splitting", "--catalog", str(catalog), "--field", "w", "--limit", "30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "CatalogError", "message": (
+        f"{catalog}:2: w: D_K = -161 has a prime factor that does not divide disc f = -23")}}
+
+
+def test_alternating_groups_count_by_order(tmp_path, capsys):
+    # A4 and A5 acting on the roots: the split classes 3a/3b and 5a/5b are
+    # ambiguous, and their union by order counts
+    catalog = tmp_path / "alt.txt"
+    catalog.write_text("a4 | 12 8 0 0 1 | A4 | 331776\na5 | 16 20 0 0 0 1 | A5 | 1024000000\n", encoding="utf-8")
+    primes = sieve.sieve_primes(2000).primes.tolist()
+    for fd, d in zip(fields.load_catalog(catalog), (3, 5)):
+        want = sum(fields.frobenius_data(fd, p).frobenius_order == d for p in primes)
+        assert main(["chebotarev", "--catalog", str(catalog), "--field", fd.name, "--class", f"order={d}",
+                     "--x", "2000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["class"], payload["count"], payload["pi_x"]) == (f"order={d}", want, 303)
+        assert want > 0
+        assert main(["chebotarev", "--catalog", str(catalog), "--field", fd.name, "--class", f"{d}a",
+                     "--x", "2000"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "AmbiguousClass"
+
+
 def test_validation_exit_codes():
     code, _, err = run_cli(["chebotarev", "--field", "nosuchfield", "--x", "100"])
     assert code == 1

@@ -245,6 +245,31 @@ def test_catalog_rejects_wrong_quadratic_discriminant(row, fragment):
     assert str(err.value).startswith("cat:3: ") and fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "w | -1 -1 0 1 | S3 | -161",  # disc f = -23, and 7 cannot ramify
+        "q | 1 0 1 | C1 | 5",  # x^2 + 1 has disc -4
+        "r | 0 1 | C1 | -3",  # Q itself ramifies nowhere
+    ],
+    ids=["w", "x2p1", "x"],
+)
+def test_catalog_rejects_d_k_primes_off_disc_f(row):
+    # a prime ramified in K ramifies in k, so it divides disc f
+    with pytest.raises(CatalogError, match="^cat:2: .*: D_K = .* has a prime factor that does not divide disc f = "):
+        parse_catalog(f"good | 1 0 1 | C2 | -4\n{row}\n", source="cat")
+
+
+def test_catalog_keeps_d_k_within_disc_f_primes():
+    # every prime of D_K divides disc f, with any exponents: s3x2 (disc f = 2^6 (-23)),
+    # bad5 (index divisor 2), the demo quadratics and the built-ins as catalog rows
+    rows = ["s3x2 | -8 -4 0 1 | S3 | -12167", "bad5 | -5 0 1 | C2 | 5", "s3 | -1 -1 0 1 | S3 | -12167"]
+    rows += [f"{fd.name} | {' '.join(map(str, fd.defining_poly))} | {fd.group.name} | {fd.disc_field}"
+             for fd in BUILTIN_CATALOG.values()]
+    assert [fd.name for fd in parse_catalog("\n".join(rows))] == [row.split(" | ")[0] for row in rows]
+    assert len(load_catalog(DEMO_CATALOG)) == 20
+
+
 def test_builtin_lookup():
     assert builtin_field("gaussian").disc_field == -4
     with pytest.raises(CatalogError):
@@ -256,12 +281,22 @@ def test_builtin_lookup():
 # x^3 + a x^2 + 1 has discriminant -4 a^3 - 27, divisible by 5, 11 and 109
 # for this a; the field discriminant 2^65 + 1 is divisible by 3, 11, 131, 2731
 BIG_COEFF = 2**64 + 12
-TABLE_ROWS = f"""
+# a4quartic and a5quintic: groups acting on the roots that are not symmetric,
+# so the split cycle types (3) and (5) leave those classes ambiguous; their
+# D_K is disc f, whose primes {2, 3} and {2, 5} are all classification reads
+TABLE_ROWS = """
 s3row | -1 -1 0 1 | S3 | -12167
 bad5  | -5 0 1 | C2 | 5
 s4quartic | -1 -1 0 0 1 | S4 | -283
-big   | 1 0 {BIG_COEFF} 1 | S3 | {2**65 + 1}
+a4quartic | 12 8 0 0 1 | A4 | 331776
+a5quintic | 16 20 0 0 0 1 | A5 | 1024000000
 """
+
+
+def _big():
+    # built in code: parse_catalog refuses a D_K with primes (3, 131, 2731) that do not divide disc f
+    return FieldDescriptor(name="big", defining_poly=(1, 0, BIG_COEFF, 1), group=build_group("S3"),
+                           disc_field=2**65 + 1)
 
 
 def _zeta5blind():
@@ -271,7 +306,7 @@ def _zeta5blind():
 
 
 def _table_fields():
-    return list(BUILTIN_CATALOG.values()) + [_zeta5blind()] + parse_catalog(TABLE_ROWS, source="inline")
+    return list(BUILTIN_CATALOG.values()) + [_zeta5blind()] + parse_catalog(TABLE_ROWS, source="inline") + [_big()]
 
 
 def _assert_table_matches(fd, sieve, x):
@@ -318,7 +353,7 @@ def test_frobenius_table_near_sieve_cap():
 
 def test_frobenius_table_huge_coefficients():
     # coefficient and discriminants above 2^63 reduce exactly mod each prime
-    fd = parse_catalog(TABLE_ROWS, source="inline")[-1]
+    fd = _big()
     assert BIG_COEFF > 2**63 and abs(fd.disc_field) > 2**63 and abs(fd.poly_disc) > 2**63
     sieve = sieve_primes(2 * 10**4)
     small = sieve.primes
@@ -586,7 +621,8 @@ def test_counts_agree_with_the_per_prime_arrays(fd):
                 assert pi_C_count(fd, c, x, sieve).count == np.count_nonzero(cls == c.index), (x, c.label)
         for d in {c.order for c in classes}:
             assert pi_C_count(fd, d, x, sieve).count == np.count_nonzero(order == d), (x, d)
-    assert ambiguous == ({c.label for c in classes if c.order == 4} if fd.name == "zeta5blind" else set())
+    split = {"zeta5blind": 4, "a4quartic": 3, "a5quintic": 5}.get(fd.name)  # the order of the inseparable classes
+    assert ambiguous == {c.label for c in classes if c.order == split}
 
 
 # -- class histograms: every count reads one memoised histogram per prefix ---------

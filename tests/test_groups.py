@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 
@@ -120,3 +122,30 @@ def test_power_matches_permutation_power():
             for _ in range(k - 1):
                 q = perm_compose(perm, q)
             assert g.perms[g.power(e, k)] == q
+
+
+@pytest.mark.parametrize("name", ["S2", "S3", "S4", "S5", "A3", "A4", "A5"])
+def test_classes_of_cycle_type(name):
+    # S_n: one class per cycle type.  A_n: an even type is one class exactly
+    # when its order is (the split 3a/3b of A3, A4 and 5a/5b of A5 are not),
+    # and an odd type none
+    g = build_group(name)
+    n = len(g.perms[0])
+    in_g = Counter(perm_cycle_type(p) for p in g.perms)
+    for ftype in sorted({perm_cycle_type(p) for p in itertools.permutations(range(n))}):
+        classes = g.classes_of_cycle_type(ftype)
+        assert all(perm_cycle_type(g.perms[e]) == ftype for c in classes for e in c.members), ftype
+        assert sum(c.size for c in classes) == in_g[ftype], ftype
+        if name.startswith("S"):
+            assert len(classes) == 1, ftype
+        elif classes:
+            assert (len(classes) == 1) == (len(g.classes_of_order(math.lcm(*ftype))) == 1), ftype
+
+
+def test_power_classes_hold_every_power_of_every_member():
+    for name in CATALOG_NAMES:
+        g = build_group(name)
+        for c in g.classes:
+            for e in c.members:
+                assert [g.class_of(g.power(e, k)).index for k in range(2 * g.order)] == \
+                    [g.power_classes[c.index][k % g.order] for k in range(2 * g.order)], (name, c.label)
