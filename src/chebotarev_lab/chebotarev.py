@@ -185,11 +185,12 @@ def _log_units(sieve: PrimeSieve, n: int) -> np.ndarray:
     """U[i] = math.log(p_i) / 2^-53, an exact int64 below 2^58, for the first n primes of the sieve.
 
     The sieve keeps U for a prefix of its primes, in ``sieve.derived``, grown
-    like the Frobenius tables to min(len(sieve), max(n, 2 * prefix)) primes.
+    like the Frobenius tables to ``sieve.read_ahead(prefix, n)`` primes, so a
+    first request on a sieve of m primes computes min(m, max(n, 2^10)) logs.
     """
     units = sieve.derived.get("psi_log_units", np.zeros(0, dtype=np.int64))
     if n > units.size:
-        primes = sieve.primes[units.size : min(len(sieve), max(n, 2 * units.size))]
+        primes = sieve.primes[units.size : sieve.read_ahead(units.size, n)]
         chunks = (primes[i : i + _LOG_CHUNK].tolist() for i in range(0, primes.size, _LOG_CHUNK))
         logs = np.fromiter(map(math.log, chain.from_iterable(chunks)), dtype=np.float64, count=primes.size)
         units = sieve.derived["psi_log_units"] = np.concatenate((units, (logs / _UNIT).astype(np.int64)))

@@ -30,7 +30,7 @@ import numpy as np
 from .arith import fundamental_disc, kronecker_symbol, poly_discriminant, squarefree_part
 from .errors import CatalogError, ParameterOutOfRange, ValidationError
 from .gfpoly import factor_degrees
-from .groups import ConjugacyClass, FiniteGroup, build_group
+from .groups import ConjugacyClass, FiniteGroup, build_group, perm_sign
 from .sieve import PrimeSieve
 
 _CHUNK_ENTRIES = 1 << 20  # int64 entries per block of Frobenius matrices
@@ -166,10 +166,14 @@ def _element_frobenius(fd: FieldDescriptor, elem: int) -> FrobeniusData:
 def _type_frobenius(fd: FieldDescriptor, ftype: tuple[int, ...]) -> FrobeniusData:
     """The record of an unramified prime whose factorization type is ftype."""
     g, d = fd.group, math.lcm(*ftype)
-    # a group acting on the deg f roots: Frob_p has the factorization type as its cycle type
-    on_roots = g.perms is not None and len(g.perms[0]) == fd.degree
-    candidates = g.classes_of_cycle_type(ftype) if on_roots else g.classes_of_order(d)
+    # Frob_p has the factorization type as its cycle type on the roots
+    candidates = g.classes_of_cycle_type(ftype) if _on_roots(fd) else g.classes_of_order(d)
     return FrobeniusData(False, ftype, d, candidates[0] if len(candidates) == 1 else None)
+
+
+def _on_roots(fd: FieldDescriptor) -> bool:
+    """Whether the group is given as permutations of the deg f roots of f."""
+    return fd.group.perms is not None and len(fd.group.perms[0]) == fd.degree
 
 
 # -- Frobenius tables ----------------------------------------------------------
@@ -212,9 +216,11 @@ def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Frobeni
 
     The sieve keeps each field's kinds of a prefix of its primes, a
     ``_TableMemo`` in ``sieve.derived``, and returns slices of them.  A
-    request beyond the prefix extends it to min(len(sieve), max(pi(x),
-    2 * prefix)) primes, so a session of rising x classifies O(log x) times,
-    while a first request classifies exactly the pi(x) primes asked for.
+    request beyond the prefix extends it to ``sieve.read_ahead(prefix,
+    pi(x))`` primes: at least pi(x), twice the prefix and 2^10 primes, and at
+    most the whole sieve.  So a session of rising x classifies each field
+    O(log x) times, and once to x <= 8161, while a first request on a sieve
+    of n primes classifies min(n, max(pi(x), 2^10)) of them.
     """
     memo = _memo(fd, sieve)
     n = memo.extend(fd, sieve, x)
@@ -263,7 +269,7 @@ class _TableMemo:
         """pi(x), once the kinds reach the primes up to x."""
         n, k = sieve.count_leq(x), self.kind.size
         if n > k:
-            size = min(len(sieve), max(n, 2 * k))
+            size = sieve.read_ahead(k, n)
             self.kind = np.concatenate((self.kind, self._classify(fd, sieve.primes[k:size])))
             self.kind.flags.writeable = False
         return n
@@ -545,8 +551,27 @@ def parse_catalog(text: str, source: str = "<catalog>") -> list[FieldDescriptor]
         if abs(rest) != 1:
             raise CatalogError(f"{source}:{lineno}: {name}: D_K = {disc} has a prime factor"
                                f" that does not divide disc f = {fd.poly_disc}")
+        _check_group_tag(fd, f"{source}:{lineno}")
         out.append(fd)
     return out
+
+
+def _check_group_tag(fd: FieldDescriptor, where: str) -> None:
+    """Refuse a group tag that the polynomial's degree or discriminant disproves.
+
+    G permutes the deg f roots transitively, so deg f divides |G|; and G lies
+    in the alternating group exactly when disc f is a square.
+    """
+    g, n = fd.group, fd.degree
+    if g.order % n:
+        raise CatalogError(f"{where}: {fd.name}: |{g.name}| = {g.order} is not a multiple of deg f = {n}")
+    if _on_roots(fd):
+        square = fd.poly_disc > 0 and math.isqrt(fd.poly_disc) ** 2 == fd.poly_disc
+        even = all(perm_sign(perm) == 1 for perm in g.perms)
+        if square != even:
+            is_, not_ = ("is", "is not") if square else ("is not", "is")
+            raise CatalogError(f"{where}: {fd.name}: disc f = {fd.poly_disc} {is_} a square,"
+                               f" so G {is_} in A{n}, but {g.name} {not_}")
 
 
 def load_catalog(path: str | Path) -> list[FieldDescriptor]:

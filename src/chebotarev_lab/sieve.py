@@ -10,6 +10,24 @@ from .errors import LimitTooLarge, SieveRangeExceeded
 
 SIEVE_CAP = 10**8
 
+_READ_AHEAD_FLOOR = 1 << 10
+"""The least number of primes a prefix in ``derived`` grows to.
+
+Each kernel call that fills a prefix has a fixed cost F and a cost c per
+prime.  Measured with numpy on one core of a 2-vCPU x86-64 VM:
+
+- the trace kernel of a cubic, F = 0.3-0.45 ms (~25 numpy calls per exponent
+  bit) and c = 1.5-2.5 us;
+- Euler's criterion for a quadratic, F = 0.06-0.1 ms and c = 0.15 us.
+
+A call of N primes spends F / (F + cN) of its time on F, under a fifth for the
+trace kernel once cN >= 4F, at N ~ 4 * 0.45 ms / 1.8 us ~ 1000, rounded to
+2^10 (the primes p <= 8161).  The floor is paid once per field and sieve: the
+worst case, a first request for a tiny x on a sieve of 2^10 primes or more,
+classifies 2^10 primes, ~2 ms for a cubic, and keeps 2 KB of kinds and 8 KB of
+log units.
+"""
+
 
 @dataclass(frozen=True)
 class PrimeSieve:
@@ -19,7 +37,8 @@ class PrimeSieve:
     always holds the same primes.  The layers above keep what they compute
     from those primes in ``derived``, keyed by (owner, descriptor), or by
     owner alone for what no field shapes, so it lives exactly as long as the
-    sieve.
+    sieve.  What they keep covers a prefix of the primes, grown by
+    ``read_ahead`` alone.
     """
 
     limit: int
@@ -33,6 +52,17 @@ class PrimeSieve:
 
     def __len__(self) -> int:
         return int(self.primes.size)
+
+    def read_ahead(self, have: int, need: int) -> int:
+        """The size a prefix of ``have`` primes grows to when ``need`` > have
+        primes are asked for: at least need, 2 * have and
+        ``_READ_AHEAD_FLOOR``, and at most ``len(self)``.
+
+        Doubling makes a session of rising x fill a prefix O(log x) times,
+        and the floor keeps a kernel's fixed cost a small share of each fill,
+        so a session to x <= 8161 fills each prefix once.
+        """
+        return min(len(self), max(need, 2 * have, _READ_AHEAD_FLOOR))
 
     def count_leq(self, x: float) -> int:
         """pi(x) for x <= limit."""

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import ParameterOutOfRange
 
@@ -33,22 +32,17 @@ class WeightParams:
 
     x: float
     eps: float
+    log_x: float = field(init=False, repr=False, compare=False)
+    boxcar_width: float = field(init=False, repr=False, compare=False)  # w = eps / (2 log x)
 
     def __post_init__(self):
         if not (3 <= self.x < math.inf):
             raise ParameterOutOfRange(f"x must be finite and >= 3, got {self.x}")
         if not (0 < self.eps < 0.25):
             raise ParameterOutOfRange(f"eps must lie in (0, 1/4), got {self.eps}")
-
-    # cached in the instance dict, which the field-based eq and hash never read
-    @cached_property
-    def log_x(self) -> float:
-        return math.log(self.x)
-
-    @cached_property
-    def boxcar_width(self) -> float:
-        """w = eps / (2 log x)."""
-        return self.eps / (2.0 * self.log_x)
+        # plain attributes, set once: f_eval reads them per term
+        object.__setattr__(self, "log_x", math.log(self.x))
+        object.__setattr__(self, "boxcar_width", self.eps / (2.0 * self.log_x))
 
     @property
     def plateau(self) -> tuple[float, float]:

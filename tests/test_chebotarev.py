@@ -344,12 +344,13 @@ def test_log_units_equal_math_log():
 
 
 def test_log_units_grow_geometrically_with_x(catalog):
-    # a first psi computes log p only to x e^eps; rising x extends the kept
-    # prefix at most doubling it each time, so it is rebuilt O(log x) times
+    # a first psi to x e^eps computes log p for the read-ahead floor of 2^10
+    # primes; rising x extends the kept prefix at least doubling it each time,
+    # so it is rebuilt O(log x) times
     fd, sieve, eps = catalog["gaussian"], sieve_primes(10**6), 0.01
     psi_weighted_class(fd, fd.group.classes[0], WeightParams(x=1000, eps=eps), sieve)
-    need = sieve.count_leq(1000 * math.exp(eps))
-    assert need <= sieve.derived["psi_log_units"].size <= 2 * need
+    assert sieve.count_leq(1000 * math.exp(eps)) == 169
+    assert sieve.derived["psi_log_units"].size == 1024
     sizes = []
     for x in np.geomspace(1000, 5 * 10**5, 60).tolist():
         psi_weighted_class(fd, fd.group.classes[0], WeightParams(x=x, eps=eps), sieve)

@@ -267,6 +267,23 @@ def test_catalog_d_k_off_disc_f_exit_code_and_message(tmp_path, capsys):
         f"{catalog}:2: w: D_K = -161 has a prime factor that does not divide disc f = -23")}}
 
 
+@pytest.mark.parametrize("row,argv,message", [
+    ("liar | -1 -1 0 0 1 | A4 | -283", ["splitting", "--field", "liar", "--limit", "1000"],
+     "liar: disc f = -283 is not a square, so G is not in A4, but A4 is"),
+    ("a4s4 | 12 8 0 0 1 | S4 | 576", ["chebotarev", "--field", "a4s4", "--class", "3", "--x", "1e5"],
+     "a4s4: disc f = 331776 is a square, so G is in A4, but S4 is not"),
+], ids=["liar", "a4s4"])
+def test_catalog_group_tag_off_disc_f_exit_code_and_message(tmp_path, capsys, row, argv, message):
+    # each tag is disproved by the sign of disc f: liar's S4 quartic left 140 of
+    # 168 primes unresolved, and a4s4 printed an expected value from S4's class sizes
+    catalog = tmp_path / "tags.txt"
+    catalog.write_text(f"fine | 1 0 1 | C2 | -4\n{row}\n", encoding="utf-8")
+    assert main([*argv, "--catalog", str(catalog)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "CatalogError", "message": f"{catalog}:2: {message}"}}
+
+
 def test_alternating_groups_count_by_order(tmp_path, capsys):
     # A4 and A5 acting on the roots: the split classes 3a/3b and 5a/5b are
     # ambiguous, and their union by order counts

@@ -260,6 +260,32 @@ def test_catalog_rejects_d_k_primes_off_disc_f(row):
         parse_catalog(f"good | 1 0 1 | C2 | -4\n{row}\n", source="cat")
 
 
+@pytest.mark.parametrize(
+    "row,fragment",
+    [
+        # an S4 quartic declared A4, and the A4 test quartic declared S4
+        ("liar | -1 -1 0 0 1 | A4 | -283", "liar: disc f = -283 is not a square, so G is not in A4, but A4 is"),
+        ("a4s4 | 12 8 0 0 1 | S4 | 576", "a4s4: disc f = 331776 is a square, so G is in A4, but S4 is not"),
+        ("s3a3 | -1 -1 0 1 | A3 | -23", "s3a3: disc f = -23 is not a square, so G is not in A3, but A3 is"),
+        ("c2cubic | -1 -1 0 1 | C2 | -23", "c2cubic: |C2| = 2 is not a multiple of deg f = 3"),
+        ("d8cubic | -1 -1 0 1 | D8 | -23", "d8cubic: |D8| = 8 is not a multiple of deg f = 3"),
+    ],
+    ids=["liar", "a4s4", "s3a3", "c2cubic", "d8cubic"],
+)
+def test_catalog_rejects_group_tags_the_polynomial_disproves(row, fragment):
+    # G permutes the deg f roots transitively, and lies in A_n exactly when disc f is a square
+    with pytest.raises(CatalogError) as err:
+        parse_catalog(f"good | 1 0 1 | C2 | -4\n# fine\n{row}\n", source="cat")
+    assert str(err.value) == f"cat:3: {fragment}"
+
+
+def test_catalog_keeps_group_tags_that_fit():
+    # a square disc f with an alternating tag, a non-square one with a symmetric tag
+    rows = ["a3 | -1 -2 1 1 | A3 | 49", "a4 | 12 8 0 0 1 | A4 | 331776", "a5 | 16 20 0 0 0 1 | A5 | 1024000000",
+            "s4 | -1 -1 0 0 1 | S4 | -283", "s2 | 1 0 1 | S2 | -4", "c6 | 1 1 1 1 1 1 1 | C6 | -16807"]
+    assert [fd.group.name for fd in parse_catalog("\n".join(rows))] == ["A3", "A4", "A5", "S4", "S2", "C6"]
+
+
 def test_catalog_keeps_d_k_within_disc_f_primes():
     # every prime of D_K divides disc f, with any exponents: s3x2 (disc f = 2^6 (-23)),
     # bad5 (index divisor 2), the demo quadratics and the built-ins as catalog rows
@@ -470,6 +496,19 @@ def test_rising_x_session_classifies_log_many_times(name, monkeypatch):
     assert sum(calls) == len(sieve)  # every prime once
 
 
+def test_session_below_the_floor_classifies_each_field_once(monkeypatch):
+    sieve = sieve_primes(8000)  # 1007 primes, fewer than the read-ahead floor
+    xs = np.geomspace(20, sieve.limit, 12)
+    log = _classified(monkeypatch)
+    for name, fd in sorted(GROWTH_FIELDS.items()):
+        for x in xs:
+            cold = PrimeSieve(limit=sieve.limit, primes=sieve.primes)
+            assert _rows(frobenius_table(fd, sieve, x)) == _rows(frobenius_table(fd, cold, x)), (name, x)
+            assert dict(class_histogram(fd, sieve, x)) == dict(class_histogram(fd, cold, x)), (name, x)
+        memo = sieve.derived["frobenius_table", fd]
+        assert [size for owner, size in log if owner is memo] == [len(sieve)], name
+
+
 def test_cold_request_classifies_exactly_pi_x(monkeypatch):
     fd = BUILTIN_CATALOG["s3cubic"]
     sieve = sieve_primes(10**5)
@@ -495,11 +534,12 @@ def test_memo_hit_from_the_same_sieve_compares_no_primes(monkeypatch):
     memo = sieve.derived["frobenius_table", fd]
     assert [owner for owner, _ in log] == [memo] * len(log)
     assert sum(size for _, size in log) == len(sieve)  # each prime once
-    # a twin sieve with the same primes gets a table of its own, still comparing none
+    # a twin sieve with the same primes gets a table of its own, still comparing
+    # none; asked for pi(2000) = 303 primes, it reads ahead to the floor of 2^10
     twin = sieve_primes(10**4)
     del log[:]
     _assert_table_matches(fd, twin, 2000)
-    assert log == [(twin.derived["frobenius_table", fd], twin.count_leq(2000))]
+    assert log == [(twin.derived["frobenius_table", fd], 1024)]
     assert twin.derived["frobenius_table", fd] is not memo
     assert compared == []
 
@@ -513,7 +553,8 @@ def test_memo_restarts_on_a_sieve_with_other_primes(monkeypatch):
     other = PrimeSieve(limit=sieve.limit, primes=sieve.primes[sieve.primes != 101])
     log = _classified(monkeypatch)
     _assert_table_matches(fd, other, 5000)
-    assert log == [(other.derived["frobenius_table", fd], other.count_leq(5000))]
+    assert other.count_leq(5000) == 668  # read ahead to the floor of 2^10
+    assert log == [(other.derived["frobenius_table", fd], 1024)]
     # and back: the first sieve still holds its own table and classifies nothing
     _assert_table_matches(fd, sieve, 5000)
     assert log[1:] == [] and sieve.derived["frobenius_table", fd] is memo
@@ -524,7 +565,7 @@ def test_table_lives_as_long_as_its_sieve():
     state = dict(vars(fd))
     sieve = sieve_primes(10**4)
     frobenius_table(fd, sieve, 7000)
-    assert sieve.derived["frobenius_table", fd].kind.size == sieve.count_leq(7000)
+    assert sieve.derived["frobenius_table", fd].kind.size == 1024  # pi(7000) = 900, read ahead to 2^10
     # the table goes with its sieve, and the descriptor holds nothing of it
     ref = weakref.ref(sieve)
     del sieve

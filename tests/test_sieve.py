@@ -50,3 +50,17 @@ def test_primes_are_read_only():
         hand.primes[0] = 4
     with pytest.raises(ValueError):
         hand.upto(5)[1] = 4
+
+
+def test_read_ahead_rule():
+    sv = sieve_primes(10**5)  # 9592 primes
+    # below the floor of 2^10 primes, a first request reads ahead to it
+    assert [sv.read_ahead(0, need) for need in (1, 169, 1024, 1025)] == [1024, 1024, 1024, 1025]
+    # past it, a prefix at least doubles, and takes all it is asked for
+    assert [sv.read_ahead(have, need) for have, need in ((1024, 1025), (2048, 2049), (2048, 5000))] == [
+        2048, 4096, 5000]
+    # and never passes the end of the sieve
+    assert [sv.read_ahead(have, need) for have, need in ((4096, 4097), (8192, 8193), (0, 9592))] == [
+        8192, 9592, 9592]
+    small = sieve_primes(100)  # 25 primes
+    assert [small.read_ahead(0, 1), small.read_ahead(10, 25)] == [25, 25]
