@@ -50,7 +50,6 @@ _EXPORTS = {
         "FrobeniusData",
         "FrobeniusTable",
         "builtin_field",
-        "class_histogram",
         "factor_poly_mod_p",
         "frobenius_data",
         "frobenius_table",

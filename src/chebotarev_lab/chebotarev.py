@@ -2,9 +2,12 @@
 certificates, base change, and error reports.
 
 Counting is exact: every prime up to x is classified once, through the
-field's Frobenius table (``fields.frobenius_table``), and counts are sums
-over its class histogram (``fields.class_histogram``), so the class counts
-partition pi(x) minus the ramified primes.  Weighted prime sums weigh the
+field's Frobenius table (``fields.frobenius_table``), and every count reads
+the class tally the sieve keeps for the last x asked for (``fields._class_tally``):
+counts by class, by ambiguous order and of the ramified primes, built from
+one histogram of the table's records.  So the class counts partition pi(x)
+minus the ramified and unresolved primes, and the queries of one x search
+the sieve and count the histogram once.  Weighted prime sums weigh the
 terms of every class of a field in one pass and reduce each class's terms
 with exact compensated summation, so results are bit-stable.
 """
@@ -12,7 +15,6 @@ with exact compensated summation, so results are bit-stable.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -26,7 +28,7 @@ from .errors import (
     SieveRangeExceeded,
     UnsupportedSubgroupAction,
 )
-from .fields import FieldDescriptor, FrobeniusData, class_histogram, frobenius_table
+from .fields import FieldDescriptor, _class_tally, frobenius_table
 from .groups import ConjugacyClass, FiniteGroup
 from .sieve import PrimeSieve
 from .weights import WeightParams, below_support, f_eval
@@ -66,16 +68,9 @@ class SplittingTally:
 
 def splitting_tally(fd: FieldDescriptor, x: float, sieve: PrimeSieve) -> SplittingTally:
     """Classify every prime p <= x and count each class."""
-    by_class = {c.label: 0 for c in fd.group.classes}
-    ramified = unresolved = 0
-    for data, n in class_histogram(fd, sieve, x).items():
-        if data.ramified:
-            ramified += n
-        elif data.ambiguous:
-            unresolved += n
-        else:
-            by_class[data.conjugacy_class.label] += n
-    return SplittingTally(x=x, by_class=by_class, ramified=ramified, unresolved=unresolved)
+    tally = _class_tally(fd, sieve, x)
+    by_class = {c.label: n for c, n in zip(fd.group.classes, tally.by_class)}
+    return SplittingTally(x=x, by_class=by_class, ramified=tally.ramified, unresolved=sum(tally.unresolved.values()))
 
 
 def pi_C_count(
@@ -89,40 +84,29 @@ def pi_C_count(
     Passing an int d counts the union of all classes of element order d.
     Raises AmbiguousClass, naming the smallest such p <= x, when an exact
     class is requested but the factorization data cannot separate it.  The
-    count and pi(x) are read off the class histogram to x.
+    count and pi(x) are read off the class tally to x; only an ambiguous
+    count walks the table, for the prime it names.
     """
     group = fd.group
-    hist = class_histogram(fd, sieve, x)
+    tally = _class_tally(fd, sieve, x)
     if isinstance(selector, ConjugacyClass):
-        size = selector.size
-        p = _first_prime(fd, sieve, x, hist, lambda data: data.ambiguous and data.frobenius_order == selector.order)
-        if p is not None:
-            raise AmbiguousClass(
-                f"{fd.name}: order-{selector.order} classes are not separated at p={p};"
-                " request the class union instead"
-            )
-        count = _class_count(hist, selector)
-        label = selector.label
+        d = selector.order
+        if d in tally.unresolved:
+            p = frobenius_table(fd, sieve, x).first(lambda data: data.ambiguous and data.frobenius_order == d)
+            raise AmbiguousClass(f"{fd.name}: order-{d} classes are not separated at p={p};"
+                                 " request the class union instead")
+        size, count, label = selector.size, tally.by_class[selector.index], selector.label
     else:
         d = int(selector)
-        size = sum(c.size for c in group.classes_of_order(d))
+        classes = group.classes_of_order(d)
+        size = sum(c.size for c in classes)
         if size == 0:
             raise ParameterOutOfRange(f"{group.name} has no elements of order {d}")
-        count = sum(n for data, n in hist.items() if data.frobenius_order == d)  # None when ramified
+        # an ambiguous prime's class is one of order d; a ramified prime has none
+        count = sum(tally.by_class[c.index] for c in classes) + tally.unresolved.get(d, 0)
         label = f"order={d}"
-    expected = size / group.order * sum(hist.values())
+    expected = size / group.order * tally.n
     return ChebotarevCount(x=x, class_label=label, count=count, expected=expected, error=count - expected)
-
-
-def _class_count(hist: Mapping[FrobeniusData, int], cls: ConjugacyClass) -> int:
-    """The number of primes of class cls in a class histogram."""
-    return sum(n for data, n in hist.items() if data.conjugacy_class == cls)
-
-
-def _first_prime(fd: FieldDescriptor, sieve: PrimeSieve, x: float, hist: Mapping[FrobeniusData, int],
-                 match=attrgetter("ambiguous")) -> int | None:
-    """The smallest p <= x whose record satisfies ``match``, or None; only a hit in ``hist`` walks the table."""
-    return frobenius_table(fd, sieve, x).first(match) if any(map(match, hist)) else None
 
 
 # -- admissibility -------------------------------------------------------------
@@ -225,7 +209,7 @@ def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> 
     n_hi = x * math.exp(params.eps)  # supp f ends at 1 + eps/log x
     if n_hi > sieve.limit:
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
-    table = frobenius_table(fd, sieve, n_hi)  # not class_histogram, which would replace the one counts keep
+    table = frobenius_table(fd, sieve, n_hi)  # not the class tally, which would replace the one counts keep
     p = table.first(attrgetter("ambiguous"))
     if p is not None:
         raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
@@ -432,15 +416,15 @@ def base_change_compare(
     g0 = meet[0]
     c_h = frozenset(group.conj(g0, hh) for hh in h)
     orbits = _coset_orbits_in_ch(group, h, c_h)
-    hist = class_histogram(fd, sieve, x)
-    p = _first_prime(fd, sieve, x, hist)
-    if p is not None:
+    tally = _class_tally(fd, sieve, x)
+    if tally.unresolved:
+        p = frobenius_table(fd, sieve, x).first(attrgetter("ambiguous"))
         raise UnsupportedSubgroupAction(f"{fd.name}: class not resolvable at p={p}")
-    pi_c = _class_count(hist, cls)
+    pi_c = tally.by_class[cls.index]
     # a prime of class c gives one K^H prime of norm p^f per orbit of length f
     # meeting C_H; it counts when p^f <= x, that is when p <= floor(x)^(1/f)
-    prefix = {f: class_histogram(fd, sieve, _iroot(max(int(x), 0), f)) for f in set(chain(*orbits.values()))}
-    pi_ch = sum(_class_count(prefix[f], group.classes[index]) for index, lengths in orbits.items() for f in lengths)
+    prefix = {f: _class_tally(fd, sieve, _iroot(max(int(x), 0), f)).by_class for f in set(chain(*orbits.values()))}
+    pi_ch = sum(prefix[f][index] for index, lengths in orbits.items() for f in lengths)
     scale = cls.size / group.order * len(h) / len(c_h)
     lhs = abs(pi_c - scale * pi_ch)
     rhs = cls.size / group.order * (

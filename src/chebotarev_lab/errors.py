@@ -38,6 +38,12 @@ class CatalogError(ValidationError):
     code = "CatalogError"
 
 
+class GroupMismatch(ValidationError):
+    """A prime's factorization type is the cycle type (or order) of no element of the field's group."""
+
+    code = "GroupMismatch"
+
+
 class ComputationError(ChebotarevLabError):
     """Errors raised while computing on validated inputs."""
 

@@ -13,7 +13,9 @@ character chi_{D_K} alone, so its D_K is checked against the polynomial.
 primes of a sieve up to x at once and agrees with it prime by prime, keeping
 one kind per prime: an index into the distinct records it has met.  They
 only classify: an index divisor (p | disc f, p not dividing D_K) on the
-factorization route gets the ramified record, which ``artin`` refuses.
+factorization route gets the ramified record, which ``artin`` refuses.  A
+factorization type that is the cycle type (or order) of no element of G
+proves the group wrong, and raises GroupMismatch.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import fundamental_disc, kronecker_symbol, poly_discriminant, squarefree_part
-from .errors import CatalogError, ParameterOutOfRange, ValidationError
+from .errors import CatalogError, GroupMismatch, ParameterOutOfRange, ValidationError
 from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group, perm_sign
 from .sieve import PrimeSieve
@@ -147,7 +150,7 @@ def frobenius_data(fd: FieldDescriptor, p: int) -> FrobeniusData:
         pairs = _factor_type(fd.defining_poly, p)
         if any(mult > 1 for _, mult in pairs):
             return _RAMIFIED_DATA
-        return _type_frobenius(fd, tuple(sorted(d for d, _ in pairs)))
+        return _type_frobenius(fd, tuple(sorted(d for d, _ in pairs)), p)
     return _element_frobenius(fd, elem)
 
 
@@ -163,11 +166,20 @@ def _element_frobenius(fd: FieldDescriptor, elem: int) -> FrobeniusData:
     return FrobeniusData(False, tuple([d] * (fd.degree // d)), d, fd.group.class_of(elem))
 
 
-def _type_frobenius(fd: FieldDescriptor, ftype: tuple[int, ...]) -> FrobeniusData:
-    """The record of an unramified prime whose factorization type is ftype."""
+def _type_frobenius(fd: FieldDescriptor, ftype: tuple[int, ...], p: int) -> FrobeniusData:
+    """The record of an unramified prime p whose factorization type is ftype.
+
+    Frob_p has ftype as its cycle type on the roots, and lcm(ftype) as its
+    order, so a group with no class of that cycle type (or, when it does not
+    act on the roots, of that order) is not the Galois group: GroupMismatch.
+    """
     g, d = fd.group, math.lcm(*ftype)
-    # Frob_p has the factorization type as its cycle type on the roots
-    candidates = g.classes_of_cycle_type(ftype) if _on_roots(fd) else g.classes_of_order(d)
+    if _on_roots(fd):
+        candidates, fits = g.classes_of_cycle_type(ftype), ", the cycle type"
+    else:
+        candidates, fits = g.classes_of_order(d), f" of order {d}, the order"
+    if not candidates:
+        raise GroupMismatch(f"{fd.name}: p={p} has factorization type {ftype}{fits} of no element of {g.name}")
     return FrobeniusData(False, ftype, d, candidates[0] if len(candidates) == 1 else None)
 
 
@@ -185,7 +197,7 @@ class FrobeniusTable:
 
     ``kind[i]`` indexes ``kinds``, the records met so far, so ``primes[i]``
     has the record ``kinds[kind[i]]``, for code that walks the primes (counts
-    read ``class_histogram``).  The arrays are read-only.
+    read a class tally of its kinds).  The arrays are read-only.
     """
 
     primes: np.ndarray
@@ -221,25 +233,45 @@ def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Frobeni
     most the whole sieve.  So a session of rising x classifies each field
     O(log x) times, and once to x <= 8161, while a first request on a sieve
     of n primes classifies min(n, max(pi(x), 2^10)) of them.
+
+    A prime whose type fits no element of the group raises GroupMismatch,
+    as in ``frobenius_data``; since the prefix reads ahead, that prime may
+    lie above x.  The vectorised route names the smallest such prime of the
+    primes it classifies.
     """
     memo = _memo(fd, sieve)
     n = memo.extend(fd, sieve, x)
     return FrobeniusTable(sieve.primes[:n], memo.kind[:n], tuple(memo.index))
 
 
-def class_histogram(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Mapping[FrobeniusData, int]:
-    """The number of primes p <= x of ``sieve`` with each record, leaving out
-    records with none: one ``np.bincount`` over the kinds ``frobenius_table``
-    keeps, with no table built.  The memo keeps the histogram of the last
-    prime count asked for, so the queries of one x count once; the mapping
-    is a read-only view of it.
+class _ClassTally(NamedTuple):
+    """The counts of the primes p <= x of a sieve, read off one class histogram.
+
+    ``hist`` is the number of primes with each record, leaving out records
+    with none: one ``np.bincount`` over the kinds ``frobenius_table`` keeps,
+    with no table built, as a read-only view.  ``unresolved`` maps a
+    Frobenius order to its ambiguous primes, and holds only orders that
+    have some.
     """
+
+    n: int  # pi(x)
+    hist: Mapping[FrobeniusData, int]
+    by_class: tuple[int, ...]  # by ConjugacyClass.index
+    ramified: int
+    unresolved: dict[int, int]
+
+
+def _class_tally(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> _ClassTally:
+    """The class tally of the primes p <= x of ``sieve``, from the memo: an x
+    asked for last is read back with no search of the sieve, and one with the
+    same pi(x) with no histogram counted, so the queries of one x count once."""
     memo = _memo(fd, sieve)
-    n = memo.extend(fd, sieve, x)
-    if memo.last[0] != n:
-        counts = np.bincount(memo.kind[:n]).tolist()  # up to the largest kind met, where zip stops
-        memo.last = n, MappingProxyType({data: c for data, c in zip(memo.index, counts) if c})
-    return memo.last[1]
+    if x != memo.last_x:
+        n = memo.extend(fd, sieve, x)
+        if n != memo.last.n:
+            memo.last = memo.tally(fd, n)
+        memo.last_x = x
+    return memo.last
 
 
 def _memo(fd: FieldDescriptor, sieve: PrimeSieve) -> _TableMemo:
@@ -249,21 +281,40 @@ def _memo(fd: FieldDescriptor, sieve: PrimeSieve) -> _TableMemo:
 
 class _TableMemo:
     """One field's kinds of a prefix of the primes of the sieve that keeps it,
-    and ``last``: the last prime count n a histogram was asked for, and it.
+    and ``last``: the class tally of the last prime count n asked for, and
+    ``last_x``, the last x it answered.
 
     Kind indices are assigned in the order records are first met and never
-    change, so a table or histogram of kind[:n] stays right as kind grows.
+    change, so a table, histogram or tally of kind[:n] stays right as kind
+    grows.
     """
 
     def __init__(self, fd: FieldDescriptor):
         self.kind = np.zeros(0, dtype=np.int16)
         self.index: dict[FrobeniusData, int] = {}
-        self.last: tuple[int, Mapping[FrobeniusData, int]] = (0, MappingProxyType({}))
+        self.last = _ClassTally(0, MappingProxyType({}), (0,) * len(fd.group.classes), 0, {})
+        self.last_x: float | None = None
         self.residue = None if fd.residue_action is None else np.asarray(fd.residue_action.residue_class)
         if self.residue is not None or _by_legendre(fd):
             # the kind of each group element, then the ramified kind read by element -1
             records = [_element_frobenius(fd, e) for e in fd.group.elements()] + [_RAMIFIED_DATA]
             self.element_kind = self._kinds(records)
+
+    def tally(self, fd: FieldDescriptor, n: int) -> _ClassTally:
+        """The class tally of the first n primes, from one ``np.bincount`` of their kinds."""
+        counts = np.bincount(self.kind[:n]).tolist()  # up to the largest kind met, where zip stops
+        hist = {data: c for data, c in zip(self.index, counts) if c}
+        by_class = [0] * len(fd.group.classes)
+        unresolved: dict[int, int] = {}
+        ramified = 0
+        for data, c in hist.items():
+            if data.ramified:
+                ramified += c
+            elif data.ambiguous:
+                unresolved[data.frobenius_order] = unresolved.get(data.frobenius_order, 0) + c
+            else:
+                by_class[data.conjugacy_class.index] += c
+        return _ClassTally(n, MappingProxyType(hist), tuple(by_class), ramified, unresolved)
 
     def extend(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> int:
         """pi(x), once the kinds reach the primes up to x."""
@@ -308,9 +359,13 @@ class _TableMemo:
         # a 1-D unique over the rows, each read as one opaque value, groups the primes by type
         rows = counts.view(np.dtype((np.void, counts.itemsize * n))).ravel()
         _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        records = [_type_frobenius(fd, tuple(d for d, c in enumerate(row, start=1) for _ in range(c)))
-                   for row in counts[first].tolist()]
-        out[fast] = self._kinds(records)[inverse]
+        # the types in the order of their smallest prime, so kinds are numbered
+        # as first met and a GroupMismatch names the smallest prime that fits none
+        met = np.argsort(first)
+        first = first[met]
+        records = [_type_frobenius(fd, tuple(d for d, c in enumerate(row, start=1) for _ in range(c)), p)
+                   for row, p in zip(counts[first].tolist(), primes[fast][first].tolist())]
+        out[fast] = self._kinds(records)[np.argsort(met)][inverse]
         return out
 
 

@@ -30,7 +30,15 @@ from chebotarev_lab.errors import (
     SieveRangeExceeded,
     UnsupportedSubgroupAction,
 )
-from chebotarev_lab.fields import BUILTIN_CATALOG, FieldDescriptor, frobenius_data, load_catalog
+from chebotarev_lab.fields import (
+    BUILTIN_CATALOG,
+    FieldDescriptor,
+    _class_tally,
+    frobenius_data,
+    frobenius_table,
+    load_catalog,
+    parse_catalog,
+)
 from chebotarev_lab.groups import build_group
 from chebotarev_lab.oracles import naive_psi_gaussian_split, psi_weighted_scalar
 from chebotarev_lab.sieve import PrimeSieve, sieve_primes
@@ -584,3 +592,100 @@ def test_psi_leaves_the_kept_histogram_to_the_counts(monkeypatch):
         counted.clear()
         avg_cheb_error(family, x, sieve)
         assert counted == [], x
+
+
+# -- the class tally: the counts of one x read one memoised tally ------------------
+
+# A4 and A5 acting on the roots, and zeta5 without its residue action: the
+# classes of order 3, 5 and 4 are not separated, so their primes are unresolved
+TALLY_FIELDS = {fd.name: fd for fd in parse_catalog(
+    "a4quartic | 12 8 0 0 1 | A4 | 331776\na5quintic | 16 20 0 0 0 1 | A5 | 1024000000", source="inline")}
+TALLY_FIELDS["zeta5blind"] = FieldDescriptor(name="zeta5blind", defining_poly=BUILTIN_CATALOG["zeta5"].defining_poly,
+                                             group=BUILTIN_CATALOG["zeta5"].group, disc_field=125)
+TALLY_XS = (2.5, 100, 1000.5, 4999, 2 * 10**4)
+
+
+@pytest.mark.parametrize("name,d", [("a4quartic", 3), ("a5quintic", 5), ("zeta5blind", 4)])
+def test_order_union_counts_its_unresolved_primes(name, d):
+    # an ambiguous record counts in its order's union, a ramified one in none
+    fd = TALLY_FIELDS[name]
+    sieve = sieve_primes(2 * 10**4)
+    size = sum(c.size for c in fd.group.classes_of_order(d))
+    for x in TALLY_XS:
+        hist = _class_tally(fd, sieve, x).hist
+        count = pi_C_count(fd, d, x, sieve)
+        assert count.count == sum(n for data, n in hist.items() if data.frobenius_order == d), x
+        assert count.expected == size / fd.group.order * sieve.count_leq(x), x
+    assert splitting_tally(fd, sieve.limit, sieve).unresolved == count.count > 0
+
+
+@pytest.mark.parametrize("name,label", [("a4quartic", "3a"), ("a4quartic", "3b"), ("a5quintic", "5a"),
+                                        ("zeta5blind", "4b")])
+def test_ambiguous_class_names_its_first_unresolved_prime(name, label):
+    fd = TALLY_FIELDS[name]
+    cls = fd.group.class_by_label(label)
+    sieve = sieve_primes(2 * 10**4)
+    p = next(q for q in sieve.primes.tolist() if frobenius_data(fd, q).ambiguous)  # the smallest
+    assert frobenius_data(fd, p).frobenius_order == cls.order
+    assert pi_C_count(fd, cls, p - 0.5, sieve).count == 0  # below it there is nothing to name
+    for x in (p, 4999, sieve.limit):
+        with pytest.raises(AmbiguousClass) as err:
+            pi_C_count(fd, cls, x, sieve)
+        assert str(err.value) == (f"{name}: order-{cls.order} classes are not separated at p={p};"
+                                  " request the class union instead")
+
+
+def test_queries_of_one_x_search_the_sieve_and_count_once(monkeypatch):
+    fd = BUILTIN_CATALOG["s3cubic"]
+    sieve = sieve_primes(10**4)
+    frobenius_table(fd, sieve, sieve.limit)  # warm: every prime classified,
+    _class_tally(fd, sieve, 3000)  # and the tally of another x kept
+    calls = []
+    bincount, count_leq = np.bincount, PrimeSieve.count_leq
+
+    def counting_bincount(kind, *args, **kwargs):
+        calls.append(("bincount", kind.size))
+        return bincount(kind, *args, **kwargs)
+
+    def counting_count_leq(self, x):
+        calls.append(("count_leq", x))
+        return count_leq(self, x)
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+    monkeypatch.setattr(PrimeSieve, "count_leq", counting_count_leq)
+    for _ in range(3):
+        for cls in fd.group.classes:
+            pi_C_count(fd, cls, 5000, sieve)
+        for d in (1, 2, 3):
+            pi_C_count(fd, d, 5000, sieve)
+        splitting_tally(fd, 5000, sieve)
+    assert calls == [("count_leq", 5000), ("bincount", count_leq(sieve, 5000))]
+
+
+def _session_counts(fd, x, sieve):
+    """The splitting tally and every class and order count of fd at x, an ambiguous class by its message."""
+    counts = []
+    for cls in fd.group.classes:
+        try:
+            counts.append(pi_C_count(fd, cls, x, sieve))
+        except AmbiguousClass as exc:
+            counts.append(str(exc))
+    orders = sorted({cls.order for cls in fd.group.classes})
+    return splitting_tally(fd, x, sieve), counts, [pi_C_count(fd, d, x, sieve) for d in orders]
+
+
+def test_rising_x_session_counts_as_a_cold_sieve():
+    # base_change_compare leaves the tally of its x^(1/f) prefix counts as the
+    # kept one, and the counts of x that follow must not read it
+    s3 = BUILTIN_CATALOG["s3cubic"]
+    a3 = frozenset(e for e in s3.group.elements() if s3.group.element_orders[e] in (1, 3))
+    fds = [s3, BUILTIN_CATALOG["zeta7"], *TALLY_FIELDS.values()]
+    sieve = sieve_primes(2 * 10**4)
+    for x in (2.5, 50, 50.5, 97, 97, 1000.5, 1000.5, 1009, 4999, 12345.5, 2 * 10**4):
+        for cls in (s3.group.class_by_label("1"), s3.group.class_by_label("3")):  # the classes A3 meets
+            check = base_change_compare(s3, cls, a3, x, sieve)
+            cold = PrimeSieve(limit=sieve.limit, primes=sieve.primes)
+            assert check == base_change_compare(s3, cls, a3, x, cold), (x, cls.label)
+            for fd in fds:
+                cold = PrimeSieve(limit=sieve.limit, primes=sieve.primes)
+                assert _session_counts(fd, x, sieve) == _session_counts(fd, x, cold), (x, fd.name)

@@ -284,6 +284,28 @@ def test_catalog_group_tag_off_disc_f_exit_code_and_message(tmp_path, capsys, ro
     assert json.loads(captured.err) == {"error": {"code": "CatalogError", "message": f"{catalog}:2: {message}"}}
 
 
+@pytest.mark.parametrize("row,argv,message", [
+    ("liar4 | -1 -1 0 0 1 | D4 | -283", ["splitting", "--field", "liar4", "--limit", "1000"],
+     "liar4: p=2 has factorization type (4,) of order 4, the order of no element of D4"),
+    ("liar4 | -1 -1 0 0 1 | D4 | -283", ["chebotarev", "--field", "liar4", "--class", "order=2", "--x", "1000"],
+     "liar4: p=2 has factorization type (4,) of order 4, the order of no element of D4"),
+    ("s4c4 | -1 -1 0 0 1 | C4 | -283", ["splitting", "--field", "s4c4", "--limit", "1000"],
+     "s4c4: p=7 has factorization type (1, 3) of order 3, the order of no element of C4"),
+    ("s4c4 | -1 -1 0 0 1 | C4 | -283", ["chebotarev", "--field", "s4c4", "--class", "order=4", "--x", "1000"],
+     "s4c4: p=7 has factorization type (1, 3) of order 3, the order of no element of C4"),
+], ids=["liar4-splitting", "liar4-chebotarev", "s4c4-splitting", "s4c4-chebotarev"])
+def test_group_mismatch_exit_code_and_message(tmp_path, capsys, row, argv, message):
+    # an S4 quartic tagged D4 or C4 passes every parse-time check; it left 163
+    # and 100 of 168 primes at '?', and printed a count of 63 against 126.0
+    # expected for order=2 of liar4
+    catalog = tmp_path / "tags.txt"
+    catalog.write_text(f"fine | 1 0 1 | C2 | -4\n{row}\n", encoding="utf-8")
+    assert main([*argv, "--catalog", str(catalog)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "GroupMismatch", "message": message}}
+
+
 def test_alternating_groups_count_by_order(tmp_path, capsys):
     # A4 and A5 acting on the roots: the split classes 3a/3b and 5a/5b are
     # ambiguous, and their union by order counts

@@ -12,15 +12,15 @@ import pytest
 from chebotarev_lab import fields
 from chebotarev_lab.chebotarev import pi_C_count, splitting_tally
 from chebotarev_lab.arith import fundamental_disc, kronecker_symbol, poly_discriminant
-from chebotarev_lab.errors import AmbiguousClass, CatalogError, ParameterOutOfRange, ValidationError
+from chebotarev_lab.errors import AmbiguousClass, CatalogError, GroupMismatch, ParameterOutOfRange, ValidationError
 from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
     FieldDescriptor,
     FrobeniusData,
+    _class_tally,
     _cycle_counts,
     _factor_type,
     builtin_field,
-    class_histogram,
     factor_poly_mod_p,
     frobenius_data,
     frobenius_table,
@@ -504,7 +504,7 @@ def test_session_below_the_floor_classifies_each_field_once(monkeypatch):
         for x in xs:
             cold = PrimeSieve(limit=sieve.limit, primes=sieve.primes)
             assert _rows(frobenius_table(fd, sieve, x)) == _rows(frobenius_table(fd, cold, x)), (name, x)
-            assert dict(class_histogram(fd, sieve, x)) == dict(class_histogram(fd, cold, x)), (name, x)
+            assert dict(_class_tally(fd, sieve, x).hist) == dict(_class_tally(fd, cold, x).hist), (name, x)
         memo = sieve.derived["frobenius_table", fd]
         assert [size for owner, size in log if owner is memo] == [len(sieve)], name
 
@@ -685,7 +685,7 @@ def test_class_histogram_matches_scalar_oracle(fd):
     # of the table, at no prime at all and at the whole sieve
     for x in (p[100], p[100], p[100] - 0.5, p[100] + 0.5, p[100], p[50] + 0.5, p[150], p[150] + 0.5,
               p[300] - 0.5, p[300], 1.5, sieve.limit):
-        hist = class_histogram(fd, sieve, x)
+        hist = _class_tally(fd, sieve, x).hist
         assert dict(hist) == _scalar_histogram(fd, sieve, x), (fd.name, x)
         assert all(n > 0 for n in hist.values()), (fd.name, x)  # records without a prime are left out
 
@@ -706,7 +706,7 @@ def test_class_histogram_in_any_order():
         key = (fd.name, id(sieve), x)
         if key not in want:
             want[key] = _scalar_histogram(fd, sieve, x)
-        hist = class_histogram(fd, sieve, x)
+        hist = _class_tally(fd, sieve, x).hist
         assert dict(hist) == want[key], (fd.name, sieve.primes.size, x)
         handed.append((hist, want[key]))
     assert all(dict(hist) == counts for hist, counts in handed)
@@ -714,7 +714,7 @@ def test_class_histogram_in_any_order():
 
 def test_class_histogram_is_read_only(sieve_small):
     fd = BUILTIN_CATALOG["zeta7"]
-    hist = class_histogram(fd, sieve_small, 5000)
+    hist = _class_tally(fd, sieve_small, 5000).hist
     want = dict(hist)
     record = next(iter(hist))
     with pytest.raises(TypeError):
@@ -723,7 +723,7 @@ def test_class_histogram_is_read_only(sieve_small):
         del hist[record]
     with pytest.raises(TypeError):
         hist[FrobeniusData(ramified=True)] = 1
-    assert dict(class_histogram(fd, sieve_small, 5000)) == want
+    assert dict(_class_tally(fd, sieve_small, 5000).hist) == want
     assert splitting_tally(fd, 5000, sieve_small).total() == sieve_small.count_leq(5000)
 
 
@@ -738,15 +738,123 @@ def test_repeated_query_counts_once(monkeypatch):
         return bincount(kind, *args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", counting)
-    hist = class_histogram(fd, sieve, 5000)
+    hist = _class_tally(fd, sieve, 5000).hist
     assert counted == [sieve.count_leq(5000)]
     # the same x, and an x with the same prime count, read the kept histogram
-    assert class_histogram(fd, sieve, 5000) is hist and class_histogram(fd, sieve, 5000.5) is hist
+    assert _class_tally(fd, sieve, 5000).hist is hist and _class_tally(fd, sieve, 5000.5).hist is hist
     for cls in fd.group.classes:
         pi_C_count(fd, cls, 5000, sieve)
     splitting_tally(fd, 5000, sieve)
     assert counted == [sieve.count_leq(5000)]
     # another x counts afresh and is kept in its place
-    class_histogram(fd, sieve, 3000)
-    class_histogram(fd, sieve, 3000)
+    _class_tally(fd, sieve, 3000)
+    _class_tally(fd, sieve, 3000)
     assert counted == [sieve.count_leq(5000), sieve.count_leq(3000)]
+
+
+# -- group tags checked at table time ----------------------------------------------
+
+# S4 quartics (disc f not a square) tagged with groups of order 4 that the
+# parse-time checks cannot disprove, as neither acts on the roots: the Klein
+# four-group D4 has no element of order 3 or 4, and C4 none of order 3.
+# liar4v is ramified at 2 and 3 (D_K is given as disc f = -2^4 3^2 251), and
+# its first misfits are 5 of type (1, 3) and 11 of type (4), whose row np.unique
+# sorts first; both lie on the trace route
+MISMATCH_ROWS = {
+    "liar4": ("liar4 | -1 -1 0 0 1 | D4 | -283", 2, (4,), "of order 4, the order of no element of D4"),
+    "s4c4": ("s4c4 | -1 -1 0 0 1 | C4 | -283", 7, (1, 3), "of order 3, the order of no element of C4"),
+    "liar4v": ("liar4v | 1 -2 -4 -4 1 | D4 | -36144", 5, (1, 3), "of order 3, the order of no element of D4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCH_ROWS))
+def test_group_mismatch_raises_when_the_table_is_built(name):
+    row, p, ftype, fits = MISMATCH_ROWS[name]
+    (fd,) = parse_catalog(row, source="inline")  # every parse-time check passes
+    message = f"{name}: p={p} has factorization type {ftype} {fits}"
+    with pytest.raises(GroupMismatch) as err:
+        frobenius_data(fd, p)
+    assert str(err.value) == message and err.value.code == "GroupMismatch"
+    assert isinstance(err.value, ValidationError)
+    # the primes below p fit, and the table names the same p: liar4's 2 on the
+    # scalar route, s4c4's 7 and liar4v's 5 on the trace route
+    for q in (2, 3, 5):
+        if q < p:
+            frobenius_data(fd, q)
+    for call in (lambda s: frobenius_table(fd, s, 1000), lambda s: splitting_tally(fd, 1000, s),
+                 lambda s: pi_C_count(fd, 2, 1000, s), lambda s: _class_tally(fd, s, 1000).hist):
+        with pytest.raises(GroupMismatch) as err:
+            call(sieve_primes(1000))
+        assert str(err.value) == message
+
+
+def test_on_roots_group_mismatch_names_the_cycle_type(monkeypatch):
+    # no catalog tag gets here, since A_n holds every even cycle type and S_n all;
+    # so S3 is made to lack its transpositions.  A group acting on the roots is
+    # checked by cycle type, and the vectorised route names the smallest prime
+    # of that type in the primes it classifies
+    fd = BUILTIN_CATALOG["s3cubic"]
+    classes_of_cycle_type = type(fd.group).classes_of_cycle_type
+    monkeypatch.setattr(type(fd.group), "classes_of_cycle_type",
+                        lambda g, ftype: [] if ftype == (1, 2) else classes_of_cycle_type(g, ftype))
+    sieve = sieve_primes(2000)
+    p = min(q for q in sieve.primes.tolist() if _factor_type(fd.defining_poly, q) == ((1, 1), (2, 1)))
+    assert p == 5  # above deg f, so on the trace route
+    message = f"s3cubic: p={p} has factorization type (1, 2), the cycle type of no element of S3"
+    for call in (lambda: frobenius_data(fd, p), lambda: frobenius_table(fd, sieve, 100)):
+        with pytest.raises(GroupMismatch) as err:
+            call()
+        assert str(err.value) == message
+
+
+# tallies to 10^5 of every built-in, demo and test row, which no group check may
+# change: by class in class order, then ramified and unresolved.  s3x2's 2 is an
+# index divisor, still counted ramified
+TALLIES_TO_1E5 = {
+    "rational": (9592, 0, 0),
+    "gaussian": (4783, 4808, 1, 0),
+    "sqrt5": (4777, 4814, 1, 0),
+    "zeta5": (2387, 2390, 2412, 2402, 1, 0),
+    "cyclo7plus": (3189, 3214, 3188, 1, 0),
+    "zeta7": (1593, 1596, 1584, 1601, 1613, 1604, 1, 0),
+    "s3cubic": (1567, 4823, 3201, 1, 0),
+    "zeta5blind": (2387, 2390, 0, 0, 1, 4814),
+    "s3row": (1567, 4823, 3201, 1, 0),
+    "bad5": (4777, 4814, 1, 0),
+    "s4quartic": (375, 1186, 2438, 3193, 2399, 1, 0),
+    "a4quartic": (785, 2406, 0, 0, 2, 6399),
+    "a5quintic": (153, 2400, 3184, 0, 0, 2, 3853),
+    "big": (1625, 4776, 3185, 6, 0),
+    "s3x2": (1567, 4823, 3200, 2, 0),
+    "quad(-1)": (4783, 4808, 1, 0),
+    "quad(2)": (4783, 4808, 1, 0),
+    "quad(-2)": (4793, 4798, 1, 0),
+    "quad(3)": (4771, 4819, 2, 0),
+    "quad(-3)": (4784, 4807, 1, 0),
+    "quad(5)": (4777, 4814, 1, 0),
+    "quad(-5)": (4773, 4817, 2, 0),
+    "quad(6)": (4786, 4804, 2, 0),
+    "quad(-6)": (4795, 4795, 2, 0),
+    "quad(7)": (4762, 4828, 2, 0),
+    "quad(-7)": (4778, 4813, 1, 0),
+    "quad(10)": (4778, 4812, 2, 0),
+    "quad(-10)": (4776, 4814, 2, 0),
+    "quad(11)": (4781, 4809, 2, 0),
+    "quad(-11)": (4786, 4805, 1, 0),
+    "quad(13)": (4786, 4805, 1, 0),
+    "quad(-13)": (4766, 4824, 2, 0),
+    "quad(14)": (4780, 4810, 2, 0),
+    "quad(-14)": (4777, 4813, 2, 0),
+    "quad(15)": (4767, 4822, 3, 0),
+}
+
+
+def test_rows_that_fit_their_group_classify_as_before():
+    s3x2 = parse_catalog("s3x2 | -8 -4 0 1 | S3 | -12167", source="inline")
+    fds = _table_fields() + s3x2 + load_catalog(DEMO_CATALOG)
+    sieve = sieve_primes(10**5)
+    got = {}
+    for fd in fds:
+        tally = splitting_tally(fd, sieve.limit, sieve)
+        got[fd.name] = (*tally.by_class.values(), tally.ramified, tally.unresolved)
+    assert got == TALLIES_TO_1E5

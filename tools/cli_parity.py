@@ -7,7 +7,8 @@ for instance that of a ``git archive`` of the parent commit and that of the
 working tree.  One worker process per tree imports its package and runs
 ``chebotarev_lab.cli.main`` in process on a fixed matrix of argument lists:
 every subcommand, over the built-in fields, the demo catalog and a few inline
-rows (an index divisor, a quadratic index divisor, S4, A4 and A5).  For each
+rows (an index divisor, a quadratic index divisor, S4, A4, A5, and an S4
+quartic tagged D4 and C4, whose tables raise GroupMismatch).  For each
 invocation the exit code, stdout and stderr of the two trees are compared.
 One line is printed per invocation that differs, then a summary; the exit
 code is 1 if any differs, else 0.
@@ -41,6 +42,8 @@ INLINE_ROWS = {  # row, class labels, element orders
     "s4quartic": ("s4quartic | -1 -1 0 0 1 | S4 | -283", ["1", "2a", "2b", "3", "4"], [1, 2, 3, 4]),
     "a4quartic": ("a4quartic | 12 8 0 0 1 | A4 | 331776", ["1", "2", "3a", "3b"], [1, 2, 3]),
     "a5quintic": ("a5quintic | 16 20 0 0 0 1 | A5 | 1024000000", ["1", "2", "3", "5a", "5b"], [1, 2, 3, 5]),
+    "liar4": ("liar4 | -1 -1 0 0 1 | D4 | -283", ["1", "2a", "2b", "2c"], [1, 2]),
+    "s4c4": ("s4c4 | -1 -1 0 0 1 | C4 | -283", ["1", "2", "4a", "4b"], [1, 2, 4]),
 }
 SUBCOMMANDS = ["coeffs", "splitting", "large-sieve", "weights", "eta", "chebotarev", "family"]
 
