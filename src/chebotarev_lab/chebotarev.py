@@ -5,9 +5,9 @@ Counting is exact: every prime up to x is classified once, through the
 field's Frobenius table (``fields.frobenius_table``), and every count reads
 the class tally the sieve keeps for the last x asked for (``fields._class_tally``):
 counts by class, by ambiguous order and of the ramified primes, built from
-one histogram of the table's records.  So the class counts partition pi(x)
-minus the ramified and unresolved primes, and the queries of one x search
-the sieve and count the histogram once.  Weighted prime sums weigh the
+one count of the table's kinds.  So the class counts partition pi(x) minus
+the ramified and unresolved primes, and the queries of one x search the
+sieve and count the kinds once.  Weighted prime sums weigh the
 terms of every class of a field in one pass and reduce each class's terms
 with exact compensated summation, so results are bit-stable.
 """

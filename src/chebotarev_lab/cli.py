@@ -105,7 +105,11 @@ def _csv(rows: list[list], header: list[str]) -> str:
 
 def _parse_class(fd, label: str):
     if label.startswith("order="):
-        return int(label.split("=", 1)[1])
+        order = label.split("=", 1)[1]
+        try:
+            return int(order)
+        except ValueError:
+            raise ValidationError(f"--class order=<d> needs an integer d, got {order!r}") from None
     return fd.group.class_by_label(label)
 
 
@@ -234,8 +238,10 @@ def cmd_chebotarev(args) -> int:
 
     (fd,) = _resolve_fields(args, [args.field])
     selector = _parse_class(fd, args.cls)
-    # the parameters validate eps before any sieve; psi needs primes to x e^eps
-    params = WeightParams(x=args.x, eps=args.weights_eps) if args.weights_eps else None
+    # both refusals of --weights-eps come before any sieve; psi needs primes to x e^eps
+    params = None if args.weights_eps is None else WeightParams(x=args.x, eps=args.weights_eps)
+    if params is not None and not hasattr(selector, "representative"):
+        raise ValidationError("--weights-eps needs an exact class, not a union")
     limit = math.ceil(args.x * math.exp(params.eps) if params is not None else args.x)
     sieve = sieve_primes(max(limit, 100))
     count = pi_C_count(fd, selector, args.x, sieve)
@@ -250,8 +256,6 @@ def cmd_chebotarev(args) -> int:
         "pi_x": pi_count(args.x, sieve),
     }
     if params is not None:
-        if not hasattr(selector, "representative"):
-            raise ValidationError("--weights-eps needs an exact class, not a union")
         payload["psi_weighted"] = psi_weighted_class(fd, selector, params, sieve)
         payload["weights_eps"] = args.weights_eps
     if args.report == "csv":

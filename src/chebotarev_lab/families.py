@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .arith import fundamental_disc, squarefree_part
-from .chebotarev import pi_count, splitting_tally
 from .errors import (
+    AmbiguousClass,
     EqualFields,
     NotQuadratic,
     UndecidableIntersectionRule,
     ValidationError,
 )
-from .fields import FieldDescriptor
+from .fields import FieldDescriptor, _class_tally, frobenius_table
 from .sieve import PrimeSieve
 
 RULE_QUADRATIC = "quadratic-equality"
@@ -174,22 +174,21 @@ def avg_cheb_error(
     sieve: PrimeSieve,
     eps: float = 0.5,
 ) -> AvgErrorReport:
-    """(1/#F) sum over K of max_C |pi_C(x) - (|C|/|G|) pi(x)|, exactly.
+    """(1/#F) sum over K of max_C |pi_C(x) - (|C|/|G|) pi(x)|, exactly, read
+    off each field's class tally to x.  A field with an unresolved prime p <= x
+    raises AmbiguousClass naming the smallest.
 
     Diagnostics carry the level-of-distribution shape x/(log x)^2 and the
     exceptional-budget ratio m_F(Q) Q^eps / #F; constants stay symbolic.
     """
-    pi_x = pi_count(x, sieve)
     per_field: dict[str, float] = {}
     for fd in family.fields:
-        tally = splitting_tally(fd, x, sieve)
+        tally = _class_tally(fd, sieve, x)
         if tally.unresolved:
-            raise ValidationError(f"{fd.name}: {tally.unresolved} primes have unresolved classes")
-        worst = 0.0
-        for cls in fd.group.classes:
-            expected = cls.size / fd.group.order * pi_x
-            worst = max(worst, abs(tally.by_class[cls.label] - expected))
-        per_field[fd.name] = worst
+            p = frobenius_table(fd, sieve, x).first(attrgetter("ambiguous"))
+            raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
+        order = fd.group.order
+        per_field[fd.name] = max(abs(n - c.size / order * tally.n) for c, n in zip(fd.group.classes, tally.by_class))
     avg = math.fsum(per_field.values()) / family.size
     shape = x / math.log(x) ** 2.0
     diagnostics = {

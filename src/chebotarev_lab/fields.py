@@ -21,11 +21,9 @@ proves the group wrong, and raises GroupMismatch.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -245,17 +243,14 @@ def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Frobeni
 
 
 class _ClassTally(NamedTuple):
-    """The counts of the primes p <= x of a sieve, read off one class histogram.
+    """The counts of the primes p <= x of a sieve, from one ``np.bincount``
+    over the kinds ``frobenius_table`` keeps, with no table built.
 
-    ``hist`` is the number of primes with each record, leaving out records
-    with none: one ``np.bincount`` over the kinds ``frobenius_table`` keeps,
-    with no table built, as a read-only view.  ``unresolved`` maps a
-    Frobenius order to its ambiguous primes, and holds only orders that
-    have some.
+    ``unresolved`` maps a Frobenius order to its ambiguous primes, and holds
+    only orders that have some.
     """
 
     n: int  # pi(x)
-    hist: Mapping[FrobeniusData, int]
     by_class: tuple[int, ...]  # by ConjugacyClass.index
     ramified: int
     unresolved: dict[int, int]
@@ -264,7 +259,7 @@ class _ClassTally(NamedTuple):
 def _class_tally(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> _ClassTally:
     """The class tally of the primes p <= x of ``sieve``, from the memo: an x
     asked for last is read back with no search of the sieve, and one with the
-    same pi(x) with no histogram counted, so the queries of one x count once."""
+    same pi(x) with no kinds counted, so the queries of one x count once."""
     memo = _memo(fd, sieve)
     if x != memo.last_x:
         n = memo.extend(fd, sieve, x)
@@ -285,14 +280,13 @@ class _TableMemo:
     ``last_x``, the last x it answered.
 
     Kind indices are assigned in the order records are first met and never
-    change, so a table, histogram or tally of kind[:n] stays right as kind
-    grows.
+    change, so a table or tally of kind[:n] stays right as kind grows.
     """
 
     def __init__(self, fd: FieldDescriptor):
         self.kind = np.zeros(0, dtype=np.int16)
         self.index: dict[FrobeniusData, int] = {}
-        self.last = _ClassTally(0, MappingProxyType({}), (0,) * len(fd.group.classes), 0, {})
+        self.last = _ClassTally(0, (0,) * len(fd.group.classes), 0, {})
         self.last_x: float | None = None
         self.residue = None if fd.residue_action is None else np.asarray(fd.residue_action.residue_class)
         if self.residue is not None or _by_legendre(fd):
@@ -303,18 +297,17 @@ class _TableMemo:
     def tally(self, fd: FieldDescriptor, n: int) -> _ClassTally:
         """The class tally of the first n primes, from one ``np.bincount`` of their kinds."""
         counts = np.bincount(self.kind[:n]).tolist()  # up to the largest kind met, where zip stops
-        hist = {data: c for data, c in zip(self.index, counts) if c}
         by_class = [0] * len(fd.group.classes)
         unresolved: dict[int, int] = {}
         ramified = 0
-        for data, c in hist.items():
+        for data, c in zip(self.index, counts):
             if data.ramified:
                 ramified += c
-            elif data.ambiguous:
-                unresolved[data.frobenius_order] = unresolved.get(data.frobenius_order, 0) + c
-            else:
+            elif not data.ambiguous:
                 by_class[data.conjugacy_class.index] += c
-        return _ClassTally(n, MappingProxyType(hist), tuple(by_class), ramified, unresolved)
+            elif c:  # an order enters unresolved only with a prime
+                unresolved[data.frobenius_order] = unresolved.get(data.frobenius_order, 0) + c
+        return _ClassTally(n, tuple(by_class), ramified, unresolved)
 
     def extend(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> int:
         """pi(x), once the kinds reach the primes up to x."""

@@ -500,7 +500,7 @@ def test_base_change_validation(catalog, sieve_small):
 
 
 def test_ambiguity_errors_name_the_smallest_ambiguous_prime(catalog, sieve_small):
-    # the counts find ambiguity in the class histogram, and only then walk the
+    # the counts find ambiguity in the class tally, and only then walk the
     # table for the prime the message names: the smallest ambiguous p <= x (or
     # <= x e^eps for psi), here 2 and, on a sieve without 2 and 3, 7
     z5 = catalog["zeta5"]
@@ -611,10 +611,10 @@ def test_order_union_counts_its_unresolved_primes(name, d):
     fd = TALLY_FIELDS[name]
     sieve = sieve_primes(2 * 10**4)
     size = sum(c.size for c in fd.group.classes_of_order(d))
+    orders = [(p, frobenius_data(fd, p).frobenius_order) for p in sieve.upto(max(TALLY_XS)).tolist()]
     for x in TALLY_XS:
-        hist = _class_tally(fd, sieve, x).hist
         count = pi_C_count(fd, d, x, sieve)
-        assert count.count == sum(n for data, n in hist.items() if data.frobenius_order == d), x
+        assert count.count == sum(p <= x and order == d for p, order in orders), x
         assert count.expected == size / fd.group.order * sieve.count_leq(x), x
     assert splitting_tally(fd, sieve.limit, sieve).unresolved == count.count > 0
 

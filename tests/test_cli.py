@@ -106,10 +106,14 @@ def test_chebotarev_sieves_to_x_e_eps(monkeypatch, capsys):
         with pytest.raises(_Sieved):
             main(argv)
         assert limits == [want] and want <= sieve.SIEVE_CAP
-    limits.clear()
-    assert main(["chebotarev", "--field", "gaussian", "--x", "8e7", "--weights-eps", "7"]) == 1
-    assert json.loads(capsys.readouterr().err)["error"]["code"] == "ParameterOutOfRange"
-    assert limits == []
+    # an eps of 0 is refused like any other outside (0, 1/4), not read as no eps,
+    # and a union is refused with it before any sieve too
+    for cls, eps, code in (("1", "7", "ParameterOutOfRange"), ("1", "0", "ParameterOutOfRange"),
+                           ("order=2", "0.1", "ValidationError")):
+        limits.clear()
+        assert main(["chebotarev", "--field", "gaussian", "--class", cls, "--x", "8e7", "--weights-eps", eps]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == code, (cls, eps)
+        assert limits == []
 
 
 def test_x_at_the_sieve_cap_runs(monkeypatch, capsys, tmp_path):
@@ -229,6 +233,18 @@ def test_large_sieve_json(capsys):
     assert payload["kind"] == "mean-value"
     assert payload["lhs"] >= 0
     assert "rhs_shape_log" in payload
+
+
+def test_ambiguous_family_names_its_first_unresolved_prime(tmp_path, capsys):
+    # psi's error and exit code: A4's classes 3a and 3b are not separated at p = 5
+    catalog = tmp_path / "a4.txt"
+    catalog.write_text("a4quartic | 12 8 0 0 1 | A4 | 331776\n", encoding="utf-8")
+    argv = ["--catalog", str(catalog), "--x", "1000"]
+    for args in (["family", *argv, "--rule", "explicit-pairs", "--Q", "1e6"],
+                 ["chebotarev", *argv, "--field", "a4quartic", "--class", "1", "--weights-eps", "0.1"]):
+        assert main(args) == 2, args
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"code": "AmbiguousClass", "message": "a4quartic: class not resolvable at p=5"}, args
 
 
 def test_family_subcommand(tmp_path, capsys):
@@ -361,6 +377,10 @@ CATALOG = str(Path(__file__).resolve().parents[1] / "demos" / "catalog_quadratic
         ["eta", "--Q", "nan"],
         ["eta", "--c1", "nan"],
         ["eta", "--x-values", "1000,inf"],
+        # an order that is not an integer, for --class order=<d>
+        ["chebotarev", "--x", "100", "--class", "order=abc"],
+        ["chebotarev", "--x", "100", "--class", "order="],
+        ["chebotarev", "--x", "100", "--class", "order=2.5"],
     ],
 )
 def test_non_finite_and_malformed_floats_rejected(args, capsys):

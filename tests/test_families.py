@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from chebotarev_lab import families
 from chebotarev_lab.arith import squarefree_part
 from chebotarev_lab.errors import (
+    AmbiguousClass,
     EqualFields,
     NotQuadratic,
     UndecidableIntersectionRule,
@@ -14,8 +17,9 @@ from chebotarev_lab.families import (
     compositum_disc_check,
     resolvent_square_class,
 )
-from chebotarev_lab.fields import FieldDescriptor, builtin_field, quadratic_field
+from chebotarev_lab.fields import FieldDescriptor, builtin_field, frobenius_data, parse_catalog, quadratic_field
 from chebotarev_lab.groups import build_group
+from chebotarev_lab.sieve import sieve_primes
 
 SQUAREFREE_SMALL = [-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -11, 13, -13, 14, -14, 15]
 
@@ -232,6 +236,43 @@ def test_avg_error_q_invariance(sieve_small):
     r1 = avg_cheb_error(Family(fields=fields, q_bound=100.0), 10**3, sieve_small)
     r2 = avg_cheb_error(Family(fields=fields, q_bound=10**4), 10**3, sieve_small)
     assert r1.avg_error == r2.avg_error
+
+
+def _scalar_worst_error(fd, sieve, x):
+    """The oracle: max over C of |pi_C(x) - (|C|/|G|) pi(x)|, from ``frobenius_data`` one prime at a time."""
+    primes = sieve.upto(x).tolist()
+    records = [frobenius_data(fd, p) for p in primes]
+    assert not any(data.ambiguous for data in records)
+    return max(abs(sum(data.conjugacy_class == c for data in records) - c.size / fd.group.order * len(primes))
+               for c in fd.group.classes)
+
+
+@pytest.mark.parametrize("fields,q,rule", [
+    (quads(SQUAREFREE_SMALL[:8]), 100.0, None),
+    (tuple(parse_catalog("s3a | -1 -1 0 1 | S3 | -12167\ns3b | 1 1 0 1 | S3 | -29791", source="inline")),
+     3 * 10**4, "explicit-pairs"),
+], ids=["quadratic", "S3"])
+def test_avg_error_matches_scalar_oracle(fields, q, rule):
+    sieve = sieve_primes(3000)
+    family = Family(fields=fields, q_bound=q, intersection_rule=rule)
+    for x in (2.5, 100, 1000.5, 2999):
+        report = avg_cheb_error(family, x, sieve)
+        want = {fd.name: _scalar_worst_error(fd, sieve, x) for fd in fields}
+        assert report.per_field == want, x
+        assert report.avg_error == math.fsum(want.values()) / len(fields), x
+
+
+def test_ambiguous_family_names_its_first_unresolved_prime():
+    # A4 acting on the roots: a prime of type (1, 3) has its Frobenius in 3a or 3b,
+    # which the type cannot tell apart; the smallest such prime, 5, is named as psi names it
+    fields = tuple(parse_catalog("a4quartic | 12 8 0 0 1 | A4 | 331776", source="inline"))
+    family = Family(fields=fields, q_bound=10**6, intersection_rule="explicit-pairs")
+    sieve = sieve_primes(1000)
+    with pytest.raises(AmbiguousClass) as err:
+        avg_cheb_error(family, 1000, sieve)
+    assert str(err.value) == "a4quartic: class not resolvable at p=5"
+    # below 5 there is nothing to name
+    assert avg_cheb_error(family, 4.5, sieve).per_field == {"a4quartic": _scalar_worst_error(fields[0], sieve, 4.5)}
 
 
 def test_family_validation():

@@ -16,7 +16,6 @@ from chebotarev_lab.errors import AmbiguousClass, CatalogError, GroupMismatch, P
 from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
     FieldDescriptor,
-    FrobeniusData,
     _class_tally,
     _cycle_counts,
     _factor_type,
@@ -504,7 +503,7 @@ def test_session_below_the_floor_classifies_each_field_once(monkeypatch):
         for x in xs:
             cold = PrimeSieve(limit=sieve.limit, primes=sieve.primes)
             assert _rows(frobenius_table(fd, sieve, x)) == _rows(frobenius_table(fd, cold, x)), (name, x)
-            assert dict(_class_tally(fd, sieve, x).hist) == dict(_class_tally(fd, cold, x).hist), (name, x)
+            assert _class_tally(fd, sieve, x) == _class_tally(fd, cold, x), (name, x)
         memo = sieve.derived["frobenius_table", fd]
         assert [size for owner, size in log if owner is memo] == [len(sieve)], name
 
@@ -641,7 +640,7 @@ def test_memo_holds_one_int16_per_prime():
 
 @pytest.mark.parametrize("fd", _table_fields(), ids=lambda fd: fd.name)
 def test_counts_agree_with_the_per_prime_arrays(fd):
-    # every count reads the histogram of kinds; the per-prime cls and order say the same
+    # every count reads the tally of kinds; the per-prime cls and order say the same
     sieve = sieve_primes(2 * 10**4)
     classes = fd.group.classes
     ambiguous = set()
@@ -666,14 +665,25 @@ def test_counts_agree_with_the_per_prime_arrays(fd):
     assert ambiguous == {c.label for c in classes if c.order == split}
 
 
-# -- class histograms: every count reads one memoised histogram per prefix ---------
+# -- class tallies: every count reads one memoised tally per x ----------------------
 
-HISTOGRAM_FIELDS = [*BUILTIN_CATALOG.values(), quadratic_field(-3), quadratic_field(15)]
+HISTOGRAM_FIELDS = [*BUILTIN_CATALOG.values(), quadratic_field(-3), quadratic_field(15), _zeta5blind(),
+                    *parse_catalog(TABLE_ROWS, source="inline")]
 
 
-def _scalar_histogram(fd, sieve, x):
-    """The oracle: the records of the primes p <= x from ``frobenius_data``, one prime at a time."""
-    return Counter(frobenius_data(fd, p) for p in sieve.upto(x).tolist())
+def _scalar_tally(fd, sieve, x):
+    """The oracle: (pi(x), counts by class index, ramified, ambiguous by order) of
+    the primes p <= x, from ``frobenius_data`` one prime at a time."""
+    records = Counter(frobenius_data(fd, p) for p in sieve.upto(x).tolist())
+    by_class, ramified, unresolved = [0] * len(fd.group.classes), 0, Counter()
+    for data, n in records.items():
+        if data.ramified:
+            ramified += n
+        elif data.ambiguous:
+            unresolved[data.frobenius_order] += n
+        else:
+            by_class[data.conjugacy_class.index] += n
+    return sum(records.values()), tuple(by_class), ramified, dict(unresolved)
 
 
 @pytest.mark.parametrize("fd", HISTOGRAM_FIELDS, ids=lambda fd: fd.name)
@@ -685,16 +695,16 @@ def test_class_histogram_matches_scalar_oracle(fd):
     # of the table, at no prime at all and at the whole sieve
     for x in (p[100], p[100], p[100] - 0.5, p[100] + 0.5, p[100], p[50] + 0.5, p[150], p[150] + 0.5,
               p[300] - 0.5, p[300], 1.5, sieve.limit):
-        hist = _class_tally(fd, sieve, x).hist
-        assert dict(hist) == _scalar_histogram(fd, sieve, x), (fd.name, x)
-        assert all(n > 0 for n in hist.values()), (fd.name, x)  # records without a prime are left out
+        tally = _class_tally(fd, sieve, x)
+        assert tally == _scalar_tally(fd, sieve, x), (fd.name, x)
+        assert all(n > 0 for n in tally.unresolved.values()), (fd.name, x)  # orders without a prime are left out
 
 
 def test_class_histogram_in_any_order():
-    # fields, sieves and x interleaved: a histogram never answers for another
+    # fields, sieves and x interleaved: a tally never answers for another
     # field, sieve object or x.  The twin sieve holds the same primes as the
-    # first; the holed one lacks 3 and 547, so a histogram read back for the
-    # wrong sieve would differ.  Histograms handed out earlier keep their counts
+    # first; the holed one lacks 3 and 547, so a tally read back for the
+    # wrong sieve would differ.  Tallies handed out earlier keep their counts
     first, twin = sieve_primes(2000), sieve_primes(2000)
     holed = PrimeSieve(limit=first.limit, primes=np.delete(first.primes, [1, 100]))
     fds = [BUILTIN_CATALOG["gaussian"], BUILTIN_CATALOG["zeta7"], BUILTIN_CATALOG["s3cubic"], quadratic_field(15)]
@@ -705,25 +715,21 @@ def test_class_histogram_in_any_order():
     for fd, sieve, x in order:
         key = (fd.name, id(sieve), x)
         if key not in want:
-            want[key] = _scalar_histogram(fd, sieve, x)
-        hist = _class_tally(fd, sieve, x).hist
-        assert dict(hist) == want[key], (fd.name, sieve.primes.size, x)
-        handed.append((hist, want[key]))
-    assert all(dict(hist) == counts for hist, counts in handed)
+            want[key] = _scalar_tally(fd, sieve, x)
+        tally = _class_tally(fd, sieve, x)
+        assert tally == want[key], (fd.name, sieve.primes.size, x)
+        handed.append((tally, want[key]))
+    assert all(tally == counts for tally, counts in handed)
 
 
 def test_class_histogram_is_read_only(sieve_small):
     fd = BUILTIN_CATALOG["zeta7"]
-    hist = _class_tally(fd, sieve_small, 5000).hist
-    want = dict(hist)
-    record = next(iter(hist))
+    tally = _class_tally(fd, sieve_small, 5000)
+    with pytest.raises(AttributeError):
+        tally.by_class = ()
     with pytest.raises(TypeError):
-        hist[record] = 0
-    with pytest.raises(TypeError):
-        del hist[record]
-    with pytest.raises(TypeError):
-        hist[FrobeniusData(ramified=True)] = 1
-    assert dict(_class_tally(fd, sieve_small, 5000).hist) == want
+        tally.by_class[0] = 0
+    assert _class_tally(fd, sieve_small, 5000) == _scalar_tally(fd, sieve_small, 5000)
     assert splitting_tally(fd, 5000, sieve_small).total() == sieve_small.count_leq(5000)
 
 
@@ -738,10 +744,10 @@ def test_repeated_query_counts_once(monkeypatch):
         return bincount(kind, *args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", counting)
-    hist = _class_tally(fd, sieve, 5000).hist
+    tally = _class_tally(fd, sieve, 5000)
     assert counted == [sieve.count_leq(5000)]
-    # the same x, and an x with the same prime count, read the kept histogram
-    assert _class_tally(fd, sieve, 5000).hist is hist and _class_tally(fd, sieve, 5000.5).hist is hist
+    # the same x, and an x with the same prime count, read the kept tally
+    assert _class_tally(fd, sieve, 5000) is tally and _class_tally(fd, sieve, 5000.5) is tally
     for cls in fd.group.classes:
         pi_C_count(fd, cls, 5000, sieve)
     splitting_tally(fd, 5000, sieve)
@@ -782,7 +788,7 @@ def test_group_mismatch_raises_when_the_table_is_built(name):
         if q < p:
             frobenius_data(fd, q)
     for call in (lambda s: frobenius_table(fd, s, 1000), lambda s: splitting_tally(fd, 1000, s),
-                 lambda s: pi_C_count(fd, 2, 1000, s), lambda s: _class_tally(fd, s, 1000).hist):
+                 lambda s: pi_C_count(fd, 2, 1000, s), lambda s: _class_tally(fd, s, 1000)):
         with pytest.raises(GroupMismatch) as err:
             call(sieve_primes(1000))
         assert str(err.value) == message

@@ -49,6 +49,15 @@ def test_chebotarev_loads_no_other_layer():
     assert not modules & {"artin", "families", "large_sieve", "zfr", "oracles", "selftests"}
 
 
+@pytest.mark.parametrize("argv", [("family", "--catalog", str(ROOT / "demos" / "catalog_quadratics.txt")),
+                                  ("large-sieve",)])
+def test_family_commands_load_no_counting_layer(argv):
+    # a family's counts read the class tally in fields, not chebotarev and its weights
+    modules = package_modules(loaded_after(cli_call(*argv)))
+    assert "families" in modules
+    assert not modules & {"chebotarev", "weights"}, modules & {"chebotarev", "weights"}
+
+
 def test_weights_runs_without_numpy():
     modules = loaded_after(cli_call("weights"))
     assert "weights" in package_modules(modules)

@@ -8,8 +8,10 @@ working tree.  One worker process per tree imports its package and runs
 ``chebotarev_lab.cli.main`` in process on a fixed matrix of argument lists:
 every subcommand, over the built-in fields, the demo catalog and a few inline
 rows (an index divisor, a quadratic index divisor, S4, A4, A5, and an S4
-quartic tagged D4 and C4, whose tables raise GroupMismatch).  For each
-invocation the exit code, stdout and stderr of the two trees are compared.
+quartic tagged D4 and C4, whose tables raise GroupMismatch), and the family of
+the A4 row alone and of the A5 row alone, whose counts meet an unresolved
+prime.  For each invocation the exit code, stdout and stderr of the two trees
+are compared.
 One line is printed per invocation that differs, then a summary; the exit
 code is 1 if any differs, else 0.
 """
@@ -45,6 +47,7 @@ INLINE_ROWS = {  # row, class labels, element orders
     "liar4": ("liar4 | -1 -1 0 0 1 | D4 | -283", ["1", "2a", "2b", "2c"], [1, 2]),
     "s4c4": ("s4c4 | -1 -1 0 0 1 | C4 | -283", ["1", "2", "4a", "4b"], [1, 2, 4]),
 }
+AMBIGUOUS_ROWS = ("a4quartic", "a5quintic")  # each read as a catalog of its own, for a one-field family
 SUBCOMMANDS = ["coeffs", "splitting", "large-sieve", "weights", "eta", "chebotarev", "family"]
 
 WORKER = r"""
@@ -96,6 +99,11 @@ def matrix(catalog: str) -> list[list[str]]:
     runs.append(["family", *cat, "--Q", "200", "--x", "1000"])
     runs.append(["family", *demo, "--rule", "explicit-pairs", "--x", "500"])
     runs.append(["family", *demo, "--rule", "bogus"])
+    for name in AMBIGUOUS_ROWS:
+        runs.append(["family", "--catalog", str(Path(catalog).with_name(f"{name}.txt")), "--rule", "explicit-pairs",
+                     "--Q", "2e9", "--x", "1000"])
+    runs.append(["chebotarev", *cat, "--field", "s3cubic", "--class", "order=abc"])
+    runs.append(["chebotarev", *cat, "--field", "gaussian", "--class", "1", "--weights-eps", "0"])
     for group in ("gaussian,sqrt5", "quad(-3),quad(5),quad(13)", "s3cubic,zeta7", "bad5,quad(-7)", "s3x2,gaussian",
                   "a4quartic", "zeta5,cyclo7plus"):
         for y, u in (("1.5", "300"), ("2", "1000"), ("2.5", "500"), ("23", "2000")):
@@ -133,6 +141,8 @@ def main(argv: list[str]) -> int:
         catalog = Path(tmp) / "parity_catalog.txt"
         rows = [DEMO_CATALOG.read_text(encoding="utf-8")] + [spec[0] for spec in INLINE_ROWS.values()]
         catalog.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        for name in AMBIGUOUS_ROWS:
+            (Path(tmp) / f"{name}.txt").write_text(INLINE_ROWS[name][0] + "\n", encoding="utf-8")
         runs = matrix(str(catalog))
         with ThreadPoolExecutor(2) as pool:
             parent, change = pool.map(run_tree, argv, [runs, runs])
