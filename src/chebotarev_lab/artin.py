@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,18 +46,24 @@ MAX_PRIME_POWER_TRUNCATION = 24
 MAX_SERIES_TERMS = 10**7  # _multiplicative_series holds about 200 MB per 10^6 terms
 
 
-@dataclass(frozen=True)
-class LocalRootMultiset:
-    """The multiset A_K(p): d-th roots of unity with multiplicity |G|/d, one 1 removed."""
-
+class _RootsRecord(NamedTuple):
     frobenius_order: int
     group_order: int
 
-    def __post_init__(self):
-        if self.frobenius_order < 1 or self.group_order % self.frobenius_order != 0:
-            raise ParameterOutOfRange(
-                f"Frobenius order {self.frobenius_order} must divide |G| = {self.group_order}"
-            )
+
+class LocalRootMultiset(_RootsRecord):
+    """The multiset A_K(p): d-th roots of unity with multiplicity |G|/d, one 1 removed."""
+
+    __slots__ = ()
+
+    def __new__(cls, frobenius_order: int, group_order: int):
+        if frobenius_order < 1 or group_order % frobenius_order != 0:
+            raise ParameterOutOfRange(f"Frobenius order {frobenius_order} must divide |G| = {group_order}")
+        return super().__new__(cls, frobenius_order, group_order)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)  # _replace comes here: check again, as the constructor does
 
     @property
     def size(self) -> int:
@@ -146,17 +152,25 @@ def coeff_a_K(fd: FieldDescriptor, n: int) -> int:
 # -- partitions and Schur values ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition: nonincreasing positive parts."""
-
+class _PartitionRecord(NamedTuple):
     parts: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(a < 1 for a in self.parts):
+
+class Partition(_PartitionRecord):
+    """A partition: nonincreasing positive parts."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[int, ...]):
+        if any(a < 1 for a in parts):
             raise ParameterOutOfRange("partition parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ParameterOutOfRange("partition parts must be nonincreasing")
+        return super().__new__(cls, parts)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)  # _replace comes here: check again, as the constructor does
 
     @property
     def length(self) -> int:

@@ -15,10 +15,9 @@ with exact compensated summation, so results are bit-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -42,8 +41,7 @@ def pi_count(x: float, sieve: PrimeSieve) -> int:
     return sieve.count_leq(x)
 
 
-@dataclass(frozen=True)
-class ChebotarevCount:
+class ChebotarevCount(NamedTuple):
     """One exact class count against its Chebotarev expectation."""
 
     x: float
@@ -53,8 +51,7 @@ class ChebotarevCount:
     error: float
 
 
-@dataclass(frozen=True)
-class SplittingTally:
+class SplittingTally(NamedTuple):
     """Counts of every class (and the ramified primes) for p <= x."""
 
     x: float
@@ -112,8 +109,7 @@ def pi_C_count(
 # -- admissibility -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibilityCertificate:
+class AdmissibilityCertificate(NamedTuple):
     """Witness that a class admits the base-change subgroup of the error analysis."""
 
     class_label: str
@@ -181,8 +177,7 @@ def _log_units(sieve: PrimeSieve, n: int) -> np.ndarray:
     return units[:n]
 
 
-@dataclass(frozen=True)
-class _PsiTerms:
+class _PsiTerms(NamedTuple):
     """Class c's weighed (p^k, term) pairs below and above the plateau block,
     each ascending in p and then k (see ``psi_weighted_items``), and the block,
     where each prime adds exactly log p = units 2^-53 to class
@@ -336,8 +331,7 @@ def partial_summation_pi(data: list[tuple[int, float]]) -> float:
 # -- base change -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaseChangeCheck:
+class BaseChangeCheck(NamedTuple):
     """Two-sided exact comparison of pi_C(x, K/Q) with the H-side count."""
 
     lhs: float
@@ -436,8 +430,7 @@ def base_change_compare(
 # -- error reports ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlexiErrorReport:
+class FlexiErrorReport(NamedTuple):
     """Actual Chebotarev error next to the eta-driven bound shapes.
 
     Implicit constants are symbolic (set to 1 in the shape values); the ratio

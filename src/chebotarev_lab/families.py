@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .arith import fundamental_disc, squarefree_part
 from .errors import (
     AmbiguousClass,
     EqualFields,
     NotQuadratic,
+    ParameterOutOfRange,
     UndecidableIntersectionRule,
     ValidationError,
 )
@@ -44,43 +45,56 @@ def default_rule(group_name: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Family:
+class _FamilyRecord(NamedTuple):
+    fields: tuple[FieldDescriptor, ...]
+    q_bound: float
+    intersection_rule: str
+    multiplicity: int  # derived
+
+
+class Family(_FamilyRecord):
     """Fields sharing one group tag, bounded by |D_K| <= Q.
 
     ``multiplicity`` is m_F(Q): the largest number of fields in the family
     that meet one of them nontrivially, a field always meeting itself.  It is
     computed once, when the family is built, so a rule that cannot decide
-    raises UndecidableIntersectionRule before anything is counted.
+    raises UndecidableIntersectionRule before anything is counted.  A rule
+    of None is the group tag's default rule.
     """
 
-    fields: tuple[FieldDescriptor, ...]
-    q_bound: float
-    intersection_rule: str | None = None
-    multiplicity: int = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.fields:
+    def __new__(cls, fields: tuple[FieldDescriptor, ...], q_bound: float, intersection_rule: str | None = None):
+        if not fields:
             raise ValidationError("family must be non-empty")
-        tags = {fd.group.name for fd in self.fields}
+        tags = {fd.group.name for fd in fields}
         if len(tags) != 1:
             raise ValidationError(f"family mixes group tags: {sorted(tags)}")
-        for fd in self.fields:
-            if fd.abs_disc > self.q_bound:
-                raise ValidationError(f"{fd.name}: |D_K| = {fd.abs_disc} exceeds Q = {self.q_bound}")
-        if self.intersection_rule is None:
-            object.__setattr__(self, "intersection_rule", default_rule(self.group_name))
-            if self.intersection_rule is None:
+        for fd in fields:
+            if fd.abs_disc > q_bound:
+                raise ValidationError(f"{fd.name}: |D_K| = {fd.abs_disc} exceeds Q = {q_bound}")
+        if intersection_rule is None:
+            (tag,) = tags
+            intersection_rule = default_rule(tag)
+            if intersection_rule is None:
                 raise UndecidableIntersectionRule(
-                    f"no intersection rule for group tag {self.group_name};"
+                    f"no intersection rule for group tag {tag};"
                     f" use the {RULE_EXPLICIT} rule (--rule {RULE_EXPLICIT}), under which a field meets only itself"
                 )
-        elif self.intersection_rule not in _RULE_KEYS:
+        elif intersection_rule not in _RULE_KEYS:
             raise UndecidableIntersectionRule(
-                f"unknown intersection rule {self.intersection_rule!r}; known: {sorted(_RULE_KEYS)}"
+                f"unknown intersection rule {intersection_rule!r}; known: {sorted(_RULE_KEYS)}"
             )
-        key = _RULE_KEYS[self.intersection_rule]
-        object.__setattr__(self, "multiplicity", max(Counter(map(key, self.fields)).values()))
+        multiplicity = max(Counter(map(_RULE_KEYS[intersection_rule], fields)).values())
+        return super().__new__(cls, fields, q_bound, intersection_rule, multiplicity)
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    @classmethod
+    def _make(cls, values):
+        # _replace comes here: check and derive again, as the constructor does
+        return cls(*tuple(values)[:3])
 
     @property
     def group_name(self) -> str:
@@ -118,8 +132,7 @@ _RULE_KEYS = {
 # -- compositum discriminants ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompositumCheck:
+class CompositumCheck(NamedTuple):
     """Discriminant of a biquadratic compositum with its divisibility checks."""
 
     disc_compositum: int
@@ -155,8 +168,7 @@ def compositum_disc_check(a: FieldDescriptor, b: FieldDescriptor) -> CompositumC
 # -- averaged Chebotarev error ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AvgErrorReport:
+class AvgErrorReport(NamedTuple):
     """Average of the per-field worst-class errors, with shape diagnostics."""
 
     x: float
@@ -180,7 +192,10 @@ def avg_cheb_error(
 
     Diagnostics carry the level-of-distribution shape x/(log x)^2 and the
     exceptional-budget ratio m_F(Q) Q^eps / #F; constants stay symbolic.
+    x must be finite and >= 2, where log x > 0.
     """
+    if not (2 <= x < math.inf):
+        raise ParameterOutOfRange(f"x must be finite and >= 2, got {x}")
     per_field: dict[str, float] = {}
     for fd in family.fields:
         tally = _class_tally(fd, sieve, x)

@@ -21,9 +21,10 @@ proves the group wrong, and raises GroupMismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -37,53 +38,68 @@ from .sieve import PrimeSieve
 _CHUNK_ENTRIES = 1 << 20  # int64 entries per block of Frobenius matrices
 
 
-@dataclass(frozen=True)
-class CyclotomicAction:
+class CyclotomicAction(NamedTuple):
     """Exact Frobenius for abelian fields: Frob_p is ``residue_class[p % conductor]``, -1 when p | conductor."""
 
     conductor: int
     residue_class: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
-    """A Galois extension K/Q presented by a defining polynomial for k."""
-
+class _FieldRecord(NamedTuple):
     name: str
     defining_poly: tuple[int, ...]  # constant term first, monic
     group: FiniteGroup
     disc_field: int
-    residue_action: CyclotomicAction | None = None
-    poly_disc: int = field(init=False, compare=False)
+    residue_action: CyclotomicAction | None
+    poly_disc: int  # derived: the discriminant of defining_poly
 
-    def __post_init__(self):
-        coeffs = self.defining_poly
-        if len(coeffs) < 2 or coeffs[-1] != 1:
-            raise ValidationError(f"{self.name}: defining polynomial must be monic of degree >= 1")
-        disc = poly_discriminant(list(coeffs))
+
+class FieldDescriptor(_FieldRecord):
+    """A Galois extension K/Q presented by a defining polynomial for k.
+
+    ``poly_disc``, the discriminant of the defining polynomial, is derived
+    by the constructor, which checks the descriptor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, defining_poly: tuple[int, ...], group: FiniteGroup, disc_field: int,
+                residue_action: CyclotomicAction | None = None):
+        if len(defining_poly) < 2 or defining_poly[-1] != 1:
+            raise ValidationError(f"{name}: defining polynomial must be monic of degree >= 1")
+        disc = poly_discriminant(list(defining_poly))
         if disc == 0:
-            raise ValidationError(f"{self.name}: defining polynomial is not squarefree over Q")
-        if self.disc_field == 0:
-            raise ValidationError(f"{self.name}: field discriminant must be nonzero")
-        if self.residue_action is not None and self.degree != self.group.order:
+            raise ValidationError(f"{name}: defining polynomial is not squarefree over Q")
+        if disc_field == 0:
+            raise ValidationError(f"{name}: field discriminant must be nonzero")
+        degree = len(defining_poly) - 1
+        if residue_action is not None and degree != group.order:
             # the residue route reads the factorization type off the Frobenius
             # order, which needs k = K
             raise ValidationError(
-                f"{self.name}: a residue action needs deg k = |G|, got {self.degree} and {self.group.order}"
+                f"{name}: a residue action needs deg k = |G|, got {degree} and {group.order}"
             )
-        if self.degree == self.group.order == 2:
+        if degree == group.order == 2:
             # k = K = Q(sqrt D_K), classified by chi_{D_K} alone
-            d = self.disc_field
+            d = disc_field
             index2, rest = divmod(disc, d)
             if rest or index2 < 1 or math.isqrt(index2) ** 2 != index2:
-                raise ValidationError(f"{self.name}: disc f / D_K = {disc} / {d} is not a square")
+                raise ValidationError(f"{name}: disc f / D_K = {disc} / {d} is not a square")
             try:
                 fundamental = fundamental_disc(d)
             except ParameterOutOfRange as exc:
-                raise ParameterOutOfRange(f"{self.name}: D_K = {d} cannot be checked: {exc}") from None
+                raise ParameterOutOfRange(f"{name}: D_K = {d} cannot be checked: {exc}") from None
             if d == 1 or fundamental != d:
-                raise ValidationError(f"{self.name}: D_K = {d} must be a fundamental discriminant other than 1")
-        object.__setattr__(self, "poly_disc", disc)
+                raise ValidationError(f"{name}: D_K = {d} must be a fundamental discriminant other than 1")
+        return super().__new__(cls, name, defining_poly, group, disc_field, residue_action, disc)
+
+    def __getnewargs__(self):
+        return self[:-1]  # the constructor's arguments: poly_disc is derived
+
+    @classmethod
+    def _make(cls, values):
+        # _replace comes here: check and derive again, as the constructor does
+        return cls(*tuple(values)[:-1])
 
     @property
     def degree(self) -> int:
@@ -106,8 +122,7 @@ class FieldDescriptor:
         return f"FieldDescriptor({self.name}, G={self.group.name}, D={self.disc_field})"
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
+class FrobeniusData(NamedTuple):
     """Splitting data of a rational prime, shared by every prime of one kind."""
 
     ramified: bool
@@ -189,8 +204,7 @@ def _on_roots(fd: FieldDescriptor) -> bool:
 # -- Frobenius tables ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrobeniusTable:
+class FrobeniusTable(NamedTuple):
     """Frobenius data of an ascending prime array, one kind per prime.
 
     ``kind[i]`` indexes ``kinds``, the records met so far, so ``primes[i]``
@@ -247,13 +261,14 @@ class _ClassTally(NamedTuple):
     over the kinds ``frobenius_table`` keeps, with no table built.
 
     ``unresolved`` maps a Frobenius order to its ambiguous primes, and holds
-    only orders that have some.
+    only orders that have some.  It is read-only, as the memo hands one
+    tally to every caller.
     """
 
     n: int  # pi(x)
     by_class: tuple[int, ...]  # by ConjugacyClass.index
     ramified: int
-    unresolved: dict[int, int]
+    unresolved: Mapping[int, int]
 
 
 def _class_tally(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> _ClassTally:
@@ -286,7 +301,7 @@ class _TableMemo:
     def __init__(self, fd: FieldDescriptor):
         self.kind = np.zeros(0, dtype=np.int16)
         self.index: dict[FrobeniusData, int] = {}
-        self.last = _ClassTally(0, (0,) * len(fd.group.classes), 0, {})
+        self.last = _ClassTally(0, (0,) * len(fd.group.classes), 0, MappingProxyType({}))
         self.last_x: float | None = None
         self.residue = None if fd.residue_action is None else np.asarray(fd.residue_action.residue_class)
         if self.residue is not None or _by_legendre(fd):
@@ -307,7 +322,7 @@ class _TableMemo:
                 by_class[data.conjugacy_class.index] += c
             elif c:  # an order enters unresolved only with a prime
                 unresolved[data.frobenius_order] = unresolved.get(data.frobenius_order, 0) + c
-        return _ClassTally(n, tuple(by_class), ramified, unresolved)
+        return _ClassTally(n, tuple(by_class), ramified, MappingProxyType(unresolved))
 
     def extend(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> int:
         """pi(x), once the kinds reach the primes up to x."""

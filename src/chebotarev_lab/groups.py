@@ -8,7 +8,6 @@ Element 0 is always the identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -16,15 +15,30 @@ import numpy as np
 from .errors import UnknownGroup, ValidationError
 
 
-@dataclass(frozen=True, eq=False)  # by identity, as FiniteGroup: build_group is cached
 class ConjugacyClass:
-    """A conjugacy class: representative element, members, common order."""
+    """A conjugacy class: representative element, members, common order.
 
-    index: int
-    label: str
-    representative: int
-    members: frozenset[int]
-    order: int
+    Read-only, and compared by identity, as FiniteGroup: build_group is cached.
+    """
+
+    __slots__ = ("index", "label", "representative", "members", "order")
+
+    def __init__(self, index: int, label: str, representative: int, members: frozenset[int], order: int):
+        for name, value in zip(self.__slots__, (index, label, representative, members, order)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a ConjugacyClass")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a ConjugacyClass")
+
+    def __reduce__(self):
+        return ConjugacyClass, (self.index, self.label, self.representative, self.members, self.order)
+
+    def __repr__(self) -> str:
+        return (f"ConjugacyClass(index={self.index}, label={self.label!r}, representative={self.representative},"
+                f" members={self.members!r}, order={self.order})")
 
     @property
     def size(self) -> int:

@@ -11,8 +11,7 @@ from ``artin.prime_coefficients``, which also refuses index divisors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -30,18 +29,26 @@ MAX_MSQ_EVALUATIONS = 10**9  # terms x nodes of one mean-value integral
 _MSQ_BLOCK_ENTRIES = 1 << 18  # terms x nodes of S evaluated at once (4 MiB of complex)
 
 
-@dataclass(frozen=True)
-class DirichletPolynomial:
-    """Finite-support map n -> c(n) defining sum c(n) n^{-it}."""
-
+class _DirichletRecord(NamedTuple):
     terms: dict[int, complex]
 
-    def __post_init__(self):
-        for n, c in self.terms.items():
+
+class DirichletPolynomial(_DirichletRecord):
+    """Finite-support map n -> c(n) defining sum c(n) n^{-it}."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms: dict[int, complex]):
+        for n, c in terms.items():
             if n < 1:
                 raise ValidationError(f"support must be positive integers, got {n}")
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise ValidationError(f"coefficient at {n} is not finite")
+        return super().__new__(cls, terms)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)  # _replace comes here: check again, as the constructor does
 
     @property
     def support(self) -> list[int]:
@@ -89,21 +96,29 @@ def msq_integral(poly: DirichletPolynomial, t_height: float) -> float:
     return half * total
 
 
-@dataclass(frozen=True)
-class MeanValueWindow:
-    """Height T and prime window y < p <= u of the mean-value sums."""
-
+class _WindowRecord(NamedTuple):
     t_height: float
     y: float
     u: float
 
-    def __post_init__(self):
-        if not self.y > 1:  # the mean-value shape reads log log y
+
+class MeanValueWindow(_WindowRecord):
+    """Height T and prime window y < p <= u of the mean-value sums."""
+
+    __slots__ = ()
+
+    def __new__(cls, t_height: float, y: float, u: float):
+        if not y > 1:  # the mean-value shape reads log log y
             raise ValidationError("y must be > 1")
-        if self.u < self.y:
+        if u < y:
             raise ValidationError("u must be >= y")
-        if not (0 < self.t_height < math.inf):
+        if not (0 < t_height < math.inf):
             raise ParameterOutOfRange("T must be positive and finite")
+        return super().__new__(cls, t_height, y, u)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)  # _replace comes here: check again, as the constructor does
 
 
 def prime_polynomial(fd: FieldDescriptor, y: float, u: float, sieve: PrimeSieve) -> DirichletPolynomial:
@@ -126,8 +141,7 @@ def mvt_primes_lhs(family: Family, window: MeanValueWindow, sieve: PrimeSieve) -
 # -- bound-shape reports --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Exact LHS next to the averaged bound's RHS shape; constants stay symbolic.
 
     ``rhs_shape_log`` is the natural log of the shape with implicit constant
@@ -140,7 +154,7 @@ class BoundReport:
     lhs: float | None
     rhs_shape_log: float
     ratio_log: float | None
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def zero_density_report(family: Family, t_height: float, sigma: float) -> BoundReport:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import LimitTooLarge, SieveRangeExceeded
@@ -29,7 +27,6 @@ log units.
 """
 
 
-@dataclass(frozen=True)
 class PrimeSieve:
     """Ascending primes <= limit, built once and shared read-only.
 
@@ -39,16 +36,30 @@ class PrimeSieve:
     owner alone for what no field shapes, so it lives exactly as long as the
     sieve.  What they keep covers a prefix of the primes, grown by
     ``read_ahead`` alone.
+
+    Its attributes are read-only, and sieves compare by identity.
     """
 
-    limit: int
-    primes: np.ndarray = field(repr=False)
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("limit", "primes", "derived", "__weakref__")
 
-    def __post_init__(self):
-        primes = np.array(self.primes, dtype=np.int64)
+    def __init__(self, limit: int, primes: np.ndarray):
+        primes = np.array(primes, dtype=np.int64)
         primes.flags.writeable = False
+        object.__setattr__(self, "limit", limit)
         object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "derived", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a PrimeSieve")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a PrimeSieve")
+
+    def __reduce__(self):
+        return PrimeSieve, (self.limit, self.primes)  # a copy starts with nothing derived
+
+    def __repr__(self) -> str:
+        return f"PrimeSieve(limit={self.limit!r})"
 
     def __len__(self) -> int:
         return int(self.primes.size)

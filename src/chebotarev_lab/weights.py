@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParameterOutOfRange
 
@@ -26,23 +26,49 @@ TAYLOR_THRESHOLD = 1e-4
 _TAYLOR_COEFFS = [1.0 / math.factorial(j + 1) for j in range(9)]
 
 
-@dataclass(frozen=True)
-class WeightParams:
-    """Parameters of the cutoff: x >= 3 and eps in (0, 1/4)."""
-
+class _WeightRecord(NamedTuple):
     x: float
     eps: float
-    log_x: float = field(init=False, repr=False, compare=False)
-    boxcar_width: float = field(init=False, repr=False, compare=False)  # w = eps / (2 log x)
+    log_x: float  # derived, as is boxcar_width: fields, as f_eval reads them per term
+    boxcar_width: float  # w = eps / (2 log x)
 
-    def __post_init__(self):
-        if not (3 <= self.x < math.inf):
-            raise ParameterOutOfRange(f"x must be finite and >= 3, got {self.x}")
-        if not (0 < self.eps < 0.25):
-            raise ParameterOutOfRange(f"eps must lie in (0, 1/4), got {self.eps}")
-        # plain attributes, set once: f_eval reads them per term
-        object.__setattr__(self, "log_x", math.log(self.x))
-        object.__setattr__(self, "boxcar_width", self.eps / (2.0 * self.log_x))
+
+class WeightParams(_WeightRecord):
+    """Parameters of the cutoff: x >= 3 and eps in (0, 1/4).
+
+    The constructor derives ``log_x`` and ``boxcar_width``; equality, hash
+    and repr are those of (x, eps).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, eps: float):
+        if not (3 <= x < math.inf):
+            raise ParameterOutOfRange(f"x must be finite and >= 3, got {x}")
+        if not (0 < eps < 0.25):
+            raise ParameterOutOfRange(f"eps must lie in (0, 1/4), got {eps}")
+        log_x = math.log(x)
+        return super().__new__(cls, x, eps, log_x, eps / (2.0 * log_x))
+
+    def __getnewargs__(self):
+        return self[:2]
+
+    @classmethod
+    def _make(cls, values):
+        # _replace comes here: check and derive again, as the constructor does
+        return cls(*tuple(values)[:2])
+
+    def __eq__(self, other):
+        return self[:2] == (other[:2] if isinstance(other, WeightParams) else other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
+
+    def __repr__(self) -> str:
+        return f"WeightParams(x={self.x!r}, eps={self.eps!r})"
 
     @property
     def plateau(self) -> tuple[float, float]:
@@ -115,8 +141,7 @@ def laplace_F(params: WeightParams, z: complex) -> complex:
     return shift * length * _phi(length * z) * _phi(w * z) ** 2
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     lhs: float
     rhs: float
 

@@ -13,8 +13,7 @@ lowers the guaranteed bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,13 +28,12 @@ DEFAULT_C1 = 0.05
 DEFAULT_C_EPS = 0.1
 
 
-@dataclass(frozen=True)
-class ZfrPiece:
+class ZfrPiece(NamedTuple):
     """One piece: a Delta lower bound on the log-height interval [u_lo, u_hi]."""
 
     u_lo: float
     u_hi: float  # may be math.inf; u_lo == u_hi is a point piece
-    delta_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    delta_fn: Callable[[np.ndarray], np.ndarray]
     provenance: str = ""
 
     def delta(self, u) -> np.ndarray:
@@ -43,8 +41,7 @@ class ZfrPiece:
         return np.clip(vals, 0.0, 0.5)
 
 
-@dataclass(frozen=True)
-class ZfrData:
+class ZfrData(NamedTuple):
     """Piecewise zero-free-region data for one L-function."""
 
     pieces: tuple[ZfrPiece, ...]
@@ -176,8 +173,7 @@ def _check_large_params(q: float, eps: float, m: int) -> None:
         raise ParameterOutOfRange("m must be >= 1")
 
 
-@dataclass(frozen=True)
-class LargeZfrEta:
+class LargeZfrEta(NamedTuple):
     """Closed-form eta lower bound from the dyadic zero-density region."""
 
     eta: float
@@ -242,12 +238,11 @@ def eta_large_zfr_closed(
 # -- eta profiles and the error multiplier --------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaProfile:
+class EtaProfile(NamedTuple):
     """An evaluable eta(x) with provenance."""
 
     label: str
-    eta_fn: Callable[[float], float] = field(repr=False)
+    eta_fn: Callable[[float], float]
 
     def eta(self, x: float) -> float:
         if x < 3:

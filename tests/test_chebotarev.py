@@ -333,14 +333,14 @@ def test_psi_errors_raise_on_every_class_query(catalog, sieve_small):
 
 def test_psi_sums_keep_no_dropped_sieve_alive(catalog):
     fd = catalog["gaussian"]
-    state = dict(vars(fd))
+    state = tuple(fd)
     sieve = sieve_primes(3000)
     psi_weighted_class(fd, fd.group.classes[0], WeightParams(x=1000, eps=0.1), sieve)
     ref = weakref.ref(sieve)
     del sieve
     gc.collect()
     assert ref() is None
-    assert vars(fd) == state
+    assert tuple(fd) == state
 
 
 def test_log_units_equal_math_log():

@@ -8,6 +8,7 @@ from chebotarev_lab.errors import (
     AmbiguousClass,
     EqualFields,
     NotQuadratic,
+    ParameterOutOfRange,
     UndecidableIntersectionRule,
     ValidationError,
 )
@@ -273,6 +274,18 @@ def test_ambiguous_family_names_its_first_unresolved_prime():
     assert str(err.value) == "a4quartic: class not resolvable at p=5"
     # below 5 there is nothing to name
     assert avg_cheb_error(family, 4.5, sieve).per_field == {"a4quartic": _scalar_worst_error(fields[0], sieve, 4.5)}
+
+
+@pytest.mark.parametrize("x", [0, 1, 1.5, math.nan, math.inf])
+def test_avg_error_refuses_x_below_2_and_non_finite(x, monkeypatch):
+    # x / (log x)^2 needs log x > 0; the refusal comes before any field is counted
+    def refuse(*args):
+        raise AssertionError("a class tally was read")
+
+    monkeypatch.setattr(families, "_class_tally", refuse)
+    family = Family(fields=quads([-1, 2]), q_bound=10.0)
+    with pytest.raises(ParameterOutOfRange, match=r"x must be finite and >= 2, got"):
+        avg_cheb_error(family, x, sieve_primes(100))
 
 
 def test_family_validation():

@@ -561,7 +561,7 @@ def test_memo_restarts_on_a_sieve_with_other_primes(monkeypatch):
 
 def test_table_lives_as_long_as_its_sieve():
     fd = BUILTIN_CATALOG["s3cubic"]
-    state = dict(vars(fd))
+    state = tuple(fd)
     sieve = sieve_primes(10**4)
     frobenius_table(fd, sieve, 7000)
     assert sieve.derived["frobenius_table", fd].kind.size == 1024  # pi(7000) = 900, read ahead to 2^10
@@ -570,7 +570,7 @@ def test_table_lives_as_long_as_its_sieve():
     del sieve
     gc.collect()
     assert ref() is None
-    assert vars(fd) == state
+    assert tuple(fd) == state
 
 
 def test_cycle_counts_of_quadratics():
@@ -731,6 +731,24 @@ def test_class_histogram_is_read_only(sieve_small):
         tally.by_class[0] = 0
     assert _class_tally(fd, sieve_small, 5000) == _scalar_tally(fd, sieve_small, 5000)
     assert splitting_tally(fd, 5000, sieve_small).total() == sieve_small.count_leq(5000)
+
+
+def test_unresolved_of_the_shared_tally_is_read_only():
+    # the memo hands one tally to every caller, so a caller that writes to it
+    # must not turn a later count's AmbiguousClass into a count of 0
+    fd = next(fd for fd in parse_catalog(TABLE_ROWS, source="inline") if fd.name == "a4quartic")
+    sieve = sieve_primes(1000)
+    unresolved = _class_tally(fd, sieve, 1000).unresolved
+    assert unresolved == {3: splitting_tally(fd, 1000, sieve).unresolved} and unresolved[3] > 0
+    with pytest.raises(TypeError):
+        unresolved[3] = 0
+    with pytest.raises(TypeError):
+        del unresolved[3]
+    with pytest.raises(AttributeError):
+        unresolved.clear()
+    assert _class_tally(fd, sieve, 1000).unresolved == unresolved
+    with pytest.raises(AmbiguousClass):
+        pi_C_count(fd, fd.group.class_by_label("3a"), 1000, sieve)
 
 
 def test_repeated_query_counts_once(monkeypatch):

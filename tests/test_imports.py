@@ -58,6 +58,19 @@ def test_family_commands_load_no_counting_layer(argv):
     assert not modules & {"chebotarev", "weights"}, modules & {"chebotarev", "weights"}
 
 
+@pytest.mark.parametrize("code", [
+    cli_call("chebotarev", "--field", "s3cubic", "--class", "2", "--x", "300", "--weights-eps", "0.1"),
+    cli_call("coeffs", "--field", "zeta7", "--n", "200"),
+    cli_call("family", "--catalog", str(ROOT / "demos" / "catalog_quadratics.txt")),
+    cli_call("large-sieve", "--sigma", "0.9"),
+    cli_call("eta", "--Q", "100"),
+    f"import {PACKAGE}\nfor name in {PACKAGE}.__all__: getattr({PACKAGE}, name)",
+], ids=["chebotarev", "coeffs", "family", "large-sieve", "eta", "all-exports"])
+def test_no_dataclasses_loaded(code):
+    # the records are NamedTuples and __slots__ classes: no class generates code at import
+    assert "dataclasses" not in loaded_after(code)
+
+
 def test_weights_runs_without_numpy():
     modules = loaded_after(cli_call("weights"))
     assert "weights" in package_modules(modules)

@@ -35,9 +35,9 @@ def test_params_validation():
 
 
 def test_params_eq_and_hash_ignore_cached_values():
-    # log x and w are plain attributes, set bit for bit by the constructor
+    # log x and w are fields, set bit for bit by the constructor
     read, fresh = WeightParams(x=6614.0, eps=0.1), WeightParams(x=6614.0, eps=0.1)
-    assert (vars(read)["log_x"], vars(read)["boxcar_width"]) == (math.log(6614.0), 0.1 / (2.0 * math.log(6614.0)))
+    assert (read.log_x, read.boxcar_width) == (math.log(6614.0), 0.1 / (2.0 * math.log(6614.0)))
     assert hash(read) == hash(fresh) == hash((6614.0, 0.1))
     assert read == fresh and repr(read) == repr(fresh) == "WeightParams(x=6614.0, eps=0.1)"
     assert read != WeightParams(x=6614.0, eps=0.2)
