@@ -2,16 +2,16 @@
 
 At an unramified prime with Frobenius order d in a group of order |G|, the
 local roots are the d-th roots of unity with multiplicity |G|/d, minus one
-copy of 1.  The generating function of the complete homogeneous values h_k at
-such a multiset is (1 - T) / (1 - T^d)^{|G|/d}, which has integer
-coefficients, so every h_k, every Jacobi-Trudi Schur value, and every
-coefficient a_K(n), a_{KxK'}(n) computed here is an exact integer.
-
-The Rankin-Selberg values a_{KxK'}(p^j) are the h_j of the product multiset
-{alpha beta}, whose power sums p_k(alpha) p_k(beta) are integers; Newton's
-identity j h_j = sum_k p_k h_{j-k} gives them exactly.  The Cauchy sum of
-paired Schur values (``schur``, ``partitions_of``) is the same number by
-another route and is kept to check it.
+copy of 1, so their power sums p_k are the integers |G| [d | k] - 1.  One
+rule gives every complete homogeneous value h_j: ``_homogeneous`` applies
+Newton's identity j h_j = sum_k p_k h_{j-k} to the product of one or more
+such multisets, whose p_k is the product of theirs.  With one multiset it
+gives the h_k of ``LocalRootMultiset.h`` and a_K(p^k); with the multisets of
+K and K' at p it gives the Rankin-Selberg a_{KxK'}(p^j) of {alpha beta}.
+Every h_j, Jacobi-Trudi Schur value and coefficient here is an exact
+integer.  The Cauchy sum of paired Schur values (``schur``,
+``partitions_of``) reaches a_{KxK'}(p^j) by another route and is kept to
+check it.
 
 Over a prime range, one reader, ``_unramified_orders``, takes the Frobenius
 orders off ``frobenius_table`` and refuses an index divisor (p | disc f, p
@@ -88,7 +88,7 @@ class LocalRootMultiset(_RootsRecord):
 
     def h(self, k: int) -> int:
         """Complete homogeneous symmetric value h_k at the multiset (exact)."""
-        return _homogeneous(self.frobenius_order, self.group_order, k)
+        return _homogeneous((tuple(self),), k)
 
 
 def _power_sum(d: int, group_order: int, k: int) -> int:
@@ -97,23 +97,14 @@ def _power_sum(d: int, group_order: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _homogeneous(d: int, group_order: int, k: int) -> int:
-    # coefficient of T^k in (1 - T) (1 - T^d)^{-|G|/d}
-    if k < 0:
+def _homogeneous(orders: tuple[tuple[int, int], ...], j: int) -> int:
+    """h_j of the product of the local-root multisets of the (Frobenius order,
+    |G|) pairs in ``orders``, by Newton's identity j h_j = sum_k p_k h_{j-k};
+    p_k of a product of multisets is the product of their p_k, and every
+    division is exact.  j < 0 gives 0, as Jacobi-Trudi needs."""
+    if j < 0:
         return 0
-    g = group_order // d
-
-    def full(j: int) -> int:
-        return math.comb(g - 1 + j // d, j // d) if j % d == 0 and j >= 0 else 0
-
-    return full(k) - full(k - 1)
-
-
-@lru_cache(maxsize=None)
-def _rs_homogeneous(d1: int, g1: int, d2: int, g2: int, j: int) -> int:
-    # h_j of {alpha beta} by Newton's identity; p_k of the product multiset is
-    # p_k(alpha) p_k(beta), and every division below is exact
-    power = [_power_sum(d1, g1, k) * _power_sum(d2, g2, k) for k in range(j + 1)]
+    power = [math.prod(_power_sum(d, g, k) for d, g in orders) for k in range(j + 1)]
     h = [1]
     for i in range(1, j + 1):
         h.append(sum(power[k] * h[i - k] for k in range(1, i + 1)) // i)
@@ -227,9 +218,7 @@ def coeff_a_KxK_prime(fd1: FieldDescriptor, fd2: FieldDescriptor, p: int, j: int
         raise RamifiedPrime(f"p={p} ramifies in {fd1.name} or {fd2.name}")
     if j == 0:
         return 1
-    a1 = local_roots(fd1, p)
-    a2 = local_roots(fd2, p)
-    return _rs_homogeneous(a1.frobenius_order, a1.group_order, a2.frobenius_order, a2.group_order, j)
+    return _homogeneous((tuple(local_roots(fd1, p)), tuple(local_roots(fd2, p))), j)
 
 
 # -- the unramified primes of a range -------------------------------------------
@@ -289,23 +278,23 @@ def mertens_partial_sum(fd: FieldDescriptor, eta: float, n_max: int) -> float:
 
 def series_a_K(fd: FieldDescriptor, n_max: int) -> dict[int, int]:
     """a_K(n) for every n <= n_max coprime to D_K."""
-    g = fd.group.order
-    return _multiplicative_series((fd,), n_max, lambda d, e: _homogeneous(d[0], g, e))
+    return _multiplicative_series((fd,), n_max)
 
 
 def series_a_KxK(fd1: FieldDescriptor, fd2: FieldDescriptor, n_max: int) -> dict[int, int]:
     """a_{K x K'}(n) for every n <= n_max coprime to D_K D_K'."""
-    g1, g2 = fd1.group.order, fd2.group.order
-    return _multiplicative_series((fd1, fd2), n_max, lambda d, e: _rs_homogeneous(d[0], g1, d[1], g2, e))
+    return _multiplicative_series((fd1, fd2), n_max)
 
 
-def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_power) -> dict[int, int]:
-    """A multiplicative a(n) for every n <= n_max coprime to each D_K.
+def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int) -> dict[int, int]:
+    """The multiplicative a(n) for every n <= n_max coprime to each D_K of
+    ``fds``: a_K for one field, a_{K x K'} for two.
 
-    a(p^e) = prime_power(d, e), with d the tuple of orders of p in ``fds``
-    from ``_unramified_orders``, and a(n) = a(n / p^e) a(p^e) for p the
-    smallest prime factor of n.  More than MAX_SERIES_TERMS terms raise
-    LimitTooLarge before anything is sieved.
+    a(p^e) = h_e of the product of the local-root multisets of p in ``fds``,
+    with the orders from ``_unramified_orders``, is read off a list per tuple
+    of orders, and a(n) = a(n / p^e) a(p^e) for p the smallest prime factor
+    of n.  More than MAX_SERIES_TERMS terms raise LimitTooLarge before
+    anything is sieved.
     """
     if n_max > MAX_SERIES_TERMS:
         raise LimitTooLarge(f"series truncation must be <= {MAX_SERIES_TERMS}, got {n_max}")
@@ -313,9 +302,14 @@ def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_p
         return {}
     sieve = sieve_primes(max(n_max, 2))
     primes, orders = _unramified_orders(fds, sieve, 1, n_max)
-    key = [None] * (n_max + 1)  # the orders at each prime coprime to every D_K
-    for p, d in zip(primes.tolist(), zip(*orders.tolist())):
-        key[p] = d
+    group_orders = [fd.group.order for fd in fds]
+    by_orders = list(zip(*orders.tolist()))  # the orders of each prime in fds
+    # a(p^e) for each e with 2^e <= n_max, one list per tuple of orders met
+    powers = {d: [_homogeneous(tuple(zip(d, group_orders)), e) for e in range(n_max.bit_length())]
+              for d in set(by_orders)}
+    key = [None] * (n_max + 1)  # the a(p^e) list of each prime coprime to every D_K
+    for p, d in zip(primes.tolist(), by_orders):
+        key[p] = powers[d]
     spf = np.zeros(n_max + 1, dtype=np.int64)  # the smallest prime factor of n, 0 at n = 0 and 1
     below = sieve.upto(n_max)
     for q in below[below * below <= n_max][::-1].tolist():  # smaller primes overwrite larger
@@ -333,5 +327,5 @@ def _multiplicative_series(fds: tuple[FieldDescriptor, ...], n_max: int, prime_p
         else:
             rest[n], expo[n] = m, 1
         if key[p] is not None and rest[n] in coeffs:
-            coeffs[n] = coeffs[rest[n]] * prime_power(key[p], expo[n])
+            coeffs[n] = coeffs[rest[n]] * key[p][expo[n]]
     return coeffs

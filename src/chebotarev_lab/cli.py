@@ -276,7 +276,7 @@ def cmd_family(args) -> int:
         raise ValidationError("family needs --catalog or the catalog environment variable")
     fields = tuple(load_catalog(path))
     family = Family(fields=fields, q_bound=args.Q, intersection_rule=args.rule)
-    sieve = sieve_primes(math.ceil(args.x))
+    sieve = sieve_primes(max(math.ceil(args.x), 2))  # avg_cheb_error refuses x < 2 itself
     report = avg_cheb_error(family, args.x, sieve, eps=args.eps)
     payload = {
         "schema": SCHEMA,

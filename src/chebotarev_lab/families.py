@@ -197,14 +197,16 @@ def avg_cheb_error(
     if not (2 <= x < math.inf):
         raise ParameterOutOfRange(f"x must be finite and >= 2, got {x}")
     per_field: dict[str, float] = {}
+    errors = []  # one per listing, so a field listed twice counts twice, as in #F
     for fd in family.fields:
         tally = _class_tally(fd, sieve, x)
         if tally.unresolved:
             p = frobenius_table(fd, sieve, x).first(attrgetter("ambiguous"))
             raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
         order = fd.group.order
-        per_field[fd.name] = max(abs(n - c.size / order * tally.n) for c, n in zip(fd.group.classes, tally.by_class))
-    avg = math.fsum(per_field.values()) / family.size
+        errors.append(max(abs(n - c.size / order * tally.n) for c, n in zip(fd.group.classes, tally.by_class)))
+        per_field[fd.name] = errors[-1]
+    avg = math.fsum(errors) / family.size
     shape = x / math.log(x) ** 2.0
     diagnostics = {
         "eps": eps,

@@ -466,112 +466,6 @@ def _cycle_counts_block(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray:
     return counts
 
 
-# -- built-in catalog ---------------------------------------------------------
-
-
-def _cyclotomic_action(q: int, group: FiniteGroup) -> CyclotomicAction:
-    """Map residues mod q to the cyclic ``group`` through the quotient of
-    (Z/q)^* of order |G|.
-
-    (Z/q)^* is cyclic for the conductors used here, so that quotient is
-    unique: with g the smallest primitive root mod q, g^k maps to the element
-    k mod |G|.
-    """
-    units = [r for r in range(1, q) if math.gcd(r, q) == 1]
-    if len(units) % group.order:
-        raise ValidationError("cyclotomic action does not match group order")
-    gen = next(g for g in units if len({pow(g, k, q) for k in range(len(units))}) == len(units))
-    table = [-1] * q
-    for k in range(len(units)):
-        table[pow(gen, k, q)] = k % group.order
-    return CyclotomicAction(conductor=q, residue_class=tuple(table))
-
-
-def _builtin_fields() -> dict[str, FieldDescriptor]:
-    out: dict[str, FieldDescriptor] = {}
-
-    out["rational"] = FieldDescriptor(
-        name="rational",
-        defining_poly=(0, 1),  # x, the field Q itself
-        group=build_group("C1"),
-        disc_field=1,
-    )
-    c2 = build_group("C2")
-    out["gaussian"] = FieldDescriptor(
-        name="gaussian",
-        defining_poly=(1, 0, 1),  # x^2 + 1
-        group=c2,
-        disc_field=-4,
-        residue_action=_cyclotomic_action(4, c2),
-    )
-    out["sqrt5"] = FieldDescriptor(
-        name="sqrt5",
-        defining_poly=(-1, -1, 1),  # x^2 - x - 1
-        group=c2,
-        disc_field=5,
-        residue_action=_cyclotomic_action(5, c2),
-    )
-    c4 = build_group("C4")
-    out["zeta5"] = FieldDescriptor(
-        name="zeta5",
-        defining_poly=(1, 1, 1, 1, 1),  # Phi_5
-        group=c4,
-        disc_field=125,
-        residue_action=_cyclotomic_action(5, c4),
-    )
-    c3 = build_group("C3")
-    out["cyclo7plus"] = FieldDescriptor(
-        name="cyclo7plus",
-        defining_poly=(-1, -2, 1, 1),  # x^3 + x^2 - 2x - 1, Q(zeta_7)^+
-        group=c3,
-        disc_field=49,
-        residue_action=_cyclotomic_action(7, c3),
-    )
-    c6 = build_group("C6")
-    out["zeta7"] = FieldDescriptor(
-        name="zeta7",
-        defining_poly=(1, 1, 1, 1, 1, 1, 1),  # Phi_7
-        group=c6,
-        disc_field=-16807,
-        residue_action=_cyclotomic_action(7, c6),
-    )
-    s3 = build_group("S3")
-    out["s3cubic"] = FieldDescriptor(
-        name="s3cubic",
-        defining_poly=(-1, -1, 0, 1),  # x^3 - x - 1, closure has D_K = 23^3
-        group=s3,
-        disc_field=-12167,
-    )
-    return out
-
-
-BUILTIN_CATALOG = _builtin_fields()
-
-
-def builtin_field(name: str) -> FieldDescriptor:
-    try:
-        return BUILTIN_CATALOG[name]
-    except KeyError:
-        raise CatalogError(f"no built-in field named {name!r}") from None
-
-
-def quadratic_field(d: int) -> FieldDescriptor:
-    """Canonical descriptor for Q(sqrt(d)), d squarefree and != 0, 1.
-
-    Uses x^2 - d (disc 4d) or x^2 - x - (d-1)/4 (disc d) so that the
-    polynomial discriminant equals the field discriminant.
-    """
-    name = f"quad({d})"
-    try:
-        squarefree = squarefree_part(d)
-    except ParameterOutOfRange as exc:
-        raise ParameterOutOfRange(f"{name}: d = {d} cannot be checked: {exc}") from None
-    if d in (0, 1) or squarefree != d:
-        raise ValidationError(f"d={d} must be squarefree and different from 0, 1")
-    poly, disc = ((-(d - 1) // 4, -1, 1), d) if d % 4 == 1 else ((-d, 0, 1), 4 * d)
-    return FieldDescriptor(name=name, defining_poly=poly, group=build_group("C2"), disc_field=disc)
-
-
 # -- catalog files ------------------------------------------------------------
 
 
@@ -580,9 +474,10 @@ def parse_catalog(text: str, source: str = "<catalog>") -> list[FieldDescriptor]
 
     Records are ``name | coefficients (constant first) | group label | field
     discriminant``; ``#`` starts a comment.  Malformed lines abort with their
-    line number.
+    line number, as does a name that an earlier line used.
     """
     out: list[FieldDescriptor] = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -593,6 +488,9 @@ def parse_catalog(text: str, source: str = "<catalog>") -> list[FieldDescriptor]
         name, coeff_text, group_label, disc_text = parts
         if not name:
             raise CatalogError(f"{source}:{lineno}: empty field name")
+        if name in first_line:
+            raise CatalogError(f"{source}:{lineno}: field name {name!r} is already used on line {first_line[name]}")
+        first_line[name] = lineno
         try:
             coeffs = tuple(int(tok) for tok in coeff_text.split())
         except ValueError:
@@ -644,3 +542,67 @@ def load_catalog(path: str | Path) -> list[FieldDescriptor]:
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {p}: {exc}") from None
     return parse_catalog(text, source=str(p))
+
+
+# -- built-in fields -----------------------------------------------------------
+
+# catalog rows, parsed at import; the abelian rows then get their residue action
+_BUILTIN_ROWS = """\
+rational   | 0 1           | C1 | 1       # x, the field Q itself
+gaussian   | 1 0 1         | C2 | -4      # x^2 + 1
+sqrt5      | -1 -1 1       | C2 | 5       # x^2 - x - 1
+zeta5      | 1 1 1 1 1     | C4 | 125     # Phi_5
+cyclo7plus | -1 -2 1 1     | C3 | 49      # x^3 + x^2 - 2x - 1, Q(zeta_7)^+
+zeta7      | 1 1 1 1 1 1 1 | C6 | -16807  # Phi_7
+s3cubic    | -1 -1 0 1     | S3 | -12167  # x^3 - x - 1, closure has D_K = 23^3
+"""
+_CONDUCTORS = {"gaussian": 4, "sqrt5": 5, "zeta5": 5, "cyclo7plus": 7, "zeta7": 7}  # Frob_p is read off p mod q
+
+
+def _cyclotomic_action(q: int, group: FiniteGroup) -> CyclotomicAction:
+    """Map residues mod q to the cyclic ``group`` through the quotient of
+    (Z/q)^* of order |G|.
+
+    (Z/q)^* is cyclic for the conductors used here, so that quotient is
+    unique: with g the smallest primitive root mod q, g^k maps to the element
+    k mod |G|.
+    """
+    units = [r for r in range(1, q) if math.gcd(r, q) == 1]
+    if len(units) % group.order:
+        raise ValidationError("cyclotomic action does not match group order")
+    gen = next(g for g in units if len({pow(g, k, q) for k in range(len(units))}) == len(units))
+    table = [-1] * q
+    for k in range(len(units)):
+        table[pow(gen, k, q)] = k % group.order
+    return CyclotomicAction(conductor=q, residue_class=tuple(table))
+
+
+BUILTIN_CATALOG = {
+    fd.name: fd._replace(residue_action=_cyclotomic_action(_CONDUCTORS[fd.name], fd.group))
+    if fd.name in _CONDUCTORS else fd
+    for fd in parse_catalog(_BUILTIN_ROWS, source="<built-in>")
+}
+
+
+def builtin_field(name: str) -> FieldDescriptor:
+    try:
+        return BUILTIN_CATALOG[name]
+    except KeyError:
+        raise CatalogError(f"no built-in field named {name!r}") from None
+
+
+def quadratic_field(d: int) -> FieldDescriptor:
+    """Canonical descriptor for Q(sqrt(d)), d squarefree and != 0, 1.
+
+    Uses x^2 - d (disc 4d) or x^2 - x - (d-1)/4 (disc d) so that the
+    polynomial discriminant equals the field discriminant.
+    """
+    name = f"quad({d})"
+    try:
+        squarefree = squarefree_part(d)
+    except ParameterOutOfRange as exc:
+        raise ParameterOutOfRange(f"{name}: d = {d} cannot be checked: {exc}") from None
+    if d in (0, 1) or squarefree != d:
+        raise ValidationError(f"d={d} must be squarefree and different from 0, 1")
+    poly, disc = ((-(d - 1) // 4, -1, 1), d) if d % 4 == 1 else ((-d, 0, 1), 4 * d)
+    return FieldDescriptor(name=name, defining_poly=poly, group=build_group("C2"), disc_field=disc)

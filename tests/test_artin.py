@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -50,6 +51,30 @@ def test_local_roots_examples(catalog):
     assert roots.roots_complex() == [pytest.approx(-1.0)]
     with pytest.raises(RamifiedPrime):
         local_roots(catalog["gaussian"], 2)
+
+
+def _closed_form_h(d, g, k):
+    """h_k of the local roots of order d in a group of order g: the coefficient
+    of T^k in (1 - T)(1 - T^d)^(-g/d)."""
+    def full(j):
+        return math.comb(g // d - 1 + j // d, j // d) if j >= 0 and j % d == 0 else 0
+
+    return full(k) - full(k - 1)
+
+
+def test_newton_rule_matches_the_closed_form():
+    for g in range(1, 61):
+        for d in range(1, g + 1):
+            if g % d == 0:
+                for k in range(-2, 25):
+                    assert artin._homogeneous(((d, g),), k) == _closed_form_h(d, g, k), (d, g, k)
+
+
+def test_pair_rule_is_symmetric():
+    pairs = [(d, g) for g in (1, 2, 3, 4, 6, 12) for d in range(1, g + 1) if g % d == 0]
+    for a, b in itertools.product(pairs, repeat=2):
+        for j in range(-2, 13):
+            assert artin._homogeneous((a, b), j) == artin._homogeneous((b, a), j), (a, b, j)
 
 
 def test_euler_factor_series_examples(catalog):

@@ -144,6 +144,31 @@ def test_x_at_the_sieve_cap_runs(monkeypatch, capsys, tmp_path):
         assert error == {"code": "LimitTooLarge", "message": f"sieve limit must be <= 1000, got {limit}"}, argv
 
 
+@pytest.mark.parametrize("x", ["0", "1", "1.5"])
+def test_family_below_two_reports_x(x, capsys):
+    # the sieve limit is at least 2, so the refusal names x, not the sieve
+    assert main(["family", "--catalog", CATALOG, "--x", x]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "code": "ParameterOutOfRange", "message": f"x must be finite and >= 2, got {float(x)}"}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--Q", "100", "--x", "1000"],
+    ["family", "--Q", "100", "--x", "1000", "--rule", "explicit-pairs"],
+    ["splitting", "--field", "a", "--limit", "100"],
+], ids=["family", "family-explicit-pairs", "splitting"])
+def test_catalog_with_a_repeated_name_exit_code_and_message(tmp_path, capsys, argv):
+    # family printed one per_field entry and m 1 (m 2 under explicit-pairs) for two
+    # fields of error 4.0 each, and --field could not reach the second row
+    catalog = tmp_path / "twice.txt"
+    catalog.write_text("a | 1 0 1 | C2 | -4\na | -2 0 1 | C2 | 8\n", encoding="utf-8")
+    assert main([*argv, "--catalog", str(catalog)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {
+        "code": "CatalogError", "message": f"{catalog}:2: field name 'a' is already used on line 1"}}
+
+
 def test_family_names_an_unknown_rule(capsys):
     assert main(["family", "--catalog", CATALOG, "--rule", "bogus"]) == 2
     error = json.loads(capsys.readouterr().err)["error"]

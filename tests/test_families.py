@@ -298,3 +298,16 @@ def test_family_validation():
     ))
     with pytest.raises(ValidationError):
         Family(fields=mixed, q_bound=100.0)
+
+
+def test_avg_error_counts_a_repeated_field_once_per_listing():
+    # #F counts each listing, so the sum does too: the average of three worst-class
+    # errors of 4.0 is 4.0, where a sum keyed by name gave 8.0 / 3
+    sieve = sieve_primes(1000)
+    fields = quads([-1, -1, 2])
+    report = avg_cheb_error(Family(fields, 100), 1000, sieve)
+    want = [_scalar_worst_error(fd, sieve, 1000) for fd in fields]
+    assert want == [4.0, 4.0, 4.0]
+    assert report.avg_error == math.fsum(want) / len(fields)
+    assert report.per_field == {"quad(-1)": 4.0, "quad(2)": 4.0}
+    assert (report.size, report.multiplicity) == (3, 2)

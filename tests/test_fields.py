@@ -1,7 +1,9 @@
 import gc
+import inspect
 import math
 import random
 import time
+import types
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -293,6 +295,59 @@ def test_catalog_keeps_d_k_within_disc_f_primes():
              for fd in BUILTIN_CATALOG.values()]
     assert [fd.name for fd in parse_catalog("\n".join(rows))] == [row.split(" | ")[0] for row in rows]
     assert len(load_catalog(DEMO_CATALOG)) == 20
+
+
+def test_catalog_refuses_a_repeated_name():
+    # the later row could not be reached by name, and a family keyed by name lost it
+    text = "a | 1 0 1 | C2 | -4\n# another field under the same name\na | -2 0 1 | C2 | 8\n"
+    with pytest.raises(CatalogError) as err:
+        parse_catalog(text, source="cat")
+    assert str(err.value) == "cat:3: field name 'a' is already used on line 1"
+
+
+BUILTIN_TABLE = {  # name -> polynomial (constant first), group, D_K, conductor of the residue action
+    "rational": ((0, 1), "C1", 1, None),
+    "gaussian": ((1, 0, 1), "C2", -4, 4),
+    "sqrt5": ((-1, -1, 1), "C2", 5, 5),
+    "zeta5": ((1, 1, 1, 1, 1), "C4", 125, 5),
+    "cyclo7plus": ((-1, -2, 1, 1), "C3", 49, 7),
+    "zeta7": ((1, 1, 1, 1, 1, 1, 1), "C6", -16807, 7),
+    "s3cubic": ((-1, -1, 0, 1), "S3", -12167, None),
+}
+
+
+def test_builtins_are_the_pinned_rows():
+    got = {name: (fd.defining_poly, fd.group.name, fd.disc_field,
+                  None if fd.residue_action is None else fd.residue_action.conductor)
+           for name, fd in BUILTIN_CATALOG.items()}
+    assert list(got.items()) == list(BUILTIN_TABLE.items())
+    assert all(fd.name == name for name, fd in BUILTIN_CATALOG.items())
+
+
+def _import_fields_with(old, new):
+    """Run the source of ``fields`` with ``old`` replaced by ``new``, as an import of it would."""
+    source = inspect.getsource(fields)
+    assert source.count(old) == 1
+    module = types.ModuleType("chebotarev_lab._fields_variant")
+    module.__package__ = "chebotarev_lab"
+    exec(compile(source.replace(old, new), fields.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("| S3 | -12167", "| A3 | -12167", "<built-in>:7: s3cubic: disc f = -23 is not a square, so G is not in A3,"
+                                       " but A3 is"),
+    ("| C3 | 49", "| S3 | 49", "<built-in>:5: cyclo7plus: disc f = 49 is a square, so G is in A3, but S3 is not"),
+    ("| C2 | -4 ", "| C3 | -4 ", "<built-in>:2: gaussian: |C3| = 3 is not a multiple of deg f = 2"),
+    ("| S3 | -12167", "| S3 | -161  ", "<built-in>:7: s3cubic: D_K = -161 has a prime factor that does not divide"
+                                       " disc f = -23"),
+], ids=["s3cubic-A3", "cyclo7plus-S3", "gaussian-C3", "s3cubic-D_K"])
+def test_builtin_rows_pass_the_catalog_checks(old, new, message):
+    # the built-ins are catalog rows, so a wrong tag or D_K fails the import at its line
+    assert _import_fields_with(old, old).BUILTIN_CATALOG == BUILTIN_CATALOG
+    with pytest.raises(CatalogError) as err:
+        _import_fields_with(old, new)
+    assert str(err.value) == message
 
 
 def test_builtin_lookup():

@@ -7,9 +7,9 @@ for instance that of a ``git archive`` of the parent commit and that of the
 working tree.  One worker process per tree imports its package and runs
 ``chebotarev_lab.cli.main`` in process on a fixed matrix of argument lists:
 every subcommand, over the built-in fields, the demo catalog and a few inline
-rows (an index divisor, a quadratic index divisor, S4, A4, A5, and an S4
-quartic tagged D4 and C4, whose tables raise GroupMismatch), and the family of
-the A4 row alone and of the A5 row alone, whose counts meet an unresolved
+rows (Dedekind's common index divisor, another index divisor, a quadratic
+index divisor, S4, A4, A5, and an S4 quartic tagged D4 and C4, whose tables
+raise GroupMismatch), and the family of the A4 row alone and of the A5 row alone, whose counts meet an unresolved
 prime.  For each invocation the exit code, stdout and stderr of the two trees
 are compared.
 One line is printed per invocation that differs, then a summary; the exit
@@ -40,6 +40,8 @@ BUILTINS = {  # name -> class labels and element orders of its group
 }
 INLINE_ROWS = {  # row, class labels, element orders
     "s3x2": ("s3x2 | -8 -4 0 1 | S3 | -12167", ["1", "2", "3"], [1, 2, 3]),
+    # Dedekind's cubic x^3 + x^2 - 2x + 8: 2 divides the index of every order, not D_K
+    "idx": ("idx | 8 -2 1 1 | S3 | -503", ["1", "2", "3"], [1, 2, 3]),
     "bad5": ("bad5 | -5 0 1 | C2 | 5", ["1", "2"], [1, 2]),
     "s4quartic": ("s4quartic | -1 -1 0 0 1 | S4 | -283", ["1", "2a", "2b", "3", "4"], [1, 2, 3, 4]),
     "a4quartic": ("a4quartic | 12 8 0 0 1 | A4 | 331776", ["1", "2", "3a", "3b"], [1, 2, 3]),
