@@ -3,18 +3,9 @@ Rankin-Selberg coefficients by Newton's identity checked against the Cauchy
 identity, all in exact integer arithmetic.
 """
 
-from chebotarev_lab import (
-    Partition,
-    builtin_field,
-    coeff_a_K,
-    coeff_a_KxK_prime,
-    euler_factor_series,
-    local_roots,
-    partitions_of,
-    schur,
-)
+from chebotarev_lab import builtin_field, coeff_a_K, coeff_a_KxK_prime, euler_factor_series, local_roots
 from chebotarev_lab.arith import kronecker_symbol
-from chebotarev_lab.oracles import rs_cauchy_coefficient, rs_product_coefficients
+from chebotarev_lab.oracles import Partition, partitions_of, rs_cauchy_coefficient, rs_product_coefficients, schur
 
 gaussian = builtin_field("gaussian")
 zeta5 = builtin_field("zeta5")

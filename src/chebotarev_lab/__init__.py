@@ -11,15 +11,12 @@ import importlib
 _EXPORTS = {
     "artin": (
         "LocalRootMultiset",
-        "Partition",
         "coeff_a_K",
         "coeff_a_KxK_prime",
         "euler_factor_series",
         "local_roots",
         "mertens_partial_sum",
-        "partitions_of",
         "prime_coefficients",
-        "schur",
         "series_a_K",
         "series_a_KxK",
     ),

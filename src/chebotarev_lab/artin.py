@@ -8,10 +8,9 @@ Newton's identity j h_j = sum_k p_k h_{j-k} to the product of one or more
 such multisets, whose p_k is the product of theirs.  With one multiset it
 gives the h_k of ``LocalRootMultiset.h`` and a_K(p^k); with the multisets of
 K and K' at p it gives the Rankin-Selberg a_{KxK'}(p^j) of {alpha beta}.
-Every h_j, Jacobi-Trudi Schur value and coefficient here is an exact
-integer.  The Cauchy sum of paired Schur values (``schur``,
-``partitions_of``) reaches a_{KxK'}(p^j) by another route and is kept to
-check it.
+Every h_j and coefficient here is an exact integer.  The Cauchy sum of
+paired Schur values in ``oracles`` reaches a_{KxK'}(p^j) by another route,
+from the closed form of h_k, and checks it.
 
 Over a prime range, one reader, ``_unramified_orders``, takes the Frobenius
 orders off ``frobenius_table`` and refuses an index divisor (p | disc f, p
@@ -31,14 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import factorize, int_det
-from .errors import (
-    LimitTooLarge,
-    NotCoprimeToDiscriminant,
-    ParameterOutOfRange,
-    PartitionTooLong,
-    RamifiedPrime,
-)
+from .arith import factorize
+from .errors import LimitTooLarge, NotCoprimeToDiscriminant, ParameterOutOfRange, RamifiedPrime
 from .fields import FieldDescriptor, frobenius_data, frobenius_table
 from .sieve import PrimeSieve, sieve_primes
 
@@ -138,76 +131,6 @@ def coeff_a_K(fd: FieldDescriptor, n: int) -> int:
     for p, e in factorize(n).items():
         out *= local_roots(fd, p).h(e)
     return out
-
-
-# -- partitions and Schur values ---------------------------------------------
-
-
-class _PartitionRecord(NamedTuple):
-    parts: tuple[int, ...]
-
-
-class Partition(_PartitionRecord):
-    """A partition: nonincreasing positive parts."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: tuple[int, ...]):
-        if any(a < 1 for a in parts):
-            raise ParameterOutOfRange("partition parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ParameterOutOfRange("partition parts must be nonincreasing")
-        return super().__new__(cls, parts)
-
-    @classmethod
-    def _make(cls, values):
-        return cls(*values)  # _replace comes here: check again, as the constructor does
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-
-def partitions_of(n: int, max_length: int | None = None) -> list[Partition]:
-    """All partitions of n with at most max_length parts, descending-lex order."""
-    cap = n if max_length is None else max_length
-
-    def rec(remaining: int, largest: int, slots: int) -> list[tuple[int, ...]]:
-        if remaining == 0:
-            return [()]
-        if slots == 0:
-            return []
-        out = []
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                out.append((first,) + rest)
-        return out
-
-    return [Partition(t) for t in rec(n, n, cap)]
-
-
-def schur(partition: Partition, roots: LocalRootMultiset) -> int:
-    """s_lambda at the local-root multiset, by Jacobi-Trudi in the h_k (exact).
-
-    The determinant in complete homogeneous values avoids the bialternant's
-    0/0 at repeated roots; for these conjugation-closed multisets the result
-    is a rational integer.
-    """
-    if roots.size == 0:
-        return 1 if partition.weight == 0 else 0
-    if partition.length > roots.size:
-        raise PartitionTooLong(
-            f"partition length {partition.length} exceeds the multiset size {roots.size}"
-        )
-    ell = partition.length
-    if ell == 0:
-        return 1
-    mat = [[roots.h(partition.parts[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
-    return int_det(mat)
 
 
 def coeff_a_KxK_prime(fd1: FieldDescriptor, fd2: FieldDescriptor, p: int, j: int) -> int:

@@ -36,19 +36,19 @@ def _catalog_path(args) -> str | None:
 def _resolve_fields(args, names: list[str]) -> tuple:
     """The descriptors of ``names``, from the built-ins and one read of the catalog.
 
-    A built-in wins over a catalog row of the same name, and a repeated name
-    yields the same descriptor, so its Frobenius table is built once.
+    The two share one namespace, as the catalog refuses a built-in's name,
+    and a repeated name yields the same descriptor, so its Frobenius table is
+    built once.
     """
     from .fields import BUILTIN_CATALOG, load_catalog
 
-    fields = list(BUILTIN_CATALOG.values())
     path = _catalog_path(args)
+    by_name = dict(BUILTIN_CATALOG)
     if path:
-        fields.extend(load_catalog(path))
-    by_name = {fd.name: fd for fd in reversed(fields)}  # the first of a name wins
+        by_name.update((fd.name, fd) for fd in load_catalog(path))
     for name in names:
         if name not in by_name:
-            raise ValidationError(f"unknown field {name!r}; known: {sorted(f.name for f in fields)}")
+            raise ValidationError(f"unknown field {name!r}; known: {sorted(by_name)}")
     return tuple(by_name[name] for name in names)
 
 

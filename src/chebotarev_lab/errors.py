@@ -58,10 +58,6 @@ class NotCoprimeToDiscriminant(ComputationError):
     code = "NotCoprimeToDiscriminant"
 
 
-class PartitionTooLong(ComputationError):
-    code = "PartitionTooLong"
-
-
 class SieveRangeExceeded(ComputationError):
     code = "SieveRangeExceeded"
 

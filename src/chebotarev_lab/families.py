@@ -59,7 +59,8 @@ class Family(_FamilyRecord):
     that meet one of them nontrivially, a field always meeting itself.  It is
     computed once, when the family is built, so a rule that cannot decide
     raises UndecidableIntersectionRule before anything is counted.  A rule
-    of None is the group tag's default rule.
+    of None is the group tag's default rule.  A field may be listed more
+    than once, but two different fields may not share a name.
     """
 
     __slots__ = ()
@@ -67,6 +68,10 @@ class Family(_FamilyRecord):
     def __new__(cls, fields: tuple[FieldDescriptor, ...], q_bound: float, intersection_rule: str | None = None):
         if not fields:
             raise ValidationError("family must be non-empty")
+        named: dict[str, FieldDescriptor] = {}
+        for fd in fields:  # one field may be listed twice, but a name means one field
+            if named.setdefault(fd.name, fd) != fd:
+                raise ValidationError(f"family has two different fields named {fd.name!r}")
         tags = {fd.group.name for fd in fields}
         if len(tags) != 1:
             raise ValidationError(f"family mixes group tags: {sorted(tags)}")

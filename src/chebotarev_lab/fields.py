@@ -16,6 +16,12 @@ only classify: an index divisor (p | disc f, p not dividing D_K) on the
 factorization route gets the ramified record, which ``artin`` refuses.  A
 factorization type that is the cycle type (or order) of no element of G
 proves the group wrong, and raises GroupMismatch.
+
+The ``FieldDescriptor`` constructor is the one place a field is checked,
+whether it comes from a catalog row, from code, from ``_replace`` or from a
+pickle.  ``parse_catalog`` only parses, prefixes the constructor's refusals
+with ``source:line:``, and refuses a name that an earlier row or a built-in
+already uses, so the built-ins and a catalog are one namespace.
 """
 
 from __future__ import annotations
@@ -58,7 +64,10 @@ class FieldDescriptor(_FieldRecord):
     """A Galois extension K/Q presented by a defining polynomial for k.
 
     ``poly_disc``, the discriminant of the defining polynomial, is derived
-    by the constructor, which checks the descriptor.
+    by the constructor, which checks the descriptor: f monic and squarefree,
+    D_K nonzero, a residue action only when deg k = |G|, the D_K of a
+    quadratic, every prime of D_K dividing disc f, and the group tag
+    (``_check_group_tag``).
     """
 
     __slots__ = ()
@@ -91,7 +100,14 @@ class FieldDescriptor(_FieldRecord):
                 raise ParameterOutOfRange(f"{name}: D_K = {d} cannot be checked: {exc}") from None
             if d == 1 or fundamental != d:
                 raise ValidationError(f"{name}: D_K = {d} must be a fundamental discriminant other than 1")
-        return super().__new__(cls, name, defining_poly, group, disc_field, residue_action, disc)
+        stray = disc_field  # a prime ramified in K ramifies in k, so it divides disc f
+        while (common := math.gcd(stray, disc)) != 1:
+            stray //= common
+        if abs(stray) != 1:
+            raise ValidationError(f"{name}: D_K = {disc_field} has a prime factor that does not divide disc f = {disc}")
+        fd = super().__new__(cls, name, defining_poly, group, disc_field, residue_action, disc)
+        _check_group_tag(fd)
+        return fd
 
     def __getnewargs__(self):
         return self[:-1]  # the constructor's arguments: poly_disc is derived
@@ -474,7 +490,8 @@ def parse_catalog(text: str, source: str = "<catalog>") -> list[FieldDescriptor]
 
     Records are ``name | coefficients (constant first) | group label | field
     discriminant``; ``#`` starts a comment.  Malformed lines abort with their
-    line number, as does a name that an earlier line used.
+    line number, as do a name that an earlier line or a built-in uses and a
+    row that the ``FieldDescriptor`` constructor refuses.
     """
     out: list[FieldDescriptor] = []
     first_line: dict[str, int] = {}
@@ -490,6 +507,8 @@ def parse_catalog(text: str, source: str = "<catalog>") -> list[FieldDescriptor]
             raise CatalogError(f"{source}:{lineno}: empty field name")
         if name in first_line:
             raise CatalogError(f"{source}:{lineno}: field name {name!r} is already used on line {first_line[name]}")
+        if name in BUILTIN_CATALOG:
+            raise CatalogError(f"{source}:{lineno}: field name {name!r} is already used by a built-in field")
         first_line[name] = lineno
         try:
             coeffs = tuple(int(tok) for tok in coeff_text.split())
@@ -503,21 +522,13 @@ def parse_catalog(text: str, source: str = "<catalog>") -> list[FieldDescriptor]
             raise CatalogError(f"{source}:{lineno}: non-integer discriminant {disc_text!r}") from None
         try:
             group = build_group(group_label)
-            fd = FieldDescriptor(name=name, defining_poly=coeffs, group=group, disc_field=disc)
-        except (ValidationError, CatalogError) as exc:
+            out.append(FieldDescriptor(name=name, defining_poly=coeffs, group=group, disc_field=disc))
+        except ValidationError as exc:
             raise CatalogError(f"{source}:{lineno}: {exc}") from None
-        rest = disc  # a prime ramified in K ramifies in k, so it divides disc f
-        while (common := math.gcd(rest, fd.poly_disc)) != 1:
-            rest //= common
-        if abs(rest) != 1:
-            raise CatalogError(f"{source}:{lineno}: {name}: D_K = {disc} has a prime factor"
-                               f" that does not divide disc f = {fd.poly_disc}")
-        _check_group_tag(fd, f"{source}:{lineno}")
-        out.append(fd)
     return out
 
 
-def _check_group_tag(fd: FieldDescriptor, where: str) -> None:
+def _check_group_tag(fd: FieldDescriptor) -> None:
     """Refuse a group tag that the polynomial's degree or discriminant disproves.
 
     G permutes the deg f roots transitively, so deg f divides |G|; and G lies
@@ -525,14 +536,14 @@ def _check_group_tag(fd: FieldDescriptor, where: str) -> None:
     """
     g, n = fd.group, fd.degree
     if g.order % n:
-        raise CatalogError(f"{where}: {fd.name}: |{g.name}| = {g.order} is not a multiple of deg f = {n}")
+        raise ValidationError(f"{fd.name}: |{g.name}| = {g.order} is not a multiple of deg f = {n}")
     if _on_roots(fd):
         square = fd.poly_disc > 0 and math.isqrt(fd.poly_disc) ** 2 == fd.poly_disc
         even = all(perm_sign(perm) == 1 for perm in g.perms)
         if square != even:
             is_, not_ = ("is", "is not") if square else ("is not", "is")
-            raise CatalogError(f"{where}: {fd.name}: disc f = {fd.poly_disc} {is_} a square,"
-                               f" so G {is_} in A{n}, but {g.name} {not_}")
+            raise ValidationError(f"{fd.name}: disc f = {fd.poly_disc} {is_} a square,"
+                                  f" so G {is_} in A{n}, but {g.name} {not_}")
 
 
 def load_catalog(path: str | Path) -> list[FieldDescriptor]:
@@ -577,11 +588,12 @@ def _cyclotomic_action(q: int, group: FiniteGroup) -> CyclotomicAction:
     return CyclotomicAction(conductor=q, residue_class=tuple(table))
 
 
-BUILTIN_CATALOG = {
-    fd.name: fd._replace(residue_action=_cyclotomic_action(_CONDUCTORS[fd.name], fd.group))
-    if fd.name in _CONDUCTORS else fd
+BUILTIN_CATALOG: dict[str, FieldDescriptor] = {}  # empty while its own rows parse, as parse_catalog refuses its names
+BUILTIN_CATALOG.update(
+    (fd.name, fd._replace(residue_action=_cyclotomic_action(_CONDUCTORS[fd.name], fd.group))
+     if fd.name in _CONDUCTORS else fd)
     for fd in parse_catalog(_BUILTIN_ROWS, source="<built-in>")
-}
+)
 
 
 def builtin_field(name: str) -> FieldDescriptor:

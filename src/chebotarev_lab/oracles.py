@@ -8,11 +8,13 @@ They are deliberately simple and never share the code path they check.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .artin import local_roots, partitions_of, schur
-from .errors import AmbiguousClass, ComputationError
+from .arith import int_det
+from .artin import LocalRootMultiset, local_roots
+from .errors import AmbiguousClass, ComputationError, ParameterOutOfRange
 from .fields import FieldDescriptor, frobenius_data
 from .large_sieve import DirichletPolynomial
 from .sieve import PrimeSieve
@@ -137,6 +139,94 @@ def rs_cauchy_coefficient(fd1: FieldDescriptor, fd2: FieldDescriptor, p: int, j:
     a1 = local_roots(fd1, p)
     a2 = local_roots(fd2, p)
     return sum(schur(lam, a1) * schur(lam, a2) for lam in partitions_of(j, max_length=min(a1.size, a2.size)))
+
+
+# -- partitions and Schur values ------------------------------------------------------
+
+
+class PartitionTooLong(ComputationError):
+    code = "PartitionTooLong"
+
+
+class _PartitionRecord(NamedTuple):
+    parts: tuple[int, ...]
+
+
+class Partition(_PartitionRecord):
+    """A partition: nonincreasing positive parts."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[int, ...]):
+        if any(a < 1 for a in parts):
+            raise ParameterOutOfRange("partition parts must be positive")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ParameterOutOfRange("partition parts must be nonincreasing")
+        return super().__new__(cls, parts)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)  # _replace comes here: check again, as the constructor does
+
+    @property
+    def length(self) -> int:
+        return len(self.parts)
+
+    @property
+    def weight(self) -> int:
+        return sum(self.parts)
+
+
+def partitions_of(n: int, max_length: int | None = None) -> list[Partition]:
+    """All partitions of n with at most max_length parts, descending-lex order."""
+    cap = n if max_length is None else max_length
+
+    def rec(remaining: int, largest: int, slots: int) -> list[tuple[int, ...]]:
+        if remaining == 0:
+            return [()]
+        if slots == 0:
+            return []
+        out = []
+        for first in range(min(remaining, largest), 0, -1):
+            for rest in rec(remaining - first, first, slots - 1):
+                out.append((first,) + rest)
+        return out
+
+    return [Partition(t) for t in rec(n, n, cap)]
+
+
+def homogeneous_closed_form(d: int, g: int, k: int) -> int:
+    """h_k of the local roots of Frobenius order d in a group of order g: the
+    coefficient of t^k in (1 - t) / (1 - t^d)^(g/d), and 0 for k < 0.
+
+    The binomial series of (1 - t^d)^(-g/d) gives it with no power sums, so
+    it shares nothing with the Newton rule of ``artin``.
+    """
+    def full(j):
+        return math.comb(g // d - 1 + j // d, j // d) if j >= 0 and j % d == 0 else 0
+
+    return full(k) - full(k - 1)
+
+
+def schur(partition: Partition, roots: LocalRootMultiset) -> int:
+    """s_lambda at the local-root multiset, by Jacobi-Trudi in the closed-form h_k (exact).
+
+    The determinant in complete homogeneous values avoids the bialternant's
+    0/0 at repeated roots; for these conjugation-closed multisets the result
+    is a rational integer.
+    """
+    if roots.size == 0:
+        return 1 if partition.weight == 0 else 0
+    if partition.length > roots.size:
+        raise PartitionTooLong(
+            f"partition length {partition.length} exceeds the multiset size {roots.size}"
+        )
+    ell = partition.length
+    if ell == 0:
+        return 1
+    d, g = roots.frobenius_order, roots.group_order
+    mat = [[homogeneous_closed_form(d, g, partition.parts[i] - i + j) for j in range(ell)] for i in range(ell)]
+    return int_det(mat)
 
 
 # -- Gallagher window integral -----------------------------------------------------

@@ -11,28 +11,24 @@ from chebotarev_lab import artin
 from chebotarev_lab.arith import factorize, kronecker_symbol
 from chebotarev_lab.artin import (
     LocalRootMultiset,
-    Partition,
     _unramified_orders,
     coeff_a_K,
     coeff_a_KxK_prime,
     euler_factor_series,
     local_roots,
     mertens_partial_sum,
-    partitions_of,
     prime_coefficients,
-    schur,
     series_a_K,
     series_a_KxK,
 )
-from chebotarev_lab.errors import (
-    LimitTooLarge,
-    NotCoprimeToDiscriminant,
-    ParameterOutOfRange,
-    PartitionTooLong,
-    RamifiedPrime,
-)
+from chebotarev_lab.errors import LimitTooLarge, NotCoprimeToDiscriminant, ParameterOutOfRange, RamifiedPrime
 from chebotarev_lab.fields import parse_catalog, quadratic_field
-from chebotarev_lab.oracles import gaussian_ideal_count, rs_cauchy_coefficient, rs_product_coefficients
+from chebotarev_lab.oracles import (
+    gaussian_ideal_count,
+    homogeneous_closed_form,
+    rs_cauchy_coefficient,
+    rs_product_coefficients,
+)
 from chebotarev_lab.sieve import sieve_primes
 from test_fields import _table_fields
 
@@ -53,21 +49,12 @@ def test_local_roots_examples(catalog):
         local_roots(catalog["gaussian"], 2)
 
 
-def _closed_form_h(d, g, k):
-    """h_k of the local roots of order d in a group of order g: the coefficient
-    of T^k in (1 - T)(1 - T^d)^(-g/d)."""
-    def full(j):
-        return math.comb(g // d - 1 + j // d, j // d) if j >= 0 and j % d == 0 else 0
-
-    return full(k) - full(k - 1)
-
-
 def test_newton_rule_matches_the_closed_form():
     for g in range(1, 61):
         for d in range(1, g + 1):
             if g % d == 0:
                 for k in range(-2, 25):
-                    assert artin._homogeneous(((d, g),), k) == _closed_form_h(d, g, k), (d, g, k)
+                    assert artin._homogeneous(((d, g),), k) == homogeneous_closed_form(d, g, k), (d, g, k)
 
 
 def test_pair_rule_is_symmetric():
@@ -133,35 +120,6 @@ def test_zeta_consistency_ideal_counts(catalog):
     for n in range(1, 1001):
         conv = sum(series.get(d, 0) for d in range(1, n + 1) if n % d == 0)
         assert conv == gaussian_ideal_count(n), n
-
-
-def test_partitions():
-    parts = partitions_of(6, max_length=3)
-    assert all(p.weight == 6 and p.length <= 3 for p in parts)
-    assert len(partitions_of(6)) == 11
-    assert partitions_of(0) == [Partition(())]
-    with pytest.raises(ParameterOutOfRange):
-        Partition((1, 2))
-
-
-def test_schur_examples():
-    ones = LocalRootMultiset(frobenius_order=1, group_order=3)  # {1, 1}
-    assert schur(Partition(()), ones) == 1
-    assert schur(Partition((1,)), ones) == 2
-    # s_(2,1)(a, b) = ab(a + b) -> 2 at a = b = 1
-    assert schur(Partition((2, 1)), ones) == 2
-    with pytest.raises(PartitionTooLong):
-        schur(Partition((1, 1, 1)), ones)
-
-
-def test_schur_vanishing_beyond_variable_count():
-    # Jacobi-Trudi gives 0 when the partition is longer than the multiset
-    roots = LocalRootMultiset(frobenius_order=2, group_order=4)  # {1, -1, -1}
-    ell4 = Partition((2, 1, 1, 1))
-    mat = [[roots.h(ell4.parts[i] - (i + 1) + (j + 1)) for j in range(4)] for i in range(4)]
-    from chebotarev_lab.arith import int_det
-
-    assert int_det(mat) == 0
 
 
 def test_cauchy_prime_power_values(catalog):

@@ -169,6 +169,25 @@ def test_catalog_with_a_repeated_name_exit_code_and_message(tmp_path, capsys, ar
         "code": "CatalogError", "message": f"{catalog}:2: field name 'a' is already used on line 1"}}
 
 
+@pytest.mark.parametrize("argv", [
+    ["chebotarev", "--field", "gaussian", "--class", "2", "--x", "100"],
+    ["coeffs", "--field", "gaussian", "--n", "12"],
+    ["splitting", "--field", "gaussian", "--limit", "100"],
+    ["large-sieve", "--fields", "gaussian,sqrt5", "--Q", "10", "--u", "300"],
+    ["family", "--Q", "100", "--x", "1000"],
+], ids=["chebotarev", "coeffs", "splitting", "large-sieve", "family"])
+def test_catalog_shadowing_a_builtin_exit_code_and_message(tmp_path, capsys, argv):
+    # the row is Q(sqrt 2): chebotarev counted 13 primes for the built-in Q(i),
+    # while family reported per_field["gaussian"] for the row
+    catalog = tmp_path / "shadow.txt"
+    catalog.write_text("gaussian | -2 0 1 | C2 | 8\n", encoding="utf-8")
+    assert main([*argv, "--catalog", str(catalog)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {
+        "code": "CatalogError", "message": f"{catalog}:1: field name 'gaussian' is already used by a built-in field"}}
+
+
 def test_family_names_an_unknown_rule(capsys):
     assert main(["family", "--catalog", CATALOG, "--rule", "bogus"]) == 2
     error = json.loads(capsys.readouterr().err)["error"]

@@ -48,8 +48,8 @@ def test_multiplicity_monotone_under_adding_fields():
     assert fam2.multiplicity >= fam1.multiplicity
 
 
-def _quintic(name, poly):
-    return FieldDescriptor(name=name, defining_poly=poly, group=build_group("S5"), disc_field=2869)
+def _quintic(name, poly, disc_field=2869):
+    return FieldDescriptor(name=name, defining_poly=poly, group=build_group("S5"), disc_field=disc_field)
 
 
 def test_s5_resolvent_rule():
@@ -63,15 +63,40 @@ def test_s5_resolvent_rule():
     assert fam.multiplicity == 2
 
 
-def test_simple_group_rule():
+# the a5quintic row x^5 + 20x + 16 and its shift by 1, with the same disc f = D_K = 32000^2;
+# the simple-group rule keys on the polynomial, so the two do not meet under it
+A5_Q = 1024000000
+
+
+def _a5quintics():
     a5 = build_group("A5")
-    k1 = FieldDescriptor(name="a", defining_poly=(-2, -1, 0, 0, 0, 1), group=a5, disc_field=10**4 + 3)
-    k2 = FieldDescriptor(name="b", defining_poly=(-4, -3, 0, 0, 0, 1), group=a5, disc_field=10**4 + 7)
-    fam = Family(fields=(k1, k2), q_bound=10**5)
+    return [FieldDescriptor(name="a", defining_poly=(16, 20, 0, 0, 0, 1), group=a5, disc_field=A5_Q),
+            FieldDescriptor(name="b", defining_poly=(37, 25, 10, 10, 5, 1), group=a5, disc_field=A5_Q)]
+
+
+def test_simple_group_rule():
+    k1, k2 = _a5quintics()
+    fam = Family(fields=(k1, k2), q_bound=A5_Q)
     assert fam.intersection_rule == "simple-group"
     assert fam.multiplicity == 1
-    dup = Family(fields=(k1, k1, k2), q_bound=10**5)
+    dup = Family(fields=(k1, k1, k2), q_bound=A5_Q)
     assert dup.multiplicity == 2
+
+
+def test_a_name_means_one_field():
+    # two fields under one name kept the later one's error in per_field, and
+    # met under explicit-pairs (m 2); one field listed twice is still counted twice
+    gaussian = quadratic_field(-1)
+    impostor = quadratic_field(2)._replace(name="quad(-1)")
+    for fields in ((gaussian, impostor), (impostor, gaussian, gaussian)):
+        for rule in (None, "explicit-pairs"):
+            with pytest.raises(ValidationError) as err:
+                Family(fields=fields, q_bound=100.0, intersection_rule=rule)
+            assert str(err.value) == "family has two different fields named 'quad(-1)'"
+    twice = Family(fields=(gaussian, quadratic_field(-1)), q_bound=100.0, intersection_rule="explicit-pairs")
+    report = avg_cheb_error(twice, 1000, sieve_primes(1000))
+    assert (report.size, report.multiplicity, list(report.per_field)) == (2, 2, ["quad(-1)"])
+    assert report.avg_error == report.per_field["quad(-1)"]
 
 
 def test_undecidable_rule():
@@ -122,15 +147,11 @@ def _pairwise_multiplicity(fields, meets) -> int:
 
 def test_multiplicity_matches_pairwise_definition():
     # each rule on a family with repeated fields, against the pairwise count
-    a5 = build_group("A5")
-    simple = [
-        FieldDescriptor(name="a", defining_poly=(-2, -1, 0, 0, 0, 1), group=a5, disc_field=10**4 + 3),
-        FieldDescriptor(name="b", defining_poly=(-4, -3, 0, 0, 0, 1), group=a5, disc_field=10**4 + 7),
-    ]
+    simple = _a5quintics()
     quintics = [
         _quintic("q1", (-1, -1, 0, 0, 0, 1)),
         _quintic("q2", (29, 79, 80, 40, 10, 1)),  # the same field as q1
-        _quintic("q3", (-2, 0, 0, 0, 0, 1)),  # x^5 - 2: another resolvent class
+        _quintic("q3", (-2, 0, 0, 0, 0, 1), 50000),  # x^5 - 2, disc f = 2^4 5^5: another resolvent class
     ]
     z5 = builtin_field("zeta5")
     # gaussian and quad(-1) share D_K = -4 under different names
@@ -146,7 +167,7 @@ def test_multiplicity_matches_pairwise_definition():
     for rule, base, meets in cases:
         for picks in ((0,), (0, 1), (0, 0, 1), (1, 0, 1, 1), tuple(range(len(base))) * 2 + (0,)):
             fields = tuple(base[i % len(base)] for i in picks)
-            fam = Family(fields=fields, q_bound=10**5, intersection_rule=rule)
+            fam = Family(fields=fields, q_bound=A5_Q, intersection_rule=rule)
             assert fam.multiplicity == _pairwise_multiplicity(fields, meets), (rule, picks)
 
 

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import math
+import pickle
 import random
 import time
 import types
@@ -289,9 +290,10 @@ def test_catalog_keeps_group_tags_that_fit():
 
 def test_catalog_keeps_d_k_within_disc_f_primes():
     # every prime of D_K divides disc f, with any exponents: s3x2 (disc f = 2^6 (-23)),
-    # bad5 (index divisor 2), the demo quadratics and the built-ins as catalog rows
+    # bad5 (index divisor 2), the demo quadratics and the built-ins as catalog rows,
+    # renamed, as a catalog row may not reuse a built-in's name
     rows = ["s3x2 | -8 -4 0 1 | S3 | -12167", "bad5 | -5 0 1 | C2 | 5", "s3 | -1 -1 0 1 | S3 | -12167"]
-    rows += [f"{fd.name} | {' '.join(map(str, fd.defining_poly))} | {fd.group.name} | {fd.disc_field}"
+    rows += [f"row_{fd.name} | {' '.join(map(str, fd.defining_poly))} | {fd.group.name} | {fd.disc_field}"
              for fd in BUILTIN_CATALOG.values()]
     assert [fd.name for fd in parse_catalog("\n".join(rows))] == [row.split(" | ")[0] for row in rows]
     assert len(load_catalog(DEMO_CATALOG)) == 20
@@ -303,6 +305,28 @@ def test_catalog_refuses_a_repeated_name():
     with pytest.raises(CatalogError) as err:
         parse_catalog(text, source="cat")
     assert str(err.value) == "cat:3: field name 'a' is already used on line 1"
+
+
+@pytest.mark.parametrize("args,fix,message", [
+    (("w", (-1, -1, 0, 1), "S3", -161), {"disc_field": -12167},
+     "w: D_K = -161 has a prime factor that does not divide disc f = -23"),
+    (("liar", (-1, -1, 0, 0, 1), "A4", -283), {"group": build_group("S4")},
+     "liar: disc f = -283 is not a square, so G is not in A4, but A4 is"),
+    (("a4s4", (12, 8, 0, 0, 1), "S4", 576), {"group": build_group("A4")},
+     "a4s4: disc f = 331776 is a square, so G is in A4, but S4 is not"),
+], ids=["w", "liar", "a4s4"])
+def test_descriptors_built_in_code_meet_the_catalog_checks(args, fix, message):
+    # the constructor runs every check, so a field built in code, by _replace
+    # or by unpickling is refused as its catalog row is, without the line prefix
+    name, poly, group, disc = args
+    bad = {"name": name, "defining_poly": poly, "group": build_group(group), "disc_field": disc}
+    good = FieldDescriptor(**{**bad, **fix})
+    smuggled = tuple.__new__(FieldDescriptor, (*bad.values(), None, good.poly_disc))  # past the constructor
+    for build in (lambda: FieldDescriptor(**bad), lambda: good._replace(**bad),
+                  lambda: pickle.loads(pickle.dumps(smuggled))):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == message
 
 
 BUILTIN_TABLE = {  # name -> polynomial (constant first), group, D_K, conductor of the residue action
@@ -358,8 +382,9 @@ def test_builtin_lookup():
 
 # -- Frobenius tables against the single-prime route --------------------------
 
-# x^3 + a x^2 + 1 has discriminant -4 a^3 - 27, divisible by 5, 11 and 109
-# for this a; the field discriminant 2^65 + 1 is divisible by 3, 11, 131, 2731
+# x^3 + a x^2 + 1 has discriminant -4 a^3 - 27 = -5 * 11 * 109 * 1546499 * q for
+# this a, with q a 49-digit number; the field discriminant takes all of it but
+# 5 and 109, which stay index divisors
 BIG_COEFF = 2**64 + 12
 # a4quartic and a5quintic: groups acting on the roots that are not symmetric,
 # so the split cycle types (3) and (5) leave those classes ambiguous; their
@@ -374,9 +399,8 @@ a5quintic | 16 20 0 0 0 1 | A5 | 1024000000
 
 
 def _big():
-    # built in code: parse_catalog refuses a D_K with primes (3, 131, 2731) that do not divide disc f
     return FieldDescriptor(name="big", defining_poly=(1, 0, BIG_COEFF, 1), group=build_group("S3"),
-                           disc_field=2**65 + 1)
+                           disc_field=(-4 * BIG_COEFF**3 - 27) // (5 * 109))
 
 
 def _zeta5blind():
@@ -440,7 +464,7 @@ def test_frobenius_table_huge_coefficients():
     assert [p for p in small.tolist() if fd.poly_disc % p == 0 and fd.disc_field % p] == [5, 109]
     table = frobenius_table(fd, sieve, sieve.limit)
     ramified = {p for p, c in zip(small.tolist(), _class_codes(table).tolist()) if c == RAMIFIED}
-    assert {3, 11, 131, 2731} <= ramified
+    assert ramified == {5, 11, 109}  # the index divisors and the one prime of D_K below the sieve limit
     _assert_table_matches(fd, sieve, sieve.limit)
 
 
@@ -903,7 +927,7 @@ TALLIES_TO_1E5 = {
     "s4quartic": (375, 1186, 2438, 3193, 2399, 1, 0),
     "a4quartic": (785, 2406, 0, 0, 2, 6399),
     "a5quintic": (153, 2400, 3184, 0, 0, 2, 3853),
-    "big": (1625, 4776, 3185, 6, 0),
+    "big": (1625, 4777, 3187, 3, 0),
     "s3x2": (1567, 4823, 3200, 2, 0),
     "quad(-1)": (4783, 4808, 1, 0),
     "quad(2)": (4783, 4808, 1, 0),

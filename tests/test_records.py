@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from chebotarev_lab.artin import LocalRootMultiset, Partition, local_roots
+from chebotarev_lab.artin import LocalRootMultiset, local_roots
 from chebotarev_lab.chebotarev import (
     ChebotarevCount,
     base_change_compare,
@@ -31,6 +31,7 @@ from chebotarev_lab.fields import (
 )
 from chebotarev_lab.groups import ConjugacyClass, build_group
 from chebotarev_lab.large_sieve import DirichletPolynomial, MeanValueWindow, mvt_report, zero_density_report
+from chebotarev_lab.oracles import Partition
 from chebotarev_lab.sieve import PrimeSieve, sieve_primes
 from chebotarev_lab.weights import WeightParams, check_decay_shifted_line
 from chebotarev_lab.zfr import classical_eta_profile, constant_zfr, eta_large_zfr_closed, rational_eta_profile
@@ -149,7 +150,7 @@ def test_replace_checks_and_derives_again():
     with pytest.raises(ParameterOutOfRange):
         params._replace(eps=0.5)
     fd = parse_catalog(S3_ROW)[0]
-    other = fd._replace(defining_poly=(1, 1, 0, 1))
+    other = fd._replace(defining_poly=(1, 1, 0, 1), disc_field=-29791)  # disc f = -31, D_K = -31^3
     assert type(other) is FieldDescriptor and other.poly_disc == -31
     with pytest.raises(ValidationError):
         fd._replace(defining_poly=(0, 0, 0, 1))

@@ -10,8 +10,9 @@ every subcommand, over the built-in fields, the demo catalog and a few inline
 rows (Dedekind's common index divisor, another index divisor, a quadratic
 index divisor, S4, A4, A5, and an S4 quartic tagged D4 and C4, whose tables
 raise GroupMismatch), and the family of the A4 row alone and of the A5 row alone, whose counts meet an unresolved
-prime.  For each invocation the exit code, stdout and stderr of the two trees
-are compared.
+prime.  A last catalog gives Q(sqrt 2) the built-in name ``gaussian``, read
+once by each subcommand that reads a catalog.  For each invocation the exit
+code, stdout and stderr of the two trees are compared.
 One line is printed per invocation that differs, then a summary; the exit
 code is 1 if any differs, else 0.
 """
@@ -50,6 +51,7 @@ INLINE_ROWS = {  # row, class labels, element orders
     "s4c4": ("s4c4 | -1 -1 0 0 1 | C4 | -283", ["1", "2", "4a", "4b"], [1, 2, 4]),
 }
 AMBIGUOUS_ROWS = ("a4quartic", "a5quintic")  # each read as a catalog of its own, for a one-field family
+SHADOW_ROW = "gaussian | -2 0 1 | C2 | 8"  # Q(sqrt 2) under a built-in's name, read as a catalog of its own
 SUBCOMMANDS = ["coeffs", "splitting", "large-sieve", "weights", "eta", "chebotarev", "family"]
 
 WORKER = r"""
@@ -104,6 +106,12 @@ def matrix(catalog: str) -> list[list[str]]:
     for name in AMBIGUOUS_ROWS:
         runs.append(["family", "--catalog", str(Path(catalog).with_name(f"{name}.txt")), "--rule", "explicit-pairs",
                      "--Q", "2e9", "--x", "1000"])
+    shadow = ["--catalog", str(Path(catalog).with_name("shadow.txt"))]
+    runs.append(["coeffs", *shadow, "--field", "gaussian", "--n", "12"])
+    runs.append(["splitting", *shadow, "--field", "gaussian", "--limit", "100"])
+    runs.append(["large-sieve", *shadow, "--fields", "gaussian,sqrt5", "--Q", "10", "--u", "300"])
+    runs.append(["chebotarev", *shadow, "--field", "gaussian", "--class", "2", "--x", "100"])
+    runs.append(["family", *shadow, "--Q", "100", "--x", "1000"])
     runs.append(["chebotarev", *cat, "--field", "s3cubic", "--class", "order=abc"])
     runs.append(["chebotarev", *cat, "--field", "gaussian", "--class", "1", "--weights-eps", "0"])
     for group in ("gaussian,sqrt5", "quad(-3),quad(5),quad(13)", "s3cubic,zeta7", "bad5,quad(-7)", "s3x2,gaussian",
@@ -145,6 +153,7 @@ def main(argv: list[str]) -> int:
         catalog.write_text("\n".join(rows) + "\n", encoding="utf-8")
         for name in AMBIGUOUS_ROWS:
             (Path(tmp) / f"{name}.txt").write_text(INLINE_ROWS[name][0] + "\n", encoding="utf-8")
+        (Path(tmp) / "shadow.txt").write_text(SHADOW_ROW + "\n", encoding="utf-8")
         runs = matrix(str(catalog))
         with ThreadPoolExecutor(2) as pool:
             parent, change = pool.map(run_tree, argv, [runs, runs])
