@@ -7,14 +7,16 @@ the class tally the sieve keeps for the last x asked for (``fields._class_tally`
 counts by class, by ambiguous order and of the ramified primes, built from
 one count of the table's kinds.  So the class counts partition pi(x) minus
 the ramified and unresolved primes, and the queries of one x search the
-sieve and count the kinds once.  Weighted prime sums weigh the
-terms of every class of a field in one pass and reduce each class's terms
-with exact compensated summation, so results are bit-stable.
+sieve and count the kinds once.  Weighted prime sums weigh each prime
+power once per sieve and weight parameters, for every field, sort the terms
+of a field into its classes in one pass, and reduce each class's terms with
+exact compensated summation, so results are bit-stable.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -177,53 +179,44 @@ def _log_units(sieve: PrimeSieve, n: int) -> np.ndarray:
     return units[:n]
 
 
-class _PsiTerms(NamedTuple):
-    """Class c's weighed (p^k, term) pairs below and above the plateau block,
-    each ascending in p and then k (see ``psi_weighted_items``), and the block,
-    where each prime adds exactly log p = units 2^-53 to class
-    ``kind_class[kind]`` (-1 for the ramified kind)."""
+class _PsiWeights(NamedTuple):
+    """The terms that f weighs at one params on one sieve, which no field
+    shapes: those below and above the plateau block primes[start:stop].
 
-    lower: list[list[tuple[int, float]]]
-    upper: list[list[tuple[int, float]]]
-    primes: np.ndarray
-    kind: np.ndarray
-    units: np.ndarray
-    kind_class: list[int]
+    ``lower`` holds (i, k, p^k, log p * f(k log p / log x)) for every term of
+    p = primes[i] <= isqrt(2 n_hi), ascending in p and then k.  ``upper``
+    holds log p * f(log p / log x) for p = primes[stop + j] on the upper
+    ramp, where p^2 > n_hi leaves k = 1 alone, and 0.0 where no term enters.
+    """
+
+    start: int
+    stop: int
+    lower: list[tuple[int, int, int, float]]
+    upper: np.ndarray  # float64, aligned with primes[stop:]
 
 
-def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> _PsiTerms:
-    """The terms of the weighted prime sum of every class, in one pass.
+def _psi_weights(params: WeightParams, sieve: PrimeSieve, n_hi: float) -> _PsiWeights:
+    """The weighed terms at params, shared by every field on the sieve.
 
     Every (p, k) outside the plateau block and not below supp f is weighed
-    once and goes to the class of Frob_p^k, read off ``FiniteGroup.power_classes``.  The
-    weight argument is evaluated as k*log(p)/log(x) so independent
-    reimplementations of the same sum produce bit-identical terms.
+    once, ramified p included, as f does not depend on the field.  The weight
+    argument is evaluated as k*log(p)/log(x) so independent reimplementations
+    of the same sum produce bit-identical terms.  The sieve keeps the weights
+    of the last params it was asked, in ``sieve.derived``.
     """
-    x = params.x
-    lx = params.log_x
-    n_hi = x * math.exp(params.eps)  # supp f ends at 1 + eps/log x
-    if n_hi > sieve.limit:
-        raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
-    table = frobenius_table(fd, sieve, n_hi)  # not the class tally, which would replace the one counts keep
-    p = table.first(attrgetter("ambiguous"))
-    if p is not None:
-        raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
-    primes, kind, units = table.primes, table.kind, _log_units(sieve, table.primes.size)
-    kind_class = [-1 if data.ramified else data.conjugacy_class.index for data in table.kinds]
-    order, powers = fd.group.order, fd.group.power_classes
+    kept = sieve.derived.get("psi_weights")
+    if kept is not None and kept[0] == params:
+        return kept[1]
+    end = sieve.count_leq(n_hi)
+    primes, units = sieve.primes, _log_units(sieve, end)
     # the plateau block primes[start:stop]: p > isqrt(2 n_hi), so p^2 > n_hi, and f == 1.0
     start = sieve.count_leq(math.isqrt(int(2 * n_hi)))
-    stop = max(start, sieve.count_leq(x ** params.plateau[1] * (1.0 - 1e-9)))
+    stop = max(start, sieve.count_leq(params.x ** params.plateau[1] * (1.0 - 1e-9)))
+    lx = params.log_x
     top = lx + params.eps
-    classes = range(len(powers))
 
-    def weigh(lo: int, hi: int) -> list[list[tuple[int, float]]]:
-        pairs: list[list[tuple[int, float]]] = [[] for _ in classes]
-        for p, index, u in zip(primes[lo:hi].tolist(), kind[lo:hi].tolist(), units[lo:hi].tolist()):
-            c = kind_class[index]
-            if c < 0:  # ramified
-                continue
-            power = powers[c]
+    def weigh(lo: int, hi: int) -> Iterator[tuple[int, int, int, float]]:
+        for i, p, u in zip(range(lo, hi), primes[lo:hi].tolist(), units[lo:hi].tolist()):
             logp = u * _UNIT
             k = 1
             n = p
@@ -232,13 +225,59 @@ def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> 
                 if not below_support(params, t):
                     weight = f_eval(params, t)
                     if weight > 0.0:
-                        pairs[power[k % order]].append((n, logp * weight))
+                        yield i, k, n, logp * weight
                 k += 1
                 n *= p
-        return pairs
 
-    return _PsiTerms(weigh(0, start), weigh(stop, primes.size), primes[start:stop], kind[start:stop],
-                     units[start:stop], kind_class)
+    upper = np.zeros(end - stop)
+    for i, _, _, term in weigh(stop, end):  # k = 1 alone; log p > 1/2, so term > 0.0 as f > 0.0
+        upper[i - stop] = term
+    weights = _PsiWeights(start, stop, list(weigh(0, start)), upper)
+    sieve.derived["psi_weights"] = (params, weights)
+    return weights
+
+
+class _PsiTerms(NamedTuple):
+    """One field's share of the sieve's ``_PsiWeights``: the class of each
+    weighed term, and the plateau block, where each prime adds exactly
+    log p = units 2^-53 to class ``kind_class[kind]`` (-1 for the ramified kind)."""
+
+    weights: _PsiWeights
+    lower_class: list[int]  # the class of Frob_p^k of each lower term, -1 for a ramified p
+    upper_class: np.ndarray  # the class of Frob_p of each upper term, -1 for a ramified p or no term
+    kind: np.ndarray
+    units: np.ndarray
+    kind_class: list[int]
+
+
+def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> _PsiTerms:
+    """The terms of the weighted prime sum of every class of fd.
+
+    The weighed terms are the sieve's, shared by every field at params
+    (``_psi_weights``); per field, one pass over them sends each to the class
+    of Frob_p^k, read off ``FiniteGroup.power_classes``, and leaves out the
+    terms of the ramified primes.
+    """
+    n_hi = params.x * math.exp(params.eps)  # supp f ends at 1 + eps/log x
+    if n_hi > sieve.limit:
+        raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
+    table = frobenius_table(fd, sieve, n_hi)  # not the class tally, which would replace the one counts keep
+    p = table.first(attrgetter("ambiguous"))
+    if p is not None:
+        raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
+    weights = _psi_weights(params, sieve, n_hi)
+    start, stop = weights.start, weights.stop
+    kind_class = [-1 if data.ramified else data.conjugacy_class.index for data in table.kinds]
+    order, powers = fd.group.order, fd.group.power_classes
+    lower_kind = table.kind[:start].tolist()
+    lower_class = []
+    for i, k, _, _ in weights.lower:
+        c = kind_class[lower_kind[i]]
+        lower_class.append(c if c < 0 else powers[c][k % order])
+    # on the upper ramp k = 1, and Frob_p^1 is in Frob_p's own class
+    upper_class = np.where(weights.upper > 0.0, np.array(kind_class)[table.kind[stop:]], -1)
+    units = _log_units(sieve, stop)[start:]
+    return _PsiTerms(weights, lower_class, upper_class, table.kind[start:stop], units, kind_class)
 
 
 def psi_weighted_items(
@@ -264,14 +303,21 @@ def psi_weighted_items(
     - the upper ramp x (1 - 1e-9) < p <= n_hi, weighed by ``f_eval``.
 
     So the terms equal, bit for bit, those of one scalar loop that weighs
-    every (p, k).  The pairs come from the pass that builds the terms of
-    every class, which ``psi_weighted_class`` runs too; the pairs are not
+    every (p, k).  What f weighs does not depend on the field: the sieve
+    keeps those terms for the last params, ramified primes included, and
+    every field and class at the same params reads them (``_psi_weights``).
+    What stays per field is the class of each term, read off the field's
+    Frobenius table, and the plateau primes of cls.  The pairs are not
     memoized.
     """
     terms = _psi_terms(fd, params, sieve)
-    mine = np.isin(terms.kind, [k for k, c in enumerate(terms.kind_class) if c == cls.index])
-    plateau = zip(terms.primes[mine].tolist(), (terms.units[mine] * _UNIT).tolist())
-    return terms.lower[cls.index] + list(plateau) + terms.upper[cls.index]
+    weights, c = terms.weights, cls.index
+    lower = [(n, t) for d, (_, _, n, t) in zip(terms.lower_class, weights.lower) if d == c]
+    mine = np.isin(terms.kind, [k for k, d in enumerate(terms.kind_class) if d == c])
+    plateau = zip(sieve.primes[weights.start : weights.stop][mine].tolist(), (terms.units[mine] * _UNIT).tolist())
+    up = terms.upper_class == c
+    upper = zip(sieve.primes[weights.stop : weights.stop + up.size][up].tolist(), weights.upper[up].tolist())
+    return [*lower, *plateau, *upper]
 
 
 def psi_weighted_class(
@@ -295,26 +341,31 @@ def psi_weighted_class(
     equals, bit for bit, the compensated sum of the terms one at a time, and
     is independent of their order or of any work partition.
 
-    One pass builds the terms of every class.  The sieve keeps, in
-    ``sieve.derived``, the sums of every class of the field for the last
-    params it was asked, so the other classes at the same parameters are
-    read back without recomputation; other parameters recompute them.  A
-    request that raises leaves the kept sums as they were.
+    The weighed terms are shared: the sieve keeps them for the last params,
+    and every field at those params reads them, so f weighs each (p, k) once
+    per sieve and params (``_psi_weights``).  Per field, one pass sends the
+    shared terms to their classes, as plain float lists, and the two
+    bincounts sum the plateau.  The sieve keeps, in ``sieve.derived``, the
+    sums of every class of the field for the last params it was asked, so
+    the other classes at the same parameters are read back without
+    recomputation; other parameters recompute them.  A request that raises
+    leaves the kept weights and sums as they were.
     """
     kept = sieve.derived.get(("psi_weighted_class", fd))
     if kept is None or kept[0] != params:
         terms = _psi_terms(fd, params, sieve)
+        # one list per class, and sums[-1] for class -1: the ramified primes' terms and the ramp's 0.0
+        sums: list[list[float]] = [[] for _ in range(len(fd.group.classes) + 1)]
+        for c, (_, _, _, t) in zip(terms.lower_class, terms.weights.lower):
+            sums[c].append(t)
+        for c, t in zip(terms.upper_class.tolist(), terms.weights.upper.tolist()):
+            sums[c].append(t)
         size = len(terms.kind_class)
         high = np.bincount(terms.kind, terms.units >> 29, size).tolist()
         low = np.bincount(terms.kind, terms.units & _LOW, size).tolist()
-        plateau: list[list[float]] = [[] for _ in terms.lower]
         for k, c in enumerate(terms.kind_class):
-            if c >= 0:
-                plateau[c] += (high[k] * 2.0**-24, low[k] * _UNIT)
-        values = tuple(
-            math.fsum(chain((t for _, t in lower), sums, (t for _, t in upper)))
-            for lower, sums, upper in zip(terms.lower, plateau, terms.upper)
-        )
+            sums[c] += (high[k] * 2.0**-24, low[k] * _UNIT)
+        values = tuple(map(math.fsum, sums[:-1]))
         kept = sieve.derived["psi_weighted_class", fd] = (params, values)
     return kept[1][cls.index]
 

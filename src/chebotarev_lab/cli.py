@@ -125,12 +125,11 @@ def cmd_coeffs(args) -> int:
     else:
         series = series_a_K(*_resolve_fields(args, [args.field]), args.n)
         header = ["n", "a_K"]
-    rows = [[n, a] for n, a in series.items()]
     if args.format == "json":
         _emit(args, _json({"schema": SCHEMA, "field": args.field, "other_field": args.other_field,
-                           "coefficients": {str(r[0]): r[1] for r in rows}}))
-    else:
-        _emit(args, _csv(rows, header))
+                           "coefficients": {str(n): a for n, a in series.items()}}))
+    else:  # the bytes of _csv, built as one string of lines
+        _emit(args, "\n".join([",".join(header), *(f"{n},{a}" for n, a in series.items())]))
     return 0
 
 

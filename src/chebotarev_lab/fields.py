@@ -441,7 +441,10 @@ def _cycle_counts_block(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray:
     low = np.stack([_mod_primes(c, p) for c in poly[:-1]])  # f = x^n + sum low[j] x^j
 
     def reduce(prod: np.ndarray) -> np.ndarray:
-        # fold x^i (i >= n) back with x^n = -sum low_j x^j; entries stay below n p^2
+        # fold x^i (i >= n) back with x^n = -sum low_j x^j, reducing each row as it is folded and
+        # the n result rows; from a product of two reduced polynomials the entries stay within
+        # +-n (p-1)^2, the bound the route requires, as a row adds at most n products and
+        # subtracts at most n - 1 folds, each below (p-1)^2
         for i in range(prod.shape[0] - 1, n - 1, -1):
             prod[i - n : i] -= (prod[i] % p) * low
         return prod[:n] % p
@@ -450,7 +453,7 @@ def _cycle_counts_block(poly: tuple[int, ...], p: np.ndarray) -> np.ndarray:
         prod = np.zeros((2 * n - 1, p.size), dtype=np.int64)
         for i in range(n):
             prod[i : i + n] += a[i] * b
-        return reduce(prod % p)
+        return reduce(prod)
 
     def times_x(a: np.ndarray) -> np.ndarray:
         prod = np.zeros((n + 1, p.size), dtype=np.int64)

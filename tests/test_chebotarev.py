@@ -232,32 +232,34 @@ def test_psi_plateau_edges_match_scalar_oracle(name, sieve_medium):
                 assert psi_weighted_class(fd, cls, params, sieve_medium) == math.fsum(v for _, v in want)
 
 
-def _weighed_pairs(fd, cls, params, sieve):
-    """(p, k) pairs with the k-th Frobenius power in cls, outside the plateau
-    block isqrt(2 x e^eps) < p <= x (1 - 1e-9) and above the lower end of
-    supp f, where t = k log p / log x has t - 1/2 > -2w: the pairs f must weigh."""
+def _weighed_pairs(params, sieve):
+    """(p, k) pairs of every prime of the sieve, ramified or not, outside the
+    plateau block isqrt(2 x e^eps) < p <= x (1 - 1e-9) and above the lower end
+    of supp f, where t = k log p / log x has t - 1/2 > -2w: the pairs f must
+    weigh, whatever the field."""
     n_hi = params.x * math.exp(params.eps)
     root = math.isqrt(int(2 * n_hi))
     count = 0
     for p in sieve.upto(n_hi).tolist():
-        data = frobenius_data(fd, p)
-        if data.ramified or root < p <= params.x * (1.0 - 1e-9):
+        if root < p <= params.x * (1.0 - 1e-9):
             continue
-        sigma = data.conjugacy_class.representative
         k = 1
         while k * math.log(p) <= params.log_x + params.eps:
-            if k * math.log(p) / params.log_x - 0.5 > -2 * params.boxcar_width:
-                count += fd.group.class_of(fd.group.power(sigma, k)) == cls
+            count += k * math.log(p) / params.log_x - 0.5 > -2 * params.boxcar_width
             k += 1
     return count
 
 
 @pytest.mark.parametrize("name", ["gaussian", "zeta5", "zeta7", "s3cubic"])
 def test_psi_calls_f_only_off_the_plateau(name, sieve_medium, monkeypatch):
-    # one pass weighs the pairs of every class: the first class query at an
-    # (x, eps) calls f once per pair of any class, the others not at all
-    fd = BUILTIN_CATALOG[name]
-    sieve = PrimeSieve(limit=sieve_medium.limit, primes=sieve_medium.primes)  # keeps no psi sums yet
+    # f does not depend on the field: the first query at a (sieve, params)
+    # calls f once per off-plateau pair of the sieve in supp f, ramified
+    # primes included, and every other class and every other field at the
+    # same (sieve, params) calls it not at all.  The sieve keeps the weights
+    # of the last params alone, so new params, and params met before, weigh again
+    first = BUILTIN_CATALOG[name]
+    fields = [first, *(fd for fd in BUILTIN_CATALOG.values() if fd is not first)]
+    sieve = PrimeSieve(limit=sieve_medium.limit, primes=sieve_medium.primes)  # keeps no psi weights yet
     calls = []
     f_eval = chebotarev.f_eval
 
@@ -266,13 +268,15 @@ def test_psi_calls_f_only_off_the_plateau(name, sieve_medium, monkeypatch):
         return f_eval(params, t)
 
     monkeypatch.setattr(chebotarev, "f_eval", counting)
-    for x, eps in ((11, 0.001), (1009, 0.1), (10**4 - 0.5, 0.2499)):
+    for x, eps in ((11, 0.001), (1009, 0.1), (10**4 - 0.5, 0.2499), (11, 0.001)):
         params = WeightParams(x=x, eps=eps)
-        want = sum(_weighed_pairs(fd, cls, params, sieve) for cls in fd.group.classes)
-        for i, cls in enumerate(fd.group.classes):
-            calls.clear()
-            psi_weighted_class(fd, cls, params, sieve)
-            assert len(calls) == (want if i == 0 else 0), (name, x, eps, cls.label)
+        want = _weighed_pairs(params, sieve)
+        for fd in fields:
+            for cls in fd.group.classes:
+                calls.clear()
+                psi_weighted_class(fd, cls, params, sieve)
+                first_query = fd is first and cls.index == 0
+                assert len(calls) == (want if first_query else 0), (name, x, eps, fd.name, cls.label)
 
 
 def _catalog_field(name):
@@ -331,11 +335,90 @@ def test_psi_errors_raise_on_every_class_query(catalog, sieve_small):
         assert psi_weighted_class(fd, cls, kept, sieve) == want
 
 
+def test_psi_fields_at_interleaved_params_match_scalar_oracle(sieve_small):
+    # the sieve keeps the weights of the last params for every field: fields
+    # at one params read one entry, and a change of params weighs again, so
+    # interleaving fields and params must still give the scalar terms bit for bit
+    sieve = sieve_primes(sieve_small.limit)  # keeps no psi weights yet
+    a, b, c, d = (_catalog_field(name) for name in ("gaussian", "zeta7", "s3cubic", "quad(15)"))
+    p1, p2, p3 = WeightParams(x=1009.5, eps=0.1), WeightParams(x=5000, eps=0.2499), WeightParams(x=97, eps=0.01)
+    queries = [(a, p1), (b, p1), (a, p2), (b, p1), (c, p2), (c, p1), (d, p1), (a, p1), (b, p2), (d, p3), (a, p3),
+               (c, p3), (b, p3), (d, p2)]
+    for fd, params in queries:
+        scalar = psi_weighted_scalar(fd, params, sieve)
+        for cls in fd.group.classes:
+            want = scalar[cls.index]
+            assert psi_weighted_class(fd, cls, params, sieve) == math.fsum(v for _, v in want), (fd.name, params)
+            assert psi_weighted_items(fd, cls, params, sieve) == want, (fd.name, params, cls.label)
+        assert sieve.derived["psi_weights"][0] == params
+    # the fields at one params read one entry
+    entry = sieve.derived["psi_weights"]
+    psi_weighted_class(b, b.group.classes[1], p2, sieve)
+    assert sieve.derived["psi_weights"] is entry
+
+
+@pytest.mark.parametrize("name", ["gaussian", "zeta7", "s3cubic"])
+def test_psi_prime_at_the_top_of_supp_f(name, sieve_small):
+    # x = p e^-eps puts p where supp f ends, so f(log p / log x) is 0.0: the
+    # sieve's upper ramp holds 0.0 for p, which no class may take as a term
+    fd = BUILTIN_CATALOG[name]
+    sieve = sieve_primes(sieve_small.limit)  # keeps no psi weights yet
+    for p, eps in ((97, 0.1), (1009, 0.01), (5003, 0.2499), (7919, 0.1)):
+        params = WeightParams(x=p / math.exp(eps), eps=eps)
+        scalar = psi_weighted_scalar(fd, params, sieve)
+        for cls in fd.group.classes:
+            want = scalar[cls.index]
+            assert psi_weighted_items(fd, cls, params, sieve) == want, (name, p, eps, cls.label)
+            assert psi_weighted_class(fd, cls, params, sieve) == math.fsum(v for _, v in want)
+        weights = sieve.derived["psi_weights"][1]
+        assert sieve.primes[weights.stop + weights.upper.size - 1] == p and weights.upper[-1] == 0.0
+
+
+def test_psi_errors_between_fields_keep_the_weights(catalog, sieve_small, monkeypatch):
+    # a request that raises between two fields at the same params leaves the
+    # kept weights as they were: the second field weighs nothing, and both
+    # fields' sums equal the scalar oracle's
+    gaussian, z5 = catalog["gaussian"], catalog["zeta5"]
+    blind = FieldDescriptor(
+        name="zeta5blind", defining_poly=z5.defining_poly, group=z5.group, disc_field=z5.disc_field
+    )
+    sieve = sieve_primes(sieve_small.limit)  # keeps no psi weights yet
+    params = WeightParams(x=1000, eps=0.1)
+    psi_weighted_class(gaussian, gaussian.group.classes[0], params, sieve)
+    entry = sieve.derived["psi_weights"]
+    calls = []
+    f_eval = chebotarev.f_eval
+    monkeypatch.setattr(chebotarev, "f_eval", lambda params, t: calls.append(t) or f_eval(params, t))
+    for field, request, error in (
+        (blind, params, AmbiguousClass),
+        (blind, WeightParams(x=2000, eps=0.1), AmbiguousClass),
+        (z5, WeightParams(x=sieve.limit, eps=0.1), SieveRangeExceeded),
+    ):
+        with pytest.raises(error):
+            psi_weighted_class(field, field.group.classes[0], request, sieve)
+        assert sieve.derived["psi_weights"] is entry
+    for fd in (z5, gaussian):
+        scalar = psi_weighted_scalar(fd, params, sieve)
+        for cls in fd.group.classes:
+            assert psi_weighted_class(fd, cls, params, sieve) == math.fsum(v for _, v in scalar[cls.index])
+    assert calls == [] and sieve.derived["psi_weights"] is entry
+
+
 def test_psi_sums_keep_no_dropped_sieve_alive(catalog):
     fd = catalog["gaussian"]
     state = tuple(fd)
     sieve = sieve_primes(3000)
-    psi_weighted_class(fd, fd.group.classes[0], WeightParams(x=1000, eps=0.1), sieve)
+    for other, x in ((catalog["zeta7"], 700), (catalog["s3cubic"], 700)):
+        psi_weighted_class(other, other.group.classes[0], WeightParams(x=x, eps=0.2), sieve)
+    params = WeightParams(x=1000, eps=0.1)
+    psi_weighted_class(fd, fd.group.classes[0], params, sieve)
+    # the shared weights: one params, then ints, floats and one float array, and no descriptor
+    kept, weights = sieve.derived["psi_weights"]
+    assert kept == params and type(weights) is chebotarev._PsiWeights
+    assert type(weights.start) is int and type(weights.stop) is int
+    assert all(tuple(map(type, term)) == (int, int, int, float) for term in weights.lower)
+    assert type(weights.upper) is np.ndarray and weights.upper.dtype == np.float64
+    assert weights.upper.size == sieve.count_leq(1000 * math.exp(0.1)) - weights.stop
     ref = weakref.ref(sieve)
     del sieve
     gc.collect()

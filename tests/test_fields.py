@@ -699,6 +699,27 @@ def test_cycle_counts_match_scalar_factorization(degree, chunk, monkeypatch):
         assert row == [degrees.count(d) for d in range(1, degree + 1)], (degree, p)
 
 
+_A5_QUINTIC = parse_catalog("a5quintic | 16 20 0 0 0 1 | A5 | 1024000000", source="inline")[0]
+
+
+@pytest.mark.parametrize("fd", [BUILTIN_CATALOG["s3cubic"], _A5_QUINTIC], ids=lambda fd: fd.name)
+def test_cycle_counts_match_frobenius_data_at_the_overflow_bound(fd):
+    # the kernel leaves each product unreduced until it folds it, so its
+    # entries reach n (p-1)^2; the largest primes with n (p-1)^2 < 2^63 lie
+    # past the sieve cap, so they are passed in directly
+    n = len(fd.defining_poly) - 1
+    primes = []
+    p = math.isqrt((2**63 - 1) // n)
+    while len(primes) < 4:
+        if is_prime_trial(p) and not fd.is_ramified(p):
+            primes.append(p)
+        p -= 1
+    assert primes[0] > SIEVE_CAP
+    for p, row in zip(primes, _cycle_counts(fd.defining_poly, np.array(primes, dtype=np.int64)).tolist()):
+        degrees = frobenius_data(fd, p).factorization_type
+        assert row == [degrees.count(d) for d in range(1, n + 1)], (fd.name, p)
+
+
 def test_blind_class_count_names_first_ambiguous_prime(sieve_small):
     blind = _zeta5blind()
     with pytest.raises(AmbiguousClass, match=r"at p=2;"):

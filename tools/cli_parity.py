@@ -11,8 +11,10 @@ rows (Dedekind's common index divisor, another index divisor, a quadratic
 index divisor, S4, A4, A5, and an S4 quartic tagged D4 and C4, whose tables
 raise GroupMismatch), and the family of the A4 row alone and of the A5 row alone, whose counts meet an unresolved
 prime.  A last catalog gives Q(sqrt 2) the built-in name ``gaussian``, read
-once by each subcommand that reads a catalog.  For each invocation the exit
-code, stdout and stderr of the two trees are compared.
+once by each subcommand that reads a catalog.  A few invocations run at the
+benchmark's sizes: ``coeffs --n 30000`` and ``chebotarev --x 150000
+--weights-eps 0.1``.  For each invocation the exit code, stdout and stderr
+of the two trees are compared.
 One line is printed per invocation that differs, then a summary; the exit
 code is 1 if any differs, else 0.
 """
@@ -97,6 +99,14 @@ def matrix(catalog: str) -> list[list[str]]:
                          "--report", "csv"])
         runs.append(["chebotarev", *cat, "--field", name, "--class", f"order={orders[-1]}", "--x", "500",
                      "--report", "csv"])
+    # benchmark sizes: coeffs CSVs of ~2.6e4 rows, and psi upper ramps of ~1300 primes
+    for name in ("zeta7", "s3cubic"):
+        for fmt in ("csv", "json"):
+            runs.append(["coeffs", *cat, "--field", name, "--n", "30000", "--format", fmt])
+    for name in ("gaussian", "zeta7", "s3cubic"):
+        for label in BUILTINS[name][0]:
+            runs.append(["chebotarev", *cat, "--field", name, "--class", label, "--x", "150000",
+                         "--weights-eps", "0.1"])
     demo = ["--catalog", str(DEMO_CATALOG)]
     for q, x in (("50", "300"), ("200", "2000"), ("200", "7000.5"), ("1000", "1000")):
         runs.append(["family", *demo, "--Q", q, "--x", x])
