@@ -10,13 +10,17 @@ the ramified and unresolved primes, and the queries of one x search the
 sieve and count the kinds once.  Weighted prime sums weigh each prime
 power once per sieve and weight parameters, for every field, sort the terms
 of a field into its classes in one pass, and reduce each class's terms with
-exact compensated summation, so results are bit-stable.
+exact compensated summation, so results are bit-stable.  What a query needs
+of a field's kinds alone (their classes and ambiguity) is the
+plan the table memo keeps, and what it needs of (G, C, H) alone is computed
+once per triple, so a query at a new x reads only the kinds and tallies.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -29,7 +33,7 @@ from .errors import (
     SieveRangeExceeded,
     UnsupportedSubgroupAction,
 )
-from .fields import FieldDescriptor, _class_tally, frobenius_table
+from .fields import FieldDescriptor, _class_tally, _memo, frobenius_table
 from .groups import ConjugacyClass, FiniteGroup
 from .sieve import PrimeSieve
 from .weights import WeightParams, below_support, f_eval
@@ -240,14 +244,16 @@ def _psi_weights(params: WeightParams, sieve: PrimeSieve, n_hi: float) -> _PsiWe
 class _PsiTerms(NamedTuple):
     """One field's share of the sieve's ``_PsiWeights``: the class of each
     weighed term, and the plateau block, where each prime adds exactly
-    log p = units 2^-53 to class ``kind_class[kind]`` (-1 for the ramified kind)."""
+    log p = units 2^-53 to class ``kind_class[kind]``, the code of its kind in
+    the field's table memo (-1 for the ramified kind, below -1 for an
+    ambiguous kind met past the terms; neither has a class)."""
 
     weights: _PsiWeights
     lower_class: list[int]  # the class of Frob_p^k of each lower term, -1 for a ramified p
     upper_class: np.ndarray  # the class of Frob_p of each upper term, -1 for a ramified p or no term
     kind: np.ndarray
     units: np.ndarray
-    kind_class: list[int]
+    kind_class: tuple[int, ...]
 
 
 def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> _PsiTerms:
@@ -255,29 +261,35 @@ def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> 
 
     The weighed terms are the sieve's, shared by every field at params
     (``_psi_weights``); per field, one pass over them sends each to the class
-    of Frob_p^k, read off ``FiniteGroup.power_classes``, and leaves out the
-    terms of the ramified primes.
+    of Frob_p^k, read off ``FiniteGroup.power_classes`` for the class of its
+    kind in the plan that the field's table memo keeps (``kind_code``), and
+    leaves out the terms of the ramified primes.  The kinds are read off the
+    memo in place, with no ``FrobeniusTable`` built, and the primes are
+    scanned for an ambiguous one only when the plan has an ambiguous kind.
     """
     n_hi = params.x * math.exp(params.eps)  # supp f ends at 1 + eps/log x
     if n_hi > sieve.limit:
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
-    table = frobenius_table(fd, sieve, n_hi)  # not the class tally, which would replace the one counts keep
-    p = table.first(attrgetter("ambiguous"))
-    if p is not None:
-        raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
+    memo = _memo(fd, sieve)
+    end = memo.extend(fd, sieve, n_hi)  # not the class tally, which would replace the one counts keep
+    kind_class = memo.kind_code
+    if any(c < -1 for c in kind_class):
+        p = frobenius_table(fd, sieve, n_hi).first(attrgetter("ambiguous"))
+        if p is not None:
+            raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
+    # no prime <= n_hi is ambiguous now, so every kind read below has a class or is ramified
     weights = _psi_weights(params, sieve, n_hi)
     start, stop = weights.start, weights.stop
-    kind_class = [-1 if data.ramified else data.conjugacy_class.index for data in table.kinds]
     order, powers = fd.group.order, fd.group.power_classes
-    lower_kind = table.kind[:start].tolist()
+    lower_kind = memo.kind[:start].tolist()
     lower_class = []
     for i, k, _, _ in weights.lower:
         c = kind_class[lower_kind[i]]
         lower_class.append(c if c < 0 else powers[c][k % order])
     # on the upper ramp k = 1, and Frob_p^1 is in Frob_p's own class
-    upper_class = np.where(weights.upper > 0.0, np.array(kind_class)[table.kind[stop:]], -1)
+    upper_class = np.where(weights.upper > 0.0, np.array(kind_class)[memo.kind[stop:end]], -1)
     units = _log_units(sieve, stop)[start:]
-    return _PsiTerms(weights, lower_class, upper_class, table.kind[start:stop], units, kind_class)
+    return _PsiTerms(weights, lower_class, upper_class, memo.kind[start:stop], units, kind_class)
 
 
 def psi_weighted_items(
@@ -307,7 +319,7 @@ def psi_weighted_items(
     keeps those terms for the last params, ramified primes included, and
     every field and class at the same params reads them (``_psi_weights``).
     What stays per field is the class of each term, read off the field's
-    Frobenius table, and the plateau primes of cls.  The pairs are not
+    kinds and their plan, and the plateau primes of cls.  The pairs are not
     memoized.
     """
     terms = _psi_terms(fd, params, sieve)
@@ -364,7 +376,8 @@ def psi_weighted_class(
         high = np.bincount(terms.kind, terms.units >> 29, size).tolist()
         low = np.bincount(terms.kind, terms.units & _LOW, size).tolist()
         for k, c in enumerate(terms.kind_class):
-            sums[c] += (high[k] * 2.0**-24, low[k] * _UNIT)
+            if c >= 0:
+                sums[c] += (high[k] * 2.0**-24, low[k] * _UNIT)
         values = tuple(map(math.fsum, sums[:-1]))
         kept = sieve.derived["psi_weighted_class", fd] = (params, values)
     return kept[1][cls.index]
@@ -438,6 +451,31 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
+class _BaseChangePlan(NamedTuple):
+    """What a base-change comparison needs of (G, C, H) alone: the scale
+    (|C|/|G|)(|H|/|C_H|), and one (f, class index) pair per <sigma>-orbit of
+    length f on G/H whose Frobenius lies in C_H, for sigma in that class."""
+
+    scale: float
+    orbits: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=256)
+def _base_change_plan(group: FiniteGroup, cls: ConjugacyClass, h: frozenset[int]) -> _BaseChangePlan:
+    """The subgroup check, the meet with C, C_H and the coset orbits, once per
+    (group, class, H).  A refused H raises, and is not kept."""
+    if group.subgroup_closure(h) != h:
+        raise UnsupportedSubgroupAction("H is not a subgroup")
+    meet = sorted(h & cls.members)
+    if not meet:
+        raise ParameterOutOfRange("H does not meet the conjugacy class")
+    g0 = meet[0]
+    c_h = frozenset(group.conj(g0, hh) for hh in h)
+    orbits = tuple((f, index) for index, lengths in _coset_orbits_in_ch(group, h, c_h).items() for f in lengths)
+    scale = cls.size / group.order * len(h) / len(c_h)
+    return _BaseChangePlan(scale, orbits)
+
+
 def base_change_compare(
     fd: FieldDescriptor,
     cls: ConjugacyClass,
@@ -450,17 +488,13 @@ def base_change_compare(
     (|C|/|G|)([K:Q] sqrt(x) + (2/log 2) log D_K).
 
     Both sides are counted exactly; the K^H primes come from the coset-orbit
-    description of splitting in the fixed field.
+    description of splitting in the fixed field.  What depends on (G, C, H)
+    alone, the subgroup check, C_H and the orbit table, is computed once per
+    triple (``_base_change_plan``); a refused H raises on every call.  Each
+    call then reads only the class tallies at x and at floor(x)^(1/f).
     """
     group = fd.group
-    if group.subgroup_closure(h) != h:
-        raise UnsupportedSubgroupAction("H is not a subgroup")
-    meet = sorted(h & cls.members)
-    if not meet:
-        raise ParameterOutOfRange("H does not meet the conjugacy class")
-    g0 = meet[0]
-    c_h = frozenset(group.conj(g0, hh) for hh in h)
-    orbits = _coset_orbits_in_ch(group, h, c_h)
+    plan = _base_change_plan(group, cls, frozenset(h))
     tally = _class_tally(fd, sieve, x)
     if tally.unresolved:
         p = frobenius_table(fd, sieve, x).first(attrgetter("ambiguous"))
@@ -468,14 +502,13 @@ def base_change_compare(
     pi_c = tally.by_class[cls.index]
     # a prime of class c gives one K^H prime of norm p^f per orbit of length f
     # meeting C_H; it counts when p^f <= x, that is when p <= floor(x)^(1/f)
-    prefix = {f: _class_tally(fd, sieve, _iroot(max(int(x), 0), f)).by_class for f in set(chain(*orbits.values()))}
-    pi_ch = sum(prefix[f][index] for index, lengths in orbits.items() for f in lengths)
-    scale = cls.size / group.order * len(h) / len(c_h)
-    lhs = abs(pi_c - scale * pi_ch)
+    prefix = {f: _class_tally(fd, sieve, _iroot(max(int(x), 0), f)).by_class for f in {f for f, _ in plan.orbits}}
+    pi_ch = sum(prefix[f][index] for f, index in plan.orbits)
+    lhs = abs(pi_c - plan.scale * pi_ch)
     rhs = cls.size / group.order * (
         group.order * math.sqrt(x) + 2.0 / math.log(2.0) * math.log(fd.abs_disc)
     )
-    return BaseChangeCheck(lhs=lhs, rhs_bound=rhs, pi_c=pi_c, pi_ch=pi_ch, scale=scale, x=x)
+    return BaseChangeCheck(lhs=lhs, rhs_bound=rhs, pi_c=pi_c, pi_ch=pi_ch, scale=plan.scale, x=x)
 
 
 # -- error reports ----------------------------------------------------------------

@@ -305,13 +305,28 @@ def _memo(fd: FieldDescriptor, sieve: PrimeSieve) -> _TableMemo:
     return sieve.derived.get(key) or sieve.derived.setdefault(key, _TableMemo(fd))
 
 
+def _kind_code(data: FrobeniusData) -> int:
+    """The code of a record in a memo's ``kind_code``: its class index, -1 when
+    ramified, and -1 - d when ambiguous with Frobenius order d (d >= 2, so the
+    code is at most -3)."""
+    if data.ramified:
+        return -1
+    if data.conjugacy_class is None:
+        return -1 - data.frobenius_order
+    return data.conjugacy_class.index
+
+
 class _TableMemo:
     """One field's kinds of a prefix of the primes of the sieve that keeps it,
-    and ``last``: the class tally of the last prime count n asked for, and
-    ``last_x``, the last x it answered.
+    the plan of its kinds, and ``last``: the class tally of the last prime
+    count n asked for, and ``last_x``, the last x it answered.
 
     Kind indices are assigned in the order records are first met and never
-    change, so a table or tally of kind[:n] stays right as kind grows.
+    change, so a table or tally of kind[:n] stays right as kind grows.  The
+    plan is ``kind_code``, the ``_kind_code`` of each kind's record.  It is
+    built when the memo is made and again when ``extend`` meets a new record,
+    so the tally, ψ and their error paths read each kind's class and
+    ambiguity off it, not off the records.
     """
 
     def __init__(self, fd: FieldDescriptor):
@@ -324,6 +339,7 @@ class _TableMemo:
             # the kind of each group element, then the ramified kind read by element -1
             records = [_element_frobenius(fd, e) for e in fd.group.elements()] + [_RAMIFIED_DATA]
             self.element_kind = self._kinds(records)
+        self.kind_code = tuple(map(_kind_code, self.index))
 
     def tally(self, fd: FieldDescriptor, n: int) -> _ClassTally:
         """The class tally of the first n primes, from one ``np.bincount`` of their kinds."""
@@ -331,13 +347,13 @@ class _TableMemo:
         by_class = [0] * len(fd.group.classes)
         unresolved: dict[int, int] = {}
         ramified = 0
-        for data, c in zip(self.index, counts):
-            if data.ramified:
-                ramified += c
-            elif not data.ambiguous:
-                by_class[data.conjugacy_class.index] += c
-            elif c:  # an order enters unresolved only with a prime
-                unresolved[data.frobenius_order] = unresolved.get(data.frobenius_order, 0) + c
+        for c, m in zip(self.kind_code, counts):
+            if c >= 0:
+                by_class[c] += m
+            elif c == -1:
+                ramified += m
+            elif m:  # an order enters unresolved only with a prime
+                unresolved[-1 - c] = unresolved.get(-1 - c, 0) + m
         return _ClassTally(n, tuple(by_class), ramified, MappingProxyType(unresolved))
 
     def extend(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> int:
@@ -347,6 +363,8 @@ class _TableMemo:
             size = sieve.read_ahead(k, n)
             self.kind = np.concatenate((self.kind, self._classify(fd, sieve.primes[k:size])))
             self.kind.flags.writeable = False
+            if len(self.kind_code) != len(self.index):  # a record met now, or by a call that raised
+                self.kind_code = tuple(map(_kind_code, self.index))
         return n
 
     def _kinds(self, records: list[FrobeniusData]) -> np.ndarray:

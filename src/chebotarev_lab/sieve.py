@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LimitTooLarge, SieveRangeExceeded
+from .errors import LimitTooLarge, ParameterOutOfRange, SieveRangeExceeded
 
 SIEVE_CAP = 10**8
 
@@ -76,15 +76,22 @@ class PrimeSieve:
         return min(len(self), max(need, 2 * have, _READ_AHEAD_FLOOR))
 
     def count_leq(self, x: float) -> int:
-        """pi(x) for x <= limit."""
-        if x > self.limit:
-            raise SieveRangeExceeded(f"pi({x}) requested but sieve limit is {self.limit}")
+        """pi(x) for x <= limit; a NaN x is a ParameterOutOfRange."""
+        if not x <= self.limit:
+            _refuse(x, f"pi({x}) requested but sieve limit is {self.limit}")
         return int(self.primes.searchsorted(int(x), side="right"))
 
     def upto(self, x: float) -> np.ndarray:
-        if x > self.limit:
-            raise SieveRangeExceeded(f"primes up to {x} requested but sieve limit is {self.limit}")
+        if not x <= self.limit:
+            _refuse(x, f"primes up to {x} requested but sieve limit is {self.limit}")
         return self.primes[: self.count_leq(x)]
+
+
+def _refuse(x: float, beyond: str) -> None:
+    """Raise for an x that is not <= the limit: NaN, or a number beyond it."""
+    if x != x:
+        raise ParameterOutOfRange(f"x must be a number, got {x}")
+    raise SieveRangeExceeded(beyond)
 
 
 def sieve_primes(limit: int) -> PrimeSieve:

@@ -772,3 +772,196 @@ def test_rising_x_session_counts_as_a_cold_sieve():
             for fd in fds:
                 cold = PrimeSieve(limit=sieve.limit, primes=sieve.primes)
                 assert _session_counts(fd, x, sieve) == _session_counts(fd, x, cold), (x, fd.name)
+
+
+# -- plans: what a query needs of the kinds or of (G, C, H) is built once ---------
+
+LATE = parse_catalog("late | -2052 -1 1 | C2 | 8209", source="inline")[0]  # 8209 is past the 1024th prime, 8161
+
+
+def _scalar_tally(fd, x, sieve):
+    """(by class index, ramified, unresolved) of the primes p <= x, one ``frobenius_data`` at a time."""
+    by_class, ramified, unresolved = [0] * len(fd.group.classes), 0, 0
+    for p in sieve.upto(x).tolist():
+        data = frobenius_data(fd, p)
+        if data.ramified:
+            ramified += 1
+        elif data.ambiguous:
+            unresolved += 1
+        else:
+            by_class[data.conjugacy_class.index] += 1
+    return by_class, ramified, unresolved
+
+
+def _check_against_scalar(fd, x, sieve, eps=0.1):
+    by_class, ramified, unresolved = _scalar_tally(fd, x, sieve)
+    tally = splitting_tally(fd, x, sieve)
+    assert (list(tally.by_class.values()), tally.ramified, tally.unresolved) == (by_class, ramified, unresolved), x
+    for cls in fd.group.classes:
+        assert pi_C_count(fd, cls, x, sieve).count == by_class[cls.index], (x, cls.label)
+    params = WeightParams(x=x, eps=eps)
+    scalar = psi_weighted_scalar(fd, params, sieve)
+    for cls in fd.group.classes:
+        assert psi_weighted_class(fd, cls, params, sieve) == math.fsum(v for _, v in scalar[cls.index]), (x, cls)
+        assert psi_weighted_items(fd, cls, params, sieve) == scalar[cls.index], (x, cls.label)
+
+
+def test_late_ramified_prime_counts_below_and_above_it():
+    # the first request classifies the first 2^10 primes, to 8161, and the
+    # ramified prime 8209 only when a later request extends past them
+    sieve = sieve_primes(2 * 10**4)
+    _check_against_scalar(LATE, 5000, sieve)
+    assert sieve.derived["frobenius_table", LATE].kind.size == 1024 == sieve.count_leq(8161)
+    for x in (5000, 8161, 8208.5, 8209, 8209.5, 12000.5, 2 * 10**4 / math.exp(0.1), 5000):
+        _check_against_scalar(LATE, x, sieve)
+        assert splitting_tally(LATE, x, sieve).ramified == (x >= 8209), x
+
+
+def test_a_kind_met_on_extension_updates_the_plan():
+    # s3cubic on a sieve that holds no split prime below 2 * 10^4: the first
+    # 2^10 primes meet three kinds, and the split kind is met only when a
+    # request extends the kinds past them; tallies, counts and psi then read it
+    s3 = BUILTIN_CATALOG["s3cubic"]
+    full = sieve_primes(3 * 10**4)
+    kept = [p for p in full.primes.tolist() if p > 2 * 10**4 or frobenius_data(s3, p).factorization_type != (1, 1, 1)]
+    sieve = PrimeSieve(limit=full.limit, primes=kept)
+    _check_against_scalar(s3, 5000, sieve)
+    codes = sieve.derived["frobenius_table", s3].kind_code
+    assert len(codes) == 3 and s3.group.class_by_label("1").index not in codes
+    for x in (9000.5, 15000, 2 * 10**4 + 11, 25000, 5000, 27000):
+        _check_against_scalar(s3, x, sieve)
+    codes = sieve.derived["frobenius_table", s3].kind_code
+    assert len(codes) == 4 and s3.group.class_by_label("1").index in codes
+    assert splitting_tally(s3, 27000, sieve).by_class["1"] > 0
+
+
+def _k_h_degrees(group, h, c_h, sigma):
+    """The residue degrees f of the primes of K^H, above a prime with Frobenius
+    sigma, whose Frobenius lies in C_H: one per <sigma>-orbit on the cosets gH."""
+    cosets = sorted({frozenset(group.mul(a, b) for b in h) for a in group.elements()}, key=min)
+    seen, out = set(), []
+    for coset in cosets:
+        if coset in seen:
+            continue
+        c, f = coset, 0
+        while c not in seen:
+            seen.add(c)
+            c = frozenset(group.mul(sigma, a) for a in c)
+            f += 1
+        g = min(coset)
+        if group.mul(group.mul(group.inv(g), group.power(sigma, f)), g) in c_h:
+            out.append(f)
+    return out
+
+
+def _base_change_by_hand(fd, cls, h, x, records):
+    group = fd.group
+    g0 = min(h & cls.members)
+    c_h = {group.conj(g0, b) for b in h}
+    pi_c = pi_ch = 0
+    for p, data in records:
+        if p > x or data.ramified:
+            continue
+        pi_c += data.conjugacy_class is cls
+        pi_ch += sum(p**f <= x for f in _k_h_degrees(group, h, c_h, data.conjugacy_class.representative))
+    scale = cls.size / group.order * len(h) / len(c_h)
+    rhs = cls.size / group.order * (group.order * math.sqrt(x) + 2.0 / math.log(2.0) * math.log(fd.abs_disc))
+    return chebotarev.BaseChangeCheck(lhs=abs(pi_c - scale * pi_ch), rhs_bound=rhs, pi_c=pi_c, pi_ch=pi_ch,
+                                      scale=scale, x=x)
+
+
+def test_base_change_at_interleaved_queries_equals_a_recomputation():
+    # S3 with A3 and with H = G, and every subgroup of the abelian built-ins,
+    # at interleaved x, classes and H: each plan is read by later queries of
+    # its (G, C, H), and every check equals one recomputed prime by prime
+    sieve = sieve_primes(6000)
+    queries = []
+    for name in ("gaussian", "sqrt5", "zeta5", "cyclo7plus", "zeta7", "s3cubic"):
+        fd = BUILTIN_CATALOG[name]
+        group = fd.group
+        if name == "s3cubic":
+            subgroups = [frozenset(e for e in group.elements() if group.element_orders[e] in (1, 3)),
+                         frozenset(group.elements())]
+        else:
+            subgroups = sorted(_all_subgroups(group), key=sorted)
+        records = [(p, frobenius_data(fd, p)) for p in sieve.primes.tolist()]
+        for h in subgroups:
+            for cls in group.classes:
+                if h & cls.members:
+                    for x in (2.5, 97, 1000.5, 5999):
+                        queries.append((fd, cls, h, x, records))
+    random.Random(28).shuffle(queries)
+    for fd, cls, h, x, records in queries:
+        want = _base_change_by_hand(fd, cls, h, x, records)
+        assert base_change_compare(fd, cls, h, x, sieve) == want, (fd.name, cls.label, sorted(h), x)
+
+
+def test_refused_subgroups_raise_on_every_call(sieve_small):
+    gaussian, s3 = BUILTIN_CATALOG["gaussian"], BUILTIN_CATALOG["s3cubic"]
+    transposition = s3.group.class_by_label("2")
+    a3 = frozenset(e for e in s3.group.elements() if s3.group.element_orders[e] in (1, 3))
+    for _ in range(3):
+        with pytest.raises(UnsupportedSubgroupAction, match="H is not a subgroup"):
+            base_change_compare(gaussian, gaussian.group.classes[1], frozenset({1}), 100, sieve_small)
+        with pytest.raises(UnsupportedSubgroupAction, match="H is not a subgroup"):
+            base_change_compare(s3, transposition, frozenset({0, transposition.representative, 1, 2}), 100,
+                                sieve_small)
+        with pytest.raises(ParameterOutOfRange, match="H does not meet the conjugacy class"):
+            base_change_compare(s3, transposition, a3, 100, sieve_small)
+        assert base_change_compare(s3, s3.group.class_by_label("3"), a3, 100, sieve_small).passed
+
+
+def _smallest_x_reaching(p, eps):
+    """The smallest float x whose support end x * e^eps, as psi computes it, is >= p."""
+    x = p * math.exp(-eps)
+    while x * math.exp(eps) < p:
+        x = math.nextafter(x, math.inf)
+    while math.nextafter(x, 0.0) * math.exp(eps) >= p:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+@pytest.mark.parametrize("name", ["zeta5blind", "a4quartic"])
+def test_psi_names_the_smallest_ambiguous_prime_after_tallies(name):
+    # tallies build the plan, with its ambiguous kinds, before psi asks: psi
+    # still raises, naming the smallest ambiguous prime p <= x e^eps, and the
+    # same plan answers below that prime
+    fd = TALLY_FIELDS[name]
+    sieve = sieve_primes(10**4)
+    holed = PrimeSieve(limit=sieve.limit, primes=sieve.primes[sieve.primes > 3])
+    for s in (sieve, holed):
+        p = min(q for q in s.primes.tolist() if frobenius_data(fd, q).ambiguous)
+        for x in (100, 5000, 1000.5):
+            splitting_tally(fd, x, s)
+        assert min(s.derived["frobenius_table", fd].kind_code) < -1  # an ambiguous kind
+        for x in (1000.5, 100, max(3, _smallest_x_reaching(p, 0.1))):  # WeightParams needs x >= 3
+            for cls in fd.group.classes:
+                with pytest.raises(AmbiguousClass) as err:
+                    psi_weighted_class(fd, cls, WeightParams(x=x, eps=0.1), s)
+                assert str(err.value) == f"{name}: class not resolvable at p={p}"
+        if p * math.exp(-0.1) > 3:
+            below = WeightParams(x=p * math.exp(-0.1) * (1 - 1e-6), eps=0.1)  # supp f ends just below p
+            scalar = psi_weighted_scalar(fd, below, s)
+            for cls in fd.group.classes:
+                assert psi_weighted_class(fd, cls, below, s) == math.fsum(v for _, v in scalar[cls.index])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda fd, sieve: pi_C_count(fd, fd.group.classes[0], NAN, sieve),
+    lambda fd, sieve: splitting_tally(fd, NAN, sieve),
+    lambda fd, sieve: pi_count(NAN, sieve),
+    lambda fd, sieve: base_change_compare(fd, fd.group.classes[0], frozenset({0}), NAN, sieve),
+    lambda fd, sieve: sieve.upto(NAN),
+    lambda fd, sieve: sieve.count_leq(NAN),
+], ids=["pi_C_count", "splitting_tally", "pi_count", "base_change_compare", "upto", "count_leq"])
+def test_nan_x_is_a_typed_error(call):
+    # on a fresh sieve and after a query has kept a tally, NaN is refused before any search
+    fd = BUILTIN_CATALOG["s3cubic"]
+    sieve = sieve_primes(1000)
+    for _ in range(2):
+        with pytest.raises(ParameterOutOfRange, match="^x must be a number, got nan$"):
+            call(fd, sieve)
+        splitting_tally(fd, 500, sieve)

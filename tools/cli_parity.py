@@ -8,13 +8,17 @@ working tree.  One worker process per tree imports its package and runs
 ``chebotarev_lab.cli.main`` in process on a fixed matrix of argument lists:
 every subcommand, over the built-in fields, the demo catalog and a few inline
 rows (Dedekind's common index divisor, another index divisor, a quadratic
-index divisor, S4, A4, A5, and an S4 quartic tagged D4 and C4, whose tables
-raise GroupMismatch), and the family of the A4 row alone and of the A5 row alone, whose counts meet an unresolved
-prime.  A last catalog gives Q(sqrt 2) the built-in name ``gaussian``, read
-once by each subcommand that reads a catalog.  A few invocations run at the
-benchmark's sizes: ``coeffs --n 30000`` and ``chebotarev --x 150000
---weights-eps 0.1``.  For each invocation the exit code, stdout and stderr
-of the two trees are compared.
+index divisor, S4, A4, A5, an S4 quartic tagged D4 and C4, whose tables
+raise GroupMismatch, and ``late``, a quadratic whose one ramified prime 8209
+lies past the first 2^10 primes), the family of the A4 row alone and of the
+A5 row alone, whose counts meet an unresolved prime, and that of the demo rows
+with ``late``.  ``late`` also runs ``splitting``, ``chebotarev`` (with and
+without ``--weights-eps``) and ``family`` at x below and above 8209.  A last
+catalog gives Q(sqrt 2) the built-in name ``gaussian``, read once by each
+subcommand that reads a catalog.  A few invocations run at the benchmark's
+sizes: ``coeffs --n 30000`` and ``chebotarev --x 150000 --weights-eps 0.1``.
+For each invocation the exit code, stdout and stderr of the two trees are
+compared.
 One line is printed per invocation that differs, then a summary; the exit
 code is 1 if any differs, else 0.
 """
@@ -51,7 +55,10 @@ INLINE_ROWS = {  # row, class labels, element orders
     "a5quintic": ("a5quintic | 16 20 0 0 0 1 | A5 | 1024000000", ["1", "2", "3", "5a", "5b"], [1, 2, 3, 5]),
     "liar4": ("liar4 | -1 -1 0 0 1 | D4 | -283", ["1", "2a", "2b", "2c"], [1, 2]),
     "s4c4": ("s4c4 | -1 -1 0 0 1 | C4 | -283", ["1", "2", "4a", "4b"], [1, 2, 4]),
+    # x^2 - x - 2052: disc 8209, a prime past the 1024th prime 8161
+    "late": ("late | -2052 -1 1 | C2 | 8209", ["1", "2"], [1, 2]),
 }
+LATE_XS = ("5000", "8161", "8208.5", "8209", "8209.5", "9000", "12000.5")  # around the ramified prime 8209
 AMBIGUOUS_ROWS = ("a4quartic", "a5quintic")  # each read as a catalog of its own, for a one-field family
 SHADOW_ROW = "gaussian | -2 0 1 | C2 | 8"  # Q(sqrt 2) under a built-in's name, read as a catalog of its own
 SUBCOMMANDS = ["coeffs", "splitting", "large-sieve", "weights", "eta", "chebotarev", "family"]
@@ -111,6 +118,15 @@ def matrix(catalog: str) -> list[list[str]]:
     for q, x in (("50", "300"), ("200", "2000"), ("200", "7000.5"), ("1000", "1000")):
         runs.append(["family", *demo, "--Q", q, "--x", x])
     runs.append(["family", *cat, "--Q", "200", "--x", "1000"])
+    late = ["--catalog", str(Path(catalog).with_name("late.txt"))]
+    for limit in ("8200", "8300"):
+        runs.append(["splitting", *cat, "--field", "late", "--limit", limit, "--format", "json"])
+    for x in LATE_XS:
+        for label in ("1", "2", "order=2"):
+            runs.append(["chebotarev", *cat, "--field", "late", "--class", label, "--x", x])
+        for label in ("1", "2"):
+            runs.append(["chebotarev", *cat, "--field", "late", "--class", label, "--x", x, "--weights-eps", "0.1"])
+        runs.append(["family", *late, "--Q", "1e4", "--x", x])
     runs.append(["family", *demo, "--rule", "explicit-pairs", "--x", "500"])
     runs.append(["family", *demo, "--rule", "bogus"])
     for name in AMBIGUOUS_ROWS:
@@ -163,6 +179,7 @@ def main(argv: list[str]) -> int:
         catalog.write_text("\n".join(rows) + "\n", encoding="utf-8")
         for name in AMBIGUOUS_ROWS:
             (Path(tmp) / f"{name}.txt").write_text(INLINE_ROWS[name][0] + "\n", encoding="utf-8")
+        (Path(tmp) / "late.txt").write_text(rows[0] + INLINE_ROWS["late"][0] + "\n", encoding="utf-8")
         (Path(tmp) / "shadow.txt").write_text(SHADOW_ROW + "\n", encoding="utf-8")
         runs = matrix(str(catalog))
         with ThreadPoolExecutor(2) as pool:
