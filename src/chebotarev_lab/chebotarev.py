@@ -8,21 +8,20 @@ counts by class, by ambiguous order and of the ramified primes, built from
 one count of the table's kinds.  So the class counts partition pi(x) minus
 the ramified and unresolved primes, and the queries of one x search the
 sieve and count the kinds once.  Weighted prime sums weigh each prime
-power once per sieve and weight parameters, for every field, sort the terms
-of a field into its classes in one pass, and reduce each class's terms with
-exact compensated summation, so results are bit-stable.  What a query needs
-of a field's kinds alone (their classes and ambiguity) is the
-plan the table memo keeps, and what it needs of (G, C, H) alone is computed
-once per triple, so a query at a new x reads only the kinds and tallies.
+power once per sieve and weight parameters, for every field, into one
+table, give a field's terms their classes by one lookup, and reduce each
+class's terms with exact compensated summation, so results are bit-stable.
+What a query needs of a field's kinds alone (their classes and ambiguity)
+is the plan the table memo keeps, and what it needs of (G, C, H) alone is
+computed once per triple, so a query at a new x reads only the kinds and
+tallies.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from .errors import (
     SieveRangeExceeded,
     UnsupportedSubgroupAction,
 )
-from .fields import FieldDescriptor, _class_tally, _memo, frobenius_table
+from .fields import FieldDescriptor, _class_tally, _first_unresolved, _memo
 from .groups import ConjugacyClass, FiniteGroup
 from .sieve import PrimeSieve
 from .weights import WeightParams, below_support, f_eval
@@ -88,14 +87,14 @@ def pi_C_count(
     Raises AmbiguousClass, naming the smallest such p <= x, when an exact
     class is requested but the factorization data cannot separate it.  The
     count and pi(x) are read off the class tally to x; only an ambiguous
-    count walks the table, for the prime it names.
+    count scans the kinds, for the prime it names.
     """
     group = fd.group
     tally = _class_tally(fd, sieve, x)
     if isinstance(selector, ConjugacyClass):
         d = selector.order
         if d in tally.unresolved:
-            p = frobenius_table(fd, sieve, x).first(lambda data: data.ambiguous and data.frobenius_order == d)
+            p = _first_unresolved(fd, sieve, x, d)
             raise AmbiguousClass(f"{fd.name}: order-{d} classes are not separated at p={p};"
                                  " request the class union instead")
         size, count, label = selector.size, tally.by_class[selector.index], selector.label
@@ -187,16 +186,18 @@ class _PsiWeights(NamedTuple):
     """The terms that f weighs at one params on one sieve, which no field
     shapes: those below and above the plateau block primes[start:stop].
 
-    ``lower`` holds (i, k, p^k, log p * f(k log p / log x)) for every term of
-    p = primes[i] <= isqrt(2 n_hi), ascending in p and then k.  ``upper``
-    holds log p * f(log p / log x) for p = primes[stop + j] on the upper
-    ramp, where p^2 > n_hi leaves k = 1 alone, and 0.0 where no term enters.
+    They form one table, kept by column: row r is the term
+    t[r] = log p * f(k log p / log x) > 0.0 of p = primes[i[r]] and k = k[r].
+    The rows ascend in p and then k: first every term of p <= isqrt(2 n_hi),
+    then the upper ramp, where p^2 > n_hi leaves k = 1 alone.  No row has
+    i in [start, stop).
     """
 
     start: int
     stop: int
-    lower: list[tuple[int, int, int, float]]
-    upper: np.ndarray  # float64, aligned with primes[stop:]
+    i: np.ndarray  # intp
+    k: np.ndarray  # intp
+    t: np.ndarray  # float64
 
 
 def _psi_weights(params: WeightParams, sieve: PrimeSieve, n_hi: float) -> _PsiWeights:
@@ -212,84 +213,59 @@ def _psi_weights(params: WeightParams, sieve: PrimeSieve, n_hi: float) -> _PsiWe
     if kept is not None and kept[0] == params:
         return kept[1]
     end = sieve.count_leq(n_hi)
-    primes, units = sieve.primes, _log_units(sieve, end)
+    units = _log_units(sieve, end)
     # the plateau block primes[start:stop]: p > isqrt(2 n_hi), so p^2 > n_hi, and f == 1.0
     start = sieve.count_leq(math.isqrt(int(2 * n_hi)))
     stop = max(start, sieve.count_leq(params.x ** params.plateau[1] * (1.0 - 1e-9)))
     lx = params.log_x
     top = lx + params.eps
-
-    def weigh(lo: int, hi: int) -> Iterator[tuple[int, int, int, float]]:
-        for i, p, u in zip(range(lo, hi), primes[lo:hi].tolist(), units[lo:hi].tolist()):
-            logp = u * _UNIT
-            k = 1
-            n = p
-            while k * logp <= top:
-                t = k * logp / lx
-                if not below_support(params, t):
-                    weight = f_eval(params, t)
-                    if weight > 0.0:
-                        yield i, k, n, logp * weight
-                k += 1
-                n *= p
-
-    upper = np.zeros(end - stop)
-    for i, _, _, term in weigh(stop, end):  # k = 1 alone; log p > 1/2, so term > 0.0 as f > 0.0
-        upper[i - stop] = term
-    weights = _PsiWeights(start, stop, list(weigh(0, start)), upper)
+    index, power, term = [], [], []  # the columns i, k and t
+    for i, u in chain(zip(range(start), units[:start].tolist()), zip(range(stop, end), units[stop:end].tolist())):
+        logp = u * _UNIT
+        k = 1
+        while k * logp <= top:
+            t = k * logp / lx
+            if not below_support(params, t):
+                weight = f_eval(params, t)
+                if weight > 0.0:  # log p > 1/2, so the term is > 0.0 too
+                    index.append(i)
+                    power.append(k)
+                    term.append(logp * weight)
+            k += 1
+    weights = _PsiWeights(start, stop, np.array(index, np.intp), np.array(power, np.intp), np.array(term, np.float64))
     sieve.derived["psi_weights"] = (params, weights)
     return weights
 
 
-class _PsiTerms(NamedTuple):
-    """One field's share of the sieve's ``_PsiWeights``: the class of each
-    weighed term, and the plateau block, where each prime adds exactly
-    log p = units 2^-53 to class ``kind_class[kind]``, the code of its kind in
-    the field's table memo (-1 for the ramified kind, below -1 for an
-    ambiguous kind met past the terms; neither has a class)."""
-
-    weights: _PsiWeights
-    lower_class: list[int]  # the class of Frob_p^k of each lower term, -1 for a ramified p
-    upper_class: np.ndarray  # the class of Frob_p of each upper term, -1 for a ramified p or no term
-    kind: np.ndarray
-    units: np.ndarray
-    kind_class: tuple[int, ...]
-
-
-def _psi_terms(fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve) -> _PsiTerms:
-    """The terms of the weighted prime sum of every class of fd.
+def _psi_terms(
+    fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve
+) -> tuple[_PsiWeights, np.ndarray, np.ndarray, np.ndarray]:
+    """The weighed terms at params and the class in fd of each (-1 for a
+    ramified p), then the slot and the log units U of each prime of the
+    plateau block: its class, or the number of classes for a ramified p.
 
     The weighed terms are the sieve's, shared by every field at params
-    (``_psi_weights``); per field, one pass over them sends each to the class
-    of Frob_p^k, read off ``FiniteGroup.power_classes`` for the class of its
-    kind in the plan that the field's table memo keeps (``kind_code``), and
-    leaves out the terms of the ramified primes.  The kinds are read off the
-    memo in place, with no ``FrobeniusTable`` built, and the primes are
-    scanned for an ambiguous one only when the plan has an ambiguous kind.
+    (``_psi_weights``).  Each term's class is one lookup: Frob_p^k lies in
+    class ``power_classes[slot[kind[i]], k % |G|]``, where ``kind`` holds the
+    kinds that the field's table memo keeps, ``slot`` is its plan
+    (``kind_code``) with the ramified code -1 sent past the classes, and
+    ``FiniteGroup.power_classes`` has its all -1 row there.  The primes are
+    scanned for an ambiguous one only when the plan has an ambiguous kind;
+    past that check no kind of a prime <= n_hi is ambiguous.
     """
     n_hi = params.x * math.exp(params.eps)  # supp f ends at 1 + eps/log x
     if n_hi > sieve.limit:
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
-    memo = _memo(fd, sieve)
-    end = memo.extend(fd, sieve, n_hi)  # not the class tally, which would replace the one counts keep
-    kind_class = memo.kind_code
-    if any(c < -1 for c in kind_class):
-        p = frobenius_table(fd, sieve, n_hi).first(attrgetter("ambiguous"))
-        if p is not None:
-            raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
-    # no prime <= n_hi is ambiguous now, so every kind read below has a class or is ramified
+    # extends the kinds to n_hi, and not the class tally, which would replace the one counts keep
+    p = _first_unresolved(fd, sieve, n_hi)
+    if p is not None:
+        raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
     weights = _psi_weights(params, sieve, n_hi)
-    start, stop = weights.start, weights.stop
-    order, powers = fd.group.order, fd.group.power_classes
-    lower_kind = memo.kind[:start].tolist()
-    lower_class = []
-    for i, k, _, _ in weights.lower:
-        c = kind_class[lower_kind[i]]
-        lower_class.append(c if c < 0 else powers[c][k % order])
-    # on the upper ramp k = 1, and Frob_p^1 is in Frob_p's own class
-    upper_class = np.where(weights.upper > 0.0, np.array(kind_class)[memo.kind[stop:end]], -1)
-    units = _log_units(sieve, stop)[start:]
-    return _PsiTerms(weights, lower_class, upper_class, memo.kind[start:stop], units, kind_class)
+    memo, group, start, stop = _memo(fd, sieve), fd.group, weights.start, weights.stop
+    slot = np.array([c if c >= 0 else len(group.classes) for c in memo.kind_code], dtype=np.intp)
+    classes = group.power_classes[slot.take(memo.kind.take(weights.i)), weights.k % group.order]
+    # on the plateau block k = 1, and Frob_p^1 is in Frob_p's own class
+    return weights, classes, slot.take(memo.kind[start:stop]), _log_units(sieve, stop)[start:]
 
 
 def psi_weighted_items(
@@ -316,20 +292,21 @@ def psi_weighted_items(
 
     So the terms equal, bit for bit, those of one scalar loop that weighs
     every (p, k).  What f weighs does not depend on the field: the sieve
-    keeps those terms for the last params, ramified primes included, and
-    every field and class at the same params reads them (``_psi_weights``).
-    What stays per field is the class of each term, read off the field's
-    kinds and their plan, and the plateau primes of cls.  The pairs are not
-    memoized.
+    keeps those terms for the last params, ramified primes included, in one
+    table that every field and class at the same params reads
+    (``_psi_weights``).  What stays per field is the class of each term, one
+    lookup off the field's kinds and their plan, and the plateau primes of
+    cls; the rows of cls are split at the plateau block to keep the pairs
+    ascending.  The pairs are not memoized.
     """
-    terms = _psi_terms(fd, params, sieve)
-    weights, c = terms.weights, cls.index
-    lower = [(n, t) for d, (_, _, n, t) in zip(terms.lower_class, weights.lower) if d == c]
-    mine = np.isin(terms.kind, [k for k, d in enumerate(terms.kind_class) if d == c])
-    plateau = zip(sieve.primes[weights.start : weights.stop][mine].tolist(), (terms.units[mine] * _UNIT).tolist())
-    up = terms.upper_class == c
-    upper = zip(sieve.primes[weights.stop : weights.stop + up.size][up].tolist(), weights.upper[up].tolist())
-    return [*lower, *plateau, *upper]
+    weights, classes, plateau, units = _psi_terms(fd, params, sieve)
+    rows = classes == cls.index
+    i = weights.i[rows]
+    split = int(np.searchsorted(i, weights.start))
+    pairs = list(zip((sieve.primes[i] ** weights.k[rows]).tolist(), weights.t[rows].tolist()))
+    mine = plateau == cls.index
+    block = zip(sieve.primes[weights.start : weights.stop][mine].tolist(), (units[mine] * _UNIT).tolist())
+    return [*pairs[:split], *block, *pairs[split:]]
 
 
 def psi_weighted_class(
@@ -346,7 +323,7 @@ def psi_weighted_class(
     primes and the ramps, and each plateau prime adds exactly log p, since f
     is exactly 1.0 on [1/2, 1].  The plateau logs are summed as exact
     integers: log p = U 2^-53 with U = math.log(p) / 2^-53 below 2^58, read
-    from a cache the sieve keeps, and two ``np.bincount`` over the kinds of
+    from a cache the sieve keeps, and two ``np.bincount`` over the classes of
     the block add the high and low 29 bits of U with every partial sum below
     2^52, so exactly.  Those sums and the ramp terms are reduced with exact
     compensated summation, which rounds their exact total once: the value
@@ -355,30 +332,23 @@ def psi_weighted_class(
 
     The weighed terms are shared: the sieve keeps them for the last params,
     and every field at those params reads them, so f weighs each (p, k) once
-    per sieve and params (``_psi_weights``).  Per field, one pass sends the
-    shared terms to their classes, as plain float lists, and the two
-    bincounts sum the plateau.  The sieve keeps, in ``sieve.derived``, the
-    sums of every class of the field for the last params it was asked, so
-    the other classes at the same parameters are read back without
-    recomputation; other parameters recompute them.  A request that raises
-    leaves the kept weights and sums as they were.
+    per sieve and params (``_psi_weights``).  Per field, one lookup gives
+    every term its class, and the two bincounts sum the plateau.  The sieve
+    keeps, in ``sieve.derived``, the sums of every class of the field for
+    the last params it was asked, so the other classes at the same
+    parameters are read back without recomputation; other parameters
+    recompute them.  A request that raises leaves the kept weights and sums
+    as they were.
     """
     kept = sieve.derived.get(("psi_weighted_class", fd))
     if kept is None or kept[0] != params:
-        terms = _psi_terms(fd, params, sieve)
-        # one list per class, and sums[-1] for class -1: the ramified primes' terms and the ramp's 0.0
-        sums: list[list[float]] = [[] for _ in range(len(fd.group.classes) + 1)]
-        for c, (_, _, _, t) in zip(terms.lower_class, terms.weights.lower):
-            sums[c].append(t)
-        for c, t in zip(terms.upper_class.tolist(), terms.weights.upper.tolist()):
-            sums[c].append(t)
-        size = len(terms.kind_class)
-        high = np.bincount(terms.kind, terms.units >> 29, size).tolist()
-        low = np.bincount(terms.kind, terms.units & _LOW, size).tolist()
-        for k, c in enumerate(terms.kind_class):
-            if c >= 0:
-                sums[c] += (high[k] * 2.0**-24, low[k] * _UNIT)
-        values = tuple(map(math.fsum, sums[:-1]))
+        weights, classes, plateau, units = _psi_terms(fd, params, sieve)
+        size = len(fd.group.classes)
+        # the plateau sums by slot; the last slot, of the ramified primes, is left out
+        high = np.bincount(plateau, units >> 29, size + 1).tolist()
+        low = np.bincount(plateau, units & _LOW, size + 1).tolist()
+        values = tuple(math.fsum([*weights.t[classes == c].tolist(), high[c] * 2.0**-24, low[c] * _UNIT])
+                       for c in range(size))
         kept = sieve.derived["psi_weighted_class", fd] = (params, values)
     return kept[1][cls.index]
 
@@ -497,7 +467,7 @@ def base_change_compare(
     plan = _base_change_plan(group, cls, frozenset(h))
     tally = _class_tally(fd, sieve, x)
     if tally.unresolved:
-        p = frobenius_table(fd, sieve, x).first(attrgetter("ambiguous"))
+        p = _first_unresolved(fd, sieve, x)
         raise UnsupportedSubgroupAction(f"{fd.name}: class not resolvable at p={p}")
     pi_c = tally.by_class[cls.index]
     # a prime of class c gives one K^H prime of norm p^f per orbit of length f

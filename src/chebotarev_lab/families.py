@@ -3,9 +3,9 @@ discriminant checks, and averaged Chebotarev error reports.
 
 Nontrivial-intersection detection is rule-based per group tag, and each rule
 says two fields meet iff one key is equal: quadratic fields by discriminant,
-S_n closures (n >= 5) by their resolvent quadratic, simple groups by their
-defining polynomial.  Other tags need the explicit-pairs rule, under which a
-field meets only itself (by name).
+S_n closures (n >= 5) by their resolvent quadratic, simple groups by D_K,
+where two fields with one D_K must have one defining polynomial.  Other tags
+need the explicit-pairs rule, under which a field meets only itself (by name).
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from .errors import (
     UndecidableIntersectionRule,
     ValidationError,
 )
-from .fields import FieldDescriptor, _class_tally, frobenius_table
+from .fields import FieldDescriptor, _class_tally, _first_unresolved
 from .sieve import PrimeSieve
 
 RULE_QUADRATIC = "quadratic-equality"
 RULE_RESOLVENT = "resolvent-discriminant"
 RULE_SIMPLE = "simple-group"
 RULE_EXPLICIT = "explicit-pairs"
+_USE_EXPLICIT = f"use the {RULE_EXPLICIT} rule (--rule {RULE_EXPLICIT}), under which a field meets only itself"
 
 _SIMPLE_TAGS = {"A5"}
 
@@ -58,6 +59,7 @@ class Family(_FamilyRecord):
     ``multiplicity`` is m_F(Q): the largest number of fields in the family
     that meet one of them nontrivially, a field always meeting itself.  It is
     computed once, when the family is built, so a rule that cannot decide
+    (among them the simple-group rule on two polynomials with one D_K)
     raises UndecidableIntersectionRule before anything is counted.  A rule
     of None is the group tag's default rule.  A field may be listed more
     than once, but two different fields may not share a name.
@@ -82,14 +84,13 @@ class Family(_FamilyRecord):
             (tag,) = tags
             intersection_rule = default_rule(tag)
             if intersection_rule is None:
-                raise UndecidableIntersectionRule(
-                    f"no intersection rule for group tag {tag};"
-                    f" use the {RULE_EXPLICIT} rule (--rule {RULE_EXPLICIT}), under which a field meets only itself"
-                )
+                raise UndecidableIntersectionRule(f"no intersection rule for group tag {tag}; {_USE_EXPLICIT}")
         elif intersection_rule not in _RULE_KEYS:
             raise UndecidableIntersectionRule(
                 f"unknown intersection rule {intersection_rule!r}; known: {sorted(_RULE_KEYS)}"
             )
+        if intersection_rule == RULE_SIMPLE:
+            _check_simple_keys(fields)
         multiplicity = max(Counter(map(_RULE_KEYS[intersection_rule], fields)).values())
         return super().__new__(cls, fields, q_bound, intersection_rule, multiplicity)
 
@@ -129,9 +130,25 @@ def resolvent_square_class(fd: FieldDescriptor) -> int:
 _RULE_KEYS = {
     RULE_QUADRATIC: attrgetter("disc_field"),
     RULE_RESOLVENT: resolvent_square_class,
-    RULE_SIMPLE: attrgetter("defining_poly"),
+    RULE_SIMPLE: attrgetter("disc_field"),
     RULE_EXPLICIT: attrgetter("name"),
 }
+
+
+def _check_simple_keys(fields: tuple[FieldDescriptor, ...]) -> None:
+    """Refuse two fields that share D_K or a defining polynomial but not both:
+    for a simple G, K cap K' is Q or K = K', so equal polynomials meet and
+    different D_K, an invariant of K, do not.  The rule trusts the D_K
+    given, of which the constructor checks only the prime support."""
+    first: dict[object, FieldDescriptor] = {}
+    for fd in fields:
+        for key, shared in ((fd.disc_field, f"D_K = {fd.disc_field} but not a defining polynomial"),
+                            (fd.defining_poly, "a defining polynomial but not D_K")):
+            a = first.setdefault(key, fd)
+            if (a.disc_field, a.defining_poly) != (fd.disc_field, fd.defining_poly):
+                raise UndecidableIntersectionRule(f"{a.name} and {fd.name} share {shared},"
+                                                  f" so the {RULE_SIMPLE} rule cannot tell whether they meet;"
+                                                  f" {_USE_EXPLICIT}")
 
 
 # -- compositum discriminants ---------------------------------------------------
@@ -206,7 +223,7 @@ def avg_cheb_error(
     for fd in family.fields:
         tally = _class_tally(fd, sieve, x)
         if tally.unresolved:
-            p = frobenius_table(fd, sieve, x).first(attrgetter("ambiguous"))
+            p = _first_unresolved(fd, sieve, x)
             raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
         order = fd.group.order
         errors.append(max(abs(n - c.size / order * tally.n) for c, n in zip(fd.group.classes, tally.by_class)))

@@ -225,20 +225,13 @@ class FrobeniusTable(NamedTuple):
 
     ``kind[i]`` indexes ``kinds``, the records met so far, so ``primes[i]``
     has the record ``kinds[kind[i]]``, for code that walks the primes (counts
-    read a class tally of its kinds).  The arrays are read-only.
+    read a class tally of its kinds, and an error names its unresolved prime
+    through ``_first_unresolved``).  The arrays are read-only.
     """
 
     primes: np.ndarray
     kind: np.ndarray  # int16
     kinds: tuple[FrobeniusData, ...]
-
-    def first(self, match) -> int | None:
-        """The smallest prime whose record satisfies ``match``, or None."""
-        kinds = [k for k, data in enumerate(self.kinds) if match(data)]
-        if not kinds:  # no scan of the primes
-            return None
-        hit = np.isin(self.kind, kinds)
-        return int(self.primes[hit.argmax()]) if hit.any() else None
 
 
 def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> FrobeniusTable:
@@ -300,6 +293,20 @@ def _class_tally(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> _ClassTall
     return memo.last
 
 
+def _first_unresolved(fd: FieldDescriptor, sieve: PrimeSieve, x: float, order: int | None = None) -> int | None:
+    """The smallest prime p <= x of ``sieve`` that the field leaves unresolved,
+    of Frobenius order ``order`` when it is given, or None.  It reads the
+    memo's plan, and scans the kinds of the primes only when the plan has an
+    ambiguous kind of that order."""
+    memo = _memo(fd, sieve)
+    n = memo.extend(fd, sieve, x)
+    kinds = [k for k, c in enumerate(memo.kind_code) if c < -1 and (order is None or c == -1 - order)]
+    if not kinds:
+        return None
+    hit = np.isin(memo.kind[:n], kinds)
+    return int(sieve.primes[hit.argmax()]) if hit.any() else None
+
+
 def _memo(fd: FieldDescriptor, sieve: PrimeSieve) -> _TableMemo:
     key = "frobenius_table", fd
     return sieve.derived.get(key) or sieve.derived.setdefault(key, _TableMemo(fd))
@@ -323,15 +330,16 @@ class _TableMemo:
 
     Kind indices are assigned in the order records are first met and never
     change, so a table or tally of kind[:n] stays right as kind grows.  The
-    plan is ``kind_code``, the ``_kind_code`` of each kind's record.  It is
-    built when the memo is made and again when ``extend`` meets a new record,
-    so the tally, ψ and their error paths read each kind's class and
-    ambiguity off it, not off the records.
+    plan is ``kind_code``, the ``_kind_code`` of each kind's record.
+    ``_kinds``, the one place records are registered, refreshes it when it
+    meets a new record, so the tally, ψ and their error paths read each
+    kind's class and ambiguity off it, not off the records.
     """
 
     def __init__(self, fd: FieldDescriptor):
         self.kind = np.zeros(0, dtype=np.int16)
         self.index: dict[FrobeniusData, int] = {}
+        self.kind_code: tuple[int, ...] = ()
         self.last = _ClassTally(0, (0,) * len(fd.group.classes), 0, MappingProxyType({}))
         self.last_x: float | None = None
         self.residue = None if fd.residue_action is None else np.asarray(fd.residue_action.residue_class)
@@ -339,7 +347,6 @@ class _TableMemo:
             # the kind of each group element, then the ramified kind read by element -1
             records = [_element_frobenius(fd, e) for e in fd.group.elements()] + [_RAMIFIED_DATA]
             self.element_kind = self._kinds(records)
-        self.kind_code = tuple(map(_kind_code, self.index))
 
     def tally(self, fd: FieldDescriptor, n: int) -> _ClassTally:
         """The class tally of the first n primes, from one ``np.bincount`` of their kinds."""
@@ -363,12 +370,14 @@ class _TableMemo:
             size = sieve.read_ahead(k, n)
             self.kind = np.concatenate((self.kind, self._classify(fd, sieve.primes[k:size])))
             self.kind.flags.writeable = False
-            if len(self.kind_code) != len(self.index):  # a record met now, or by a call that raised
-                self.kind_code = tuple(map(_kind_code, self.index))
         return n
 
     def _kinds(self, records: list[FrobeniusData]) -> np.ndarray:
-        return np.array([self.index.setdefault(data, len(self.index)) for data in records], dtype=np.int16)
+        """The kind of each record, registering the records not met before."""
+        kinds = np.array([self.index.setdefault(data, len(self.index)) for data in records], dtype=np.int16)
+        if len(self.kind_code) != len(self.index):
+            self.kind_code = tuple(map(_kind_code, self.index))
+        return kinds
 
     def _classify(self, fd: FieldDescriptor, primes: np.ndarray) -> np.ndarray:
         """The kind of each prime."""

@@ -57,12 +57,14 @@ class FiniteGroup:
         self.element_orders = tuple(self._element_order(a) for a in range(self.order))
         self.classes = self._conjugacy_classes()
         self._class_of = {e: c for c in self.classes for e in c.members}
-        # power_classes[c][k % |G|]: the index of the class holding the k-th powers of class c; set
-        # here, as every attribute, since one set later would slow every attribute read of the group
-        self.power_classes = tuple(
-            tuple(self.class_of(self.power(c.representative, k)).index for k in range(self.order))
-            for c in self.classes
+        # power_classes[c, k % |G|]: the index of the class holding the k-th powers of class c, and a
+        # last row of -1, no class, for a prime with none; set here, as every attribute, since one set
+        # later would slow every attribute read of the group
+        self.power_classes = np.array(
+            [[self.class_of(self.power(c.representative, k)).index for k in range(self.order)] for c in self.classes]
+            + [[-1] * self.order]
         )
+        self.power_classes.flags.writeable = False
 
     # -- construction-time checks -------------------------------------
 

@@ -335,32 +335,53 @@ def test_psi_errors_raise_on_every_class_query(catalog, sieve_small):
         assert psi_weighted_class(fd, cls, kept, sieve) == want
 
 
+def _kept_psi_table(sieve, params):
+    """The sieve's table of weighed terms at params, once its rows are checked:
+    ascending in (p, k), none in the plateau block, and no term 0.0."""
+    kept, weights = sieve.derived["psi_weights"]
+    assert kept == params and weights.i.size == weights.k.size == weights.t.size
+    rows = list(zip(weights.i.tolist(), weights.k.tolist()))
+    assert rows == sorted(set(rows))
+    assert not ((weights.start <= weights.i) & (weights.i < weights.stop)).any()
+    assert (weights.t > 0.0).all()
+    return weights
+
+
 def test_psi_fields_at_interleaved_params_match_scalar_oracle(sieve_small):
     # the sieve keeps the weights of the last params for every field: fields
     # at one params read one entry, and a change of params weighs again, so
-    # interleaving fields and params must still give the scalar terms bit for bit
+    # interleaving fields and params must still give the scalar terms bit for bit.
+    # p4 leaves the plateau block empty, and p5 puts x = 11, a prime, just past it on the upper ramp
     sieve = sieve_primes(sieve_small.limit)  # keeps no psi weights yet
     a, b, c, d = (_catalog_field(name) for name in ("gaussian", "zeta7", "s3cubic", "quad(15)"))
     p1, p2, p3 = WeightParams(x=1009.5, eps=0.1), WeightParams(x=5000, eps=0.2499), WeightParams(x=97, eps=0.01)
+    p4, p5 = WeightParams(x=3, eps=0.1), WeightParams(x=11, eps=0.2499)
     queries = [(a, p1), (b, p1), (a, p2), (b, p1), (c, p2), (c, p1), (d, p1), (a, p1), (b, p2), (d, p3), (a, p3),
-               (c, p3), (b, p3), (d, p2)]
+               (c, p4), (c, p3), (b, p4), (b, p5), (c, p5), (b, p3), (d, p2)]
     for fd, params in queries:
         scalar = psi_weighted_scalar(fd, params, sieve)
         for cls in fd.group.classes:
             want = scalar[cls.index]
             assert psi_weighted_class(fd, cls, params, sieve) == math.fsum(v for _, v in want), (fd.name, params)
             assert psi_weighted_items(fd, cls, params, sieve) == want, (fd.name, params, cls.label)
-        assert sieve.derived["psi_weights"][0] == params
+        weights = _kept_psi_table(sieve, params)
+        if params == p4:
+            assert weights.start == weights.stop
     # the fields at one params read one entry
     entry = sieve.derived["psi_weights"]
     psi_weighted_class(b, b.group.classes[1], p2, sieve)
     assert sieve.derived["psi_weights"] is entry
+    # s3cubic's ramified 23 enters the table as 23^2, which no class of s3cubic takes
+    items = [psi_weighted_items(c, cls, p1, sieve) for cls in c.group.classes]
+    weights = _kept_psi_table(sieve, p1)
+    assert [k for i, k in zip(weights.i.tolist(), weights.k.tolist()) if sieve.primes[i] == 23] == [2]
+    assert all(n != 23**2 for pairs in items for n, _ in pairs)
 
 
 @pytest.mark.parametrize("name", ["gaussian", "zeta7", "s3cubic"])
 def test_psi_prime_at_the_top_of_supp_f(name, sieve_small):
     # x = p e^-eps puts p where supp f ends, so f(log p / log x) is 0.0: the
-    # sieve's upper ramp holds 0.0 for p, which no class may take as a term
+    # sieve's table has no row for p, which no class may take as a term
     fd = BUILTIN_CATALOG[name]
     sieve = sieve_primes(sieve_small.limit)  # keeps no psi weights yet
     for p, eps in ((97, 0.1), (1009, 0.01), (5003, 0.2499), (7919, 0.1)):
@@ -370,8 +391,9 @@ def test_psi_prime_at_the_top_of_supp_f(name, sieve_small):
             want = scalar[cls.index]
             assert psi_weighted_items(fd, cls, params, sieve) == want, (name, p, eps, cls.label)
             assert psi_weighted_class(fd, cls, params, sieve) == math.fsum(v for _, v in want)
-        weights = sieve.derived["psi_weights"][1]
-        assert sieve.primes[weights.stop + weights.upper.size - 1] == p and weights.upper[-1] == 0.0
+        weights = _kept_psi_table(sieve, params)
+        top = sieve.count_leq(params.x * math.exp(eps)) - 1
+        assert sieve.primes[top] == p and top not in weights.i and top >= weights.stop
 
 
 def test_psi_errors_between_fields_keep_the_weights(catalog, sieve_small, monkeypatch):
@@ -412,13 +434,13 @@ def test_psi_sums_keep_no_dropped_sieve_alive(catalog):
         psi_weighted_class(other, other.group.classes[0], WeightParams(x=x, eps=0.2), sieve)
     params = WeightParams(x=1000, eps=0.1)
     psi_weighted_class(fd, fd.group.classes[0], params, sieve)
-    # the shared weights: one params, then ints, floats and one float array, and no descriptor
-    kept, weights = sieve.derived["psi_weights"]
-    assert kept == params and type(weights) is chebotarev._PsiWeights
+    # the shared weights: one params, then two ints and the table's columns of numbers, and no descriptor
+    weights = _kept_psi_table(sieve, params)
+    assert type(weights) is chebotarev._PsiWeights
     assert type(weights.start) is int and type(weights.stop) is int
-    assert all(tuple(map(type, term)) == (int, int, int, float) for term in weights.lower)
-    assert type(weights.upper) is np.ndarray and weights.upper.dtype == np.float64
-    assert weights.upper.size == sieve.count_leq(1000 * math.exp(0.1)) - weights.stop
+    assert [(type(c), c.dtype) for c in weights[2:]] == [(np.ndarray, np.intp), (np.ndarray, np.intp),
+                                                         (np.ndarray, np.float64)]
+    assert weights.i.max() == sieve.count_leq(1000 * math.exp(0.1)) - 1
     ref = weakref.ref(sieve)
     del sieve
     gc.collect()
@@ -608,6 +630,16 @@ def test_ambiguity_errors_name_the_smallest_ambiguous_prime(catalog, sieve_small
             assert str(err.value) == message
     # below the first ambiguous prime there is nothing to name
     assert pi_C_count(blind, four_a, 5, late).count == 0
+    # zeta7 without its action leaves orders 3 and 6 unresolved: a class names the
+    # smallest prime of its own order, 3 for order 6, not 2, of order 3
+    z7 = catalog["zeta7"]
+    blind7 = FieldDescriptor(name="zeta7blind", defining_poly=z7.defining_poly, group=z7.group,
+                             disc_field=z7.disc_field)
+    for label, p in (("3a", 2), ("6b", 3)):
+        with pytest.raises(AmbiguousClass) as err:
+            pi_C_count(blind7, z7.group.class_by_label(label), 1000, sieve_small)
+        assert str(err.value) == (f"zeta7blind: order-{label[0]} classes are not separated at p={p};"
+                                  " request the class union instead")
 
 
 # -- error reports ------------------------------------------------------------------

@@ -63,24 +63,36 @@ def test_s5_resolvent_rule():
     assert fam.multiplicity == 2
 
 
-# the a5quintic row x^5 + 20x + 16 and its shift by 1, with the same disc f = D_K = 32000^2;
-# the simple-group rule keys on the polynomial, so the two do not meet under it
+# the a5quintic row x^5 + 20x + 16, its shift by 1 (one field, the same disc f = D_K = 32000^2),
+# and x^5 - x^4 + 2x^2 - 2x + 2 (disc f = D_K = 136^2), another A5 field
 A5_Q = 1024000000
 
 
 def _a5quintics():
     a5 = build_group("A5")
     return [FieldDescriptor(name="a", defining_poly=(16, 20, 0, 0, 0, 1), group=a5, disc_field=A5_Q),
-            FieldDescriptor(name="b", defining_poly=(37, 25, 10, 10, 5, 1), group=a5, disc_field=A5_Q)]
+            FieldDescriptor(name="b", defining_poly=(37, 25, 10, 10, 5, 1), group=a5, disc_field=A5_Q),
+            FieldDescriptor(name="c", defining_poly=(2, -2, 2, 0, -1, 1), group=a5, disc_field=18496)]
 
 
 def test_simple_group_rule():
-    k1, k2 = _a5quintics()
-    fam = Family(fields=(k1, k2), q_bound=A5_Q)
+    # equal polynomials meet and different D_K do not; two polynomials with one D_K
+    # (here one field) or one polynomial with two D_K are refused, not counted apart
+    k1, k2, k3 = _a5quintics()
+    fam = Family(fields=(k1, k3), q_bound=A5_Q)
     assert fam.intersection_rule == "simple-group"
     assert fam.multiplicity == 1
-    dup = Family(fields=(k1, k1, k2), q_bound=A5_Q)
-    assert dup.multiplicity == 2
+    assert Family(fields=(k1, k3, k1), q_bound=A5_Q).multiplicity == 2
+    liar = k3._replace(name="liar", disc_field=-18496)
+    for fields, shared in (((k1, k3, k2), "a and b share D_K = 1024000000 but not a defining polynomial"),
+                           ((k3, liar), "c and liar share a defining polynomial but not D_K")):
+        with pytest.raises(UndecidableIntersectionRule) as err:
+            Family(fields=fields, q_bound=A5_Q)
+        assert str(err.value) == (
+            f"{shared}, so the simple-group rule cannot tell whether they meet;"
+            " use the explicit-pairs rule (--rule explicit-pairs), under which a field meets only itself"
+        )
+    assert Family(fields=(k1, k2), q_bound=A5_Q, intersection_rule="explicit-pairs").multiplicity == 1
 
 
 def test_a_name_means_one_field():
@@ -147,7 +159,7 @@ def _pairwise_multiplicity(fields, meets) -> int:
 
 def test_multiplicity_matches_pairwise_definition():
     # each rule on a family with repeated fields, against the pairwise count
-    simple = _a5quintics()
+    simple = _a5quintics()[::2]  # a and c: different D_K
     quintics = [
         _quintic("q1", (-1, -1, 0, 0, 0, 1)),
         _quintic("q2", (29, 79, 80, 40, 10, 1)),  # the same field as q1

@@ -17,6 +17,10 @@ without ``--weights-eps``) and ``family`` at x below and above 8209.  A last
 catalog gives Q(sqrt 2) the built-in name ``gaussian``, read once by each
 subcommand that reads a catalog.  A few invocations run at the benchmark's
 sizes: ``coeffs --n 30000`` and ``chebotarev --x 150000 --weights-eps 0.1``.
+The ψ edges run ``chebotarev --weights-eps`` on every class of gaussian,
+zeta7, s3cubic, a demo quadratic, ``late`` and ``a4quartic`` (which raises)
+at x = p e^-eps, which puts the prime p where supp f ends, at x = 3, which
+leaves the plateau block empty, and at x = 11, a prime.
 For each invocation the exit code, stdout and stderr of the two trees are
 compared.
 One line is printed per invocation that differs, then a summary; the exit
@@ -26,6 +30,7 @@ code is 1 if any differs, else 0.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -60,6 +65,8 @@ INLINE_ROWS = {  # row, class labels, element orders
 }
 LATE_XS = ("5000", "8161", "8208.5", "8209", "8209.5", "9000", "12000.5")  # around the ramified prime 8209
 AMBIGUOUS_ROWS = ("a4quartic", "a5quintic")  # each read as a catalog of its own, for a one-field family
+PSI_EDGES = [(repr(p * math.exp(-eps)), str(eps)) for p, eps in ((97, 0.1), (1009, 0.01), (7919, 0.2499))] + [
+    ("3", "0.1"), ("3", "0.2499"), ("11", "0.1"), ("11", "0.2499")]  # (x, eps) pairs of the psi edges
 SHADOW_ROW = "gaussian | -2 0 1 | C2 | 8"  # Q(sqrt 2) under a built-in's name, read as a catalog of its own
 SUBCOMMANDS = ["coeffs", "splitting", "large-sieve", "weights", "eta", "chebotarev", "family"]
 
@@ -114,6 +121,10 @@ def matrix(catalog: str) -> list[list[str]]:
         for label in BUILTINS[name][0]:
             runs.append(["chebotarev", *cat, "--field", name, "--class", label, "--x", "150000",
                          "--weights-eps", "0.1"])
+    for name in ("gaussian", "zeta7", "s3cubic", quads[0], "late", "a4quartic"):
+        for x, eps in PSI_EDGES:
+            for label in fields[name][0]:
+                runs.append(["chebotarev", *cat, "--field", name, "--class", label, "--x", x, "--weights-eps", eps])
     demo = ["--catalog", str(DEMO_CATALOG)]
     for q, x in (("50", "300"), ("200", "2000"), ("200", "7000.5"), ("1000", "1000")):
         runs.append(["family", *demo, "--Q", q, "--x", x])
