@@ -47,7 +47,6 @@ _EXPORTS = {
         "FrobeniusData",
         "FrobeniusTable",
         "builtin_field",
-        "factor_poly_mod_p",
         "frobenius_data",
         "frobenius_table",
         "load_catalog",
@@ -55,6 +54,7 @@ _EXPORTS = {
         "quadratic_field",
     ),
     "groups": ("ConjugacyClass", "FiniteGroup", "build_group"),
+    "oracles": ("factor_poly_mod_p",),
     "large_sieve": (
         "DirichletPolynomial",
         "MeanValueWindow",

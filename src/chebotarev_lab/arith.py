@@ -11,6 +11,13 @@ from .errors import ParameterOutOfRange
 # rather than silently falling back to a probabilistic method.
 FACTOR_LIMIT = 10**12
 
+# The strong-pseudoprime test to the prime bases 2..41 decides primality
+# below PRIME_TEST_LIMIT, the least number it passes that is not prime
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
 
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a|n), extending the Jacobi symbol to all integers."""
@@ -39,6 +46,22 @@ def kronecker_symbol(a: int, n: int) -> int:
             sign = -sign
         a, n = n % a, a
     return sign if n == 1 else 0
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by the strong-pseudoprime test to the bases
+    ``_PRIME_BASES``: deterministic, and exact below PRIME_TEST_LIMIT, above
+    which it raises ParameterOutOfRange."""
+    if n < 2 or any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    if n >= PRIME_TEST_LIMIT:
+        raise ParameterOutOfRange(f"primality of {n} is decided only below {PRIME_TEST_LIMIT}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for a in _PRIME_BASES:
+        y = pow(a, (n - 1) >> s, n)
+        if y != 1 and n - 1 not in (pow(y, 1 << i, n) for i in range(s)):
+            return False  # a^d is not 1, and no a^(2^i d) with i < s is -1: a proves n composite
+    return True
 
 
 def factorize(n: int) -> dict[int, int]:

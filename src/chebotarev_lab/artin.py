@@ -17,8 +17,8 @@ orders off ``frobenius_table`` and refuses an index divisor (p | disc f, p
 not dividing D_K), which the table marks ramified.  The coefficient series,
 the a_K(p) of the large-sieve prime polynomial (``prime_coefficients``) and
 the sum over prime powers of |lambda_K(p^k)| log p (``mertens_partial_sum``)
-all read it.  ``local_roots`` classifies one prime and refuses the same
-primes.
+all read it.  ``local_roots`` classifies one prime by ``frobenius_data`` and
+refuses the same primes, and (ParameterOutOfRange) a p that is not prime.
 """
 
 from __future__ import annotations

@@ -3,17 +3,19 @@
 A field is described by a monic integer defining polynomial for a subfield k,
 the Galois group G of the closure K, and the (user-supplied) field
 discriminant D_K.  Frobenius conjugacy classes at unramified primes come from
-the factorization type of the polynomial mod p; for the abelian built-ins the
-class is resolved exactly through the residue of p modulo the conductor
-(Frobenius acts on roots of unity by zeta -> zeta^p).  A quadratic field
-Q(sqrt D_K) without a declared action is classified by the Kronecker
-character chi_{D_K} alone, so its D_K is checked against the polynomial.
+the factorization type of the polynomial mod p, read off the traces (for a
+block of primes) or the ranks (for one prime) of the Frobenius matrix of
+F_p[x]/(f); only ``oracles`` factors, with ``gfpoly``, to check them.  For
+the abelian built-ins the class is resolved exactly through the residue of p
+modulo the conductor (Frobenius acts on roots of unity by zeta -> zeta^p).
+A quadratic Q(sqrt D_K) without a declared action is classified by the
+Kronecker character chi_{D_K} alone, so its D_K is checked against f.
 
 ``frobenius_data`` classifies one prime; ``frobenius_table`` classifies the
 primes of a sieve up to x at once and agrees with it prime by prime, keeping
 one kind per prime: an index into the distinct records it has met.  They
 only classify: an index divisor (p | disc f, p not dividing D_K) on the
-factorization route gets the ramified record, which ``artin`` refuses.  A
+polynomial route gets the ramified record, which ``artin`` refuses.  A
 factorization type that is the cycle type (or order) of no element of G
 proves the group wrong, and raises GroupMismatch.
 
@@ -27,17 +29,16 @@ already uses, so the built-ins and a catalog are one namespace.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
-from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import fundamental_disc, kronecker_symbol, poly_discriminant, squarefree_part
+from .arith import fundamental_disc, is_prime, kronecker_symbol, poly_discriminant, squarefree_part
 from .errors import CatalogError, GroupMismatch, ParameterOutOfRange, ValidationError
-from .gfpoly import factor_degrees
 from .groups import ConjugacyClass, FiniteGroup, build_group, perm_sign
 from .sieve import PrimeSieve
 
@@ -155,18 +156,12 @@ class FrobeniusData(NamedTuple):
 _RAMIFIED_DATA = FrobeniusData(ramified=True)
 
 
-@lru_cache(maxsize=200_000)
-def _factor_type(poly: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
-    return tuple(factor_degrees(list(poly), p))
-
-
-def factor_poly_mod_p(poly: list[int] | tuple[int, ...], p: int) -> list[tuple[int, int]]:
-    """(degree, multiplicity) pairs of the irreducible factors of poly mod p."""
-    return list(_factor_type(tuple(poly), p))
-
-
 def frobenius_data(fd: FieldDescriptor, p: int) -> FrobeniusData:
-    """Frobenius data at p: ramified flag, type, order, class when unambiguous."""
+    """Frobenius data at the prime p: ramified flag, type, order, class when
+    unambiguous.  A p that is not a prime is a ParameterOutOfRange."""
+    p = operator.index(p)  # a numpy integer too: the rank route needs Python int products
+    if not is_prime(p):
+        raise ParameterOutOfRange(f"{fd.name}: p={p} is not a prime")
     if fd.is_ramified(p):
         return _RAMIFIED_DATA
     if fd.residue_action is not None:
@@ -176,10 +171,9 @@ def frobenius_data(fd: FieldDescriptor, p: int) -> FrobeniusData:
     elif _by_legendre(fd):
         elem = 0 if kronecker_symbol(fd.disc_field, p) == 1 else 1
     else:
-        pairs = _factor_type(fd.defining_poly, p)
-        if any(mult > 1 for _, mult in pairs):
+        if fd.poly_disc % p == 0:  # a monic f has a repeated factor mod p exactly when p | disc(f)
             return _RAMIFIED_DATA
-        return _type_frobenius(fd, tuple(sorted(d for d, _ in pairs)), p)
+        return _type_frobenius(fd, _rank_type(fd.defining_poly, p), p)
     return _element_frobenius(fd, elem)
 
 
@@ -217,6 +211,66 @@ def _on_roots(fd: FieldDescriptor) -> bool:
     return fd.group.perms is not None and len(fd.group.perms[0]) == fd.degree
 
 
+def _rank_type(poly: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The ascending factorization type of monic f mod a prime p not dividing
+    disc f, from the ranks of the Frobenius matrix Q, whose columns are
+    x^(ip) mod f (Berlekamp; Cohen, *A Course in Computational Algebraic
+    Number Theory*, 3.4).  Exact in Python ints, for p of any size.
+
+    F_p[x]/(f) is a product of fields F_{p^d_i}, one per irreducible factor,
+    and a -> a^(p^d) fixes F_{p^gcd(d, d_i)} in each, so r_d = dim ker(Q^d -
+    I) = sum_i gcd(d, d_i) = sum over m | d of phi(m) C_m, where C_m counts
+    the factors of degree divisible by m.  The C_m follow in ascending m,
+    and the number c_e of degree-e factors from them in descending e.
+    """
+    n = len(poly) - 1
+    low = [c % p for c in poly[:-1]]  # f = x^n + sum low[j] x^j
+
+    def mulmod(a: list[int], b: list[int]) -> list[int]:
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            for j, d in enumerate(b):
+                prod[i + j] += c * d
+        for i in range(len(prod) - 1, n - 1, -1):  # x^i = -sum low[j] x^(i-n+j)
+            top = prod[i] % p
+            for j, c in enumerate(low):
+                prod[i - n + j] -= top * c
+        return [c % p for c in prod[:n]]
+
+    xp = [1] + [0] * (n - 1)
+    for bit in bin(p)[2:]:
+        xp = mulmod(xp, xp)
+        if bit == "1":
+            xp = mulmod(xp, [0, 1])
+    cols = [[1] + [0] * (n - 1)]  # cols[i] = x^(ip) mod f
+    for _ in range(1, n):
+        cols.append(mulmod(cols[-1], xp))
+    phi = [sum(math.gcd(k, m) == 1 for k in range(1, m + 1)) for m in range(n + 1)]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    multiples = [0] * (n + 1)  # C_m
+    for d in range(1, n + 1):
+        power = [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in power]  # Q^d
+        rank = _rank_mod([[(c - (i == j)) % p for j, c in enumerate(row)] for i, row in enumerate(power)], p)
+        multiples[d] = (n - rank - sum(phi[m] * multiples[m] for m in range(1, d) if d % m == 0)) // phi[d]
+    count = [0] * (n + 1)  # c_e
+    for e in range(n, 0, -1):
+        count[e] = multiples[e] - sum(count[2 * e :: e])
+    return tuple(e for e in range(1, n + 1) for _ in range(count[e]))
+
+
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """The rank of a matrix over F_p, by Gaussian elimination; ``rows`` is consumed."""
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next((j for j, c in enumerate(pivot) if c), None)
+        if col is not None:
+            rank += 1
+            inv = pow(pivot[col], -1, p)
+            rows = [[(a - r[col] * inv * b) % p for a, b in zip(r, pivot)] for r in rows]
+    return rank
+
+
 # -- Frobenius tables ----------------------------------------------------------
 
 
@@ -242,10 +296,11 @@ def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Frobeni
     D_K^((p-1)/2) mod p, and ramifies exactly at the primes dividing D_K.
     Otherwise a prime dividing disc(f) is ramified, since f mod p then has a
     repeated factor; for p > deg f the factorization type comes from the
-    traces of the Frobenius matrix (``_cycle_counts``).  On both vectorised
-    routes the few primes p <= deg f go through ``frobenius_data``, and the
-    routes build their records with its element and type helpers, so the
-    table agrees with ``frobenius_data``.
+    traces of the Frobenius matrix (``_cycle_counts``).  The few primes
+    p <= deg f, and those past the int64 bound of the vectorised routes, go
+    through ``frobenius_data``, which reads the type off the ranks of the
+    same matrix (``_rank_type``); the routes build their records with its
+    element and type helpers, so the table agrees with ``frobenius_data``.
 
     The sieve keeps each field's kinds of a prefix of its primes, a
     ``_TableMemo`` in ``sieve.derived``, and returns slices of them.  A

@@ -1,9 +1,13 @@
-"""Dense univariate polynomial arithmetic over F_p and factor degrees.
+"""Dense univariate polynomial arithmetic over F_p and factor degrees: the
+factoring oracle of ``oracles``, which no production module imports.
 
 Coefficient lists store the constant term first.  Factor degrees come from
 squarefree decomposition followed by distinct-degree splitting: a block of
 degree-d factors of total degree m holds m/d irreducibles, so no
-equal-degree splitting is needed.  Everything is deterministic.
+equal-degree splitting is needed.  Everything is deterministic.  The
+production routes in ``fields`` read factorization types off the Frobenius
+matrix instead, by traces and ranks, so this module checks them from
+outside.
 
 The public functions take any integer lists and return reduced, trimmed
 ones.  Inside, products and remainders accumulate exact integers and reduce

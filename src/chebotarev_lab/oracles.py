@@ -1,24 +1,70 @@
 """Independent oracles used by the test suite and the CLI selftests.
 
 Each oracle recomputes a quantity along a different route from the production
-code: brute-force expansion, quadrature, residue arithmetic, or grid search.
-They are deliberately simple and never share the code path they check.
+code: brute-force expansion, quadrature, residue arithmetic, factoring mod p
+with ``gfpoly``, or grid search.  They are deliberately simple and never
+share the code path they check.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import int_det
+from .arith import int_det, kronecker_symbol
 from .artin import LocalRootMultiset, local_roots
 from .errors import AmbiguousClass, ComputationError, ParameterOutOfRange
-from .fields import FieldDescriptor, frobenius_data
+from .fields import (
+    _RAMIFIED_DATA,
+    FieldDescriptor,
+    FrobeniusData,
+    _by_legendre,
+    _element_frobenius,
+    _type_frobenius,
+)
+from .gfpoly import factor_degrees
 from .large_sieve import DirichletPolynomial
 from .sieve import PrimeSieve
 from .weights import WeightParams, f_eval
+
+# -- Frobenius data by factoring ------------------------------------------------
+
+
+@lru_cache(maxsize=200_000)  # tests ask many fields, sieves and x about the same (poly, p)
+def _factor_type(poly: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
+    return tuple(factor_degrees(list(poly), p))
+
+
+def factor_poly_mod_p(poly: list[int] | tuple[int, ...], p: int) -> list[tuple[int, int]]:
+    """(degree, multiplicity) pairs of the irreducible factors of poly mod p."""
+    return list(_factor_type(tuple(poly), p))
+
+
+def frobenius_data_by_factoring(fd: FieldDescriptor, p: int) -> FrobeniusData:
+    """Frobenius data at the prime p, with the factorization type of f mod p
+    read off a full factorization by ``gfpoly``, not off the Frobenius matrix
+    as ``fields.frobenius_data`` and ``fields.frobenius_table`` read it:
+    p is ramified when f mod p has a repeated factor.  A residue field reads
+    its action, and a quadratic without one chi_{D_K}(p), as production does.
+    """
+    if fd.is_ramified(p):
+        return _RAMIFIED_DATA
+    if fd.residue_action is not None:
+        elem = fd.residue_action.residue_class[p % fd.residue_action.conductor]
+        if elem < 0:
+            return _RAMIFIED_DATA
+    elif _by_legendre(fd):
+        elem = 0 if kronecker_symbol(fd.disc_field, p) == 1 else 1
+    else:
+        pairs = _factor_type(fd.defining_poly, p)
+        if any(mult > 1 for _, mult in pairs):
+            return _RAMIFIED_DATA
+        return _type_frobenius(fd, tuple(sorted(d for d, _ in pairs)), p)
+    return _element_frobenius(fd, elem)
+
 
 # -- quadrature ---------------------------------------------------------------
 
@@ -426,16 +472,16 @@ def psi_weighted_scalar(
     """The (p^k, term) pairs of the weighted prime sum of every class, indexed
     by class index, one prime at a time.
 
-    Each prime is classified by ``frobenius_data`` and the k-th power of its
-    Frobenius element is taken with ``group.power``: no Frobenius table, no
-    memo and no power map.  Terms use the same float formulas as the
-    production sum, so the two agree bit for bit.
+    Each prime is classified by ``frobenius_data_by_factoring`` and the k-th
+    power of its Frobenius element is taken with ``group.power``: no
+    Frobenius table, no memo and no power map.  Terms use the same float
+    formulas as the production sum, so the two agree bit for bit.
     """
     group = fd.group
     lx = math.log(params.x)
     out: list[list[tuple[int, float]]] = [[] for _ in group.classes]
     for p in sieve.upto(params.x * math.exp(params.eps)).tolist():
-        data = frobenius_data(fd, p)
+        data = frobenius_data_by_factoring(fd, p)
         if data.ramified:
             continue
         if data.conjugacy_class is None:

@@ -16,7 +16,7 @@ from .arith import kronecker_symbol
 from .artin import coeff_a_K, coeff_a_KxK_prime, mertens_partial_sum
 from .chebotarev import pi_C_count, pi_count, psi_weighted_class, splitting_tally
 from .families import Family, compositum_disc_check
-from .fields import builtin_field, factor_poly_mod_p, frobenius_data, quadratic_field
+from .fields import builtin_field, frobenius_data, quadratic_field
 from .large_sieve import DirichletPolynomial, msq_integral
 from .sieve import sieve_primes
 from .weights import WeightParams, check_decay_right_halfplane, check_decay_shifted_line, laplace_F
@@ -70,7 +70,7 @@ def _selftest_splitting(args) -> dict:
         if fd.is_ramified(p):
             continue
         data = frobenius_data(fd, p)
-        pairs = factor_poly_mod_p(fd.defining_poly, p)
+        pairs = oracles.factor_poly_mod_p(fd.defining_poly, p)
         ftype = tuple(sorted(d for d, _ in pairs))
         if data.factorization_type != ftype:
             mismatch += 1

@@ -3,14 +3,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebotarev_lab.arith import (
+    PRIME_TEST_LIMIT,
     factorize,
     fundamental_disc,
     int_det,
+    is_prime,
     kronecker_symbol,
     poly_discriminant,
     squarefree_part,
 )
 from chebotarev_lab.errors import ParameterOutOfRange
+from chebotarev_lab.sieve import sieve_primes
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 97, 101, 997]
 
@@ -74,3 +77,19 @@ def test_int_det():
     assert int_det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
     assert int_det([[0, 1], [1, 0]]) == -1
     assert int_det([[1, 2], [2, 4]]) == 0
+
+
+# the least strong pseudoprimes to the first 4, 5, 6, 8, 11 and 12 prime bases, two Carmichael numbers,
+# and numbers on both sides of 2^61 and 10^12
+PRIMALITY_CASES = {
+    3215031751: False, 2152302898747: False, 3474749660383: False, 341550071728321: False,
+    3825123056546413051: False, 318665857834031151167461: False, 561: False, 41041: False,
+    2**61 - 1: True, 2**61 + 1: False, 999999999989: True, 10**12 + 39: True, 10**12 + 37: False,
+}
+
+
+def test_is_prime_against_the_sieve_and_pseudoprimes():
+    assert [n for n in range(-10, 10**5) if is_prime(n)] == sieve_primes(10**5).primes.tolist()
+    assert {n: is_prime(n) for n in PRIMALITY_CASES} == PRIMALITY_CASES
+    with pytest.raises(ParameterOutOfRange):
+        is_prime(PRIME_TEST_LIMIT)  # the least number the test would call prime wrongly

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -299,13 +300,14 @@ def test_unramified_orders_match_the_per_prime_route(fd):
     x = 3000
     sieve = sieve_primes(x)
     raised = []
+    roots_at = functools.cache(functools.partial(local_roots, fd))  # each prime classified once, for every y
     for y in (1, 2, 2.5, 23, 23.5):
         roots, error = {}, None
         for p in sieve.upto(x).tolist():
             if p <= y or fd.is_ramified(p):
                 continue
             try:
-                roots[p] = local_roots(fd, p)
+                roots[p] = roots_at(p)
             except RamifiedPrime as exc:
                 error = str(exc)
                 break

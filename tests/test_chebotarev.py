@@ -34,13 +34,12 @@ from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
     FieldDescriptor,
     _class_tally,
-    frobenius_data,
     frobenius_table,
     load_catalog,
     parse_catalog,
 )
 from chebotarev_lab.groups import build_group
-from chebotarev_lab.oracles import naive_psi_gaussian_split, psi_weighted_scalar
+from chebotarev_lab.oracles import frobenius_data_by_factoring, naive_psi_gaussian_split, psi_weighted_scalar
 from chebotarev_lab.sieve import PrimeSieve, sieve_primes
 from chebotarev_lab.weights import WeightParams
 from chebotarev_lab.zfr import classical_eta_profile, rational_eta_profile
@@ -615,7 +614,7 @@ def test_ambiguity_errors_name_the_smallest_ambiguous_prime(catalog, sieve_small
     four_a, whole = z5.group.class_by_label("4a"), frozenset(z5.group.elements())
     late = PrimeSieve(limit=sieve_small.limit, primes=sieve_small.primes[sieve_small.primes > 3])
     for sieve in (sieve_small, late):
-        p = min(q for q in sieve.primes.tolist() if frobenius_data(blind, q).ambiguous)
+        p = min(q for q in sieve.primes.tolist() if frobenius_data_by_factoring(blind, q).ambiguous)
         assert p == (2 if sieve is sieve_small else 7)
         for error, message, call in (
             (AmbiguousClass, f"zeta5blind: order-4 classes are not separated at p={p}; request the class union instead",
@@ -726,7 +725,7 @@ def test_order_union_counts_its_unresolved_primes(name, d):
     fd = TALLY_FIELDS[name]
     sieve = sieve_primes(2 * 10**4)
     size = sum(c.size for c in fd.group.classes_of_order(d))
-    orders = [(p, frobenius_data(fd, p).frobenius_order) for p in sieve.upto(max(TALLY_XS)).tolist()]
+    orders = [(p, frobenius_data_by_factoring(fd, p).frobenius_order) for p in sieve.upto(max(TALLY_XS)).tolist()]
     for x in TALLY_XS:
         count = pi_C_count(fd, d, x, sieve)
         assert count.count == sum(p <= x and order == d for p, order in orders), x
@@ -740,8 +739,8 @@ def test_ambiguous_class_names_its_first_unresolved_prime(name, label):
     fd = TALLY_FIELDS[name]
     cls = fd.group.class_by_label(label)
     sieve = sieve_primes(2 * 10**4)
-    p = next(q for q in sieve.primes.tolist() if frobenius_data(fd, q).ambiguous)  # the smallest
-    assert frobenius_data(fd, p).frobenius_order == cls.order
+    p = next(q for q in sieve.primes.tolist() if frobenius_data_by_factoring(fd, q).ambiguous)  # the smallest
+    assert frobenius_data_by_factoring(fd, p).frobenius_order == cls.order
     assert pi_C_count(fd, cls, p - 0.5, sieve).count == 0  # below it there is nothing to name
     for x in (p, 4999, sieve.limit):
         with pytest.raises(AmbiguousClass) as err:
@@ -812,10 +811,10 @@ LATE = parse_catalog("late | -2052 -1 1 | C2 | 8209", source="inline")[0]  # 820
 
 
 def _scalar_tally(fd, x, sieve):
-    """(by class index, ramified, unresolved) of the primes p <= x, one ``frobenius_data`` at a time."""
+    """(by class index, ramified, unresolved) of the primes p <= x, one factoring oracle call at a time."""
     by_class, ramified, unresolved = [0] * len(fd.group.classes), 0, 0
     for p in sieve.upto(x).tolist():
-        data = frobenius_data(fd, p)
+        data = frobenius_data_by_factoring(fd, p)
         if data.ramified:
             ramified += 1
         elif data.ambiguous:
@@ -855,7 +854,8 @@ def test_a_kind_met_on_extension_updates_the_plan():
     # request extends the kinds past them; tallies, counts and psi then read it
     s3 = BUILTIN_CATALOG["s3cubic"]
     full = sieve_primes(3 * 10**4)
-    kept = [p for p in full.primes.tolist() if p > 2 * 10**4 or frobenius_data(s3, p).factorization_type != (1, 1, 1)]
+    kept = [p for p in full.primes.tolist()
+            if p > 2 * 10**4 or frobenius_data_by_factoring(s3, p).factorization_type != (1, 1, 1)]
     sieve = PrimeSieve(limit=full.limit, primes=kept)
     _check_against_scalar(s3, 5000, sieve)
     codes = sieve.derived["frobenius_table", s3].kind_code
@@ -916,7 +916,7 @@ def test_base_change_at_interleaved_queries_equals_a_recomputation():
                          frozenset(group.elements())]
         else:
             subgroups = sorted(_all_subgroups(group), key=sorted)
-        records = [(p, frobenius_data(fd, p)) for p in sieve.primes.tolist()]
+        records = [(p, frobenius_data_by_factoring(fd, p)) for p in sieve.primes.tolist()]
         for h in subgroups:
             for cls in group.classes:
                 if h & cls.members:
@@ -962,7 +962,7 @@ def test_psi_names_the_smallest_ambiguous_prime_after_tallies(name):
     sieve = sieve_primes(10**4)
     holed = PrimeSieve(limit=sieve.limit, primes=sieve.primes[sieve.primes > 3])
     for s in (sieve, holed):
-        p = min(q for q in s.primes.tolist() if frobenius_data(fd, q).ambiguous)
+        p = min(q for q in s.primes.tolist() if frobenius_data_by_factoring(fd, q).ambiguous)
         for x in (100, 5000, 1000.5):
             splitting_tally(fd, x, s)
         assert min(s.derived["frobenius_table", fd].kind_code) < -1  # an ambiguous kind

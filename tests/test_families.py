@@ -18,8 +18,9 @@ from chebotarev_lab.families import (
     compositum_disc_check,
     resolvent_square_class,
 )
-from chebotarev_lab.fields import FieldDescriptor, builtin_field, frobenius_data, parse_catalog, quadratic_field
+from chebotarev_lab.fields import FieldDescriptor, builtin_field, parse_catalog, quadratic_field
 from chebotarev_lab.groups import build_group
+from chebotarev_lab.oracles import frobenius_data_by_factoring
 from chebotarev_lab.sieve import sieve_primes
 
 SQUAREFREE_SMALL = [-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -11, 13, -13, 14, -14, 15]
@@ -273,9 +274,9 @@ def test_avg_error_q_invariance(sieve_small):
 
 
 def _scalar_worst_error(fd, sieve, x):
-    """The oracle: max over C of |pi_C(x) - (|C|/|G|) pi(x)|, from ``frobenius_data`` one prime at a time."""
+    """The oracle: max over C of |pi_C(x) - (|C|/|G|) pi(x)|, from the factoring oracle one prime at a time."""
     primes = sieve.upto(x).tolist()
-    records = [frobenius_data(fd, p) for p in primes]
+    records = [frobenius_data_by_factoring(fd, p) for p in primes]
     assert not any(data.ambiguous for data in records)
     return max(abs(sum(data.conjugacy_class == c for data in records) - c.size / fd.group.order * len(primes))
                for c in fd.group.classes)

@@ -15,15 +15,14 @@ import pytest
 from chebotarev_lab import fields
 from chebotarev_lab.chebotarev import pi_C_count, splitting_tally
 from chebotarev_lab.arith import fundamental_disc, kronecker_symbol, poly_discriminant
+from chebotarev_lab.artin import euler_factor_series
 from chebotarev_lab.errors import AmbiguousClass, CatalogError, GroupMismatch, ParameterOutOfRange, ValidationError
 from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
     FieldDescriptor,
     _class_tally,
     _cycle_counts,
-    _factor_type,
     builtin_field,
-    factor_poly_mod_p,
     frobenius_data,
     frobenius_table,
     load_catalog,
@@ -31,7 +30,7 @@ from chebotarev_lab.fields import (
     quadratic_field,
 )
 from chebotarev_lab.groups import build_group
-from chebotarev_lab.oracles import is_prime_trial
+from chebotarev_lab.oracles import factor_poly_mod_p, frobenius_data_by_factoring, is_prime_trial
 from chebotarev_lab.sieve import SIEVE_CAP, PrimeSieve, sieve_primes
 
 RAMIFIED, UNRESOLVED = -1, -2  # the class code of a ramified prime and of one whose class is ambiguous
@@ -87,7 +86,7 @@ def test_residue_action_matches_factorization(catalog, sieve_small):
     for fd in [catalog[name] for name in names] + [quadratic_field(d) for d in (-5, 13, -23, 10)]:
         for p in sieve_small.upto(2000).tolist():
             fast = frobenius_data(fd, p)
-            pairs = _factor_type(fd.defining_poly, p)
+            pairs = factor_poly_mod_p(fd.defining_poly, p)
             if fast.ramified:
                 assert fd.abs_disc % p == 0
                 continue
@@ -414,11 +413,12 @@ def _table_fields():
 
 
 def _assert_table_matches(fd, sieve, x):
+    """The table of the primes p <= x against the factoring oracle, prime by prime."""
     table = frobenius_table(fd, sieve, x)
     assert table.primes.tolist() == sieve.upto(x).tolist()
     cls = _class_codes(table).tolist()
     for i, p in enumerate(table.primes.tolist()):
-        data, record = frobenius_data(fd, p), table.kinds[table.kind[i]]
+        data, record = frobenius_data_by_factoring(fd, p), table.kinds[table.kind[i]]
         assert record == data, (fd.name, p)
         if data.ramified:
             want = (RAMIFIED, None)
@@ -488,7 +488,7 @@ def _assert_kronecker(fd, sieve, x):
         index = None if data.conjugacy_class is None else data.conjugacy_class.index
         assert (data.ramified, index, data.frobenius_order) == want[kronecker_symbol(fd.disc_field, p)], (fd.name, p)
         if fd.poly_disc % p:
-            ftype = tuple(d for d, _ in _factor_type(fd.defining_poly, p))
+            ftype = tuple(d for d, _ in factor_poly_mod_p(fd.defining_poly, p))
             assert data.factorization_type == ftype, (fd.name, p)
 
 
@@ -716,8 +716,40 @@ def test_cycle_counts_match_frobenius_data_at_the_overflow_bound(fd):
         p -= 1
     assert primes[0] > SIEVE_CAP
     for p, row in zip(primes, _cycle_counts(fd.defining_poly, np.array(primes, dtype=np.int64)).tolist()):
-        degrees = frobenius_data(fd, p).factorization_type
+        degrees = frobenius_data_by_factoring(fd, p).factorization_type
         assert row == [degrees.count(d) for d in range(1, n + 1)], (fd.name, p)
+
+
+# -- the rank route of frobenius_data against the factoring oracle ---------------
+
+ROUTE_FIELDS = _table_fields() + load_catalog(DEMO_CATALOG)
+LARGEST_BELOW_FACTOR_LIMIT = 999999999989  # the largest prime below arith.FACTOR_LIMIT = 10^12
+MERSENNE_61 = 2**61 - 1  # past the int64 bound of the vectorised routes
+
+
+@pytest.mark.parametrize("fd", ROUTE_FIELDS, ids=lambda fd: fd.name)
+def test_rank_route_matches_the_factoring_oracle(fd, sieve_small):
+    # frobenius_data at every p <= 10^4, p <= deg f included, and with the
+    # table at two primes past the trace kernel's bound; the table's primes
+    # p <= 2 * 10^4 are checked above
+    for p in sieve_small.primes.tolist() + [LARGEST_BELOW_FACTOR_LIMIT, MERSENNE_61]:
+        assert frobenius_data(fd, p) == frobenius_data_by_factoring(fd, p), (fd.name, p)
+    far = PrimeSieve(limit=MERSENNE_61, primes=[LARGEST_BELOW_FACTOR_LIMIT, MERSENNE_61])
+    _assert_table_matches(fd, far, MERSENNE_61)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: frobenius_data(BUILTIN_CATALOG["gaussian"], 9),
+    lambda: euler_factor_series(BUILTIN_CATALOG["gaussian"], 9, 3),
+    lambda: frobenius_data(BUILTIN_CATALOG["s3cubic"], 4),
+    lambda: frobenius_data(BUILTIN_CATALOG["s3cubic"], 0),
+    lambda: frobenius_data(BUILTIN_CATALOG["s3cubic"], -7),
+], ids=["gaussian-9", "euler-gaussian-9", "s3cubic-4", "s3cubic-0", "s3cubic-minus-7"])
+def test_a_p_that_is_not_a_prime_is_refused(call):
+    # 9 used to read as a split prime, 4 and 0 raised bare ValueError and
+    # ZeroDivisionError, and -7 returned a record
+    with pytest.raises(ParameterOutOfRange, match="is not a prime"):
+        call()
 
 
 def test_blind_class_count_names_first_ambiguous_prime(sieve_small):
@@ -773,8 +805,8 @@ HISTOGRAM_FIELDS = [*BUILTIN_CATALOG.values(), quadratic_field(-3), quadratic_fi
 
 def _scalar_tally(fd, sieve, x):
     """The oracle: (pi(x), counts by class index, ramified, ambiguous by order) of
-    the primes p <= x, from ``frobenius_data`` one prime at a time."""
-    records = Counter(frobenius_data(fd, p) for p in sieve.upto(x).tolist())
+    the primes p <= x, from the factoring oracle one prime at a time."""
+    records = Counter(frobenius_data_by_factoring(fd, p) for p in sieve.upto(x).tolist())
     by_class, ramified, unresolved = [0] * len(fd.group.classes), 0, Counter()
     for data, n in records.items():
         if data.ramified:
@@ -922,7 +954,7 @@ def test_on_roots_group_mismatch_names_the_cycle_type(monkeypatch):
     monkeypatch.setattr(type(fd.group), "classes_of_cycle_type",
                         lambda g, ftype: [] if ftype == (1, 2) else classes_of_cycle_type(g, ftype))
     sieve = sieve_primes(2000)
-    p = min(q for q in sieve.primes.tolist() if _factor_type(fd.defining_poly, q) == ((1, 1), (2, 1)))
+    p = min(q for q in sieve.primes.tolist() if factor_poly_mod_p(fd.defining_poly, q) == [(1, 1), (2, 1)])
     assert p == 5  # above deg f, so on the trace route
     message = f"s3cubic: p={p} has factorization type (1, 2), the cycle type of no element of S3"
     for call in (lambda: frobenius_data(fd, p), lambda: frobenius_table(fd, sieve, 100)):

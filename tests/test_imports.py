@@ -49,6 +49,18 @@ def test_chebotarev_loads_no_other_layer():
     assert not modules & {"artin", "families", "large_sieve", "zfr", "oracles", "selftests"}
 
 
+@pytest.mark.parametrize("code", [
+    f"import {PACKAGE}.fields",
+    cli_call("chebotarev", "--field", "s3cubic", "--class", "2", "--x", "300"),
+    cli_call("coeffs", "--field", "s3cubic", "--n", "100"),
+], ids=["fields", "chebotarev", "coeffs"])
+def test_classifying_loads_no_factoring(code):
+    # fields reads factorization types off the Frobenius matrix; gfpoly is the oracles' factoring
+    modules = package_modules(loaded_after(code))
+    assert "fields" in modules
+    assert not modules & {"gfpoly", "oracles"}, modules & {"gfpoly", "oracles"}
+
+
 @pytest.mark.parametrize("argv", [("family", "--catalog", str(ROOT / "demos" / "catalog_quadratics.txt")),
                                   ("large-sieve",)])
 def test_family_commands_load_no_counting_layer(argv):

@@ -17,6 +17,9 @@ without ``--weights-eps``) and ``family`` at x below and above 8209.  A last
 catalog gives Q(sqrt 2) the built-in name ``gaussian``, read once by each
 subcommand that reads a catalog.  A few invocations run at the benchmark's
 sizes: ``coeffs --n 30000`` and ``chebotarev --x 150000 --weights-eps 0.1``.
+``splitting --limit 10`` on s3cubic and the A4 and A5 rows prints 2, 3, 5 and
+7, of which the polynomial route reads the unramified p <= deg f off the ranks
+of the Frobenius matrix.
 The ψ edges run ``chebotarev --weights-eps`` on every class of gaussian,
 zeta7, s3cubic, a demo quadratic, ``late`` and ``a4quartic`` (which raises)
 at x = p e^-eps, which puts the prime p where supp f ends, at x = 3, which
@@ -138,6 +141,8 @@ def matrix(catalog: str) -> list[list[str]]:
         for label in ("1", "2"):
             runs.append(["chebotarev", *cat, "--field", "late", "--class", label, "--x", x, "--weights-eps", "0.1"])
         runs.append(["family", *late, "--Q", "1e4", "--x", x])
+    for name in ("s3cubic", *AMBIGUOUS_ROWS):  # the rank route at p <= deg f
+        runs.append(["splitting", *cat, "--field", name, "--limit", "10"])
     runs.append(["family", *demo, "--rule", "explicit-pairs", "--x", "500"])
     runs.append(["family", *demo, "--rule", "bogus"])
     for name in AMBIGUOUS_ROWS:
