@@ -32,7 +32,7 @@ import numpy as np
 
 from .arith import factorize
 from .errors import LimitTooLarge, NotCoprimeToDiscriminant, ParameterOutOfRange, RamifiedPrime
-from .fields import FieldDescriptor, frobenius_data, frobenius_table
+from .fields import FieldDescriptor, _prime, frobenius_data, frobenius_table
 from .sieve import PrimeSieve, sieve_primes
 
 MAX_PRIME_POWER_TRUNCATION = 24
@@ -137,6 +137,7 @@ def coeff_a_KxK_prime(fd1: FieldDescriptor, fd2: FieldDescriptor, p: int, j: int
     """a_{K x K'}(p^j): h_j of the product multiset, by Newton's identity (exact)."""
     if j < 0:
         raise ParameterOutOfRange("Rankin-Selberg exponent must be >= 0")
+    p = _prime(fd1, p)  # before the ramified test, which would divide by p = 0
     if fd1.is_ramified(p) or fd2.is_ramified(p):
         raise RamifiedPrime(f"p={p} ramifies in {fd1.name} or {fd2.name}")
     if j == 0:

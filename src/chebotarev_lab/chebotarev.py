@@ -35,9 +35,9 @@ from .errors import (
 from .fields import FieldDescriptor, _class_tally, _first_unresolved, _memo
 from .groups import ConjugacyClass, FiniteGroup
 from .sieve import PrimeSieve
-from .weights import WeightParams, below_support, f_eval
 
-if TYPE_CHECKING:  # only flexi_error_report's annotations name it; counting needs no zfr
+if TYPE_CHECKING:  # annotations only: counting needs no zfr, and loads weights only to weigh terms
+    from .weights import WeightParams
     from .zfr import EtaProfile
 
 
@@ -108,7 +108,7 @@ def pi_C_count(
         count = sum(tally.by_class[c.index] for c in classes) + tally.unresolved.get(d, 0)
         label = f"order={d}"
     expected = size / group.order * tally.n
-    return ChebotarevCount(x=x, class_label=label, count=count, expected=expected, error=count - expected)
+    return ChebotarevCount(x, label, count, expected, count - expected)
 
 
 # -- admissibility -------------------------------------------------------------
@@ -212,6 +212,8 @@ def _psi_weights(params: WeightParams, sieve: PrimeSieve, n_hi: float) -> _PsiWe
     kept = sieve.derived.get("psi_weights")
     if kept is not None and kept[0] == params:
         return kept[1]
+    from .weights import below_support, f_eval  # here, past the cache: a count loads no weights
+
     end = sieve.count_leq(n_hi)
     units = _log_units(sieve, end)
     # the plateau block primes[start:stop]: p > isqrt(2 n_hi), so p^2 > n_hi, and f == 1.0

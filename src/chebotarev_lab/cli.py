@@ -233,12 +233,15 @@ def cmd_eta(args) -> int:
 def cmd_chebotarev(args) -> int:
     from .chebotarev import pi_C_count, pi_count, psi_weighted_class
     from .sieve import sieve_primes
-    from .weights import WeightParams
 
     (fd,) = _resolve_fields(args, [args.field])
     selector = _parse_class(fd, args.cls)
     # both refusals of --weights-eps come before any sieve; psi needs primes to x e^eps
-    params = None if args.weights_eps is None else WeightParams(x=args.x, eps=args.weights_eps)
+    params = None
+    if args.weights_eps is not None:
+        from .weights import WeightParams
+
+        params = WeightParams(x=args.x, eps=args.weights_eps)
     if params is not None and not hasattr(selector, "representative"):
         raise ValidationError("--weights-eps needs an exact class, not a union")
     limit = math.ceil(args.x * math.exp(params.eps) if params is not None else args.x)

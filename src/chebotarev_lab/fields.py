@@ -156,12 +156,18 @@ class FrobeniusData(NamedTuple):
 _RAMIFIED_DATA = FrobeniusData(ramified=True)
 
 
-def frobenius_data(fd: FieldDescriptor, p: int) -> FrobeniusData:
-    """Frobenius data at the prime p: ramified flag, type, order, class when
-    unambiguous.  A p that is not a prime is a ParameterOutOfRange."""
+def _prime(fd: FieldDescriptor, p: int) -> int:
+    """p as a Python int, refused with ParameterOutOfRange unless it is a prime."""
     p = operator.index(p)  # a numpy integer too: the rank route needs Python int products
     if not is_prime(p):
         raise ParameterOutOfRange(f"{fd.name}: p={p} is not a prime")
+    return p
+
+
+def frobenius_data(fd: FieldDescriptor, p: int) -> FrobeniusData:
+    """Frobenius data at the prime p: ramified flag, type, order, class when
+    unambiguous.  A p that is not a prime is a ParameterOutOfRange."""
+    p = _prime(fd, p)
     if fd.is_ramified(p):
         return _RAMIFIED_DATA
     if fd.residue_action is not None:
@@ -338,8 +344,9 @@ class _ClassTally(NamedTuple):
 def _class_tally(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> _ClassTally:
     """The class tally of the primes p <= x of ``sieve``, from the memo: an x
     asked for last is read back with no search of the sieve, and one with the
-    same pi(x) with no kinds counted, so the queries of one x count once."""
-    memo = _memo(fd, sieve)
+    same pi(x) with no kinds counted, so the queries of one x count once.
+    A kept memo is read with one lookup, without ``_memo``'s frame."""
+    memo = sieve.derived.get((_MEMO_TAG, fd)) or _memo(fd, sieve)
     if x != memo.last_x:
         n = memo.extend(fd, sieve, x)
         if n != memo.last.n:
@@ -362,8 +369,11 @@ def _first_unresolved(fd: FieldDescriptor, sieve: PrimeSieve, x: float, order: i
     return int(sieve.primes[hit.argmax()]) if hit.any() else None
 
 
+_MEMO_TAG = "frobenius_table"  # a field's memo is sieve.derived[_MEMO_TAG, fd]
+
+
 def _memo(fd: FieldDescriptor, sieve: PrimeSieve) -> _TableMemo:
-    key = "frobenius_table", fd
+    key = _MEMO_TAG, fd
     return sieve.derived.get(key) or sieve.derived.setdefault(key, _TableMemo(fd))
 
 
@@ -486,8 +496,19 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return out
 
 
+_HORNER_BOUND = 1 << 47  # below it the Horner step r 2^16 + (2^16 - 1) < 2^63 fits int64
+
+
 def _mod_primes(value: int, primes: np.ndarray) -> np.ndarray:
-    """value mod p for each prime p < 2^47, exact for an integer of any size."""
+    """value mod p for each prime p of ``primes``, exact for an integer of any
+    size.  Primes below 2^47, every prime ``sieve_primes`` makes, are reduced
+    by a 16-bit Horner step in int64; larger ones one at a time in Python ints."""
+    if primes.size and primes.max() >= _HORNER_BOUND:
+        big = primes >= _HORNER_BOUND
+        out = np.empty_like(primes)
+        out[~big] = _mod_primes(value, primes[~big])
+        out[big] = [value % p for p in primes[big].tolist()]
+        return out
     mag = abs(value)
     r = np.zeros_like(primes)
     for shift in range(mag.bit_length() // 16 * 16, -1, -16):

@@ -19,12 +19,13 @@ class ConjugacyClass:
     """A conjugacy class: representative element, members, common order.
 
     Read-only, and compared by identity, as FiniteGroup: build_group is cached.
+    ``size``, the number of members, is kept as a field, as counts read it per query.
     """
 
-    __slots__ = ("index", "label", "representative", "members", "order")
+    __slots__ = ("index", "label", "representative", "members", "order", "size")
 
     def __init__(self, index: int, label: str, representative: int, members: frozenset[int], order: int):
-        for name, value in zip(self.__slots__, (index, label, representative, members, order)):
+        for name, value in zip(self.__slots__, (index, label, representative, members, order, len(members))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -40,10 +41,6 @@ class ConjugacyClass:
         return (f"ConjugacyClass(index={self.index}, label={self.label!r}, representative={self.representative},"
                 f" members={self.members!r}, order={self.order})")
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 class FiniteGroup:
     """Immutable finite group on elements 0..order-1 with a full table."""
@@ -57,6 +54,7 @@ class FiniteGroup:
         self.element_orders = tuple(self._element_order(a) for a in range(self.order))
         self.classes = self._conjugacy_classes()
         self._class_of = {e: c for c in self.classes for e in c.members}
+        self._class_by_label = {c.label: c for c in self.classes}
         # power_classes[c, k % |G|]: the index of the class holding the k-th powers of class c, and a
         # last row of -1, no class, for a prime with none; set here, as every attribute, since one set
         # later would slow every attribute read of the group
@@ -164,10 +162,11 @@ class FiniteGroup:
         return self._class_of[a]
 
     def class_by_label(self, label: str) -> ConjugacyClass:
-        for c in self.classes:
-            if c.label == label:
-                return c
-        raise ValidationError(f"{self.name}: no conjugacy class labeled {label!r}")
+        """The class labeled ``label``, read off the label -> class dict built with the group."""
+        try:
+            return self._class_by_label[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label, which no class carries
+            raise ValidationError(f"{self.name}: no conjugacy class labeled {label!r}") from None
 
     def classes_of_order(self, d: int) -> list[ConjugacyClass]:
         return [c for c in self.classes if c.order == d]

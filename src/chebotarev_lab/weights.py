@@ -37,7 +37,10 @@ class WeightParams(_WeightRecord):
     """Parameters of the cutoff: x >= 3 and eps in (0, 1/4).
 
     The constructor derives ``log_x`` and ``boxcar_width``; equality, hash
-    and repr are those of (x, eps).
+    and repr are those of (x, eps).  The memos of weighted sums keep the
+    params they were built at and compare them with the next request's, so
+    the constructor builds its 4-tuple in one step and two params compare
+    their x and eps directly, with no slice of either side.
     """
 
     __slots__ = ()
@@ -48,7 +51,7 @@ class WeightParams(_WeightRecord):
         if not (0 < eps < 0.25):
             raise ParameterOutOfRange(f"eps must lie in (0, 1/4), got {eps}")
         log_x = math.log(x)
-        return super().__new__(cls, x, eps, log_x, eps / (2.0 * log_x))
+        return tuple.__new__(cls, (x, eps, log_x, eps / (2.0 * log_x)))
 
     def __getnewargs__(self):
         return self[:2]
@@ -59,10 +62,14 @@ class WeightParams(_WeightRecord):
         return cls(*tuple(values)[:2])
 
     def __eq__(self, other):
-        return self[:2] == (other[:2] if isinstance(other, WeightParams) else other)
+        if isinstance(other, WeightParams):
+            return self.x == other.x and self.eps == other.eps
+        return self[:2] == other
 
     def __ne__(self, other):
-        return not self == other
+        if isinstance(other, WeightParams):
+            return self.x != other.x or self.eps != other.eps
+        return not self[:2] == other
 
     def __hash__(self) -> int:
         return hash(self[:2])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebotarev_lab import chebotarev
+from chebotarev_lab import chebotarev, weights
 from chebotarev_lab.chebotarev import (
     base_change_compare,
     flexi_error_report,
@@ -260,13 +260,13 @@ def test_psi_calls_f_only_off_the_plateau(name, sieve_medium, monkeypatch):
     fields = [first, *(fd for fd in BUILTIN_CATALOG.values() if fd is not first)]
     sieve = PrimeSieve(limit=sieve_medium.limit, primes=sieve_medium.primes)  # keeps no psi weights yet
     calls = []
-    f_eval = chebotarev.f_eval
+    f_eval = weights.f_eval
 
     def counting(params, t):
         calls.append(t)
         return f_eval(params, t)
 
-    monkeypatch.setattr(chebotarev, "f_eval", counting)
+    monkeypatch.setattr(weights, "f_eval", counting)
     for x, eps in ((11, 0.001), (1009, 0.1), (10**4 - 0.5, 0.2499), (11, 0.001)):
         params = WeightParams(x=x, eps=eps)
         want = _weighed_pairs(params, sieve)
@@ -408,8 +408,8 @@ def test_psi_errors_between_fields_keep_the_weights(catalog, sieve_small, monkey
     psi_weighted_class(gaussian, gaussian.group.classes[0], params, sieve)
     entry = sieve.derived["psi_weights"]
     calls = []
-    f_eval = chebotarev.f_eval
-    monkeypatch.setattr(chebotarev, "f_eval", lambda params, t: calls.append(t) or f_eval(params, t))
+    f_eval = weights.f_eval
+    monkeypatch.setattr(weights, "f_eval", lambda params, t: calls.append(t) or f_eval(params, t))
     for field, request, error in (
         (blind, params, AmbiguousClass),
         (blind, WeightParams(x=2000, eps=0.1), AmbiguousClass),
@@ -774,6 +774,38 @@ def test_queries_of_one_x_search_the_sieve_and_count_once(monkeypatch):
             pi_C_count(fd, d, 5000, sieve)
         splitting_tally(fd, 5000, sieve)
     assert calls == [("count_leq", 5000), ("bincount", count_leq(sieve, 5000))]
+
+
+def test_psi_reads_at_equal_params_weigh_and_count_once(monkeypatch):
+    # a fresh, equal WeightParams reads the kept sums back; another eps recomputes them
+    fd = BUILTIN_CATALOG["s3cubic"]
+    sieve = sieve_primes(10**4)
+    first = {cls.label: psi_weighted_class(fd, cls, WeightParams(x=5000.0, eps=0.1), sieve) for cls in fd.group.classes}
+    calls = []
+    bincount, count_leq, f_eval = np.bincount, PrimeSieve.count_leq, weights.f_eval
+
+    def counting_bincount(values, *args, **kwargs):
+        calls.append("bincount")
+        return bincount(values, *args, **kwargs)
+
+    def counting_count_leq(self, x):
+        calls.append("count_leq")
+        return count_leq(self, x)
+
+    def counting_f_eval(params, t):
+        calls.append("f_eval")
+        return f_eval(params, t)
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+    monkeypatch.setattr(PrimeSieve, "count_leq", counting_count_leq)
+    monkeypatch.setattr(weights, "f_eval", counting_f_eval)
+    for _ in range(3):
+        for cls in fd.group.classes:
+            assert psi_weighted_class(fd, cls, WeightParams(x=5000.0, eps=0.1), sieve) == first[cls.label]
+    assert calls == []
+    other = psi_weighted_class(fd, fd.group.classes[0], WeightParams(x=5000.0, eps=0.11), sieve)
+    assert {"bincount", "count_leq", "f_eval"} <= set(calls)
+    assert other != first[fd.group.classes[0].label]
 
 
 def _session_counts(fd, x, sieve):

@@ -15,13 +15,14 @@ import pytest
 from chebotarev_lab import fields
 from chebotarev_lab.chebotarev import pi_C_count, splitting_tally
 from chebotarev_lab.arith import fundamental_disc, kronecker_symbol, poly_discriminant
-from chebotarev_lab.artin import euler_factor_series
+from chebotarev_lab.artin import coeff_a_KxK_prime, euler_factor_series
 from chebotarev_lab.errors import AmbiguousClass, CatalogError, GroupMismatch, ParameterOutOfRange, ValidationError
 from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
     FieldDescriptor,
     _class_tally,
     _cycle_counts,
+    _mod_primes,
     builtin_field,
     frobenius_data,
     frobenius_table,
@@ -738,16 +739,33 @@ def test_rank_route_matches_the_factoring_oracle(fd, sieve_small):
     _assert_table_matches(fd, far, MERSENNE_61)
 
 
+# primes past the 16-bit Horner step's int64 bound 2^47, up to the largest int64 prime
+HORNER_PAST = [2**47 + 5, 2**55 - 55, MERSENNE_61, 2**63 - 25]
+
+
+@pytest.mark.parametrize("fd", list(BUILTIN_CATALOG.values()) + [_big()], ids=lambda fd: fd.name)
+def test_mod_primes_is_exact_for_every_int64_prime(fd):
+    # the residues the table's ramified masks read; a block mixes small and large primes
+    primes = np.array([2, 3, 999999999989, *HORNER_PAST, 2**47 - 115], dtype=np.int64)
+    for value in (fd.disc_field, -fd.disc_field, fd.poly_disc, -fd.poly_disc):
+        assert _mod_primes(value, primes).tolist() == [value % p for p in primes.tolist()], (fd.name, value)
+
+
 @pytest.mark.parametrize("call", [
     lambda: frobenius_data(BUILTIN_CATALOG["gaussian"], 9),
     lambda: euler_factor_series(BUILTIN_CATALOG["gaussian"], 9, 3),
     lambda: frobenius_data(BUILTIN_CATALOG["s3cubic"], 4),
     lambda: frobenius_data(BUILTIN_CATALOG["s3cubic"], 0),
     lambda: frobenius_data(BUILTIN_CATALOG["s3cubic"], -7),
-], ids=["gaussian-9", "euler-gaussian-9", "s3cubic-4", "s3cubic-0", "s3cubic-minus-7"])
+    lambda: coeff_a_KxK_prime(BUILTIN_CATALOG["s3cubic"], BUILTIN_CATALOG["gaussian"], 0, 2),
+    lambda: coeff_a_KxK_prime(BUILTIN_CATALOG["s3cubic"], BUILTIN_CATALOG["gaussian"], 9, 2),
+    lambda: coeff_a_KxK_prime(BUILTIN_CATALOG["s3cubic"], BUILTIN_CATALOG["gaussian"], -7, 2),
+], ids=["gaussian-9", "euler-gaussian-9", "s3cubic-4", "s3cubic-0", "s3cubic-minus-7",
+        "KxK-0", "KxK-9", "KxK-minus-7"])
 def test_a_p_that_is_not_a_prime_is_refused(call):
     # 9 used to read as a split prime, 4 and 0 raised bare ValueError and
-    # ZeroDivisionError, and -7 returned a record
+    # ZeroDivisionError, and -7 returned a record; a_{KxK'} tested p = 0 for
+    # ramification first, a bare ZeroDivisionError
     with pytest.raises(ParameterOutOfRange, match="is not a prime"):
         call()
 

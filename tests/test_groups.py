@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from chebotarev_lab.errors import UnknownGroup
+from chebotarev_lab.errors import UnknownGroup, ValidationError
 from chebotarev_lab.groups import (
     build_group,
     perm_compose,
@@ -68,8 +68,19 @@ def test_group_axioms_exhaustive():
             assert g.mul(a, g.inv(a)) == 0
         assert sum(c.size for c in g.classes) == n
         for c in g.classes:
-            assert n % c.size == 0
+            assert c.size == len(c.members) and n % c.size == 0
             assert all(g.element_orders[e] == c.order for e in c.members)
+
+
+def test_class_by_label_names_every_class():
+    for name in CATALOG_NAMES:
+        g = build_group(name)
+        for c in g.classes:
+            assert g.class_by_label(c.label) is c
+        for label in ("0", "2z", "", " 1", ["1"]):
+            with pytest.raises(ValidationError) as err:
+                g.class_by_label(label)
+            assert str(err.value) == f"{name}: no conjugacy class labeled {label!r}"
 
 
 def test_unknown_group():

@@ -46,7 +46,10 @@ def test_cli_import_loads_only_errors():
 def test_chebotarev_loads_no_other_layer():
     modules = package_modules(loaded_after(cli_call("chebotarev", "--field", "s3cubic", "--class", "2", "--x", "300")))
     assert "chebotarev" in modules
-    assert not modules & {"artin", "families", "large_sieve", "zfr", "oracles", "selftests"}
+    assert not modules & {"artin", "families", "large_sieve", "zfr", "oracles", "selftests", "weights"}
+    # the weighted sum loads its weights
+    argv = ("chebotarev", "--field", "s3cubic", "--class", "2", "--x", "300", "--weights-eps", "0.1")
+    assert "weights" in package_modules(loaded_after(cli_call(*argv)))
 
 
 @pytest.mark.parametrize("code", [
