@@ -212,7 +212,7 @@ def _psi_weights(params: WeightParams, sieve: PrimeSieve, n_hi: float) -> _PsiWe
     kept = sieve.derived.get("psi_weights")
     if kept is not None and kept[0] == params:
         return kept[1]
-    from .weights import below_support, f_eval  # here, past the cache: a count loads no weights
+    from .weights import below_support, f_width  # here, past the cache: a count loads no weights
 
     end = sieve.count_leq(n_hi)
     units = _log_units(sieve, end)
@@ -220,6 +220,7 @@ def _psi_weights(params: WeightParams, sieve: PrimeSieve, n_hi: float) -> _PsiWe
     start = sieve.count_leq(math.isqrt(int(2 * n_hi)))
     stop = max(start, sieve.count_leq(params.x ** params.plateau[1] * (1.0 - 1e-9)))
     lx = params.log_x
+    w = params.boxcar_width
     top = lx + params.eps
     index, power, term = [], [], []  # the columns i, k and t
     for i, u in chain(zip(range(start), units[:start].tolist()), zip(range(stop, end), units[stop:end].tolist())):
@@ -227,8 +228,8 @@ def _psi_weights(params: WeightParams, sieve: PrimeSieve, n_hi: float) -> _PsiWe
         k = 1
         while k * logp <= top:
             t = k * logp / lx
-            if not below_support(params, t):
-                weight = f_eval(params, t)
+            if not below_support(w, t):
+                weight = f_width(w, t)
                 if weight > 0.0:  # log p > 1/2, so the term is > 0.0 too
                     index.append(i)
                     power.append(k)
@@ -283,14 +284,14 @@ def psi_weighted_items(
     The primes up to n_hi = x e^eps, where supp f ends, fall in three segments:
 
     - p <= isqrt(2 n_hi): p^k may enter for k >= 2, and p may lie on the
-      lower ramp, so every (p, k) is weighed by ``f_eval``, but those that
+      lower ramp, so every (p, k) is weighed by f (``f_width``), but those that
       ``below_support`` puts below supp f, where f is exactly 0.0;
     - the plateau block isqrt(2 n_hi) < p <= x (1 - 1e-9): here p^2 > n_hi, so
       only k = 1 enters, and log p / log x lies inside the plateau [1/2, 1]
       with a margin far above rounding.  Both branches of f return constants
       there, so f is exactly 1.0 and the term is exactly ``math.log(p)``;
       f is not called;
-    - the upper ramp x (1 - 1e-9) < p <= n_hi, weighed by ``f_eval``.
+    - the upper ramp x (1 - 1e-9) < p <= n_hi, weighed by f.
 
     So the terms equal, bit for bit, those of one scalar loop that weighs
     every (p, k).  What f weighs does not depend on the field: the sieve

@@ -196,10 +196,11 @@ def cmd_weights(args) -> int:
 
     params = WeightParams(x=args.x, eps=args.eps)
     lo, hi, step = args.grid
+    lx = params.log_x
     rows = []
     t = lo
     while t <= hi + 1e-12:
-        fz = laplace_F(params, -t * params.log_x)
+        fz = laplace_F(params, -t * lx)
         rows.append([round(t, 12), f_eval(params, t), fz.real, fz.imag])
         t += step
     _emit(args, _csv(rows, ["t", "f", "F_real_at_minus_t_logx", "F_imag_at_minus_t_logx"]))

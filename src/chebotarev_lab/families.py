@@ -103,10 +103,6 @@ class Family(_FamilyRecord):
         return cls(*tuple(values)[:3])
 
     @property
-    def group_name(self) -> str:
-        return self.fields[0].group.name
-
-    @property
     def m(self) -> int:
         """|G| - 1 of the family's group."""
         return self.fields[0].m

@@ -28,7 +28,7 @@ from .fields import (
 from .gfpoly import factor_degrees
 from .large_sieve import DirichletPolynomial
 from .sieve import PrimeSieve
-from .weights import WeightParams, f_eval
+from .weights import WeightParams, f_width
 
 # -- Frobenius data by factoring ------------------------------------------------
 
@@ -383,6 +383,7 @@ def laplace_transform_quadrature(params: WeightParams, z: complex, nodes: int = 
     """int f(t) e^{-zt} dt by composite Gauss-Legendre over the smooth pieces."""
     xs, ws = np.polynomial.legendre.leggauss(nodes)
     kn = params.knots()
+    w = params.boxcar_width
     total = 0j
     for lo, hi in zip(kn[:-1], kn[1:]):
         width = hi - lo
@@ -391,7 +392,7 @@ def laplace_transform_quadrature(params: WeightParams, z: complex, nodes: int = 
             a = lo + width * i / panels
             b = lo + width * (i + 1) / panels
             tm = 0.5 * (a + b) + 0.5 * (b - a) * xs
-            vals = np.array([f_eval(params, t) for t in tm]) * np.exp(-z * tm)
+            vals = np.array([f_width(w, t) for t in tm]) * np.exp(-z * tm)
             total += 0.5 * (b - a) * np.sum(ws * vals)
     return complex(total)
 
@@ -450,7 +451,7 @@ def naive_psi_gaussian_split(params: WeightParams, residue: int = 1) -> float:
     the production sum, so with exact compensated summation the two values
     agree bit for bit.
     """
-    lx = params.log_x
+    lx, w = params.log_x, params.boxcar_width
     terms: list[float] = []
     for p in range(3, int(math.floor(params.x * math.exp(params.eps))) + 1, 2):
         if not is_prime_trial(p):
@@ -459,7 +460,7 @@ def naive_psi_gaussian_split(params: WeightParams, residue: int = 1) -> float:
         k = 1
         while k * logp <= lx + params.eps:
             if pow(p, k, 4) == residue:
-                weight = f_eval(params, k * logp / lx)
+                weight = f_width(w, k * logp / lx)
                 if weight > 0.0:
                     terms.append(logp * weight)
             k += 1
@@ -478,7 +479,7 @@ def psi_weighted_scalar(
     formulas as the production sum, so the two agree bit for bit.
     """
     group = fd.group
-    lx = math.log(params.x)
+    lx, w = math.log(params.x), params.boxcar_width
     out: list[list[tuple[int, float]]] = [[] for _ in group.classes]
     for p in sieve.upto(params.x * math.exp(params.eps)).tolist():
         data = frobenius_data_by_factoring(fd, p)
@@ -490,7 +491,7 @@ def psi_weighted_scalar(
         logp = math.log(p)
         k = 1
         while k * logp <= lx + params.eps:
-            weight = f_eval(params, k * logp / lx)
+            weight = f_width(w, k * logp / lx)
             if weight > 0.0:
                 out[group.class_of(group.power(sigma, k)).index].append((p**k, logp * weight))
             k += 1

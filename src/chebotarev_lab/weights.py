@@ -29,18 +29,14 @@ _TAYLOR_COEFFS = [1.0 / math.factorial(j + 1) for j in range(9)]
 class _WeightRecord(NamedTuple):
     x: float
     eps: float
-    log_x: float  # derived, as is boxcar_width: fields, as f_eval reads them per term
-    boxcar_width: float  # w = eps / (2 log x)
 
 
 class WeightParams(_WeightRecord):
     """Parameters of the cutoff: x >= 3 and eps in (0, 1/4).
 
-    The constructor derives ``log_x`` and ``boxcar_width``; equality, hash
-    and repr are those of (x, eps).  The memos of weighted sums keep the
-    params they were built at and compare them with the next request's, so
-    the constructor builds its 4-tuple in one step and two params compare
-    their x and eps directly, with no slice of either side.
+    The record is the tuple (x, eps), so it compares, hashes, prints and
+    pickles as that tuple, in C.  ``log_x`` and ``boxcar_width`` are computed
+    on each read; a loop reads them once, before it starts.
     """
 
     __slots__ = ()
@@ -50,32 +46,21 @@ class WeightParams(_WeightRecord):
             raise ParameterOutOfRange(f"x must be finite and >= 3, got {x}")
         if not (0 < eps < 0.25):
             raise ParameterOutOfRange(f"eps must lie in (0, 1/4), got {eps}")
-        log_x = math.log(x)
-        return tuple.__new__(cls, (x, eps, log_x, eps / (2.0 * log_x)))
-
-    def __getnewargs__(self):
-        return self[:2]
+        return tuple.__new__(cls, (x, eps))
 
     @classmethod
     def _make(cls, values):
-        # _replace comes here: check and derive again, as the constructor does
-        return cls(*tuple(values)[:2])
+        # _replace comes here: check again, as the constructor does
+        return cls(*values)
 
-    def __eq__(self, other):
-        if isinstance(other, WeightParams):
-            return self.x == other.x and self.eps == other.eps
-        return self[:2] == other
+    @property
+    def log_x(self) -> float:
+        return math.log(self.x)
 
-    def __ne__(self, other):
-        if isinstance(other, WeightParams):
-            return self.x != other.x or self.eps != other.eps
-        return not self[:2] == other
-
-    def __hash__(self) -> int:
-        return hash(self[:2])
-
-    def __repr__(self) -> str:
-        return f"WeightParams(x={self.x!r}, eps={self.eps!r})"
+    @property
+    def boxcar_width(self) -> float:
+        """w = eps / (2 log x)."""
+        return self.eps / (2.0 * self.log_x)
 
     @property
     def plateau(self) -> tuple[float, float]:
@@ -105,17 +90,19 @@ def _smoothed_step(s: float, w: float) -> float:
     return 1.0 - s * s / (2 * w * w)
 
 
-def below_support(params: WeightParams, t: float) -> bool:
-    """Whether t - 1/2 <= -2w, the test by which both steps of ``f_eval`` give 0.0, so f(t) is exactly 0.0."""
-    return t - 0.5 <= -2 * params.boxcar_width
+def below_support(w: float, t: float) -> bool:
+    """Whether t - 1/2 <= -2w, the test by which both steps of ``f_width`` give 0.0, so f(t) is exactly 0.0."""
+    return t - 0.5 <= -2 * w
+
+
+def f_width(w: float, t: float) -> float:
+    """The weight f(t) at boxcar width w: 1 on [1/2, 1], quadratic ramps, 0 outside the support."""
+    return _smoothed_step(t - 0.5, w) - _smoothed_step(t - (1.0 + 2.0 * w), w)
 
 
 def f_eval(params: WeightParams, t: float) -> float:
-    """The weight f(t): 1 on [1/2, 1], quadratic ramps, 0 outside the support."""
-    w = params.boxcar_width
-    a = 0.5
-    b = 1.0 + 2.0 * w
-    return _smoothed_step(t - a, w) - _smoothed_step(t - b, w)
+    """The weight f(t) at params."""
+    return f_width(params.boxcar_width, t)
 
 
 def _expm1_complex(y: complex) -> complex:
@@ -142,9 +129,10 @@ def _phi(y: complex) -> complex:
 def laplace_F(params: WeightParams, z: complex) -> complex:
     """Closed-form Laplace transform F(z) = int f(t) e^{-zt} dt (entire)."""
     z = complex(z)
-    length = 0.5 + params.eps / params.log_x
-    w = params.boxcar_width
-    shift = cmath.exp(-(1.0 + params.eps / params.log_x) * z)
+    lx = params.log_x
+    length = 0.5 + params.eps / lx
+    w = params.eps / (2.0 * lx)
+    shift = cmath.exp(-(1.0 + params.eps / lx) * z)
     return shift * length * _phi(length * z) * _phi(w * z) ** 2
 
 

@@ -238,13 +238,14 @@ def _weighed_pairs(params, sieve):
     weigh, whatever the field."""
     n_hi = params.x * math.exp(params.eps)
     root = math.isqrt(int(2 * n_hi))
+    lx, w = params.log_x, params.boxcar_width
     count = 0
     for p in sieve.upto(n_hi).tolist():
         if root < p <= params.x * (1.0 - 1e-9):
             continue
         k = 1
-        while k * math.log(p) <= params.log_x + params.eps:
-            count += k * math.log(p) / params.log_x - 0.5 > -2 * params.boxcar_width
+        while k * math.log(p) <= lx + params.eps:
+            count += k * math.log(p) / lx - 0.5 > -2 * w
             k += 1
     return count
 
@@ -260,13 +261,13 @@ def test_psi_calls_f_only_off_the_plateau(name, sieve_medium, monkeypatch):
     fields = [first, *(fd for fd in BUILTIN_CATALOG.values() if fd is not first)]
     sieve = PrimeSieve(limit=sieve_medium.limit, primes=sieve_medium.primes)  # keeps no psi weights yet
     calls = []
-    f_eval = weights.f_eval
+    f_width = weights.f_width
 
-    def counting(params, t):
+    def counting(w, t):
         calls.append(t)
-        return f_eval(params, t)
+        return f_width(w, t)
 
-    monkeypatch.setattr(weights, "f_eval", counting)
+    monkeypatch.setattr(weights, "f_width", counting)
     for x, eps in ((11, 0.001), (1009, 0.1), (10**4 - 0.5, 0.2499), (11, 0.001)):
         params = WeightParams(x=x, eps=eps)
         want = _weighed_pairs(params, sieve)
@@ -408,8 +409,8 @@ def test_psi_errors_between_fields_keep_the_weights(catalog, sieve_small, monkey
     psi_weighted_class(gaussian, gaussian.group.classes[0], params, sieve)
     entry = sieve.derived["psi_weights"]
     calls = []
-    f_eval = weights.f_eval
-    monkeypatch.setattr(weights, "f_eval", lambda params, t: calls.append(t) or f_eval(params, t))
+    f_width = weights.f_width
+    monkeypatch.setattr(weights, "f_width", lambda w, t: calls.append(t) or f_width(w, t))
     for field, request, error in (
         (blind, params, AmbiguousClass),
         (blind, WeightParams(x=2000, eps=0.1), AmbiguousClass),
@@ -782,7 +783,7 @@ def test_psi_reads_at_equal_params_weigh_and_count_once(monkeypatch):
     sieve = sieve_primes(10**4)
     first = {cls.label: psi_weighted_class(fd, cls, WeightParams(x=5000.0, eps=0.1), sieve) for cls in fd.group.classes}
     calls = []
-    bincount, count_leq, f_eval = np.bincount, PrimeSieve.count_leq, weights.f_eval
+    bincount, count_leq, f_width = np.bincount, PrimeSieve.count_leq, weights.f_width
 
     def counting_bincount(values, *args, **kwargs):
         calls.append("bincount")
@@ -792,19 +793,19 @@ def test_psi_reads_at_equal_params_weigh_and_count_once(monkeypatch):
         calls.append("count_leq")
         return count_leq(self, x)
 
-    def counting_f_eval(params, t):
-        calls.append("f_eval")
-        return f_eval(params, t)
+    def counting_f_width(w, t):
+        calls.append("f_width")
+        return f_width(w, t)
 
     monkeypatch.setattr(np, "bincount", counting_bincount)
     monkeypatch.setattr(PrimeSieve, "count_leq", counting_count_leq)
-    monkeypatch.setattr(weights, "f_eval", counting_f_eval)
+    monkeypatch.setattr(weights, "f_width", counting_f_width)
     for _ in range(3):
         for cls in fd.group.classes:
             assert psi_weighted_class(fd, cls, WeightParams(x=5000.0, eps=0.1), sieve) == first[cls.label]
     assert calls == []
     other = psi_weighted_class(fd, fd.group.classes[0], WeightParams(x=5000.0, eps=0.11), sieve)
-    assert {"bincount", "count_leq", "f_eval"} <= set(calls)
+    assert {"bincount", "count_leq", "f_width"} <= set(calls)
     assert other != first[fd.group.classes[0].label]
 
 

@@ -124,7 +124,7 @@ def test_weight_params_compare_and_hash_by_x_and_eps():
     assert hash(params) == hash(WeightParams(x=6614.0, eps=0.1)) == hash((6614.0, 0.1))
     assert params != WeightParams(x=6614.0, eps=0.2) and params != WeightParams(x=6615.0, eps=0.1)
     assert not params != WeightParams(x=6614.0, eps=0.1)
-    assert params != tuple(params)  # the derived fields are not compared
+    assert tuple(params) == (6614.0, 0.1) and params._fields == ("x", "eps")
 
 
 def test_identity_objects_compare_by_identity():

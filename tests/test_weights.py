@@ -12,6 +12,7 @@ from chebotarev_lab.weights import (
     check_decay_right_halfplane,
     check_decay_shifted_line,
     f_eval,
+    f_width,
     laplace_F,
 )
 
@@ -35,12 +36,24 @@ def test_params_validation():
 
 
 def test_params_eq_and_hash_ignore_cached_values():
-    # log x and w are fields, set bit for bit by the constructor
     read, fresh = WeightParams(x=6614.0, eps=0.1), WeightParams(x=6614.0, eps=0.1)
-    assert (read.log_x, read.boxcar_width) == (math.log(6614.0), 0.1 / (2.0 * math.log(6614.0)))
     assert hash(read) == hash(fresh) == hash((6614.0, 0.1))
     assert read == fresh and repr(read) == repr(fresh) == "WeightParams(x=6614.0, eps=0.1)"
     assert read != WeightParams(x=6614.0, eps=0.2)
+
+
+def test_params_are_the_plain_tuple_with_derived_reads():
+    # equality and hash are tuple's own, in C; log x and w are computed on
+    # read by the same float operations as ever, bit for bit
+    for name in ("__eq__", "__ne__", "__hash__"):
+        assert getattr(WeightParams, name) is getattr(tuple, name), name
+    for x in (3, 3.0, 10.0, 97, 1009.5, 6614.0, 10**4, 10**6 + 0.5, 1e12):
+        for eps in (1e-9, 0.001, 0.01, 0.1, 0.2, 0.2499):
+            params = WeightParams(x=x, eps=eps)
+            assert len(params) == 2 and params == (x, eps)
+            log_x = math.log(x)
+            assert params.log_x.hex() == log_x.hex()
+            assert params.boxcar_width.hex() == (eps / (2.0 * log_x)).hex()
 
 
 def test_plateau_and_support_examples():
@@ -70,12 +83,14 @@ def test_shape_on_grid():
 
 def test_below_support_is_where_f_vanishes_on_the_left():
     # below_support holds exactly where f is 0.0 left of the plateau, down to
-    # the floats next to the edge 1/2 - 2w
+    # the floats next to the edge 1/2 - 2w; both read the width w alone
     for params in PARAM_GRID:
-        edge = 0.5 - 2.0 * params.boxcar_width
+        w = params.boxcar_width
+        edge = 0.5 - 2.0 * w
         ts = np.concatenate([np.linspace(-0.2, 0.5, 2001), edge + np.arange(-50, 51) * math.ulp(edge)])
         for t in ts.tolist():
-            assert below_support(params, t) == (f_eval(params, t) == 0.0), (params, t)
+            assert below_support(w, t) == (f_width(w, t) == 0.0), (params, t)
+            assert f_width(w, t) == f_eval(params, t)
 
 
 def test_transform_quadrature_agreement():
