@@ -13,12 +13,13 @@ paired Schur values in ``oracles`` reaches a_{KxK'}(p^j) by another route,
 from the closed form of h_k, and checks it.
 
 Over a prime range, one reader, ``_unramified_orders``, takes the Frobenius
-orders off ``frobenius_table`` and refuses an index divisor (p | disc f, p
-not dividing D_K), which the table marks ramified.  The coefficient series,
-the a_K(p) of the large-sieve prime polynomial (``prime_coefficients``) and
-the sum over prime powers of |lambda_K(p^k)| log p (``mertens_partial_sum``)
-all read it.  ``local_roots`` classifies one prime by ``frobenius_data`` and
-refuses the same primes, and (ParameterOutOfRange) a p that is not prime.
+orders off the kinds each field's table memo keeps and refuses an index
+divisor (p | disc f, p not dividing D_K), which the kinds mark ramified.  The
+coefficient series, the a_K(p) of the large-sieve prime polynomial
+(``prime_coefficients``) and the sum over prime powers of |lambda_K(p^k)|
+log p (``mertens_partial_sum``) all read it.  ``local_roots`` classifies one
+prime by ``frobenius_data`` and refuses the same primes, and
+(ParameterOutOfRange) a p that is not prime.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .arith import factorize
 from .errors import LimitTooLarge, NotCoprimeToDiscriminant, ParameterOutOfRange, RamifiedPrime
-from .fields import FieldDescriptor, _prime, frobenius_data, frobenius_table
+from .fields import FieldDescriptor, _memo, _prime, frobenius_data
 from .sieve import PrimeSieve, sieve_primes
 
 MAX_PRIME_POWER_TRUNCATION = 24
@@ -152,16 +153,18 @@ def _unramified_orders(fds: tuple[FieldDescriptor, ...], sieve: PrimeSieve, y: f
     """The primes y < p <= x of ``sieve`` that divide no D_K of ``fds``, and an
     int16 array of their Frobenius orders, one row per field.
 
-    A prime of order 0 (ramified) in some field's ``frobenius_table`` that
-    divides no D_K is an index divisor: RamifiedPrime is raised at the
-    smallest, as ``local_roots`` does; one dividing another D_K is left out.
+    A prime of order 0 (ramified) in some field's kinds that divides no D_K
+    is an index divisor: RamifiedPrime is raised at the smallest, as
+    ``local_roots`` does; one dividing another D_K is left out.
     """
-    tables = [frobenius_table(fd, sieve, x) for fd in fds]
+    memos = [_memo(fd, sieve) for fd in fds]
+    for memo in memos:
+        stop = memo.extend(sieve, x)
     start = sieve.count_leq(y)  # the window is the tail of the primes <= x
-    primes = tables[0].primes[start:]
+    primes = sieve.primes[start:stop]
     # int16: a catalog polynomial of degree 16 or more can have factor degrees whose lcm exceeds 127
-    orders = np.stack([np.array([data.frobenius_order or 0 for data in t.kinds], dtype=np.int16)[t.kind[start:]]
-                       for t in tables])
+    orders = np.stack([np.array([data.frobenius_order or 0 for data in m.index], dtype=np.int16)[m.kind[start:stop]]
+                       for m in memos])
     ramified = np.flatnonzero((orders == 0).any(axis=0))
     for i in ramified.tolist():
         p = int(primes[i])

@@ -32,7 +32,7 @@ from .errors import (
     SieveRangeExceeded,
     UnsupportedSubgroupAction,
 )
-from .fields import FieldDescriptor, _class_tally, _first_unresolved, _memo
+from .fields import FieldDescriptor, _TableMemo, _class_tally, _memo
 from .groups import ConjugacyClass, FiniteGroup
 from .sieve import PrimeSieve
 
@@ -94,7 +94,7 @@ def pi_C_count(
     if isinstance(selector, ConjugacyClass):
         d = selector.order
         if d in tally.unresolved:
-            p = _first_unresolved(fd, sieve, x, d)
+            p = _memo(fd, sieve).first_unresolved(sieve, x, d)
             raise AmbiguousClass(f"{fd.name}: order-{d} classes are not separated at p={p};"
                                  " request the class union instead")
         size, count, label = selector.size, tally.by_class[selector.index], selector.label
@@ -241,11 +241,11 @@ def _psi_weights(params: WeightParams, sieve: PrimeSieve, n_hi: float) -> _PsiWe
 
 
 def _psi_terms(
-    fd: FieldDescriptor, params: WeightParams, sieve: PrimeSieve
+    memo: _TableMemo, params: WeightParams, sieve: PrimeSieve
 ) -> tuple[_PsiWeights, np.ndarray, np.ndarray, np.ndarray]:
-    """The weighed terms at params and the class in fd of each (-1 for a
-    ramified p), then the slot and the log units U of each prime of the
-    plateau block: its class, or the number of classes for a ramified p.
+    """The weighed terms at params and the class of each in the memo's field
+    (-1 for a ramified p), then the slot and the log units U of each prime of
+    the plateau block: its class, or the number of classes for a ramified p.
 
     The weighed terms are the sieve's, shared by every field at params
     (``_psi_weights``).  Each term's class is one lookup: Frob_p^k lies in
@@ -260,11 +260,11 @@ def _psi_terms(
     if n_hi > sieve.limit:
         raise SieveRangeExceeded(f"need primes to {n_hi:.0f} but sieve limit is {sieve.limit}")
     # extends the kinds to n_hi, and not the class tally, which would replace the one counts keep
-    p = _first_unresolved(fd, sieve, n_hi)
+    p = memo.first_unresolved(sieve, n_hi)
     if p is not None:
-        raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
+        raise AmbiguousClass(f"{memo.fd.name}: class not resolvable at p={p}")
     weights = _psi_weights(params, sieve, n_hi)
-    memo, group, start, stop = _memo(fd, sieve), fd.group, weights.start, weights.stop
+    group, start, stop = memo.fd.group, weights.start, weights.stop
     slot = np.array([c if c >= 0 else len(group.classes) for c in memo.kind_code], dtype=np.intp)
     classes = group.power_classes[slot.take(memo.kind.take(weights.i)), weights.k % group.order]
     # on the plateau block k = 1, and Frob_p^1 is in Frob_p's own class
@@ -302,7 +302,7 @@ def psi_weighted_items(
     cls; the rows of cls are split at the plateau block to keep the pairs
     ascending.  The pairs are not memoized.
     """
-    weights, classes, plateau, units = _psi_terms(fd, params, sieve)
+    weights, classes, plateau, units = _psi_terms(_memo(fd, sieve), params, sieve)
     rows = classes == cls.index
     i = weights.i[rows]
     split = int(np.searchsorted(i, weights.start))
@@ -333,27 +333,23 @@ def psi_weighted_class(
     equals, bit for bit, the compensated sum of the terms one at a time, and
     is independent of their order or of any work partition.
 
-    The weighed terms are shared: the sieve keeps them for the last params,
-    and every field at those params reads them, so f weighs each (p, k) once
-    per sieve and params (``_psi_weights``).  Per field, one lookup gives
-    every term its class, and the two bincounts sum the plateau.  The sieve
-    keeps, in ``sieve.derived``, the sums of every class of the field for
-    the last params it was asked, so the other classes at the same
-    parameters are read back without recomputation; other parameters
-    recompute them.  A request that raises leaves the kept weights and sums
-    as they were.
+    The weighed terms are the sieve's, shared by every field at the last
+    params (``_psi_weights``); the sums of every class of the field at the
+    last params asked for are its table memo's (``_TableMemo.psi``), so the
+    other classes at those params are read back without recomputation.  A
+    request that raises leaves the kept weights and sums as they were.
     """
-    kept = sieve.derived.get(("psi_weighted_class", fd))
-    if kept is None or kept[0] != params:
-        weights, classes, plateau, units = _psi_terms(fd, params, sieve)
+    memo = _memo(fd, sieve)
+    if memo.psi is None or memo.psi[0] != params:
+        weights, classes, plateau, units = _psi_terms(memo, params, sieve)
         size = len(fd.group.classes)
         # the plateau sums by slot; the last slot, of the ramified primes, is left out
         high = np.bincount(plateau, units >> 29, size + 1).tolist()
         low = np.bincount(plateau, units & _LOW, size + 1).tolist()
         values = tuple(math.fsum([*weights.t[classes == c].tolist(), high[c] * 2.0**-24, low[c] * _UNIT])
                        for c in range(size))
-        kept = sieve.derived["psi_weighted_class", fd] = (params, values)
-    return kept[1][cls.index]
+        memo.psi = params, values
+    return memo.psi[1][cls.index]
 
 
 def partial_summation_pi(data: list[tuple[int, float]]) -> float:
@@ -470,7 +466,7 @@ def base_change_compare(
     plan = _base_change_plan(group, cls, frozenset(h))
     tally = _class_tally(fd, sieve, x)
     if tally.unresolved:
-        p = _first_unresolved(fd, sieve, x)
+        p = _memo(fd, sieve).first_unresolved(sieve, x)
         raise UnsupportedSubgroupAction(f"{fd.name}: class not resolvable at p={p}")
     pi_c = tally.by_class[cls.index]
     # a prime of class c gives one K^H prime of norm p^f per orbit of length f

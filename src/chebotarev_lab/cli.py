@@ -18,10 +18,11 @@ import math
 import os
 import sys
 
-from .errors import ChebotarevLabError, ValidationError
+from .errors import ChebotarevLabError, LimitTooLarge, ValidationError
 
 CATALOG_ENV = "CHEBOTAREV_LAB_CATALOG"
 SCHEMA = 1
+MAX_GRID_POINTS = 10**5  # rows of weights --grid: 10^5 take about 1.3 s and 3.7 MB of CSV
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,6 +197,10 @@ def cmd_weights(args) -> int:
 
     params = WeightParams(x=args.x, eps=args.eps)
     lo, hi, step = args.grid
+    # t += step moves every t of the grid once step >= ulp(max |t|), so the loop ends
+    if (hi - lo) / step >= MAX_GRID_POINTS or step < math.ulp(max(abs(lo), abs(hi))):
+        raise LimitTooLarge(f"grid {lo}:{hi}:{step} has more than {MAX_GRID_POINTS} points,"
+                            " or a step below the spacing of floats at its ends")
     lx = params.log_x
     rows = []
     t = lo

@@ -24,7 +24,7 @@ from .errors import (
     UndecidableIntersectionRule,
     ValidationError,
 )
-from .fields import FieldDescriptor, _class_tally, _first_unresolved
+from .fields import FieldDescriptor, _class_tally, _memo
 from .sieve import PrimeSieve
 
 RULE_QUADRATIC = "quadratic-equality"
@@ -219,7 +219,7 @@ def avg_cheb_error(
     for fd in family.fields:
         tally = _class_tally(fd, sieve, x)
         if tally.unresolved:
-            p = _first_unresolved(fd, sieve, x)
+            p = _memo(fd, sieve).first_unresolved(sieve, x)
             raise AmbiguousClass(f"{fd.name}: class not resolvable at p={p}")
         order = fd.group.order
         errors.append(max(abs(n - c.size / order * tally.n) for c, n in zip(fd.group.classes, tally.by_class)))

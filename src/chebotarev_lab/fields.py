@@ -286,7 +286,7 @@ class FrobeniusTable(NamedTuple):
     ``kind[i]`` indexes ``kinds``, the records met so far, so ``primes[i]``
     has the record ``kinds[kind[i]]``, for code that walks the primes (counts
     read a class tally of its kinds, and an error names its unresolved prime
-    through ``_first_unresolved``).  The arrays are read-only.
+    through ``_TableMemo.first_unresolved``).  The arrays are read-only.
     """
 
     primes: np.ndarray
@@ -322,7 +322,7 @@ def frobenius_table(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> Frobeni
     primes it classifies.
     """
     memo = _memo(fd, sieve)
-    n = memo.extend(fd, sieve, x)
+    n = memo.extend(sieve, x)
     return FrobeniusTable(sieve.primes[:n], memo.kind[:n], tuple(memo.index))
 
 
@@ -346,35 +346,18 @@ def _class_tally(fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> _ClassTall
     asked for last is read back with no search of the sieve, and one with the
     same pi(x) with no kinds counted, so the queries of one x count once.
     A kept memo is read with one lookup, without ``_memo``'s frame."""
-    memo = sieve.derived.get((_MEMO_TAG, fd)) or _memo(fd, sieve)
+    memo = sieve.derived.get(fd) or _memo(fd, sieve)
     if x != memo.last_x:
-        n = memo.extend(fd, sieve, x)
+        n = memo.extend(sieve, x)
         if n != memo.last.n:
-            memo.last = memo.tally(fd, n)
+            memo.last = memo.tally(n)
         memo.last_x = x
     return memo.last
 
 
-def _first_unresolved(fd: FieldDescriptor, sieve: PrimeSieve, x: float, order: int | None = None) -> int | None:
-    """The smallest prime p <= x of ``sieve`` that the field leaves unresolved,
-    of Frobenius order ``order`` when it is given, or None.  It reads the
-    memo's plan, and scans the kinds of the primes only when the plan has an
-    ambiguous kind of that order."""
-    memo = _memo(fd, sieve)
-    n = memo.extend(fd, sieve, x)
-    kinds = [k for k, c in enumerate(memo.kind_code) if c < -1 and (order is None or c == -1 - order)]
-    if not kinds:
-        return None
-    hit = np.isin(memo.kind[:n], kinds)
-    return int(sieve.primes[hit.argmax()]) if hit.any() else None
-
-
-_MEMO_TAG = "frobenius_table"  # a field's memo is sieve.derived[_MEMO_TAG, fd]
-
-
 def _memo(fd: FieldDescriptor, sieve: PrimeSieve) -> _TableMemo:
-    key = _MEMO_TAG, fd
-    return sieve.derived.get(key) or sieve.derived.setdefault(key, _TableMemo(fd))
+    """The field's memo on ``sieve``, ``sieve.derived[fd]``, made on first use."""
+    return sieve.derived.get(fd) or sieve.derived.setdefault(fd, _TableMemo(fd))
 
 
 def _kind_code(data: FrobeniusData) -> int:
@@ -389,9 +372,12 @@ def _kind_code(data: FrobeniusData) -> int:
 
 
 class _TableMemo:
-    """One field's kinds of a prefix of the primes of the sieve that keeps it,
-    the plan of its kinds, and ``last``: the class tally of the last prime
-    count n asked for, and ``last_x``, the last x it answered.
+    """All that a sieve keeps of one field ``fd``, as ``sieve.derived[fd]``:
+    ``kind``, the kinds of a prefix of its primes, with ``index`` the records
+    met so far; ``last``, the class tally of the last prime count n asked
+    for, and ``last_x``, the last x it answered; and ``psi``, None or
+    (params, sums), the ψ sums of every class at the last weight parameters
+    asked for, set once all of them are computed (``psi_weighted_class``).
 
     Kind indices are assigned in the order records are first met and never
     change, so a table or tally of kind[:n] stays right as kind grows.  The
@@ -402,21 +388,23 @@ class _TableMemo:
     """
 
     def __init__(self, fd: FieldDescriptor):
+        self.fd = fd
         self.kind = np.zeros(0, dtype=np.int16)
         self.index: dict[FrobeniusData, int] = {}
         self.kind_code: tuple[int, ...] = ()
         self.last = _ClassTally(0, (0,) * len(fd.group.classes), 0, MappingProxyType({}))
         self.last_x: float | None = None
+        self.psi: tuple | None = None
         self.residue = None if fd.residue_action is None else np.asarray(fd.residue_action.residue_class)
         if self.residue is not None or _by_legendre(fd):
             # the kind of each group element, then the ramified kind read by element -1
             records = [_element_frobenius(fd, e) for e in fd.group.elements()] + [_RAMIFIED_DATA]
             self.element_kind = self._kinds(records)
 
-    def tally(self, fd: FieldDescriptor, n: int) -> _ClassTally:
+    def tally(self, n: int) -> _ClassTally:
         """The class tally of the first n primes, from one ``np.bincount`` of their kinds."""
         counts = np.bincount(self.kind[:n]).tolist()  # up to the largest kind met, where zip stops
-        by_class = [0] * len(fd.group.classes)
+        by_class = [0] * len(self.fd.group.classes)
         unresolved: dict[int, int] = {}
         ramified = 0
         for c, m in zip(self.kind_code, counts):
@@ -428,14 +416,26 @@ class _TableMemo:
                 unresolved[-1 - c] = unresolved.get(-1 - c, 0) + m
         return _ClassTally(n, tuple(by_class), ramified, MappingProxyType(unresolved))
 
-    def extend(self, fd: FieldDescriptor, sieve: PrimeSieve, x: float) -> int:
+    def extend(self, sieve: PrimeSieve, x: float) -> int:
         """pi(x), once the kinds reach the primes up to x."""
         n, k = sieve.count_leq(x), self.kind.size
         if n > k:
             size = sieve.read_ahead(k, n)
-            self.kind = np.concatenate((self.kind, self._classify(fd, sieve.primes[k:size])))
+            self.kind = np.concatenate((self.kind, self._classify(sieve.primes[k:size])))
             self.kind.flags.writeable = False
         return n
+
+    def first_unresolved(self, sieve: PrimeSieve, x: float, order: int | None = None) -> int | None:
+        """The smallest prime p <= x of ``sieve`` that the field leaves
+        unresolved, of Frobenius order ``order`` when it is given, or None.
+        The kinds are scanned only when the plan has an ambiguous kind of
+        that order."""
+        n = self.extend(sieve, x)
+        kinds = [k for k, c in enumerate(self.kind_code) if c < -1 and (order is None or c == -1 - order)]
+        if not kinds:
+            return None
+        hit = np.isin(self.kind[:n], kinds)
+        return int(sieve.primes[hit.argmax()]) if hit.any() else None
 
     def _kinds(self, records: list[FrobeniusData]) -> np.ndarray:
         """The kind of each record, registering the records not met before."""
@@ -444,8 +444,9 @@ class _TableMemo:
             self.kind_code = tuple(map(_kind_code, self.index))
         return kinds
 
-    def _classify(self, fd: FieldDescriptor, primes: np.ndarray) -> np.ndarray:
+    def _classify(self, primes: np.ndarray) -> np.ndarray:
         """The kind of each prime."""
+        fd = self.fd
         disc_residue = _mod_primes(fd.disc_field, primes)
         ramified = disc_residue == 0
         if self.residue is not None:

@@ -46,24 +46,27 @@ def factor_poly_mod_p(poly: list[int] | tuple[int, ...], p: int) -> list[tuple[i
 def frobenius_data_by_factoring(fd: FieldDescriptor, p: int) -> FrobeniusData:
     """Frobenius data at the prime p, with the factorization type of f mod p
     read off a full factorization by ``gfpoly``, not off the Frobenius matrix
-    as ``fields.frobenius_data`` and ``fields.frobenius_table`` read it:
-    p is ramified when f mod p has a repeated factor.  A residue field reads
-    its action, and a quadratic without one chi_{D_K}(p), as production does.
+    as ``fields.frobenius_data`` and ``fields.frobenius_table`` read it.
+
+    Where f mod p is squarefree, its type gives the record, for a quadratic
+    too (production reads chi_{D_K}(p) there).  Where it is not, p is
+    ramified, except at an index divisor of a quadratic (p | disc f, p not
+    dividing D_K, such as 2 for x^2 - 5): no factorization shows its class,
+    so the oracle reads ``kronecker_symbol``.  A residue field still reads
+    its action, as production does, until Frobenius elements come from
+    automorphisms (ROADMAP item 3).
     """
     if fd.is_ramified(p):
         return _RAMIFIED_DATA
     if fd.residue_action is not None:
         elem = fd.residue_action.residue_class[p % fd.residue_action.conductor]
-        if elem < 0:
-            return _RAMIFIED_DATA
-    elif _by_legendre(fd):
-        elem = 0 if kronecker_symbol(fd.disc_field, p) == 1 else 1
-    else:
-        pairs = _factor_type(fd.defining_poly, p)
-        if any(mult > 1 for _, mult in pairs):
-            return _RAMIFIED_DATA
+        return _RAMIFIED_DATA if elem < 0 else _element_frobenius(fd, elem)
+    pairs = _factor_type(fd.defining_poly, p)
+    if all(mult == 1 for _, mult in pairs):
         return _type_frobenius(fd, tuple(sorted(d for d, _ in pairs)), p)
-    return _element_frobenius(fd, elem)
+    if _by_legendre(fd):
+        return _element_frobenius(fd, 0 if kronecker_symbol(fd.disc_field, p) == 1 else 1)
+    return _RAMIFIED_DATA
 
 
 # -- quadrature ---------------------------------------------------------------

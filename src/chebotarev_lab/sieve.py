@@ -32,10 +32,16 @@ class PrimeSieve:
 
     The sieve keeps its own read-only copy of ``primes``, so one sieve object
     always holds the same primes.  The layers above keep what they compute
-    from those primes in ``derived``, keyed by (owner, descriptor), or by
-    owner alone for what no field shapes, so it lives exactly as long as the
-    sieve.  What they keep covers a prefix of the primes, grown by
-    ``read_ahead`` alone.
+    from those primes in ``derived``, so it lives exactly as long as the
+    sieve.  It holds:
+
+    - under each ``FieldDescriptor`` asked about, that field's one
+      ``fields._TableMemo``: its kinds, class tally and ψ class sums;
+    - under ``"psi_log_units"`` and ``"psi_weights"``, what ψ computes that
+      no field shapes (``chebotarev._log_units`` and ``_psi_weights``).
+
+    What they keep covers a prefix of the primes, grown by ``read_ahead``
+    alone.
 
     Its attributes are read-only, and sieves compare by identity.
     """

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebotarev_lab import chebotarev, weights
+from chebotarev_lab.artin import prime_coefficients
 from chebotarev_lab.chebotarev import (
     base_change_compare,
     flexi_error_report,
@@ -33,6 +34,7 @@ from chebotarev_lab.errors import (
 from chebotarev_lab.fields import (
     BUILTIN_CATALOG,
     FieldDescriptor,
+    _TableMemo,
     _class_tally,
     frobenius_table,
     load_catalog,
@@ -875,7 +877,7 @@ def test_late_ramified_prime_counts_below_and_above_it():
     # ramified prime 8209 only when a later request extends past them
     sieve = sieve_primes(2 * 10**4)
     _check_against_scalar(LATE, 5000, sieve)
-    assert sieve.derived["frobenius_table", LATE].kind.size == 1024 == sieve.count_leq(8161)
+    assert sieve.derived[LATE].kind.size == 1024 == sieve.count_leq(8161)
     for x in (5000, 8161, 8208.5, 8209, 8209.5, 12000.5, 2 * 10**4 / math.exp(0.1), 5000):
         _check_against_scalar(LATE, x, sieve)
         assert splitting_tally(LATE, x, sieve).ramified == (x >= 8209), x
@@ -891,11 +893,11 @@ def test_a_kind_met_on_extension_updates_the_plan():
             if p > 2 * 10**4 or frobenius_data_by_factoring(s3, p).factorization_type != (1, 1, 1)]
     sieve = PrimeSieve(limit=full.limit, primes=kept)
     _check_against_scalar(s3, 5000, sieve)
-    codes = sieve.derived["frobenius_table", s3].kind_code
+    codes = sieve.derived[s3].kind_code
     assert len(codes) == 3 and s3.group.class_by_label("1").index not in codes
     for x in (9000.5, 15000, 2 * 10**4 + 11, 25000, 5000, 27000):
         _check_against_scalar(s3, x, sieve)
-    codes = sieve.derived["frobenius_table", s3].kind_code
+    codes = sieve.derived[s3].kind_code
     assert len(codes) == 4 and s3.group.class_by_label("1").index in codes
     assert splitting_tally(s3, 27000, sieve).by_class["1"] > 0
 
@@ -998,7 +1000,7 @@ def test_psi_names_the_smallest_ambiguous_prime_after_tallies(name):
         p = min(q for q in s.primes.tolist() if frobenius_data_by_factoring(fd, q).ambiguous)
         for x in (100, 5000, 1000.5):
             splitting_tally(fd, x, s)
-        assert min(s.derived["frobenius_table", fd].kind_code) < -1  # an ambiguous kind
+        assert min(s.derived[fd].kind_code) < -1  # an ambiguous kind
         for x in (1000.5, 100, max(3, _smallest_x_reaching(p, 0.1))):  # WeightParams needs x >= 3
             for cls in fd.group.classes:
                 with pytest.raises(AmbiguousClass) as err:
@@ -1009,6 +1011,35 @@ def test_psi_names_the_smallest_ambiguous_prime_after_tallies(name):
             scalar = psi_weighted_scalar(fd, below, s)
             for cls in fd.group.classes:
                 assert psi_weighted_class(fd, cls, below, s) == math.fsum(v for _, v in scalar[cls.index])
+
+
+def test_sieve_keeps_one_memo_per_field(sieve_small):
+    # what counts, psi and coefficients keep of a field is its one table memo,
+    # keyed by the descriptor; psi's log units and weights, which no field
+    # shapes, are the only other entries
+    sieve = sieve_primes(sieve_small.limit)  # keeps nothing yet
+    fds = [_catalog_field(name) for name in ("s3cubic", "zeta7", "quad(-3)", "quad(5)")]
+    params = WeightParams(x=1000, eps=0.1)
+    for fd in fds:
+        splitting_tally(fd, 2000, sieve)
+        pi_C_count(fd, fd.group.classes[0], 3000, sieve)
+        for cls in fd.group.classes:
+            psi_weighted_class(fd, cls, params, sieve)
+        prime_coefficients(fd, sieve, 10, 5000)
+    assert set(sieve.derived) == {*fds, "psi_log_units", "psi_weights"}
+    assert all(type(sieve.derived[fd]) is _TableMemo and sieve.derived[fd].fd is fd for fd in fds)
+    kept = [sieve.derived[fd].psi for fd in fds]
+    assert [psi[0] for psi in kept] == [params] * len(fds)
+    entry = sieve.derived["psi_weights"]
+    # a request that raises keeps every memo's sums and the weights as they were
+    a4 = TALLY_FIELDS["a4quartic"]
+    for fd, request, error in [*((fd, WeightParams(x=sieve.limit, eps=0.1), SieveRangeExceeded) for fd in fds),
+                               (a4, params, AmbiguousClass), (a4, WeightParams(x=2000, eps=0.1), AmbiguousClass)]:
+        with pytest.raises(error):
+            psi_weighted_class(fd, fd.group.classes[0], request, sieve)
+        assert all(sieve.derived[fd].psi is psi for fd, psi in zip(fds, kept))
+        assert sieve.derived["psi_weights"] is entry
+    assert sieve.derived[a4].psi is None
 
 
 NAN = float("nan")

@@ -393,6 +393,8 @@ def test_validation_exit_codes():
 
 
 CATALOG = str(Path(__file__).resolve().parents[1] / "demos" / "catalog_quadratics.txt")
+HUGE_GRIDS = (["weights", "--grid", "0:1:1e-9"],  # 10^9 points, refused before the first
+              ["weights", "--grid", "1:1:1e-17"])  # t += step would never move t
 
 
 @pytest.mark.parametrize(
@@ -417,6 +419,7 @@ CATALOG = str(Path(__file__).resolve().parents[1] / "demos" / "catalog_quadratic
         ["weights", "--x", "inf"],
         ["weights", "--grid", "0:nan:0.1"],
         ["weights", "--grid", "0:1:0"],
+        *HUGE_GRIDS,
         ["weights", "--grid", "0:1"],
         ["eta", "--Q", "nan"],
         ["eta", "--c1", "nan"],
@@ -432,7 +435,7 @@ def test_non_finite_and_malformed_floats_rejected(args, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
-    assert json.loads(err)["error"]["code"] == "ValidationError"
+    assert json.loads(err)["error"]["code"] == ("LimitTooLarge" if args in HUGE_GRIDS else "ValidationError")
 
 
 @pytest.mark.parametrize(

@@ -546,9 +546,9 @@ def _classified(monkeypatch):
     log = []
     classify = fields._TableMemo._classify
 
-    def counting(self, fd, primes):
+    def counting(self, primes):
         log.append((self, primes.size))
-        return classify(self, fd, primes)
+        return classify(self, primes)
 
     monkeypatch.setattr(fields._TableMemo, "_classify", counting)
     return log
@@ -566,10 +566,10 @@ def test_rising_x_session_classifies_log_many_times(name, monkeypatch):
     log = _classified(monkeypatch)
     for x in xs:
         table = frobenius_table(fd, sieve, x)
-        assert sieve.derived["frobenius_table", fd].kind.size <= len(sieve), x
+        assert sieve.derived[fd].kind.size <= len(sieve), x
         cold = PrimeSieve(limit=sieve.limit, primes=sieve.primes)  # the same primes, classified afresh
         assert _rows(table) == _rows(frobenius_table(fd, cold, x)), x
-    memo = sieve.derived["frobenius_table", fd]
+    memo = sieve.derived[fd]
     calls = [size for owner, size in log if owner is memo]
     assert len(calls) <= math.ceil(math.log2(sieve.count_leq(xs[-1]) / sieve.count_leq(xs[0]))) + 1
     assert sum(calls) == len(sieve)  # every prime once
@@ -584,7 +584,7 @@ def test_session_below_the_floor_classifies_each_field_once(monkeypatch):
             cold = PrimeSieve(limit=sieve.limit, primes=sieve.primes)
             assert _rows(frobenius_table(fd, sieve, x)) == _rows(frobenius_table(fd, cold, x)), (name, x)
             assert _class_tally(fd, sieve, x) == _class_tally(fd, cold, x), (name, x)
-        memo = sieve.derived["frobenius_table", fd]
+        memo = sieve.derived[fd]
         assert [size for owner, size in log if owner is memo] == [len(sieve)], name
 
 
@@ -593,7 +593,7 @@ def test_cold_request_classifies_exactly_pi_x(monkeypatch):
     sieve = sieve_primes(10**5)
     log = _classified(monkeypatch)
     frobenius_table(fd, sieve, 2 * 10**4)
-    assert log == [(sieve.derived["frobenius_table", fd], sieve.count_leq(2 * 10**4))]
+    assert log == [(sieve.derived[fd], sieve.count_leq(2 * 10**4))]
 
 
 def test_memo_hit_from_the_same_sieve_compares_no_primes(monkeypatch):
@@ -610,7 +610,7 @@ def test_memo_hit_from_the_same_sieve_compares_no_primes(monkeypatch):
     log = _classified(monkeypatch)
     for x in (100, 5000, 3000, sieve.limit, 7000):  # extensions and hits
         frobenius_table(fd, sieve, x)
-    memo = sieve.derived["frobenius_table", fd]
+    memo = sieve.derived[fd]
     assert [owner for owner, _ in log] == [memo] * len(log)
     assert sum(size for _, size in log) == len(sieve)  # each prime once
     # a twin sieve with the same primes gets a table of its own, still comparing
@@ -618,8 +618,8 @@ def test_memo_hit_from_the_same_sieve_compares_no_primes(monkeypatch):
     twin = sieve_primes(10**4)
     del log[:]
     _assert_table_matches(fd, twin, 2000)
-    assert log == [(twin.derived["frobenius_table", fd], 1024)]
-    assert twin.derived["frobenius_table", fd] is not memo
+    assert log == [(twin.derived[fd], 1024)]
+    assert twin.derived[fd] is not memo
     assert compared == []
 
 
@@ -627,16 +627,16 @@ def test_memo_restarts_on_a_sieve_with_other_primes(monkeypatch):
     fd = BUILTIN_CATALOG["s3cubic"]
     sieve = sieve_primes(10**4)
     frobenius_table(fd, sieve, sieve.limit)
-    memo = sieve.derived["frobenius_table", fd]
+    memo = sieve.derived[fd]
     # hand-built: 101 left out, so its 26th prime differs from the first sieve's
     other = PrimeSieve(limit=sieve.limit, primes=sieve.primes[sieve.primes != 101])
     log = _classified(monkeypatch)
     _assert_table_matches(fd, other, 5000)
     assert other.count_leq(5000) == 668  # read ahead to the floor of 2^10
-    assert log == [(other.derived["frobenius_table", fd], 1024)]
+    assert log == [(other.derived[fd], 1024)]
     # and back: the first sieve still holds its own table and classifies nothing
     _assert_table_matches(fd, sieve, 5000)
-    assert log[1:] == [] and sieve.derived["frobenius_table", fd] is memo
+    assert log[1:] == [] and sieve.derived[fd] is memo
 
 
 def test_table_lives_as_long_as_its_sieve():
@@ -644,7 +644,7 @@ def test_table_lives_as_long_as_its_sieve():
     state = tuple(fd)
     sieve = sieve_primes(10**4)
     frobenius_table(fd, sieve, 7000)
-    assert sieve.derived["frobenius_table", fd].kind.size == 1024  # pi(7000) = 900, read ahead to 2^10
+    assert sieve.derived[fd].kind.size == 1024  # pi(7000) = 900, read ahead to 2^10
     # the table goes with its sieve, and the descriptor holds nothing of it
     ref = weakref.ref(sieve)
     del sieve
@@ -780,7 +780,7 @@ def test_memo_holds_one_int16_per_prime():
     sieve = sieve_primes(2 * 10**4)
     for fd in _table_fields():
         table = frobenius_table(fd, sieve, 5000)
-        memo = sieve.derived["frobenius_table", fd]
+        memo = sieve.derived[fd]
         # the element-to-kind and residue arrays are as small as the group and the conductor
         per_prime = {name for name, value in vars(memo).items() if isinstance(value, np.ndarray) and value.size > 100}
         assert per_prime == {"kind"} and memo.kind.dtype == np.int16, fd.name
